@@ -14,9 +14,9 @@ Every benchmark in this directory follows the same discipline:
   order so refreshed trajectory snapshots diff cleanly.
 
 The timing loops and the JSON writer live here so the individual scripts
-(:mod:`bench_backends`, :mod:`bench_plane_ladder`, :mod:`bench_fused_step`,
-:mod:`bench_native`) hold only what is unique to each: the workload, the
-grid, and the asserted floors.
+(:mod:`bench_backends`, :mod:`bench_native`, :mod:`bench_koblitz`,
+:mod:`bench_serve`, :mod:`bench_telemetry_overhead`) hold only what is
+unique to each: the workload, the grid, and the asserted floors.
 """
 
 from __future__ import annotations

@@ -71,7 +71,6 @@ from .ir import (
 )
 from .planes import (
     CompiledPlaneIR,
-    PlaneCompute,
     PlaneIRExecutor,
     PlaneProgram,
     PlaneVector,
@@ -109,7 +108,6 @@ __all__ = [
     "execute_program",
     "schedule_program",
     "CompiledPlaneIR",
-    "PlaneCompute",
     "PlaneIRExecutor",
     "PlaneProgram",
     "PlaneVector",

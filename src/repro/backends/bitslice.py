@@ -41,7 +41,6 @@ from ..netlist.netlist import OP_AND, OP_XOR
 from ..pipeline.store import LRUCache
 from .base import BackendCapabilities, FieldBackend, default_method_for
 from .planes import (
-    PlaneCompute,
     PlaneIRExecutor,
     _LaneBufferCache,
     _planes_to_array,
@@ -342,9 +341,7 @@ class BitsliceBackend(FieldBackend):
     """
 
     name = "bitslice"
-    capabilities = BackendCapabilities(
-        vectorized=True, compiled=True, min_efficient_batch=64, plane_resident=True
-    )
+    capabilities = BackendCapabilities(vectorized=True, compiled=True, min_efficient_batch=64)
 
     def __init__(
         self,
@@ -360,7 +357,6 @@ class BitsliceBackend(FieldBackend):
         self.verify = verify
         self._sliced: Optional[BitslicedNetlist] = None
         self._executor: Optional[PlaneIRExecutor] = None
-        self._planes: Optional[PlaneCompute] = None
 
     @property
     def sliced(self) -> BitslicedNetlist:
@@ -382,12 +378,6 @@ class BitsliceBackend(FieldBackend):
         if self._executor is None:
             self._executor = PlaneIRExecutor(self.field, self.sliced)
         return self._executor
-
-    def plane_compute(self) -> PlaneCompute:
-        """Deprecated shim container over :meth:`ir_executor` (op methods warn)."""
-        if self._planes is None:
-            self._planes = PlaneCompute(self.field, self.sliced, self.ir_executor())
-        return self._planes
 
     def multiply(self, a: int, b: int) -> int:
         return self.sliced.multiply_batch([a], [b])[0]

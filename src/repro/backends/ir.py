@@ -1,13 +1,12 @@
 """FieldIR: one straight-line formula compiler for batched GF(2^m) compute.
 
-PR 5 made the Montgomery ladder plane-resident, but every step still issued
-~10 separate passes through :class:`~repro.backends.planes.PlaneCompute` —
-two lane-stacked multiplies, six squaring programs, XORs and masked selects
-— each paying numpy dispatch, scratch traffic and Python call overhead.
-This module generalizes the single-linear-map ``PlaneProgram`` idea into a
-small straight-line **IR over batched field ops**, so a whole formula (the
-entire López-Dahab step, the y-recovery, the curve-equation residual) is
-expressed *once* and compiled *once*:
+Driven op by op, one Montgomery ladder step is ~10 separate batched
+passes — two lane-stacked multiplies, six squaring programs, XORs and
+masked selects — each paying dispatch, scratch traffic and Python call
+overhead.  This module generalizes the single-linear-map ``PlaneProgram``
+idea into a small straight-line **IR over batched field ops**, so a whole
+formula (the entire López-Dahab step, the y-recovery, the curve-equation
+residual) is expressed *once* and compiled *once*:
 
 * :class:`IRBuilder` traces a formula into a :class:`FieldIR` — SSA ops
   ``mul`` / ``square`` / ``apply_linear`` / ``xor`` / ``select`` /
@@ -23,15 +22,16 @@ expressed *once* and compiled *once*:
   netlist evaluation, every :class:`LinearPass` merges all its linear/XOR
   work into **one** gather/XOR schedule, every :class:`SelectPass` applies
   one broadcast lane mask to all its register swaps.
-* The scheduled :class:`FieldProgram` is backend-neutral.  Two executors
-  exist today: :func:`execute_program` interprets the passes over plain
+* The scheduled :class:`FieldProgram` is backend-neutral.  Two kinds of
+  executor exist: :func:`execute_program` interprets the passes over plain
   ``int`` batches through any :class:`~repro.backends.base.FieldBackend`
   (gathering each MulPass into a single ``multiply_batch`` call), and
-  plane-capable backends lower it through
-  :meth:`~repro.backends.base.FieldBackend.ir_executor` into fused uint64
-  plane passes (:class:`~repro.backends.planes.PlaneIRExecutor`).  A new
-  substrate (native, GPU) implements one executor, not five ad-hoc plane
-  ops.
+  backends with a compiled executor lower it through
+  :meth:`~repro.backends.base.FieldBackend.ir_executor` — fused uint64
+  plane passes on ``bitslice``
+  (:class:`~repro.backends.planes.PlaneIRExecutor`), C word kernels on
+  ``native`` (:class:`~repro.backends.native.NativeIRExecutor`).  A new
+  substrate implements one executor, not a set of ad-hoc ops.
 
 Scheduled programs are memoized process-wide by their ``key`` (see
 :func:`cached_program`), mirroring the multiplier and netlist caches, so
@@ -387,9 +387,8 @@ class FieldProgram:
     def describe(self) -> str:
         """Structural summary: op counts, fused-pass schedule, stage shapes.
 
-        This replaces the ad-hoc ``PlaneProgram.describe`` /
-        ``PlaneCompute.describe`` strings as the introspection surface the
-        CLI exposes (``repro bench --backend bitslice --describe``).
+        This is the introspection surface the CLI exposes
+        (``repro bench --backend bitslice --describe``).
         """
         counts = self.ir.op_counts()
         ops = ", ".join(f"{counts[kind]} {kind}" for kind in sorted(counts))

@@ -137,9 +137,7 @@ class NativeBackend(FieldBackend):
     """Word-level C arithmetic for one field through the cffi kernel."""
 
     name = "native"
-    capabilities = BackendCapabilities(
-        vectorized=True, compiled=True, min_efficient_batch=8, plane_resident=True
-    )
+    capabilities = BackendCapabilities(vectorized=True, compiled=True, min_efficient_batch=8)
 
     def __init__(
         self,

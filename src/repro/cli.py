@@ -16,8 +16,6 @@ Subcommands
                 parallel pipeline with the persistent artifact store
 ``curves``      list the elliptic-curve catalog (NIST-degree K/B curves)
 ``ecdh``        run the batched ECDH workload on one curve and report ops/s
-                (``--ladder planes|steps|auto`` picks the plane-resident or
-                per-step batched-ladder path)
 ``stats``       print the telemetry registry (counters, timing summaries)
                 and every named LRU cache's hit/miss/eviction stats
 ``dashboard``   render the per-PR perf trajectory from the committed
@@ -28,10 +26,9 @@ Subcommands
 :mod:`repro.backends`); the
 ``GF2M_REPRO_BACKEND`` environment variable sets the process default.
 The flag is declared once on a shared parent parser (as are ``--method``
-for ``batch``/``bench``, ``--ladder`` for ``ecdh`` and ``--trace-out``
-for every heavy subcommand) and resolved at a single site,
-:func:`_resolve_cli_backend` — subcommands cannot drift apart in
-spelling, defaults or error behavior.
+for ``batch``/``bench`` and ``--trace-out`` for every heavy subcommand)
+and resolved at a single site, :func:`_resolve_cli_backend` — subcommands
+cannot drift apart in spelling, defaults or error behavior.
 
 ``--trace-out FILE`` (top level or on batch/bench/ecdh/sweep) records a
 span trace of the run and writes it as Chrome trace-event JSON — open it
@@ -88,9 +85,9 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     # Shared option groups, declared once.  Every backend-aware subcommand
-    # inherits the same --backend flag (and batch/bench the same --method,
-    # ecdh the same --ladder) from these parents, and all of them resolve
-    # through the one _resolve_cli_backend site below.
+    # inherits the same --backend flag (and batch/bench the same --method)
+    # from these parents, and all of them resolve through the one
+    # _resolve_cli_backend site below.
     backend_parent = argparse.ArgumentParser(add_help=False)
     backend_parent.add_argument(
         "--backend",
@@ -104,15 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         default=None,
         help="circuit construction for circuit backends (default thiswork for type II fields)",
-    )
-    ladder_parent = argparse.ArgumentParser(add_help=False)
-    ladder_parent.add_argument(
-        "--ladder",
-        choices=["auto", "planes", "steps"],
-        default="auto",
-        help="batched-ladder path: 'planes' demands the plane-resident FieldIR executor, "
-        "'steps' pins the per-step batch path, 'auto' (default) compiles to planes when "
-        "the backend supports it",
     )
     # The same --trace-out accepted after the subcommand.  SUPPRESS keeps a
     # subparser that was not given the flag from overwriting the top-level
@@ -240,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ecdh = subparsers.add_parser(
         "ecdh",
-        parents=[backend_parent, ladder_parent, trace_parent],
+        parents=[backend_parent, trace_parent],
         help="batched ECDH key agreement workload on one curve",
     )
     ecdh.add_argument("--curve", default="B-163", help="catalog curve name (default B-163; see 'repro curves')")
@@ -267,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     keygen = subparsers.add_parser(
         "keygen",
-        parents=[backend_parent, ladder_parent, trace_parent],
+        parents=[backend_parent, trace_parent],
         help="batched key generation workload on one curve (fixed-base comb by default)",
     )
     keygen.add_argument("--curve", default="K-163", help="catalog curve name (default K-163; see 'repro curves')")
@@ -693,8 +681,7 @@ def _run_bench(args) -> int:
 
 
 def _ecdh_agreements(
-    curve, privates, peers, jobs: int, backend=None, plane_resident=None,
-    scalar_rep="auto", start_method=None,
+    curve, privates, peers, jobs: int, backend=None, scalar_rep="auto", start_method=None,
 ) -> List:
     """The batch of shared points, optionally sharded over worker processes.
 
@@ -707,8 +694,7 @@ def _ecdh_agreements(
     from .serve.workers import ecdh_sharded
 
     return ecdh_sharded(
-        curve, privates, peers, jobs, backend=backend,
-        plane_resident=plane_resident, scalar_rep=scalar_rep,
+        curve, privates, peers, jobs, backend=backend, scalar_rep=scalar_rep,
         start_method=start_method,
     )
 
@@ -724,13 +710,6 @@ def _run_ecdh(args) -> int:
         raise SystemExit("--check must be non-negative")
     # Resolve eagerly so a bad backend (or missing numpy) fails before work.
     resolved = _resolve_cli_backend(curve.field, args.backend)
-    plane_resident = {"auto": None, "planes": True, "steps": False}[args.ladder]
-    if plane_resident and resolved.ir_executor() is None:
-        raise SystemExit(
-            f"--ladder planes needs a plane-resident backend (one with a FieldIR "
-            f"executor); {resolved.name!r} has no such capability (use --backend "
-            "native or bitslice)"
-        )
     try:
         resolved_rep = curve._resolve_scalar_rep(args.scalar_rep)
     except ValueError as error:
@@ -739,12 +718,11 @@ def _run_ecdh(args) -> int:
 
     with telemetry_metrics.timed("cli.ecdh.keygen") as keygen_timer:
         alice = keygen_batch(
-            curve, args.batch, seed=args.seed, backend=args.backend,
-            plane_resident=plane_resident, scalar_rep=args.scalar_rep,
+            curve, args.batch, seed=args.seed, backend=args.backend, scalar_rep=args.scalar_rep,
         )
         bob = keygen_batch(
             curve, args.batch, seed=args.seed + 1, backend=args.backend,
-            plane_resident=plane_resident, scalar_rep=args.scalar_rep,
+            scalar_rep=args.scalar_rep,
         )
     keygen_s = keygen_timer.seconds
 
@@ -757,7 +735,6 @@ def _run_ecdh(args) -> int:
             [pair.public for pair in bob],
             args.jobs,
             backend=args.backend,
-            plane_resident=plane_resident,
             scalar_rep=args.scalar_rep,
             start_method=args.start_method,
         )
@@ -767,7 +744,6 @@ def _run_ecdh(args) -> int:
             [pair.public for pair in alice],
             args.jobs,
             backend=args.backend,
-            plane_resident=plane_resident,
             scalar_rep=args.scalar_rep,
             start_method=args.start_method,
         )
@@ -787,7 +763,7 @@ def _run_ecdh(args) -> int:
     keygen_rate = 2 * args.batch / keygen_s if keygen_s > 0 else float("inf")
     agree_rate = ladders / agree_s if agree_s > 0 else float("inf")
     backend_label = args.backend or default_backend_name(curve.field)
-    if plane_resident is False or resolved.ir_executor() is None:
+    if resolved.ir_executor() is None:
         ladder_label = "per-step ladder"
     else:
         ladder_label = "plane-resident ladder"
@@ -811,14 +787,8 @@ def _run_keygen(args) -> int:
         raise SystemExit("--batch must be at least 1")
     if args.check < 0:
         raise SystemExit("--check must be non-negative")
-    resolved = _resolve_cli_backend(curve.field, args.backend)
-    plane_resident = {"auto": None, "planes": True, "steps": False}[args.ladder]
-    if plane_resident and resolved.ir_executor() is None:
-        raise SystemExit(
-            f"--ladder planes needs a plane-resident backend (one with a FieldIR "
-            f"executor); {resolved.name!r} has no such capability (use --backend "
-            "native or bitslice)"
-        )
+    # Resolve eagerly so a bad backend (or missing numpy) fails before work.
+    _resolve_cli_backend(curve.field, args.backend)
     fixed_base = {"auto": None, "comb": True, "ladder": False}[args.path]
     print(curve.describe())
     curve.generator  # derive outside the timed region (shared by all paths)
@@ -829,7 +799,6 @@ def _run_keygen(args) -> int:
                 args.batch,
                 seed=args.seed,
                 backend=args.backend,
-                plane_resident=plane_resident,
                 scalar_rep=args.scalar_rep,
                 fixed_base=fixed_base,
             )

@@ -404,19 +404,6 @@ def tau_digits_value(curve: "BinaryCurve", digits: "Sequence[int]") -> "Tuple[in
 
 
 # ----------------------------------------------------------- shared plumbing
-def _resolve_executor(backend, plane_resident: "Optional[bool]"):
-    """The backend's FieldIR executor per the ``plane_resident`` contract."""
-    if plane_resident is False:
-        return None
-    executor = backend.ir_executor()
-    if executor is None and plane_resident:
-        raise ValueError(
-            f"backend {backend.name!r} has no plane-resident IR executor; "
-            "use the 'bitslice' or 'native' backend or plane_resident=False"
-        )
-    return executor
-
-
 def _run_program_chunked(backend, program, inputs: "Dict[str, List[int]]"):
     """Run a mask-less FieldProgram on int lists, compiled where possible.
 
@@ -530,7 +517,6 @@ def _finalize_projective(curve, backend, x_acc, y_acc, z_acc):
 def _run_masked_steps(
     curve,
     backend,
-    plane_resident,
     count,
     rows_for,
     *,
@@ -553,7 +539,7 @@ def _run_masked_steps(
     interprets the same programs everywhere else.  Returns the final
     accumulator triple as int lists.
     """
-    executor = _resolve_executor(backend, plane_resident)
+    executor = backend.ir_executor()
     tracer = _trace.TRACER
     if executor is None:
         state = {"X": [1] * count, "Y": [1] * count, "Z": [0] * count}
@@ -662,7 +648,6 @@ def multiply_tau_batch(
     scalars: "List[int]",
     *,
     backend,
-    plane_resident: "Optional[bool]" = None,
     width: int = DEFAULT_TAU_WIDTH,
 ) -> "List[Point]":
     """Batched τ-adic ladder over independent ``(point, scalar)`` lanes.
@@ -747,7 +732,6 @@ def multiply_tau_batch(
     x_acc, y_acc, z_acc = _run_masked_steps(
         curve,
         backend,
-        plane_resident,
         count,
         rows_for,
         program_for=program_for,
@@ -893,7 +877,6 @@ def multiply_comb_batch(
     scalars: "List[int]",
     *,
     backend,
-    plane_resident: "Optional[bool]" = None,
     teeth: int = DEFAULT_COMB_TEETH,
     store: "Optional[ArtifactStore]" = None,
 ) -> "List[Point]":
@@ -949,7 +932,6 @@ def multiply_comb_batch(
     x_acc, y_acc, z_acc = _run_masked_steps(
         curve,
         backend,
-        plane_resident,
         count,
         rows_for,
         program_for=lambda key, has_add: double_add_program(curve),

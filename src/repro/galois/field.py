@@ -117,7 +117,7 @@ class GF2mField:
         the coefficient of ``y^i``).  Its degree determines ``m``.
     check_irreducible:
         When true (default) the constructor verifies irreducibility with
-        Rabin's test and raises ``ValueError`` otherwise.  Reduction-based
+        Ben-Or's test and raises ``ValueError`` otherwise.  Reduction-based
         multiplication is well defined for any modulus, so callers that only
         need the ring structure (e.g. experimental pentanomials) may disable
         the check.

@@ -8,7 +8,7 @@ integer operations.
 
 The module provides everything the rest of the library needs from GF(2)[y]:
 multiplication, euclidean division, gcd, modular exponentiation, squaring,
-irreducibility testing (Rabin's test) and a handful of structural helpers
+irreducibility testing (Ben-Or's test) and a handful of structural helpers
 (degree, Hamming weight, exponent extraction).
 
 All functions are pure and operate on plain ``int`` values, so they compose
@@ -35,7 +35,6 @@ __all__ = [
     "poly_square",
     "poly_gcd",
     "is_irreducible",
-    "distinct_prime_factors",
 ]
 
 
@@ -255,37 +254,15 @@ def poly_gcd(a: int, b: int) -> int:
     return a
 
 
-def distinct_prime_factors(value: int) -> List[int]:
-    """Return the distinct prime factors of a positive integer, ascending.
-
-    Used by Rabin's irreducibility test on the extension degree ``m``.
-
-    >>> distinct_prime_factors(163)
-    [163]
-    >>> distinct_prime_factors(148)
-    [2, 37]
-    """
-    if value < 1:
-        raise ValueError("value must be a positive integer")
-    factors = []
-    remaining = value
-    candidate = 2
-    while candidate * candidate <= remaining:
-        if remaining % candidate == 0:
-            factors.append(candidate)
-            while remaining % candidate == 0:
-                remaining //= candidate
-        candidate += 1 if candidate == 2 else 2
-    if remaining > 1:
-        factors.append(remaining)
-    return factors
-
-
 def is_irreducible(poly: int) -> bool:
-    """Rabin's irreducibility test for a polynomial over GF(2).
+    """Ben-Or's irreducibility test for a polynomial over GF(2).
 
-    ``f`` of degree ``m`` is irreducible iff ``y^(2^m) = y (mod f)`` and for
-    every prime divisor ``p`` of ``m``, ``gcd(y^(2^(m/p)) - y, f) = 1``.
+    ``y^(2^i) - y`` is the product of every irreducible polynomial whose
+    degree divides ``i``, and a reducible ``f`` of degree ``m`` has a factor
+    of degree at most ``m/2``; so ``f`` is irreducible iff
+    ``gcd(y^(2^i) - y, f) = 1`` for every ``i`` in ``1..m/2``.  The test
+    stops at the first common factor, so a reducible candidate — which
+    almost always has a small factor — costs a few squarings, not ``m``.
 
     >>> is_irreducible(0b100011101)   # y^8+y^4+y^3+y^2+1 (CCSDS / Reed-Solomon)
     True
@@ -303,17 +280,10 @@ def is_irreducible(poly: int) -> bool:
         # Divisible by y.
         return False
     y = 0b10
-    # Repeated squaring of y modulo poly: after k squarings we hold y^(2^k).
+    # Repeated squaring of y modulo poly: after i squarings we hold y^(2^i).
     power = y
-    powers_at = {}
-    needed = {m} | {m // p for p in distinct_prime_factors(m)}
-    for step in range(1, m + 1):
+    for _ in range(m // 2):
         power = poly_mulmod(power, power, poly)
-        if step in needed:
-            powers_at[step] = power
-    if powers_at[m] != y:
-        return False
-    for p in distinct_prime_factors(m):
-        if poly_gcd(powers_at[m // p] ^ y, poly) != 1:
+        if poly_gcd(power ^ y, poly) != 1:
             return False
     return True

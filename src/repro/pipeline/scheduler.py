@@ -172,15 +172,8 @@ def _execute_job_in_worker(payload) -> JobOutcome:
     """
     job, store_root = payload
     store = ArtifactStore(store_root) if store_root is not None else None
-    if not _metrics.REGISTRY.enabled:
-        return execute_job(job, store=store)
-    local = _metrics.MetricsRegistry()
-    previous = _metrics.set_registry(local)
-    try:
-        outcome = execute_job(job, store=store)
-    finally:
-        _metrics.set_registry(previous)
-    outcome.telemetry = local.snapshot()
+    outcome, snapshot = _metrics.run_isolated(execute_job, job, store=store)
+    outcome.telemetry = snapshot
     return outcome
 
 

@@ -340,6 +340,8 @@ class CryptoService:
                 try:
                     length = int(headers.get("content-length", "0") or "0")
                 except ValueError:
+                    length = -1
+                if length < 0:
                     await self._respond(writer, 400, {"error": "bad Content-Length"}, False)
                     break
                 if length > MAX_BODY_BYTES:
@@ -359,6 +361,11 @@ class CryptoService:
                     break
         except (asyncio.IncompleteReadError, ConnectionResetError, BrokenPipeError):
             pass
+        except ValueError:
+            # StreamReader.readline: a request or header line over the
+            # 64 KiB stream limit.
+            with contextlib.suppress(ConnectionError):
+                await self._respond(writer, 400, {"error": "header line too long"}, False)
         finally:
             with contextlib.suppress(Exception):
                 writer.close()

@@ -256,15 +256,7 @@ def _worker_execute(task: "Tuple[str, str, str, Dict[str, List[int]]]"):
         state = (curve, curve.field.resolve_backend(_WORKER_BACKEND[0]))
         _WORKER_CURVES[curve_name] = state
     curve, backend = state
-    if not _metrics.REGISTRY.enabled:
-        return execute_group_isolated(curve, backend, op, scalar_rep, columns), None
-    local = _metrics.MetricsRegistry()
-    previous = _metrics.set_registry(local)
-    try:
-        rows = execute_group_isolated(curve, backend, op, scalar_rep, columns)
-    finally:
-        _metrics.set_registry(previous)
-    return rows, local.snapshot()
+    return _metrics.run_isolated(execute_group_isolated, curve, backend, op, scalar_rep, columns)
 
 
 class WorkerPool:
@@ -377,31 +369,17 @@ class WorkerPool:
 def _ecdh_shard(payload) -> tuple:
     """One shard of a large agreement batch (module-level: spawn-safe).
 
-    Takes plain picklable data (curve name, backend name, ladder path,
-    scalars, peer coordinates) and returns coordinate tuples so shards
-    compose deterministically.  Runs against a fresh local metrics
+    Takes plain picklable data (curve name, backend name, scalar
+    recoding, scalars, peer coordinates) and returns coordinate tuples so
+    shards compose deterministically.  Runs against a fresh local metrics
     registry and ships its snapshot back with the coordinates.
     """
-    curve_name, backend, plane_resident, scalar_rep, privates, peer_coords = payload
+    curve_name, backend, scalar_rep, privates, peer_coords = payload
     curve = curve_by_name(curve_name)
     peers = [curve.point(x, y, check=False) for x, y in peer_coords]
-    snapshot = None
-    if _metrics.REGISTRY.enabled:
-        local = _metrics.MetricsRegistry()
-        previous = _metrics.set_registry(local)
-        try:
-            points = ecdh_batch(
-                curve, privates, peers, backend=backend,
-                plane_resident=plane_resident, scalar_rep=scalar_rep,
-            )
-        finally:
-            _metrics.set_registry(previous)
-        snapshot = local.snapshot()
-    else:
-        points = ecdh_batch(
-            curve, privates, peers, backend=backend,
-            plane_resident=plane_resident, scalar_rep=scalar_rep,
-        )
+    points, snapshot = _metrics.run_isolated(
+        ecdh_batch, curve, privates, peers, backend=backend, scalar_rep=scalar_rep
+    )
     return [(point.x, point.y) for point in points], snapshot
 
 
@@ -412,7 +390,6 @@ def ecdh_sharded(
     jobs: int,
     *,
     backend: "Optional[str]" = None,
-    plane_resident: "Optional[bool]" = None,
     scalar_rep: str = "auto",
     start_method: "Optional[str]" = None,
 ) -> "List[Point]":
@@ -429,17 +406,13 @@ def ecdh_sharded(
     if backend is not None and not isinstance(backend, str):
         raise TypeError("ecdh_sharded takes a backend *name*; instances cannot cross processes")
     if jobs <= 1 or len(privates) < 2:
-        return ecdh_batch(
-            curve, privates, peers, backend=backend,
-            plane_resident=plane_resident, scalar_rep=scalar_rep,
-        )
+        return ecdh_batch(curve, privates, peers, backend=backend, scalar_rep=scalar_rep)
     jobs = min(jobs, len(privates))
     chunk = (len(privates) + jobs - 1) // jobs
     payloads = [
         (
             curve.name,
             backend,
-            plane_resident,
             scalar_rep,
             list(privates[start:start + chunk]),
             [(point.x, point.y) for point in peers[start:start + chunk]],

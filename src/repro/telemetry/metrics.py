@@ -53,6 +53,7 @@ __all__ = [
     "enable",
     "disable",
     "timed",
+    "run_isolated",
     "summary_quantile",
     "summary_quantiles",
 ]
@@ -276,6 +277,26 @@ def disable() -> None:
 def timed(name: str) -> Stopwatch:
     """A :class:`Stopwatch` bound to the current process-wide registry."""
     return Stopwatch(REGISTRY, name)
+
+
+def run_isolated(function, *args, **kwargs) -> "tuple":
+    """``(function(*args, **kwargs), snapshot)`` recorded in a fresh registry.
+
+    The process-pool idiom: a worker task records into its own local
+    :class:`MetricsRegistry` (so counters a forked child inherited are
+    never re-reported) and ships the snapshot back for the parent to
+    :meth:`~MetricsRegistry.merge`.  With telemetry disabled the function
+    runs bare and the snapshot is ``None``.
+    """
+    if not REGISTRY.enabled:
+        return function(*args, **kwargs), None
+    local = MetricsRegistry()
+    previous = set_registry(local)
+    try:
+        result = function(*args, **kwargs)
+    finally:
+        set_registry(previous)
+    return result, local.snapshot()
 
 
 def summary_quantile(summary: "Dict[str, Any]", q: float) -> "Optional[float]":

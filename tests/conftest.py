@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
+from repro.backends import get_backend, native_available
+from repro.curves import curve_by_name
 from repro.galois import GF2mField, type_ii_pentanomial
 
 
@@ -15,6 +19,31 @@ def _isolated_artifact_cache(tmp_path, monkeypatch):
     is redirected to a per-test temporary directory.
     """
     monkeypatch.setenv("GF2M_REPRO_CACHE_DIR", str(tmp_path / "artifact-cache"))
+
+
+@pytest.fixture(scope="session")
+def compiled_backends():
+    """``compiled_backends(field, **options)``: every backend with a compiled
+    FieldIR executor — bitslice, plus native when its extension builds."""
+    names = ["bitslice"] + (["native"] if native_available() else [])
+    return lambda field, **options: [get_backend(name, field, **options) for name in names]
+
+
+@pytest.fixture(scope="session")
+def reference_multiply():
+    """``curve.multiply_reference(point, scalar)``, memoized for the session.
+
+    Affine double-and-add pays a field inversion per group operation, so
+    the ladder parity tests that check the same NIST-degree scalars
+    against it share each result instead of recomputing it.
+    """
+
+    @functools.lru_cache(maxsize=None)
+    def multiple(curve_name, x, y, scalar):
+        curve = curve_by_name(curve_name)
+        return curve.multiply_reference(curve.point(x, y), scalar)
+
+    return lambda point, scalar: multiple(point.curve.name, point.x, point.y, scalar)
 
 
 @pytest.fixture(scope="session")

@@ -28,8 +28,9 @@ class TestCatalog:
             assert f"K-{m}" in names and f"B-{m}" in names
 
     def test_catalog_pentanomials_are_the_smallest_irreducible_ones(self):
-        for spec in CURVES:
-            assert type_ii_parameters(smallest_type_ii_pentanomial(spec.m)) == (spec.m, spec.n)
+        # K-m and B-m share (m, n); search each field once.
+        for m, n in sorted({(spec.m, spec.n) for spec in CURVES}):
+            assert type_ii_parameters(smallest_type_ii_pentanomial(m)) == (m, n)
 
     def test_lookup_is_case_insensitive_and_cached(self):
         assert curve_by_name("b-163") is curve_by_name("B-163")
@@ -118,7 +119,6 @@ class TestScalarMultiplication:
             k = rng.randrange(0, 3 * toy.order)
             reference = toy.multiply_reference(p, k)
             assert toy.multiply(p, k) == reference
-            assert toy.multiply(p, k, coords="affine") == reference
 
     def test_negative_zero_and_unit_scalars(self, toy):
         rng = random.Random(6)
@@ -134,10 +134,6 @@ class TestScalarMultiplication:
     def test_off_curve_base_point_rejected(self, toy):
         with pytest.raises(ValueError, match="not a point"):
             toy.multiply(toy.point(2, 0, check=False), 5)
-
-    def test_unknown_coordinate_system_rejected(self, toy):
-        with pytest.raises(ValueError, match="coordinate"):
-            toy.multiply(toy.generator, 5, coords="jacobian")
 
     def test_distributes_over_scalar_addition(self, toy):
         rng = random.Random(7)

@@ -184,10 +184,10 @@ class TestCommittedBenchFiles:
     def test_renders_all_four_committed_bench_files(self):
         entries = load_bench_files(REPO_ROOT)
         benches = {snapshot["bench"] for _, snapshot in entries}
-        assert {"backends", "native", "plane_ladder", "fused_step"} <= benches
+        assert {"backends", "native", "koblitz", "serve"} <= benches
         document, _ = render_dashboard(REPO_ROOT, fmt="markdown")
         for name in ("BENCH_backends.json", "BENCH_native.json",
-                     "BENCH_plane_ladder.json", "BENCH_fused_step.json"):
+                     "BENCH_koblitz.json", "BENCH_serve.json"):
             assert name in document
 
     def test_renders_committed_files_as_html(self):

@@ -9,7 +9,6 @@ import pytest
 from repro.galois.gf2poly import (
     clmul,
     degree,
-    distinct_prime_factors,
     exponents,
     from_coefficient_list,
     from_exponents,
@@ -162,20 +161,39 @@ class TestIrreducibility:
         assert is_irreducible(0b10)
         assert is_irreducible(0b11)
 
-    def test_count_of_irreducible_degree_4(self):
-        # There are exactly 3 irreducible polynomials of degree 4 over GF(2).
-        count = sum(1 for poly in range(1 << 4, 1 << 5) if is_irreducible(poly))
-        assert count == 3
+    @pytest.mark.parametrize("d", range(1, 15))
+    def test_count_of_irreducible_matches_gauss(self, d):
+        # Gauss: (1/d) * sum over k | d of mobius(d/k) * 2^k irreducibles of degree d.
+        def mobius(n):
+            sign, p = 1, 2
+            while n > 1:
+                if n % p == 0:
+                    n //= p
+                    if n % p == 0:
+                        return 0
+                    sign = -sign
+                p += 1
+            return sign
 
-    def test_count_of_irreducible_degree_5(self):
-        # There are exactly 6 irreducible polynomials of degree 5 over GF(2).
-        count = sum(1 for poly in range(1 << 5, 1 << 6) if is_irreducible(poly))
-        assert count == 6
+        expected = sum(mobius(d // k) * 2**k for k in range(1, d + 1) if d % k == 0) // d
+        count = sum(1 for poly in range(1 << d, 1 << (d + 1)) if is_irreducible(poly))
+        assert count == expected
 
-    def test_distinct_prime_factors(self):
-        assert distinct_prime_factors(1) == []
-        assert distinct_prime_factors(8) == [2]
-        assert distinct_prime_factors(163) == [163]
-        assert distinct_prime_factors(148) == [2, 37]
-        with pytest.raises(ValueError):
-            distinct_prime_factors(0)
+    def test_agrees_with_trial_division_up_to_degree_12(self):
+        def has_factor(poly):
+            # Every polynomial of degree 1 .. deg(poly)/2 as a candidate divisor.
+            return any(poly_mod(poly, g) == 0 for g in range(2, 1 << (degree(poly) // 2 + 1)))
+
+        for poly in range(2, 1 << 13):
+            assert is_irreducible(poly) == (not has_factor(poly)), poly_to_string(poly)
+
+    def test_factor_of_half_the_degree_is_found_at_the_last_step(self):
+        # Ben-Or sees a factor of degree m/2 only at its last squaring, i = m/2.
+        y4 = 0b10011                                # y^4 + y + 1
+        y5 = 0b100101                               # y^5 + y^2 + 1
+        nist_163 = from_exponents([163, 7, 6, 3, 0])
+        type_ii_163 = from_exponents([163, 68, 67, 66, 0])
+        assert is_irreducible(nist_163) and is_irreducible(type_ii_163)
+        assert not is_irreducible(clmul(y4, y4))    # m = 8
+        assert not is_irreducible(clmul(y4, y5))    # m = 9
+        assert not is_irreducible(clmul(nist_163, type_ii_163))  # m = 326

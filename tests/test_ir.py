@@ -3,17 +3,15 @@
 Acceptance contract of the PR 6 tentpole: the entire López-Dahab ladder
 step is traced **once** (:mod:`repro.curves.formulas`), scheduled once per
 curve into fused passes, and runs byte-identically on every substrate —
-the compiled plane path, the per-step batch interpreter and the scalar
-reference ladder must agree lane for lane on the parity grid, including
-edge scalars (0, 1, n−1, mixed widths) and batch sizes straddling the
-plane chunk boundary.  The deprecated :class:`PlaneCompute` op methods
-must keep working as shims but warn.
+the compiled path (``bitslice``, and ``native`` when built), the per-step
+batch interpreter (``python``) and the affine double-and-add reference
+must agree lane for lane on the parity grid, including edge scalars (0,
+1, n−1, mixed widths) and batch sizes straddling the plane chunk boundary.
 """
 
 from __future__ import annotations
 
 import random
-import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -166,83 +164,45 @@ class TestExecuteProgramParity:
 
 @requires_numpy
 class TestFusedLadderParity:
-    """ISSUE 6 satellite: fused IR ladder == per-step path == scalar reference."""
+    """Fused IR ladder (compiled) == per-step interpreter == affine reference."""
 
     @pytest.mark.parametrize("name", PARITY_CURVES)
-    def test_fused_ladder_matches_both_paths_on_edge_scalars(self, name):
+    def test_fused_ladder_matches_both_paths_on_edge_scalars(
+        self, name, compiled_backends, reference_multiply
+    ):
         curve = curve_by_name(name)
         rng = random.Random(2018)
-        backend = get_backend("bitslice", curve.field)
         scalars = _edge_scalars(curve, 14, rng)
         points = [curve.generator] * len(scalars)
-        fused = curve.multiply_batch(points, scalars, backend=backend, plane_resident=True)
-        steps = curve.multiply_batch(points, scalars, backend=backend, plane_resident=False)
-        reference = [curve.multiply(curve.generator, scalar) for scalar in scalars]
-        assert fused == steps == reference
+        steps = curve.multiply_batch(points, scalars, backend="python")
+        reference = [reference_multiply(curve.generator, scalar) for scalar in scalars]
+        assert steps == reference
+        for backend in compiled_backends(curve.field):
+            assert curve.multiply_batch(points, scalars, backend=backend) == reference
 
     @pytest.mark.parametrize("batch", [7, 8, 9, 17])
-    def test_chunk_boundary_batches(self, batch):
+    def test_chunk_boundary_batches(self, batch, compiled_backends):
         # chunk_size=8 puts 7/8/9/17 below, at, and across plane-chunk edges.
         curve = curve_by_name("T-13")
         rng = random.Random(batch)
-        backend = get_backend("bitslice", curve.field, chunk_size=8)
-        assert backend.ir_executor().chunk_size == 8
         scalars = _edge_scalars(curve, batch, rng)
         points = [curve.random_point(rng) for _ in scalars]
-        fused = curve.multiply_batch(points, scalars, backend=backend, plane_resident=True)
-        assert fused == [curve.multiply(p, k) for p, k in zip(points, scalars)]
+        reference = [curve.multiply_reference(p, k) for p, k in zip(points, scalars)]
+        assert curve.multiply_batch(points, scalars, backend="python") == reference
+        for backend in compiled_backends(curve.field, chunk_size=8):
+            assert backend.ir_executor().chunk_size == 8
+            assert curve.multiply_batch(points, scalars, backend=backend) == reference
 
     @given(st.lists(st.integers(min_value=0, max_value=(1 << 14) - 1), min_size=1, max_size=24))
     @settings(max_examples=20, deadline=None)
-    def test_fused_ladder_property_t13(self, scalars):
+    def test_fused_ladder_property_t13(self, compiled_backends, scalars):
         curve = curve_by_name("T-13")
-        backend = get_backend("bitslice", curve.field)
         points = [curve.generator] * len(scalars)
-        fused = curve.multiply_batch(points, scalars, backend=backend, plane_resident=True)
-        steps = curve.multiply_batch(points, scalars, backend=backend, plane_resident=False)
-        reference = [curve.multiply(curve.generator, scalar) for scalar in scalars]
-        assert fused == steps == reference
-
-
-@requires_numpy
-class TestDeprecationShims:
-    """The five PlaneCompute op methods survive as warning shims."""
-
-    def _plane(self):
-        return get_backend("bitslice", GF2_163).plane_compute()
-
-    def test_every_op_method_warns(self):
-        plane = self._plane()
-        rng = random.Random(5)
-        values = [rng.getrandbits(163) for _ in range(10)]
-        packed = plane.pack(values)
-        with pytest.warns(DeprecationWarning, match="multiply_planes"):
-            product = plane.multiply_planes(packed, packed)
-        with pytest.warns(DeprecationWarning, match="apply_linear_planes"):
-            plane.apply_linear_planes(GF2_163.square_map, packed)
-        with pytest.warns(DeprecationWarning, match="xor_planes"):
-            plane.xor_planes(packed, product)
-        with pytest.warns(DeprecationWarning, match="broadcast_bits"):
-            mask = plane.broadcast_bits([1] * 10)
-        with pytest.warns(DeprecationWarning, match="select_planes"):
-            plane.select_planes(mask, packed, product)
-
-    def test_shims_still_compute_through_the_ir(self):
-        plane = self._plane()
-        field = GF2_163
-        rng = random.Random(6)
-        a = [rng.getrandbits(163) for _ in range(9)]
-        b = [rng.getrandbits(163) for _ in range(9)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            product = plane.unpack(plane.multiply_planes(plane.pack(a), plane.pack(b)))
-        assert product == [field.multiply(x, y) for x, y in zip(a, b)]
-
-    def test_pack_and_unpack_stay_quiet(self):
-        plane = self._plane()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            assert plane.unpack(plane.pack([1, 2, 3])) == [1, 2, 3]
+        steps = curve.multiply_batch(points, scalars, backend="python")
+        reference = [curve.multiply_reference(curve.generator, scalar) for scalar in scalars]
+        assert steps == reference
+        for backend in compiled_backends(curve.field):
+            assert curve.multiply_batch(points, scalars, backend=backend) == reference
 
 
 class TestProgramMemoization:

@@ -26,6 +26,7 @@ from repro.pipeline.stages import Stage
 from repro.synth.device import ARTIX7, GENERIC_4LUT
 from repro.synth.flow import SynthesisOptions, implement, stage_generate
 from repro.synth.report import ImplementationResult
+from repro.telemetry import metrics
 
 FIELDS = [(8, 2), (16, 3)]
 METHODS = ["thiswork", "imana2016"]
@@ -137,6 +138,16 @@ class TestScheduler:
         jobs = build_sweep_jobs(fields=FIELDS, methods=METHODS, options=FAST)
         outcomes = run_jobs(jobs, parallelism=1, store=store)
         assert [outcome.job for outcome in outcomes] == jobs
+
+    def test_parallel_run_folds_worker_counters_once(self, store):
+        jobs = build_sweep_jobs(fields=[(8, 2)], methods=METHODS, options=FAST)
+        previous = metrics.set_registry(metrics.MetricsRegistry())
+        try:
+            run_jobs(jobs, parallelism=2, store=store)
+            counters = metrics.REGISTRY.snapshot()["counters"]
+        finally:
+            metrics.set_registry(previous)
+        assert counters["sweep.jobs.executed"] == len(jobs)
 
     def test_no_cross_backend_cache_hits(self, store):
         """Warm runs under one backend must never serve another backend's rows."""

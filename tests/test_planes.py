@@ -1,12 +1,13 @@
 """The plane-resident compute layer and the plane-resident batched ladder.
 
-Acceptance contract of the PR 5 tentpole: the entire batched Montgomery
-ladder can run in the uint64 plane domain — one pack, all steps on planes,
-one unpack — and stays **byte-identical** to the scalar-reference ladder on
-every tested curve, including batches mixing scalars of very different bit
-lengths (the masked plane-select path).  The :class:`PlaneProgram` lowering
-of GF(2)-linear maps must agree with the table-driven scalar maps
-lane-by-lane, pinned down by a hypothesis property for squaring.
+Acceptance contract: the entire batched Montgomery ladder runs in the
+executor's packed domain — one pack, all steps as fused passes, one unpack
+— and stays **byte-identical** to the per-step interpreter and the affine
+reference on every tested curve, including batches mixing scalars of very
+different bit lengths (the masked plane-select path).  The
+:class:`PlaneProgram` lowering of GF(2)-linear maps must agree with the
+table-driven scalar maps lane-by-lane, pinned down by a hypothesis
+property for squaring.
 """
 
 from __future__ import annotations
@@ -18,11 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backends import (
+    IRBuilder,
     PlaneProgram,
     bitsliced_netlist,
     get_backend,
     numpy_available,
     plane_program,
+    schedule_program,
 )
 from repro.curves import curve_by_name, ecdh_batch, keygen_batch
 from repro.galois.field import GF2mField
@@ -48,107 +51,112 @@ def _mixed_scalars(curve, count, rng):
     return scalars[:count]
 
 
+def _apply_map(linear_map, values):
+    """``linear_map`` over ``values`` through the executor's planes and ``plane_program``."""
+    executor = get_backend("bitslice", GF2_163).ir_executor()
+    planes = plane_program(linear_map).apply(executor.pack(values).array)
+    return executor.unpack(executor.vector(planes, len(values)))
+
+
 @requires_numpy
 class TestPlaneCapability:
-    def test_bitslice_advertises_plane_resident(self):
+    def test_bitslice_has_an_ir_executor(self):
         backend = get_backend("bitslice", GF2_163)
-        assert backend.capabilities.plane_resident
-        planes = backend.plane_compute()
-        assert planes is not None
-        assert planes.m == 163
-        assert backend.plane_compute() is planes  # cached per backend instance
+        executor = backend.ir_executor()
+        assert executor is not None
+        assert executor.m == 163
+        assert backend.ir_executor() is executor  # cached per backend instance
 
     @pytest.mark.parametrize("name", ["python", "engine"])
     def test_other_backends_report_capability_absent(self, name):
-        backend = get_backend(name, GF2_163)
-        assert not backend.capabilities.plane_resident
-        assert backend.plane_compute() is None
-
-    def test_forcing_planes_on_a_scalar_backend_fails_loudly(self):
-        curve = curve_by_name("T-13")
-        point = curve.generator
-        with pytest.raises(ValueError, match="plane-resident"):
-            curve.multiply_batch([point], [3], backend="python", plane_resident=True)
+        assert get_backend(name, GF2_163).ir_executor() is None
 
     def test_describe_mentions_the_substrate(self):
-        planes = get_backend("bitslice", GF2_163).plane_compute()
-        assert "plane-resident" in planes.describe()
+        executor = get_backend("bitslice", GF2_163).ir_executor()
+        assert "plane executor" in executor.describe()
 
 
 @requires_numpy
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
 class TestPlaneVectorRoundtrip:
-    """Exercises the deprecated PlaneCompute op shims (see tests/test_ir.py)."""
-
     def test_pack_unpack_is_identity(self):
-        planes = get_backend("bitslice", GF2_163).plane_compute()
+        executor = get_backend("bitslice", GF2_163).ir_executor()
         rng = random.Random(5)
         values = [0, 1, (1 << 163) - 1] + [rng.getrandbits(163) for _ in range(70)]
-        assert planes.unpack(planes.pack(values)) == values
+        assert executor.unpack(executor.pack(values)) == values
 
     def test_xor_and_select(self):
-        planes = get_backend("bitslice", GF2_163).plane_compute()
+        executor = get_backend("bitslice", GF2_163).ir_executor()
+        builder = IRBuilder("probe_xor_select")
+        a, b = builder.input("a"), builder.input("b")
+        builder.output("sum", builder.xor(a, b))
+        builder.output("chosen", builder.select(builder.mask_input("bit"), a, b))
+        compiled = executor.compile(schedule_program(builder.build(), 163, {}))
         rng = random.Random(6)
-        a = [rng.getrandbits(163) for _ in range(67)]
-        b = [rng.getrandbits(163) for _ in range(67)]
+        xs = [rng.getrandbits(163) for _ in range(67)]
+        ys = [rng.getrandbits(163) for _ in range(67)]
         bits = [rng.getrandbits(1) for _ in range(67)]
-        va, vb = planes.pack(a), planes.pack(b)
-        assert planes.unpack(planes.xor_planes(va, vb)) == [x ^ y for x, y in zip(a, b)]
-        mask = planes.broadcast_bits(bits)
-        selected = planes.unpack(planes.select_planes(mask, va, vb))
-        assert selected == [x if bit else y for x, y, bit in zip(a, b, bits)]
-
-    def test_mismatched_batches_are_rejected(self):
-        planes = get_backend("bitslice", GF2_163).plane_compute()
-        rng = random.Random(12)
-        narrow = planes.pack([rng.getrandbits(163) for _ in range(10)])   # 1 lane word
-        wide = planes.pack([rng.getrandbits(163) for _ in range(70)])     # 2 lane words
-        with pytest.raises(ValueError, match="one batch"):
-            planes.xor_planes(narrow, wide)
-        with pytest.raises(ValueError, match="one batch"):
-            planes.multiply_planes([narrow, wide], [wide, narrow])
-        mask = planes.broadcast_bits([1] * 10)
-        with pytest.raises(ValueError, match="lane words"):
-            planes.select_planes(mask, wide, wide)
+        outputs = compiled.run(
+            {"a": executor.pack(xs), "b": executor.pack(ys)},
+            {"bit": executor.broadcast_bits(bits)},
+        )
+        assert executor.unpack(outputs["sum"]) == [x ^ y for x, y in zip(xs, ys)]
+        assert executor.unpack(outputs["chosen"]) == [
+            x if bit else y for x, y, bit in zip(xs, ys, bits)
+        ]
 
     def test_multiply_planes_single_and_stacked(self):
         field = GF2_163
-        planes = get_backend("bitslice", field).plane_compute()
+        executor = get_backend("bitslice", field).ir_executor()
+        single = IRBuilder("probe_mul")
+        single.output("ab", single.mul(single.input("a"), single.input("b")))
+        stacked = IRBuilder("probe_mul_stacked")
+        a, b, c, d = (stacked.input(name) for name in "abcd")
+        stacked.output("ab", stacked.mul(a, b))
+        stacked.output("cd", stacked.mul(c, d))
+        stacked_program = schedule_program(stacked.build(), 163, {})
+        assert stacked_program.mul_pass_widths() == [2]  # one fused pass, two products
         rng = random.Random(7)
-        a = [rng.getrandbits(163) for _ in range(33)]
-        b = [rng.getrandbits(163) for _ in range(33)]
-        c = [rng.getrandbits(163) for _ in range(33)]
-        d = [rng.getrandbits(163) for _ in range(33)]
-        va, vb, vc, vd = map(planes.pack, (a, b, c, d))
-        single = planes.unpack(planes.multiply_planes(va, vb))
-        assert single == [field.multiply(x, y) for x, y in zip(a, b)]
-        stacked = planes.multiply_planes([va, vc], [vb, vd])
-        assert planes.unpack(stacked[0]) == single
-        assert planes.unpack(stacked[1]) == [field.multiply(x, y) for x, y in zip(c, d)]
+        values = {name: [rng.getrandbits(163) for _ in range(33)] for name in "abcd"}
+        packed = {name: executor.pack(lanes) for name, lanes in values.items()}
+        compiled = executor.compile(schedule_program(single.build(), 163, {}))
+        product = executor.unpack(compiled.run({"a": packed["a"], "b": packed["b"]})["ab"])
+        assert product == [field.multiply(x, y) for x, y in zip(values["a"], values["b"])]
+        outputs = executor.compile(stacked_program).run(packed)
+        assert executor.unpack(outputs["ab"]) == product
+        assert executor.unpack(outputs["cd"]) == [
+            field.multiply(x, y) for x, y in zip(values["c"], values["d"])
+        ]
+
+    def test_mismatched_batches_are_rejected(self):
+        executor = get_backend("bitslice", GF2_163).ir_executor()
+        builder = IRBuilder("probe_select")
+        a, b = builder.input("a"), builder.input("b")
+        builder.output("y", builder.select(builder.mask_input("bit"), a, builder.xor(a, b)))
+        compiled = executor.compile(schedule_program(builder.build(), 163, {}))
+        rng = random.Random(12)
+        narrow = executor.pack([rng.getrandbits(163) for _ in range(10)])   # 1 lane word
+        wide = executor.pack([rng.getrandbits(163) for _ in range(70)])     # 2 lane words
+        with pytest.raises(ValueError, match="one batch"):
+            compiled.run({"a": narrow, "b": wide}, {"bit": [1] * 10})
+        with pytest.raises(ValueError, match="lane words"):
+            compiled.run({"a": wide, "b": wide}, {"bit": executor.broadcast_bits([1] * 10)})
 
 
 @requires_numpy
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
 class TestPlaneProgram:
-    """Exercises the deprecated apply_linear_planes shim (see tests/test_ir.py)."""
-
     def test_square_program_matches_scalar_map(self):
         field = GF2_163
-        planes = get_backend("bitslice", field).plane_compute()
         rng = random.Random(8)
         values = [0, 1, (1 << 163) - 1] + [rng.getrandbits(163) for _ in range(100)]
-        squared = planes.unpack(planes.apply_linear_planes(field.square_map, planes.pack(values)))
-        assert squared == [field.square(value) for value in values]
+        assert _apply_map(field.square_map, values) == [field.square(value) for value in values]
 
     def test_constant_multiplier_program(self):
         field = GF2_163
-        planes = get_backend("bitslice", field).plane_compute()
         rng = random.Random(9)
         constant = rng.getrandbits(163)
         mul_c = field.constant_multiplier(constant)
         values = [rng.getrandbits(163) for _ in range(65)]
-        result = planes.unpack(planes.apply_linear_planes(mul_c, planes.pack(values)))
-        assert result == [field.multiply(constant, value) for value in values]
+        assert _apply_map(mul_c, values) == [field.multiply(constant, value) for value in values]
 
     def test_zero_and_identity_maps(self):
         import numpy as np
@@ -177,9 +185,7 @@ class TestPlaneProgram:
     @given(st.lists(st.integers(min_value=0, max_value=(1 << 163) - 1), min_size=1, max_size=96))
     @settings(max_examples=25, deadline=None)
     def test_plane_squaring_equals_field_square_lane_by_lane(self, values):
-        planes = get_backend("bitslice", GF2_163).plane_compute()
-        packed = planes.pack(values)
-        squared = planes.unpack(planes.apply_linear_planes(GF2_163.square_map, packed))
+        squared = _apply_map(GF2_163.square_map, values)
         assert squared == [GF2_163.square(value) for value in values]
 
 
@@ -217,39 +223,42 @@ class TestNetlistMemoization:
 
 @requires_numpy
 class TestPlaneLadderParity:
-    """ISSUE 5 satellite: plane ladder == scalar reference on the parity grid."""
+    """Compiled ladder == per-step interpreter == affine reference on the parity grid."""
 
     @pytest.mark.parametrize("name", PARITY_CURVES)
-    def test_plane_ladder_matches_scalar_reference(self, name):
+    def test_plane_ladder_matches_scalar_reference(
+        self, name, compiled_backends, reference_multiply
+    ):
         curve = curve_by_name(name)
         rng = random.Random(2018)
-        backend = get_backend("bitslice", curve.field)
         scalars = _mixed_scalars(curve, 16, rng)
         generator = curve.generator
         points = [generator] * len(scalars)
-        plane = curve.multiply_batch(points, scalars, backend=backend, plane_resident=True)
-        reference = [curve.multiply(generator, scalar) for scalar in scalars]
-        assert plane == reference
+        reference = [reference_multiply(generator, scalar) for scalar in scalars]
+        assert curve.multiply_batch(points, scalars, backend="python") == reference
+        for backend in compiled_backends(curve.field):
+            assert curve.multiply_batch(points, scalars, backend=backend) == reference
 
     @pytest.mark.parametrize("name", ["T-13", "K-163"])
     def test_plane_and_step_paths_are_byte_identical(self, name):
+        # The compiled plane path against the other per-step substrate.
         curve = curve_by_name(name)
         rng = random.Random(99)
-        backend = get_backend("bitslice", curve.field)
         scalars = _mixed_scalars(curve, 12, rng)
         points = [curve.generator] * len(scalars)
-        plane = curve.multiply_batch(points, scalars, backend=backend, plane_resident=True)
-        steps = curve.multiply_batch(points, scalars, backend=backend, plane_resident=False)
+        plane = curve.multiply_batch(points, scalars, backend="bitslice")
+        steps = curve.multiply_batch(points, scalars, backend="engine")
         assert plane == steps
 
-    def test_plane_ladder_chunks_large_batches(self):
+    def test_plane_ladder_chunks_large_batches(self, compiled_backends):
         curve = curve_by_name("T-13")
         rng = random.Random(3)
-        backend = get_backend("bitslice", curve.field, chunk_size=8)
         scalars = _mixed_scalars(curve, 37, rng)  # forces 5 plane chunks
         points = [curve.generator] * len(scalars)
-        plane = curve.multiply_batch(points, scalars, backend=backend, plane_resident=True)
-        assert plane == [curve.multiply(curve.generator, scalar) for scalar in scalars]
+        reference = [curve.multiply_reference(curve.generator, scalar) for scalar in scalars]
+        assert curve.multiply_batch(points, scalars, backend="python") == reference
+        for backend in compiled_backends(curve.field, chunk_size=8):
+            assert curve.multiply_batch(points, scalars, backend=backend) == reference
 
     def test_distinct_base_points_per_lane(self):
         curve = curve_by_name("T-13")
@@ -257,12 +266,12 @@ class TestPlaneLadderParity:
         backend = get_backend("bitslice", curve.field)
         points = [curve.random_point(rng) for _ in range(9)]
         scalars = _mixed_scalars(curve, 9, rng)
-        plane = curve.multiply_batch(points, scalars, backend=backend, plane_resident=True)
+        plane = curve.multiply_batch(points, scalars, backend=backend)
         assert plane == [curve.multiply(p, k) for p, k in zip(points, scalars)]
 
     def test_protocols_route_through_the_plane_ladder(self):
         curve = curve_by_name("K-163")
-        pairs = keygen_batch(curve, 6, seed=4, backend="bitslice", plane_resident=True)
+        pairs = keygen_batch(curve, 6, seed=4, backend="bitslice")
         reference = keygen_batch(curve, 6, seed=4, batched=False)
         assert [p.public for p in pairs] == [p.public for p in reference]
         shared = ecdh_batch(
@@ -270,7 +279,6 @@ class TestPlaneLadderParity:
             [p.private for p in pairs],
             [p.public for p in reversed(pairs)],
             backend="bitslice",
-            plane_resident=True,
         )
         assert shared == [
             curve.multiply(q.public, p.private) for p, q in zip(pairs, reversed(pairs))

@@ -11,6 +11,7 @@ its throughput.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import threading
 import time
 
@@ -24,6 +25,7 @@ from repro.serve.server import CryptoService
 from repro.serve.workers import (
     OP_FIELDS,
     WorkerPool,
+    ecdh_sharded,
     execute_group_isolated,
     preferred_start_method,
 )
@@ -192,6 +194,29 @@ class TestWorkerPool:
             "worker-process telemetry snapshot was not folded into the parent"
         )
 
+    def test_sharded_ecdh_is_byte_identical_and_folds_metrics_once(self, toy, fresh_registry):
+        from repro.curves.protocols import ecdh_batch
+
+        privates, _ = _keypairs(toy, 6, seed=7)
+        _, peers = _keypairs(toy, 6, seed=8)
+        expected, serial = metrics.run_isolated(ecdh_batch, toy, privates, peers)
+        sharded = ecdh_sharded(toy, privates, peers, 2)
+        assert sharded == expected
+        counters = fresh_registry.snapshot()["counters"]
+        assert counters["ladder.tau.digits"] == serial["counters"]["ladder.tau.digits"]
+
+    def test_sharded_ecdh_with_telemetry_off_is_byte_identical(self, toy):
+        from repro.curves.protocols import ecdh_batch
+
+        privates, _ = _keypairs(toy, 6, seed=9)
+        _, peers = _keypairs(toy, 6, seed=10)
+        previous = metrics.set_registry(metrics.NullRegistry())
+        try:
+            sharded = ecdh_sharded(toy, privates, peers, 2)
+        finally:
+            metrics.set_registry(previous)
+        assert sharded == ecdh_batch(toy, privates, peers)
+
     def test_backend_must_be_a_name(self):
         with pytest.raises(TypeError):
             WorkerPool(workers=0, backend=object(), curves=())
@@ -234,7 +259,53 @@ async def _post_json(port, path, payload):
             pass
 
 
+async def _raw_exchange(port, raw):
+    """Send ``raw`` on a fresh connection; return everything answered until close."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    try:
+        writer.write(raw)
+        await writer.drain()
+        return await asyncio.wait_for(reader.read(), timeout=30)
+    finally:
+        writer.close()
+        with contextlib.suppress(Exception):
+            await writer.wait_closed()
+
+
 class TestCryptoService:
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"POST /ecdh HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+            b"POST /ecdh HTTP/1.1\r\nContent-Length: lots\r\n\r\n",
+            b"GET /healthz HTTP/1.1\r\nX-Filler: " + b"a" * 70_000 + b"\r\n\r\n",
+            b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+            b"HELLO\r\n\r\n",
+        ],
+        ids=[
+            "negative-content-length",
+            "non-numeric-content-length",
+            "header-line-over-64k",
+            "request-line-over-64k",
+            "malformed-request-line",
+        ],
+    )
+    def test_malformed_head_gets_400_and_close(self, raw):
+        async def scenario(service, port):
+            recorded = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: recorded.append(context)
+            )
+            response = await _raw_exchange(port, raw)
+            await asyncio.sleep(0.05)  # let the handler task finish and report
+            return response, recorded
+
+        response, recorded = _with_service(scenario)
+        head = response.split(b"\r\n\r\n", 1)[0]
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head
+        assert recorded == []
+
     def test_mixed_ops_and_reps_split_into_compatible_batches(self, toy, fresh_registry):
         """Concurrent requests across op x scalar_rep coalesce per group and
         every response is byte-identical to the scalar reference."""

@@ -68,6 +68,38 @@ class TestMetricsRegistry:
         assert merged["min_s"] == pytest.approx(0.2)
         assert merged["max_s"] == pytest.approx(0.4)
 
+    def test_run_isolated_records_into_a_fresh_registry(self, registry):
+        def work(count):
+            metrics.REGISTRY.inc("inner", count)
+            return count
+
+        previous = metrics.set_registry(registry)
+        try:
+            registry.inc("outer")
+            result, snapshot = metrics.run_isolated(work, 3)
+            assert metrics.REGISTRY is registry  # restored
+            metrics.set_registry(metrics.NullRegistry())
+            bare = metrics.run_isolated(work, 5)
+        finally:
+            metrics.set_registry(previous)
+        assert result == 3 and snapshot["counters"] == {"inner": 3}
+        assert registry.snapshot()["counters"] == {"outer": 1}
+        assert bare == (5, None)
+
+    def test_run_isolated_restores_the_registry_when_the_function_raises(self, registry):
+        def fail():
+            metrics.REGISTRY.inc("inner")
+            raise RuntimeError("shard failed")
+
+        previous = metrics.set_registry(registry)
+        try:
+            with pytest.raises(RuntimeError, match="shard failed"):
+                metrics.run_isolated(fail)
+            assert metrics.REGISTRY is registry
+        finally:
+            metrics.set_registry(previous)
+        assert registry.snapshot()["counters"] == {}
+
     def test_merge_of_none_and_empty_is_a_no_op(self, registry):
         registry.inc("x")
         registry.merge(None)
