@@ -43,9 +43,9 @@ DEFAULT_BATCH = 256
 #: runners; local targets run higher — see BENCH_koblitz.json).  The
 #: protocol floor is per-backend: the bitslice planes execute squarings as
 #: fused XOR passes, so τ pays off outright (measured ~2.1×); the native
-#: word backend prices a squaring near a multiply at m = 163, so its K-163
-#: win comes from the comb alone (~1.45×, and the τ agreement overtakes
-#: binary from K-283 upward — see the committed trajectory).
+#: backend runs its binary ladder as fast as the C kernel while τ still
+#: recodes and builds its tables in Python, so its K-163 win comes from the
+#: comb alone (~1.6×; τ overtakes binary only near K-571).
 PROTOCOL_FLOORS = {"bitslice": 1.8, "native": 1.2}
 KEYGEN_FLOOR = 2.0     # comb keygen vs ladder keygen, every backend
 

@@ -41,16 +41,16 @@ from ..netlist.netlist import OP_AND, OP_XOR
 from ..pipeline.store import LRUCache
 from .base import BackendCapabilities, FieldBackend, default_method_for
 from .planes import (
+    _UNLOADED,
     PlaneIRExecutor,
+    _import_numpy,
     _LaneBufferCache,
     _planes_to_array,
     lane_words_for,
 )
 
-try:  # pragma: no cover - exercised via monkeypatching in the tests
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+#: numpy, imported on first use (``None`` when it is not installed).
+_np = _UNLOADED
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..galois.field import GF2mField
@@ -64,11 +64,14 @@ DEFAULT_LANES = 4096
 
 def numpy_available() -> bool:
     """Whether the optional numpy dependency is importable."""
+    global _np
+    if _np is _UNLOADED:
+        _np = _import_numpy()
     return _np is not None
 
 
 def _require_numpy():
-    if _np is None:
+    if not numpy_available():
         raise ImportError(
             "the bitslice backend needs numpy, which is not installed; "
             "run 'pip install numpy' (or install the gf2m-repro[bitslice] extra), "
@@ -233,7 +236,7 @@ class BitslicedNetlist:
         fresh array (never aliasing the reused buffer).  Lane stacking is
         transparent: any common ``lane_words`` width works.
         """
-        np = _np
+        np = _require_numpy()
         if a_planes.shape != b_planes.shape or a_planes.shape[0] != self.m:
             raise ValueError(
                 f"expected two ({self.m}, lane_words) plane arrays, got "

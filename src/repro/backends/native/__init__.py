@@ -1,12 +1,12 @@
-"""The native word-level backend: C carry-less multiply + sparse reduction.
+"""The native word-level backend: C carry-less multiply + type II reduction.
 
 This package is the compiled tier ROADMAP item 2 calls for — the
 word-level analogue of :mod:`repro.engine.bitpack`: field elements live as
 little-endian ``uint64`` word arrays, products are 64x64 carry-less
 multiplications (PCLMULQDQ when the CPU has it, a portable 4-bit window
-otherwise) and the modulus tail folds the product back below degree ``m``
-with one shifted XOR per term — exactly the sparse structure the paper's
-type II pentanomials exploit.
+otherwise) and the paper's type II identity
+``y^m = y^n·(y² + y + 1) + 1`` folds the product back below degree ``m``
+in two fixed steps (other moduli keep a generic sparse-tail loop).
 
 Three layers:
 
@@ -14,13 +14,15 @@ Three layers:
   :mod:`cffi` at install time (``pip install .[native]``) or on first use
   into the shared artifact cache;
 * :class:`NativeBackend` — the full :class:`~repro.backends.base.FieldBackend`
-  surface over contiguous word buffers, one C call per batch;
+  surface over contiguous word buffers, one C call per batch (inversion
+  included: Montgomery's trick around one Itoh-Tsujii chain);
 * :class:`NativeIRExecutor` / :class:`CompiledNativeIR` — the
   :meth:`~repro.backends.base.FieldBackend.ir_executor` capability:
   a scheduled :class:`~repro.backends.ir.FieldProgram` lowers once to a
-  flat instruction stream (mul / xor / linear-map / lane-masked select)
-  that ``gf2m_run_program`` drives over a C register file, so the fused
-  López-Dahab ladder step costs one Python call per scalar bit.
+  flat instruction stream (mul / square / xor / linear-map / lane-masked
+  select) that ``gf2m_run_program`` drives over a C register file, and
+  :meth:`NativeIRExecutor.run_steps` runs a whole ladder, comb or τ loop
+  over a chunk of lanes in one C call with the GIL released.
 
 Everything degrades cleanly: without cffi or a C compiler the backend
 raises a clear :class:`ImportError` and the registry default falls back to
@@ -30,12 +32,14 @@ the interpreted tiers (:func:`native_available` is the predicate).
 from __future__ import annotations
 
 import threading
+from array import array
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
 
 from ...telemetry import metrics as _metrics
 from ...telemetry import trace as _trace
 from ..base import BackendCapabilities, FieldBackend
 from ..ir import K_LINEAR, K_MUL, K_XOR, FieldProgram
+from ..steps import ROUTE_COMB, ROUTE_LADDER, ROUTE_TAU, run_steps_python
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...galois.field import GF2mField
@@ -52,7 +56,24 @@ __all__ = [
 #: file (~1 MiB at GF(2^233)) while keeping per-step Python overhead small.
 DEFAULT_CHUNK = 2048
 
-_OP_MUL, _OP_XOR, _OP_LINEAR, _OP_SELECT = 1, 2, 3, 4
+_OP_MUL, _OP_XOR, _OP_LINEAR, _OP_SELECT, _OP_SQUARE = 1, 2, 3, 4, 5
+_OP_NAMES = {_OP_MUL: "mul", _OP_XOR: "xor", _OP_LINEAR: "linear",
+             _OP_SELECT: "select", _OP_SQUARE: "square"}
+
+
+def square_chain_limit(nw: int) -> int:
+    """Longest Frobenius power ``v ↦ c·v^(2^k)`` lowered to ``k`` SQUAREs.
+
+    Longer chains keep one per-byte table walk.  Measured on x86-64 with
+    PCLMULQDQ, 256 lanes, per lane: a SQUARE costs ~40 ns at m = 163..283
+    and ~60 ns at m = 571, a table walk ~60 ns at m = 163, ~150 ns at
+    m = 283 and ~600 ns at m = 571 (it grows with m²/64, the chain with m),
+    so chains break even near 2, 4 and 7 squarings.  The floor of 2 keeps
+    the ladder step's ``square∘square`` maps on SQUARE at m = 163, where a
+    table walk would still be ~15% faster in the ladder.
+    """
+    return max(2, nw - 2)
+
 
 _EXT = None
 _EXT_ERROR: Optional[ImportError] = None
@@ -99,9 +120,10 @@ class NativeVector:
 
     ``buf`` holds ``lanes`` elements of ``nw`` little-endian uint64 words
     each (element-major, the layout the C kernel indexes).  ``array``
-    returns ``self`` so the executor flows of :mod:`repro.curves.point`
-    (``pack(...).array`` / ``.copy()`` / ``run_arrays``) work unchanged
-    across the plane and native executors.
+    returns ``self`` so executor-agnostic loops such as
+    :func:`~repro.backends.steps.run_steps_python` (``pack(...).array`` /
+    ``run_arrays`` / ``vector``) work unchanged across the plane and
+    native executors.
     """
 
     __slots__ = ("buf", "lanes", "nw")
@@ -164,6 +186,18 @@ class NativeBackend(FieldBackend):
         terms = [i for i in range(field.m) if (field.modulus >> i) & 1]
         self._terms = self._ffi.new("int32_t[]", terms)
         self._nterms = len(terms)
+        # Two type II folds are exact when 2n + 2 < m; m % 64 == 0 would
+        # push the first fold's H + H<<1 + H<<2 past the last word.
+        params = field.type_ii_parameters()
+        fold_n = -1
+        if params is not None and field.m % 64 and 2 * params[1] + 2 < field.m:
+            fold_n = params[1]
+        self._fold_n = fold_n
+        self._field_c = self._ffi.new(
+            "gf2m_field *",
+            {"m": field.m, "nw": self._nw, "fold_n": fold_n,
+             "nterms": len(terms), "terms": self._terms},
+        )
         self._mask = (1 << field.m) - 1
         self._executor: Optional[NativeIRExecutor] = None
 
@@ -195,10 +229,11 @@ class NativeBackend(FieldBackend):
         ffi = self._ffi
         out = bytearray(count * self._nw * 8)
         self._ext.lib.gf2m_mul_batch(
+            self._field_c,
             ffi.from_buffer("uint64_t[]", self._pack(a_values)),
             ffi.from_buffer("uint64_t[]", self._pack(b_values)),
             ffi.from_buffer("uint64_t[]", out, require_writable=True),
-            count, self.m, self._nw, self._terms, self._nterms,
+            count,
         )
         return self._unpack(out, count)
 
@@ -209,50 +244,40 @@ class NativeBackend(FieldBackend):
         ffi = self._ffi
         out = bytearray(count * self._nw * 8)
         self._ext.lib.gf2m_square_batch(
+            self._field_c,
             ffi.from_buffer("uint64_t[]", self._pack(values)),
             ffi.from_buffer("uint64_t[]", out, require_writable=True),
-            count, self.m, self._nw, self._terms, self._nterms,
+            count,
         )
         return self._unpack(out, count)
 
     def inverse_batch(self, values: Sequence[int]) -> List[int]:
-        """Simultaneous inversion via a product tree of batched multiplies.
+        """Simultaneous inversion in one C call.
 
-        Same shape as the bitslice backend's tree: pair the values upward
-        to the root product in ``log2(len)`` :meth:`multiply_batch` levels,
-        invert the root once with the scalar reference, then walk back down
-        handing each node's inverse to its two children.  Exact arithmetic,
-        so results stay byte-identical to the sequential Montgomery chain;
-        tiny batches keep the chain.
+        Montgomery's trick: prefix products, one Itoh-Tsujii inversion of
+        the total (``m − 1`` word squarings and ``O(log m)`` products),
+        then one walk back — ``3(len − 1) + O(log m)`` products in all.
+        Zeros are rejected before the call, naming the first one's index.
         """
         values = list(values)
         if 0 in values:
             index = values.index(0)
             raise ZeroDivisionError(f"0 has no multiplicative inverse (batch index {index})")
-        if len(values) < 16:
-            return super().inverse_batch(values)
-        self._count_batch("inverse_batch", len(values))
-        levels = [values]
-        while len(levels[-1]) > 1:
-            current = levels[-1]
-            half = len(current) // 2
-            products = self.multiply_batch(current[0:2 * half:2], current[1:2 * half:2])
-            if len(current) % 2:
-                products.append(current[-1])
-            levels.append(products)
-        inverses = [self.field.inverse(levels[-1][0])]
-        for level in reversed(levels[:-1]):
-            half = len(level) // 2
-            left_factors: List[int] = []
-            right_factors: List[int] = []
-            for i in range(half):
-                left_factors.extend((inverses[i], inverses[i]))
-                right_factors.extend((level[2 * i + 1], level[2 * i]))
-            children = self.multiply_batch(left_factors, right_factors)
-            if len(level) % 2:
-                children.append(inverses[half])
-            inverses = children
-        return inverses
+        if not values:
+            return []
+        if not self.field.is_field:
+            raise ValueError("inverses are only defined when the modulus is irreducible")
+        count = len(values)
+        self._count_batch("inverse_batch", count)
+        ffi = self._ffi
+        out = bytearray(count * self._nw * 8)
+        self._ext.lib.gf2m_inverse_batch(
+            self._field_c,
+            ffi.from_buffer("uint64_t[]", self._pack(values)),
+            ffi.from_buffer("uint64_t[]", out, require_writable=True),
+            count,
+        )
+        return self._unpack(out, count)
 
     # ------------------------------------------------------------- executor
     def ir_executor(self) -> "NativeIRExecutor":
@@ -264,9 +289,13 @@ class NativeBackend(FieldBackend):
     # ----------------------------------------------------------- introspection
     def describe(self) -> str:
         clmul = "PCLMULQDQ" if self._ext.lib.gf2m_has_clmul() else "portable clmul"
+        if self._fold_n >= 0:
+            reduction = f"type II fold reduction (n={self._fold_n})"
+        else:
+            reduction = f"{self._nterms}-term reduction"
         return (
             f"native[C] GF(2^{self.m}): {self._nw}x64-bit words, {clmul}, "
-            f"{self._nterms}-term reduction, {self.chunk_size} lanes/chunk"
+            f"{reduction}, {self.chunk_size} lanes/chunk"
         )
 
 
@@ -275,13 +304,16 @@ class CompiledNativeIR:
 
     Built by :meth:`NativeIRExecutor.compile`.  The lowering walks the
     scheduled passes once and emits flat ``[op, dst, x, y, z]`` int32
-    instructions over a vid-indexed register file; every
-    :class:`~repro.galois.field.GF2LinearMap` the program references is
-    rebuilt as a flat per-byte table buffer the C side indexes directly.
+    instructions over a vid-indexed register file.  A linear map the field
+    built in closed form, ``v ↦ c·v^(2^k)`` (every squaring chain, the
+    curve constants, ``mul_b∘square∘square``), becomes ``k`` SQUARE ops
+    plus one product by a constant register when ``c ≠ 1`` — nothing at
+    all for the identity, a self-XOR for the zero map — as long as ``k``
+    stays within :func:`square_chain_limit`; any other map is rebuilt as
+    a flat per-byte table buffer the C side indexes directly.
     ``run_arrays`` then costs a handful of ``memmove`` s plus **one** C
-    call, whatever the program size — the fused ladder step runs its five
-    products, all linear chains and four selects without returning to
-    Python.
+    call, whatever the program size; given a step loop it runs every step
+    of a chunk in that call.
     """
 
     def __init__(self, executor: "NativeIRExecutor", program: FieldProgram) -> None:
@@ -295,12 +327,50 @@ class CompiledNativeIR:
         self.mask_names = [name for name, _ in ir.mask_inputs]
         self.output_names = [name for name, _ in ir.outputs]
         self._input_vids = [vid for _, vid in ir.inputs]
-        self._output_vids = [vid for _, vid in ir.outputs]
-        self._nreg = program.op_count
 
+        nb = backend._nw * 8
+        chain_limit = square_chain_limit(backend._nw)
         code: List[int] = []
+        alias: Dict[int, int] = {}
+        constants: Dict[int, int] = {}  # value -> register past the SSA vids
         map_index: Dict[tuple, int] = {}
         map_objects: List[object] = []
+
+        def reg(vid: int) -> int:
+            return alias.get(vid, vid)
+
+        def constant(value: int) -> int:
+            if value not in constants:
+                constants[value] = program.op_count + len(constants)
+            return constants[value]
+
+        def lower_linear(out_vid: int, linear_map, src: int) -> None:
+            if linear_map.input_bits != self.m:
+                raise ValueError(
+                    f"linear map acts on {linear_map.input_bits} bits, "
+                    f"program is scheduled for m={self.m}"
+                )
+            power = linear_map.power
+            if power is not None and power <= chain_limit:
+                c = linear_map.masks[0]
+                if c == 0:
+                    code.extend((_OP_XOR, out_vid, src, src, 0))
+                elif power == 0 and c == 1:
+                    alias[out_vid] = src
+                else:
+                    for _ in range(power):
+                        code.extend((_OP_SQUARE, out_vid, src, 0, 0))
+                        src = out_vid
+                    if c != 1:
+                        code.extend((_OP_MUL, out_vid, src, constant(c), 0))
+                return
+            key = (linear_map.input_bits, linear_map.masks)
+            index = map_index.get(key)
+            if index is None:
+                index = map_index[key] = len(map_objects)
+                map_objects.append(linear_map)
+            code.extend((_OP_LINEAR, out_vid, src, 0, index))
+
         # (label, first instruction, one-past-last) per scheduled pass: when a
         # tracer is live, run_arrays executes each range as its own C call so
         # the trace shows real per-fused-pass timings; disabled runs keep the
@@ -310,38 +380,29 @@ class CompiledNativeIR:
             pass_start = len(code) // 5
             if item.kind == K_MUL:
                 for a_vid, b_vid, out_vid in item.pairs:
-                    code += [_OP_MUL, out_vid, a_vid, b_vid, 0]
+                    code.extend((_OP_MUL, out_vid, reg(a_vid), reg(b_vid), 0))
             elif item.kind == K_LINEAR:
                 for op in item.ops:
                     if op[1] == K_XOR:
-                        code += [_OP_XOR, op[0], op[2], op[3], 0]
+                        code.extend((_OP_XOR, op[0], reg(op[2]), reg(op[3]), 0))
                     else:
-                        linear_map = op[2]
-                        key = (linear_map.input_bits, linear_map.masks)
-                        index = map_index.get(key)
-                        if index is None:
-                            if linear_map.input_bits != self.m:
-                                raise ValueError(
-                                    f"linear map acts on {linear_map.input_bits} bits, "
-                                    f"program is scheduled for m={self.m}"
-                                )
-                            index = map_index[key] = len(map_objects)
-                            map_objects.append(linear_map)
-                        code += [_OP_LINEAR, op[0], op[3], 0, index]
+                        lower_linear(op[0], op[2], reg(op[3]))
             else:
                 for mask_name, set_vid, clear_vid, out_vid in item.triples:
-                    code += [
-                        _OP_SELECT, out_vid, set_vid, clear_vid,
+                    code.extend((
+                        _OP_SELECT, out_vid, reg(set_vid), reg(clear_vid),
                         self.mask_names.index(mask_name),
-                    ]
+                    ))
             pass_ranges.append(
                 (f"ir.pass.{pass_index:02d}.{item.kind}", pass_start, len(code) // 5)
             )
         self._pass_ranges = pass_ranges
         self._ninstr = len(code) // 5
-        self._code = ffi.new("int32_t[]", code)
+        self._code_list = code
+        self._code = ffi.new("int32_t[]", code or [0])
+        self._output_vids = [reg(vid) for _, vid in ir.outputs]
+        self._nreg = program.op_count + len(constants)
 
-        nb = backend._nw * 8
         nbytes = (self.m + 7) // 8
         parts: List[bytes] = []
         for linear_map in map_objects:
@@ -354,54 +415,72 @@ class CompiledNativeIR:
                 )
         self._tables_buf = b"".join(parts) if parts else bytes(8)
         self._tables = ffi.from_buffer("uint64_t[]", self._tables_buf)
+        # Constant registers are never written, so each register file gets
+        # them once, when it is allocated.
         self._consts = [
             (vid, value.to_bytes(nb, "little")) for vid, value in program.consts
-        ]
+        ] + [(vid, value.to_bytes(nb, "little")) for value, vid in constants.items()]
         self._empty_masks = bytes(8)
         self._regs: Dict[int, object] = {}
-        self._lock = threading.Lock()
+
+    def instruction_counts(self) -> Dict[str, int]:
+        """Lowered instructions per opcode (``mul``, ``square``, ``linear``, ...)."""
+        counts: Dict[str, int] = {}
+        for index in range(0, len(self._code_list), 5):
+            name = _OP_NAMES[self._code_list[index]]
+            counts[name] = counts.get(name, 0) + 1
+        return counts
 
     def _regs_for(self, count: int):
         regs = self._regs.get(count)
         if regs is None:
             if len(self._regs) >= 4:
                 self._regs.clear()
-            regs = self.executor.backend._ffi.new(
-                "uint64_t[]", self._nreg * count * self.executor.nw
-            )
+            ffi = self.executor.backend._ffi
+            regs = ffi.new("uint64_t[]", self._nreg * count * self.executor.nw)
+            stride_bytes = count * self.executor.nw * 8
+            for vid, const_bytes in self._consts:
+                ffi.memmove(regs + vid * (stride_bytes // 8), const_bytes * count, stride_bytes)
             self._regs[count] = regs
         return regs
 
     def run_arrays(self, input_arrays: Sequence[NativeVector],
-                   mask_arrays: Sequence[NativeMask]) -> List[NativeVector]:
+                   mask_arrays: Sequence[NativeMask],
+                   steps: Optional["_StepLoop"] = None) -> List[NativeVector]:
         """Execute over :class:`NativeVector` s in declared input order.
 
         ``mask_arrays`` are packed lane masks (one per declared mask input,
         as built by :meth:`NativeIRExecutor.broadcast_bits`).  Returns
         fresh output vectors in declared output order — the caller may
         feed them back in as the next step's inputs.
+
+        With ``steps`` (built by :meth:`NativeIRExecutor.run_steps`) the
+        call runs that whole step loop instead: ``input_arrays`` are the
+        initial state then the fixed inputs, and the result is the final
+        state.
         """
         backend = self.executor.backend
         ffi = backend._ffi
         nw = self.executor.nw
         count = input_arrays[0].lanes
-        lane_words = _lane_words_for(count)
         stride = count * nw
         stride_bytes = stride * 8
+        if steps is not None:
+            return steps.run(input_arrays, count)
+        lane_words = _lane_words_for(count)
         if len(self.mask_names) == 0:
             masks_buf = self._empty_masks
         elif len(self.mask_names) == 1:
             masks_buf = mask_arrays[0].buf
         else:
             masks_buf = b"".join(bytes(mask.buf) for mask in mask_arrays)
-        with self._lock:
+        with self.executor._lock:
             regs = self._regs_for(count)
             for vid, vector in zip(self._input_vids, input_arrays):
                 ffi.memmove(regs + vid * stride, vector.buf, stride_bytes)
-            for vid, const_bytes in self._consts:
-                ffi.memmove(regs + vid * stride, const_bytes * count, stride_bytes)
             run = backend._ext.lib.gf2m_run_program
             masks_c = ffi.from_buffer("uint64_t[]", masks_buf)
+            field_c = backend._field_c
             tracer = _trace.TRACER
             if tracer.enabled:
                 # The interpreter keeps no state between instructions, so a
@@ -411,15 +490,13 @@ class CompiledNativeIR:
                         continue
                     with tracer.span(label, lanes=count):
                         run(
-                            self._code + start * 5, end - start, regs, count,
-                            self.m, nw, backend._terms, backend._nterms,
-                            self._tables, masks_c, lane_words,
+                            field_c, self._code + start * 5, end - start, regs,
+                            count, self._tables, masks_c, lane_words,
                         )
             else:
                 run(
-                    self._code, self._ninstr, regs, count, self.m, nw,
-                    backend._terms, backend._nterms, self._tables,
-                    masks_c, lane_words,
+                    field_c, self._code, self._ninstr, regs, count,
+                    self._tables, masks_c, lane_words,
                 )
             outputs = []
             for vid in self._output_vids:
@@ -472,6 +549,103 @@ class CompiledNativeIR:
         return f"{self.program.describe()} on {self.executor.backend.describe()}"
 
 
+class _StepLoop:
+    """One chunk's step loop, packed for ``gf2m_run_steps``.
+
+    Holds the compiled programs the schedule's events index, the packed
+    control data of the route (scalar words, digit rows, point tables) and
+    the event list.  :meth:`run` is what :meth:`CompiledNativeIR.run_arrays`
+    calls when it is handed a loop.
+    """
+
+    def __init__(self, executor: "NativeIRExecutor", programs, schedule, nfixed: int) -> None:
+        self.executor = executor
+        self.programs = programs
+        self.schedule = schedule
+        self.nstate = schedule.nstate
+        self.nfixed = nfixed
+        ffi = executor.backend._ffi
+        nb = executor.nw * 8
+        mask_names = ["bit"] if schedule.route == ROUTE_LADDER else ["add", "init"]
+        for compiled in programs:
+            if len(compiled.output_names) != self.nstate or set(
+                compiled._output_vids
+            ) & set(compiled._input_vids[:self.nstate]):
+                raise ValueError(
+                    f"{compiled.program.ir.name!r} is not a step program: it must "
+                    f"compute {self.nstate} fresh state outputs"
+                )
+            if compiled.mask_names not in ([], mask_names):
+                raise ValueError(
+                    f"{compiled.program.ir.name!r} declares masks "
+                    f"{compiled.mask_names}, the step loop drives {mask_names}"
+                )
+        data = {"route": schedule.route, "nstate": self.nstate}
+        keep: List[object] = []
+        if schedule.route in (ROUTE_LADDER, ROUTE_COMB):
+            scalars = schedule.scalars
+            words = max(1, (max(scalar.bit_length() for scalar in scalars) + 63) // 64)
+            packed = b"".join(scalar.to_bytes(words * 8, "little") for scalar in scalars)
+            keep.append(ffi.from_buffer("uint64_t[]", packed))
+            data.update(scalars=keep[-1], scalar_words=words)
+        if schedule.route == ROUTE_COMB:
+            data.update(teeth=schedule.teeth, columns=schedule.columns,
+                        points=executor._packed_points(schedule.points))
+        elif schedule.route == ROUTE_TAU:
+            digits = array("i")
+            for row in schedule.digits:
+                digits.extend(row)
+            keep.append(ffi.from_buffer("int32_t[]", digits or array("i", [0])))
+            points = b"".join(
+                x.to_bytes(nb, "little") + y.to_bytes(nb, "little")
+                for xs, ys in schedule.tables
+                for x, y in zip(xs, ys)
+            )
+            keep.append(ffi.from_buffer("uint64_t[]", points or bytes(8)))
+            data.update(digits=keep[-2], points=keep[-1])
+        self._keep = keep
+        self._data = ffi.new("gf2m_step_data *", data)
+        events = array("i")
+        for index, row in schedule.events:
+            events.extend((index, row))
+        self._events = ffi.from_buffer("int32_t[]", events or array("i", [0, 0]))
+        self._nevents = len(schedule.events)
+
+    def run(self, input_arrays: Sequence[NativeVector], count: int) -> List[NativeVector]:
+        executor = self.executor
+        backend = executor.backend
+        ffi = backend._ffi
+        nw = executor.nw
+        stride = count * nw
+        stride_bytes = stride * 8
+        nstate = self.nstate
+        state = bytearray(b"".join(bytes(vector.buf) for vector in input_arrays[:nstate]))
+        work = ffi.new("uint64_t[]", 3 * _lane_words_for(count))
+        progs = ffi.new("gf2m_step_program[]", len(self.programs))
+        with executor._lock:
+            for slot, compiled in zip(progs, self.programs):
+                regs = compiled._regs_for(count)
+                inputs = compiled._input_vids
+                for vid, vector in zip(inputs[nstate:nstate + self.nfixed], input_arrays[nstate:]):
+                    ffi.memmove(regs + vid * stride, vector.buf, stride_bytes)
+                gathered = inputs[nstate + self.nfixed:]
+                slot.code = compiled._code
+                slot.ninstr = compiled._ninstr
+                slot.tables = compiled._tables
+                slot.regs = regs
+                slot.inputs = inputs[:nstate] + gathered + [-1] * (6 - nstate - len(gathered))
+                slot.outputs = compiled._output_vids + [-1] * (4 - nstate)
+            backend._ext.lib.gf2m_run_steps(
+                backend._field_c, progs, self._events, self._nevents, count,
+                self._data, ffi.from_buffer("uint64_t[]", state, require_writable=True),
+                work,
+            )
+        return [
+            NativeVector(state[j * stride_bytes:(j + 1) * stride_bytes], count, nw)
+            for j in range(nstate)
+        ]
+
+
 class NativeIRExecutor:
     """The native *IR executor* capability of a :class:`NativeBackend`.
 
@@ -488,6 +662,10 @@ class NativeIRExecutor:
         self.m = backend.m
         self.nw = backend._nw
         self._compiled: Dict[object, tuple] = {}
+        self._points: Dict[int, tuple] = {}
+        # Compiled programs own their register files; one lock serializes
+        # every run on this executor's programs.
+        self._lock = threading.Lock()
 
     @property
     def chunk_size(self) -> int:
@@ -520,6 +698,43 @@ class NativeIRExecutor:
                 packed |= 1 << position
         lane_words = _lane_words_for(len(bits))
         return NativeMask(packed.to_bytes(lane_words * 8, "little"), lane_words)
+
+    def _packed_points(self, points: Sequence[tuple]):
+        """``(x, y)`` pairs as one word buffer, memoized per table object."""
+        entry = self._points.get(id(points))
+        if entry is None or entry[0] is not points:
+            nb = self.nw * 8
+            packed = b"".join(
+                x.to_bytes(nb, "little") + y.to_bytes(nb, "little") for x, y in points
+            )
+            if len(self._points) >= 8:
+                self._points.clear()
+            # Holding the table keeps its id from being reused while cached.
+            entry = self._points[id(points)] = (
+                points, self.backend._ffi.from_buffer("uint64_t[]", packed or bytes(8)), packed
+            )
+        return entry[1]
+
+    def run_steps(self, programs: Sequence[FieldProgram], state, fixed, schedule) -> List[List[int]]:
+        """Run a whole step loop over one chunk: one C call, GIL released.
+
+        ``programs`` are the step programs the schedule's events index;
+        ``state`` the initial state registers and ``fixed`` the inputs
+        constant over the loop, as int lists.  The masks and table-point
+        gathers of every step are built in C from the schedule's packed
+        data (:mod:`repro.backends.steps`).  While a tracer records spans
+        the loop runs in Python instead, one ``run_arrays`` per step, so
+        the trace keeps its per-step and per-pass spans.  Returns the
+        final state as int lists.
+        """
+        compiled = [self.compile(program) for program in programs]
+        if _trace.TRACER.enabled:
+            return run_steps_python(self, compiled, state, fixed, schedule)
+        loop = _StepLoop(self, compiled, schedule, len(fixed))
+        arrays = compiled[0].run_arrays(
+            [self.pack(values) for values in (*state, *fixed)], (), steps=loop
+        )
+        return [self.unpack(vector) for vector in arrays]
 
     # ------------------------------------------------------------- programs
     def compile(self, program: FieldProgram) -> CompiledNativeIR:

@@ -32,15 +32,44 @@ import cffi
 _MODULE_NAME = "repro.backends.native._gf2m_native"
 
 _CDEF = """
+typedef struct {
+    int m;
+    int nw;
+    int fold_n;
+    int nterms;
+    const int32_t *terms;
+} gf2m_field;
+typedef struct {
+    const int32_t *code;
+    int ninstr;
+    const uint64_t *tables;
+    uint64_t *regs;
+    int32_t inputs[6];
+    int32_t outputs[4];
+} gf2m_step_program;
+typedef struct {
+    int route;
+    int nstate;
+    const uint64_t *scalars;
+    int scalar_words;
+    int teeth;
+    int columns;
+    const int32_t *digits;
+    const uint64_t *points;
+} gf2m_step_data;
 int gf2m_has_clmul(void);
-void gf2m_mul_batch(const uint64_t *a, const uint64_t *b, uint64_t *out,
-                    long count, int m, int nw, const int32_t *terms, int nterms);
-void gf2m_square_batch(const uint64_t *values, uint64_t *out, long count,
-                       int m, int nw, const int32_t *terms, int nterms);
-void gf2m_run_program(const int32_t *code, int ninstr, uint64_t *regs,
-                      long count, int m, int nw, const int32_t *terms,
-                      int nterms, const uint64_t *tables,
+void gf2m_mul_batch(const gf2m_field *f, const uint64_t *a, const uint64_t *b,
+                    uint64_t *out, long count);
+void gf2m_square_batch(const gf2m_field *f, const uint64_t *values,
+                       uint64_t *out, long count);
+void gf2m_inverse_batch(const gf2m_field *f, const uint64_t *values,
+                        uint64_t *out, long count);
+void gf2m_run_program(const gf2m_field *f, const int32_t *code, int ninstr,
+                      uint64_t *regs, long count, const uint64_t *tables,
                       const uint64_t *masks, long lane_words);
+void gf2m_run_steps(const gf2m_field *f, const gf2m_step_program *progs,
+                    const int32_t *events, int nevents, long count,
+                    const gf2m_step_data *data, uint64_t *state, uint64_t *work);
 """
 
 

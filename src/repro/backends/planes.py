@@ -46,11 +46,13 @@ from ..pipeline.store import LRUCache
 from ..telemetry import metrics as _metrics
 from ..telemetry import trace as _trace
 from .ir import K_LINEAR, K_MUL, FieldProgram
+from .steps import run_steps_python
 
-try:  # pragma: no cover - exercised via monkeypatching in the tests
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+#: numpy, imported by the first plane computation (``None`` when it is not
+#: installed): importing it with the package would cost every process
+#: ~12 MB of resident memory, word-level backends included.
+_UNLOADED = object()
+_np = _UNLOADED
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..galois.field import GF2LinearMap, GF2mField
@@ -65,7 +67,19 @@ __all__ = [
 ]
 
 
+def _import_numpy():
+    """The numpy module, or ``None`` when it is not installed."""
+    try:
+        import numpy
+    except ImportError:  # pragma: no cover
+        return None
+    return numpy
+
+
 def _require_numpy():
+    global _np
+    if _np is _UNLOADED:
+        _np = _import_numpy()
     if _np is None:
         raise ImportError(
             "plane-resident compute needs numpy, which is not installed; "
@@ -83,12 +97,13 @@ def _planes_to_array(planes: Sequence[int], lane_words: int):
     """Big-integer planes → a ``(len(planes), lane_words)`` uint64 array."""
     lane_bytes = lane_words * 8
     buffer = b"".join(plane.to_bytes(lane_bytes, "little") for plane in planes)
-    return _np.frombuffer(buffer, dtype="<u8").reshape(len(planes), lane_words)
+    return _require_numpy().frombuffer(buffer, dtype="<u8").reshape(len(planes), lane_words)
 
 
 def _array_to_planes(array) -> List[int]:
     """The inverse of :func:`_planes_to_array` (rows back to big integers)."""
-    return [int.from_bytes(_np.ascontiguousarray(row).tobytes(), "little") for row in array]
+    np = _require_numpy()
+    return [int.from_bytes(np.ascontiguousarray(row).tobytes(), "little") for row in array]
 
 
 class _LaneBufferCache:
@@ -228,11 +243,12 @@ class PlaneProgram:
         # Work buffer zero-initialized so the reserved zero row stays zero
         # (inputs and gate slices are fully overwritten on every apply, the
         # zero row never); gather scratch for allocation-free np.take.
+        np = _require_numpy()
         self._buffers = _LaneBufferCache(
             lambda lane_words: (
-                _np.zeros((self.row_count, lane_words), dtype=_np.uint64),
-                _np.empty((max_gather, lane_words), dtype=_np.uint64),
-                _np.empty((max_gather, lane_words), dtype=_np.uint64),
+                np.zeros((self.row_count, lane_words), dtype=np.uint64),
+                np.empty((max_gather, lane_words), dtype=np.uint64),
+                np.empty((max_gather, lane_words), dtype=np.uint64),
             )
         )
 
@@ -257,7 +273,7 @@ class PlaneProgram:
         temporary is ever allocated on the hot path.  The blocks' row
         counts must sum to :attr:`input_bits`.
         """
-        np = _np
+        np = _require_numpy()
         work, gather0, gather1 = self._buffers.get(parts[0].shape[1])
         offset = 0
         for part in parts:
@@ -516,16 +532,27 @@ class PlaneIRExecutor:
             if bit & 1:
                 packed |= 1 << position
         lane_words = lane_words_for(len(bits))
-        return _np.frombuffer(packed.to_bytes(lane_words * 8, "little"), dtype="<u8")
+        return _require_numpy().frombuffer(packed.to_bytes(lane_words * 8, "little"), dtype="<u8")
 
     def _live_lane_words(self, lane_words: int):
         """An all-live lane mask of ``lane_words`` words (consts prologue)."""
         mask = self._live_masks.get(lane_words)
         if mask is None:
             full = (1 << (lane_words * 64)) - 1
-            mask = _np.frombuffer(full.to_bytes(lane_words * 8, "little"), dtype="<u8")
+            mask = _require_numpy().frombuffer(full.to_bytes(lane_words * 8, "little"), dtype="<u8")
             self._live_masks[lane_words] = mask
         return mask
+
+    def run_steps(self, programs: Sequence[FieldProgram], state, fixed, schedule) -> List[List[int]]:
+        """Run a step loop over one chunk: pack once, one fused step per event.
+
+        Same contract as :meth:`NativeIRExecutor.run_steps
+        <repro.backends.native.NativeIRExecutor.run_steps>`; the plane
+        executor builds each step's masks and gathers in Python
+        (:func:`~repro.backends.steps.run_steps_python`).
+        """
+        compiled = [self.compile(program) for program in programs]
+        return run_steps_python(self, compiled, state, fixed, schedule)
 
     # ------------------------------------------------------------- programs
     def compile(self, program: FieldProgram) -> CompiledPlaneIR:

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, TYPE_CHECKING
 
 from ..backends.ir import execute_program
+from ..backends.steps import LadderSteps
 from ..telemetry import trace as _trace
 from .formulas import (
     ladder_step_program,
@@ -53,7 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["BinaryCurve", "Point"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Point:
     """An affine point on a :class:`BinaryCurve`, or the point at infinity.
 
@@ -522,18 +523,25 @@ class BinaryCurve:
         program = ladder_step_program(self)
         executor = backend.ir_executor()
         if executor is not None:
-            # Chunk at the backend's lane width so the plane buffers stay
-            # bounded for very large batches (each chunk still packs once,
-            # runs all its steps on planes, and unpacks once).
+            # Chunk at the backend's lane width so the register buffers stay
+            # bounded for very large batches.  Each chunk is one run_steps
+            # loop: the state packs once, every scalar bit runs the fused
+            # step with its select mask, and the state unpacks once — one C
+            # call on native (masks built in C from the packed scalars), one
+            # run_arrays per bit on bitslice.
             chunk = executor.chunk_size
-            compiled = executor.compile(program)
             x1: List[int] = []
             z1: List[int] = []
             x2: List[int] = []
             z2: List[int] = []
             for start in range(0, len(base_x), chunk):
-                part = self._ladder_ld_compiled(
-                    executor, compiled, base_x[start:start + chunk], scalars[start:start + chunk]
+                part_x = base_x[start:start + chunk]
+                lanes = len(part_x)
+                part = executor.run_steps(
+                    [program],
+                    ([1] * lanes, [0] * lanes, part_x, [1] * lanes),
+                    (part_x,),
+                    LadderSteps(scalars[start:start + chunk]),
                 )
                 x1 += part[0]
                 z1 += part[1]
@@ -558,37 +566,6 @@ class BinaryCurve:
             x2, z2 = state["x2n"], state["z2n"]
         return self._ladder_recover_batch(base_x, base_y, x1, z1, x2, z2, backend=backend)
 
-    def _ladder_ld_compiled(self, executor, compiled, base_x: List[int], scalars: List[int]):
-        """All ladder steps resident in the executor's packed representation.
-
-        Pack once, run the fused six-pass step once per scalar bit
-        (``run_arrays`` on the executor's raw register arrays — plane
-        arrays on bitslice, word buffers on native; the only per-step
-        Python is the scalar-bit mask build), unpack once.  Byte-identical
-        to the interpreter path and the scalar ladder by construction:
-        same formula, same circuits, same linear maps — GF(2^m) arithmetic
-        is exact, so any correct schedule produces identical bytes.
-        """
-        count = len(base_x)
-        steps = max(scalar.bit_length() for scalar in scalars)
-        broadcast = executor.broadcast_bits
-        tracer = _trace.TRACER
-        with tracer.span("ladder.pack", lanes=count):
-            base = executor.pack(base_x).array
-            x1 = executor.pack([1] * count).array
-            z1 = executor.pack([0] * count).array
-            x2 = base.copy()
-            z2 = x1.copy()
-        for bit_index in range(steps - 1, -1, -1):
-            with tracer.span("ladder.step"):
-                mask = broadcast([(scalar >> bit_index) & 1 for scalar in scalars])
-                x1, z1, x2, z2 = compiled.run_arrays((x1, z1, x2, z2, base), (mask,))
-        unpack = executor.unpack
-        with tracer.span("ladder.unpack", lanes=count):
-            return tuple(
-                unpack(executor.vector(array, count)) for array in (x1, z1, x2, z2)
-            )
-
     def _ladder_recover_batch(
         self,
         base_x: List[int],
@@ -603,9 +580,10 @@ class BinaryCurve:
         """Batched y-recovery: the inversions share one Montgomery pass.
 
         Runs as two compiled formulas (:func:`~repro.curves.formulas
-        .recover_denominator_program` / ``recover_affine_program``) around
-        the backend's Montgomery batch inverse — inversion is not a
-        straight-line field op, so it stays between the two IR programs.
+        .recover_denominator_program` / ``recover_affine_program``), on the
+        backend's compiled executor where it has one, around the backend's
+        Montgomery batch inverse — inversion is not a straight-line field
+        op, so it stays between the two IR programs.
         """
         count = len(base_x)
         special = {
@@ -620,19 +598,21 @@ class BinaryCurve:
         live = [i for i in range(count) if i not in special]
         points: List[Optional[Point]] = [special.get(i) for i in range(count)]
         if live:
+            from .scalarmul import _run_program_chunked
+
             xs = [base_x[i] for i in live]
             z1s = [z1[i] for i in live]
             z2s = [z2[i] for i in live]
-            staged = execute_program(
-                recover_denominator_program(self),
+            staged = _run_program_chunked(
                 backend,
+                recover_denominator_program(self),
                 {"x": xs, "z1": z1s, "z2": z2s},
             )
             with _trace.span("ladder.inverse_batch", count=len(live)):
                 inv = backend.inverse_batch(staged["denom"])
-            affine = execute_program(
-                recover_affine_program(self),
+            affine = _run_program_chunked(
                 backend,
+                recover_affine_program(self),
                 {
                     "x": xs,
                     "y": [base_y[i] for i in live],

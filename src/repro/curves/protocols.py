@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KeyPair:
     """A private scalar and its public point ``Q = d * G``."""
 
@@ -49,7 +49,7 @@ class KeyPair:
     public: Point
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Signature:
     """An ECDSA-style signature pair."""
 

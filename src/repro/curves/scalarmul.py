@@ -64,6 +64,7 @@ import math
 from typing import TYPE_CHECKING
 
 from ..backends.ir import execute_program
+from ..backends.steps import CombSteps, TauSteps
 from ..pipeline.store import ArtifactStore, LRUCache, canonical_fingerprint
 from ..telemetry import metrics as _metrics
 from ..telemetry import trace as _trace
@@ -514,92 +515,45 @@ def _finalize_projective(curve, backend, x_acc, y_acc, z_acc):
     return points
 
 
-def _run_masked_steps(
-    curve,
-    backend,
-    count,
-    rows_for,
-    *,
-    program_for,
-    span_prefix,
-):
+def _run_masked_steps(backend, count, schedule_for):
     """Drive a digit/column schedule through the compiled step formulas.
 
-    ``rows_for(start, stop)`` yields, highest position first, one
-    ``(key, row)`` event per step for the lane slice ``[start, stop)``:
-    ``row`` is either ``None`` for a fallthrough-only event (a whole run
-    of zero digits / a plain doubling, no gathered inputs) or slice-width
-    ``(x2, y2, add_bits, init_bits)`` lists.  ``program_for(key,
-    has_add)`` supplies the :class:`~repro.backends.ir.FieldProgram` of
-    an event class — the τ evaluator keys on the folded squaring count,
-    the comb evaluator has a single class.  Every lane starts from the
-    not-yet-started LD sentinel ``(1, 1, 0)``.  Runs plane/word-resident
-    on IR-capable backends — chunked at the executor's lane width, each
-    chunk packing once, stepping per event and unpacking once — and
-    interprets the same programs everywhere else.  Returns the final
-    accumulator triple as int lists.
+    ``schedule_for(start, stop)`` returns ``(programs, schedule)`` for the
+    lane slice ``[start, stop)``: the step programs and a
+    :class:`~repro.backends.steps.CombSteps` /
+    :class:`~repro.backends.steps.TauSteps` whose events index them.
+    Every lane starts from the not-yet-started LD sentinel ``(1, 1, 0)``.
+    IR-capable backends run each chunk (the executor's lane width) as one
+    :meth:`run_steps` loop; everything else interprets the same programs
+    step by step.  Returns the final accumulator triple as int lists.
     """
     executor = backend.ir_executor()
-    tracer = _trace.TRACER
     if executor is None:
+        programs, schedule = schedule_for(0, count)
         state = {"X": [1] * count, "Y": [1] * count, "Z": [0] * count}
-        for key, row in rows_for(0, count):
-            if row is None:
-                out = execute_program(program_for(key, False), backend, state)
-            else:
-                x2, y2, add_bits, init_bits = row
-                out = execute_program(
-                    program_for(key, True),
-                    backend,
-                    {**state, "x2": x2, "y2": y2},
-                    {"add": add_bits, "init": init_bits},
-                )
+        for index, row in schedule.events:
+            gathered, masks = schedule.step(row)
+            out = execute_program(
+                programs[index],
+                backend,
+                {**state, **dict(zip(("x2", "y2"), gathered))},
+                dict(zip(("add", "init"), masks)),
+            )
             state = {"X": out["Xn"], "Y": out["Yn"], "Z": out["Zn"]}
         return state["X"], state["Y"], state["Z"]
-    compiled: "Dict[Tuple[object, bool], object]" = {}
-
-    def compile_for(key, has_add):
-        entry = compiled.get((key, has_add))
-        if entry is None:
-            entry = compiled[(key, has_add)] = executor.compile(program_for(key, has_add))
-        return entry
-
     chunk = executor.chunk_size
     x_out: "List[int]" = []
     y_out: "List[int]" = []
     z_out: "List[int]" = []
     for start in range(0, count, chunk):
         lanes = min(chunk, count - start)
-        with tracer.span(f"{span_prefix}.pack", lanes=lanes):
-            x_arr = executor.pack([1] * lanes).array
-            y_arr = executor.pack([1] * lanes).array
-            z_arr = executor.pack([0] * lanes).array
-        for key, row in rows_for(start, start + lanes):
-            with tracer.span(f"{span_prefix}.step"):
-                if row is None:
-                    x_arr, y_arr, z_arr = compile_for(key, False).run_arrays(
-                        (x_arr, y_arr, z_arr), ()
-                    )
-                else:
-                    x2, y2, add_bits, init_bits = row
-                    x_arr, y_arr, z_arr = compile_for(key, True).run_arrays(
-                        (
-                            x_arr,
-                            y_arr,
-                            z_arr,
-                            executor.pack(x2).array,
-                            executor.pack(y2).array,
-                        ),
-                        (
-                            executor.broadcast_bits(add_bits),
-                            executor.broadcast_bits(init_bits),
-                        ),
-                    )
-        with tracer.span(f"{span_prefix}.unpack", lanes=lanes):
-            unpack = executor.unpack
-            x_out += unpack(executor.vector(x_arr, lanes))
-            y_out += unpack(executor.vector(y_arr, lanes))
-            z_out += unpack(executor.vector(z_arr, lanes))
+        programs, schedule = schedule_for(start, start + lanes)
+        x_part, y_part, z_part = executor.run_steps(
+            programs, ([1] * lanes, [1] * lanes, [0] * lanes), (), schedule
+        )
+        x_out += x_part
+        y_out += y_part
+        z_out += z_part
     return x_out, y_out, z_out
 
 
@@ -679,64 +633,57 @@ def multiply_tau_batch(
     for lane in degenerate:
         lane_events[lane] = {}
 
-    def rows_for(start, stop):
+    def schedule_for(start, stop):
         # Runs of zero digits fold into the following add event (or a
-        # trailing pure-Frobenius event): τ^k is one composed linear map,
-        # so an event costs the same whatever k — the call count drops to
-        # the number of positions where *some* lane has a nonzero digit.
-        # Events are indexed sparsely by position up front, so each step
-        # touches only the lanes that actually add (~1/width of the slice)
-        # instead of scanning the whole slice per position.
+        # trailing pure-Frobenius event): τ^k is one squaring chain, so
+        # the step count drops to the number of positions where *some*
+        # lane has a nonzero digit.  Events are indexed sparsely by
+        # position up front, so each digit row touches only the lanes
+        # that actually add (~1/width of the slice).
         slots = stop - start
-        started = [False] * slots
         by_position: "Dict[int, List[Tuple[int, int]]]" = {}
         for slot in range(slots):
             for position, digit in lane_events[start + slot].items():
                 by_position.setdefault(position, []).append((slot, digit))
+        programs: "List[object]" = []
+        indices: "Dict[Tuple[int, bool], int]" = {}
+
+        def program_index(squarings, has_add):
+            index = indices.get((squarings, has_add))
+            if index is None:
+                index = indices[(squarings, has_add)] = len(programs)
+                programs.append(
+                    frobenius_add_program(curve, squarings)
+                    if has_add
+                    else frobenius_program(curve, squarings)
+                )
+            return index
+
+        events: "List[Tuple[int, int]]" = []
+        digits: "List[List[int]]" = []
         previous: "Optional[int]" = None
         for position in sorted(by_position, reverse=True):
             squarings = 1 if previous is None else previous - position
             previous = position
             while squarings > MAX_FUSED_SQUARINGS:
-                yield MAX_FUSED_SQUARINGS, None
+                events.append((program_index(MAX_FUSED_SQUARINGS, False), -1))
                 squarings -= MAX_FUSED_SQUARINGS
-            x2 = [0] * slots
-            y2 = [0] * slots
-            add_bits = [0] * slots
-            init_bits = [0] * slots
+            row = [0] * slots
             for slot, digit in by_position[position]:
-                xs, ys = tables[digit if digit > 0 else -digit]
-                x = xs[start + slot]
-                y = ys[start + slot]
-                if digit < 0:
-                    y ^= x  # −(x, y) = (x, x + y) on a binary curve
-                x2[slot] = x
-                y2[slot] = y
-                if started[slot]:
-                    add_bits[slot] = 1
-                else:
-                    init_bits[slot] = 1
-                    started[slot] = True
-            yield squarings, (x2, y2, add_bits, init_bits)
+                row[slot] = digit
+            events.append((program_index(squarings, True), len(digits)))
+            digits.append(row)
         pending = previous if previous else 0
         while pending > 0:
             squarings = min(pending, MAX_FUSED_SQUARINGS)
-            yield squarings, None
+            events.append((program_index(squarings, False), -1))
             pending -= squarings
+        lane_tables = [
+            (tables[u][0][start:stop], tables[u][1][start:stop]) for u in range(1, top + 1)
+        ]
+        return programs, TauSteps(events, digits, lane_tables, slots)
 
-    def program_for(squarings, has_add):
-        if has_add:
-            return frobenius_add_program(curve, squarings)
-        return frobenius_program(curve, squarings)
-
-    x_acc, y_acc, z_acc = _run_masked_steps(
-        curve,
-        backend,
-        count,
-        rows_for,
-        program_for=program_for,
-        span_prefix="ladder.tau",
-    )
+    x_acc, y_acc, z_acc = _run_masked_steps(backend, count, schedule_for)
     for lane in degenerate:
         z_acc[lane] = 0
     points = _finalize_projective(curve, backend, x_acc, y_acc, z_acc)
@@ -796,29 +743,73 @@ def _build_comb_points(
 ) -> "List[Tuple[int, int]]":
     """All ``2^teeth − 1`` tooth combinations of the generator, affine.
 
-    Pure affine group law — exact, deterministic, and cheap next to the
-    ladders it replaces (``teeth`` strided doublings plus one add per
-    combination).
+    Exact affine group law on the field's default backend: ``teeth − 1``
+    runs of ``columns`` strided doublings, then one batched level per
+    tooth — every pattern with top tooth ``t`` is its lower pattern plus
+    stride ``t``, so a level's adds share one Montgomery batch inversion.
+    Associativity makes the sums identical to adding each pattern's
+    strides one by one.
     """
+    backend = curve.field.backend
     strides = [curve.generator]
     for _ in range(1, teeth):
         point = strides[-1]
         for _ in range(columns):
-            point = curve.double(point)
+            point = _double_affine(curve, backend, point)
         strides.append(point)
-    points: "List[Tuple[int, int]]" = []
-    for pattern in range(1, 1 << teeth):
-        total = curve.infinity()
-        for tooth in range(teeth):
-            if (pattern >> tooth) & 1:
-                total = curve.add(total, strides[tooth])
+    totals = [curve.infinity()]
+    for stride in strides:
+        totals += _add_affine_batch(curve, backend, totals, stride)
+    for pattern, total in enumerate(totals[1:], start=1):
         if total.is_infinity:  # pragma: no cover - needs a tiny-order generator
             raise ArithmeticError(
                 f"comb tooth pattern {pattern} of {curve.name or curve!r} collapsed "
                 "to infinity; lower the teeth count for this curve"
             )
-        points.append((total.x, total.y))
-    return points
+    return [(total.x, total.y) for total in totals[1:]]
+
+
+def _double_affine(curve: "BinaryCurve", backend, point: "Point") -> "Point":
+    """:meth:`BinaryCurve.double` with the inversion and products on ``backend``."""
+    from .point import Point
+
+    if point.is_infinity or point.x == 0:
+        return curve.double(point)
+    x, y = point.x, point.y
+    lam = x ^ backend.multiply_batch([y], backend.inverse_batch([x]))[0]
+    lam_sq, x_sq = backend.square_batch([lam, x])
+    x3 = lam_sq ^ lam ^ curve.a
+    return Point(curve, x3, x_sq ^ backend.multiply_batch([lam ^ 1], [x3])[0])
+
+
+def _add_affine_batch(curve: "BinaryCurve", backend, points, other: "Point") -> "List[Point]":
+    """``p + other`` for every ``p`` in ``points``, one shared batch inversion.
+
+    Same formulas as :meth:`BinaryCurve.add`; the special cases (an
+    identity summand, equal x-coordinates) go through it directly.
+    """
+    from .point import Point
+
+    sums: "List[Optional[Point]]" = [None] * len(points)
+    regular = []
+    for index, point in enumerate(points):
+        if point.is_infinity or other.is_infinity or point.x == other.x:
+            sums[index] = curve.add(point, other)
+        else:
+            regular.append(index)
+    if regular:
+        xs = [points[i].x for i in regular]
+        ys = [points[i].y for i in regular]
+        inverses = backend.inverse_batch([x ^ other.x for x in xs])
+        lams = backend.multiply_batch([y ^ other.y for y in ys], inverses)
+        x3s = [
+            lam_sq ^ lam ^ x ^ other.x ^ curve.a
+            for lam_sq, lam, x in zip(backend.square_batch(lams), lams, xs)
+        ]
+        products = backend.multiply_batch(lams, [x ^ x3 for x, x3 in zip(xs, x3s)])
+        for index, x3, product, y in zip(regular, x3s, products, ys):
+            sums[index] = Point(curve, x3, product ^ x3 ^ y)
+    return sums  # type: ignore[return-value]
 
 
 def comb_table(
@@ -896,46 +887,14 @@ def multiply_comb_batch(
     if registry.enabled:
         registry.inc("comb.columns", columns * count)
 
-    def rows_for(start, stop):
-        slots = stop - start
-        started = [False] * slots
-        # One pass over each scalar's *set* bits fills every column's
-        # tooth pattern — bit index ``tooth·columns + column`` lands in
-        # ``patterns[column]`` — instead of teeth·columns shift/mask
-        # probes per lane.
-        lane_patterns: "List[List[int]]" = []
-        for slot in range(slots):
-            scalar = scalars[start + slot]
-            patterns = [0] * columns
-            while scalar:
-                index = (scalar & -scalar).bit_length() - 1
-                scalar &= scalar - 1
-                patterns[index % columns] |= 1 << (index // columns)
-            lane_patterns.append(patterns)
-        for column in range(columns - 1, -1, -1):
-            x2 = [0] * slots
-            y2 = [0] * slots
-            add_bits = [0] * slots
-            init_bits = [0] * slots
-            for slot in range(slots):
-                pattern = lane_patterns[slot][column]
-                if not pattern:
-                    continue
-                x2[slot], y2[slot] = table.points[pattern - 1]
-                if started[slot]:
-                    add_bits[slot] = 1
-                else:
-                    init_bits[slot] = 1
-                    started[slot] = True
-            yield 0, (x2, y2, add_bits, init_bits)
-
+    program = double_add_program(curve)
     x_acc, y_acc, z_acc = _run_masked_steps(
-        curve,
         backend,
         count,
-        rows_for,
-        program_for=lambda key, has_add: double_add_program(curve),
-        span_prefix="comb",
+        lambda start, stop: (
+            [program],
+            CombSteps(scalars[start:stop], width, columns, table.points),
+        ),
     )
     points = _finalize_projective(curve, backend, x_acc, y_acc, z_acc)
     generator = curve.generator

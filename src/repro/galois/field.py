@@ -57,13 +57,21 @@ class GF2LinearMap:
     substrates can re-lower the same map — the plane-resident backend
     compiles them into gather/XOR passes over uint64 bit planes
     (:class:`repro.backends.planes.PlaneProgram`).
+
+    :attr:`power` records the maps the field builds in closed form: when it
+    is not ``None`` the map is ``v ↦ c · v^(2^power)`` with ``c =
+    masks[0]`` — a constant times a power of Frobenius.  Squaring is power
+    1, a constant multiplier power 0, and :meth:`compose` keeps the form,
+    so the native backend can run such a map as ``power`` word squarings
+    and one product instead of a table walk.
     """
 
-    __slots__ = ("tables", "input_bits", "masks")
+    __slots__ = ("tables", "input_bits", "masks", "power")
 
-    def __init__(self, masks: Sequence[int]) -> None:
+    def __init__(self, masks: Sequence[int], *, power: Optional[int] = None) -> None:
         self.masks = tuple(masks)
         self.input_bits = len(masks)
+        self.power = power
         tables: List[List[int]] = []
         for start in range(0, len(masks), 8):
             chunk = masks[start:start + 8]
@@ -104,7 +112,11 @@ class GF2LinearMap:
                 f"cannot compose: inner map produces {max(inner.masks).bit_length()}-bit "
                 f"values but the outer map reads {self.input_bits} bits"
             )
-        return GF2LinearMap([self(mask) for mask in inner.masks])
+        power = None
+        if self.power is not None and inner.power is not None:
+            # c1·(c2·v^(2^k2))^(2^k1) = self(c2) · v^(2^(k1+k2)), and v^(2^m) = v.
+            power = (self.power + inner.power) % max(self.input_bits, 1)
+        return GF2LinearMap([self(mask) for mask in inner.masks], power=power)
 
 
 class GF2mField:
@@ -192,6 +204,13 @@ class GF2mField:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, GF2mField) and other._modulus == self._modulus
+
+    def __getstate__(self) -> dict:
+        # The resolved backend is a process-local cache (the native one
+        # holds its loaded C module); a copy resolves its own on first use.
+        state = self.__dict__.copy()
+        state["_backend"] = None
+        return state
 
     def __hash__(self) -> int:
         return hash(("GF2mField", self._modulus))
@@ -326,7 +345,7 @@ class GF2mField:
         curve ``b`` inside a Montgomery ladder, for instance); for one-off
         products plain :meth:`multiply` is cheaper than building the map.
         """
-        return GF2LinearMap(self._basis_images(self._check(c), 1))
+        return GF2LinearMap(self._basis_images(self._check(c), 1), power=0)
 
     @property
     def square_map(self) -> GF2LinearMap:
@@ -338,7 +357,7 @@ class GF2mField:
         """
         square_map = self._square_map
         if square_map is None:
-            square_map = self.linear_map(self._basis_images(1, 2))
+            square_map = GF2LinearMap(self._basis_images(1, 2), power=1)
             self._square_map = square_map
         return square_map
 

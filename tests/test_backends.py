@@ -8,7 +8,11 @@ NIST-size fields the paper targets (GF(2^163), GF(2^233)).
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -352,6 +356,24 @@ class TestNumpyDegradation:
             bitslice_module.BitsliceBackend(GF2_16)
         with pytest.raises(ImportError, match="bitslice"):
             bitslice_module._require_numpy()
+
+    def test_word_level_protocols_never_import_numpy(self):
+        """numpy (~12 MB resident) loads with the first plane computation only."""
+        script = (
+            "import sys\n"
+            "from repro.curves import curve_by_name, ecdh_batch, keygen_batch\n"
+            "curve = curve_by_name('T-13')\n"
+            "pairs = keygen_batch(curve, 4)\n"
+            "ecdh_batch(curve, [p.private for p in pairs], [p.public for p in pairs])\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {key: value for key, value in os.environ.items() if key != BACKEND_ENV_VAR}
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**env, "PYTHONPATH": str(src)}, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr[-2000:]
 
 
 class TestCapabilities:

@@ -231,3 +231,16 @@ class TestPointTools:
             if field.trace(c) == 0:
                 count += 2
         assert count == toy.order * toy.cofactor
+
+
+class TestPointRepresentation:
+    def test_point_is_slotted_and_pickles(self):
+        """Batches hold hundreds of result points: no per-instance ``__dict__``."""
+        import pickle
+
+        curve = curve_by_name("K-163")
+        point = curve.multiply(curve.generator, 12345)
+        assert not hasattr(point, "__dict__")
+        copy = pickle.loads(pickle.dumps(point))
+        assert copy == point and copy.curve == curve
+        assert pickle.loads(pickle.dumps(curve.infinity())).is_infinity
