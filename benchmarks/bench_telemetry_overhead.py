@@ -50,15 +50,15 @@ def _compiled_ladder(backend, curve, base_x, scalars):
     executor = backend.ir_executor()
     compiled = executor.compile(ladder_step_program(curve))
     count = len(base_x)
-    base = executor.pack(base_x).array
-    x1 = executor.pack([1] * count).array
-    z1 = executor.pack([0] * count).array
-    x2 = base.copy()
-    z2 = x1.copy()
+    base = executor.pack(base_x)
+    x1 = executor.pack([1] * count)
+    z1 = executor.pack([0] * count)
+    x2 = base
+    z2 = x1
     for bit_index in range(max(s.bit_length() for s in scalars) - 1, -1, -1):
         mask = executor.broadcast_bits([(s >> bit_index) & 1 for s in scalars])
         x1, z1, x2, z2 = compiled.run_arrays((x1, z1, x2, z2, base), (mask,))
-    return tuple(executor.unpack(executor.vector(a, count)) for a in (x1, z1, x2, z2))
+    return tuple(executor.unpack(a, count) for a in (x1, z1, x2, z2))
 
 
 def _run_with_metrics(enabled, backend, curve, base_x, scalars):

@@ -18,23 +18,27 @@ the CLI — select a substrate by name instead of hard-coding a call path:
   gather/scatter evaluation (:class:`BitslicedNetlist`): 64+ batch lanes
   per word op, ~9× the scalar reference at GF(2^163)/batch-2048.
   Requires the optional numpy dependency (``gf2m-repro[bitslice]``).
-  It is also the one backend with the *plane-resident* capability: whole
-  formulas traced as :class:`FieldIR` (:mod:`repro.backends.ir`) compile
-  through its :class:`PlaneIRExecutor` into fused plane passes —
+  Its :class:`PlaneIRExecutor` compiles whole formulas traced as
+  :class:`FieldIR` (:mod:`repro.backends.ir`) into fused plane passes —
   lane-stacked netlist products, merged gather/XOR linear stages, masked
-  selects — so consumers pack a batch into a :class:`PlaneVector` once,
-  execute the compiled formula per step, and unpack once; the batched
-  curve ladder rides on this for ~3× the per-step batch path.
+  selects — so a batch is packed into uint64 planes once, runs the
+  compiled formula per step, and is unpacked once.
 * ``native`` (:class:`NativeBackend`) — the compiled word-level tier
   (:mod:`repro.backends.native`): a C kernel doing 64-bit carry-less
   multiplication (PCLMULQDQ when the CPU has it) plus sparse tail
   reduction over contiguous ``uint64`` word arrays, built through cffi at
   install or first-import time.  Its :class:`NativeIRExecutor` lowers
-  scheduled :class:`FieldIR` programs to a flat C instruction stream, so
-  the whole fused ladder step runs as one C call per scalar bit.  The
+  scheduled :class:`FieldIR` programs to a flat C instruction stream and
+  runs a chunk's whole ladder, comb or τ loop in one C call.  The
   per-field default whenever the extension is importable; degrades to a
   clear :class:`ImportError` (and the registry falls back to ``engine``)
   when no C compiler is available.
+
+Every backend's :meth:`FieldBackend.ir_executor` returns an
+:class:`IRExecutor` — ``python`` and ``engine`` the
+:class:`InterpretedExecutor`, which runs the same programs through
+:func:`execute_program` — so every batched formula takes one path on
+every substrate.
 
 Selection: explicit ``backend=`` arguments (a name or an instance)
 anywhere batch APIs are exposed, the ``--backend`` CLI flag, or the
@@ -51,20 +55,21 @@ backends against the scalar reference is asserted uniformly by
 True
 """
 
-from .base import BackendCapabilities, FieldBackend, default_method_for
+from .base import FieldBackend, default_method_for
 from .bitslice import BitsliceBackend, BitslicedNetlist, bitsliced_netlist, numpy_available
 from .engine_backend import EngineBackend
 from .native import (
     CompiledNativeIR,
     NativeBackend,
     NativeIRExecutor,
-    NativeVector,
     native_available,
 )
 from .ir import (
     FieldIR,
     FieldProgram,
+    InterpretedExecutor,
     IRBuilder,
+    IRExecutor,
     cached_program,
     execute_program,
     schedule_program,
@@ -73,7 +78,6 @@ from .planes import (
     CompiledPlaneIR,
     PlaneIRExecutor,
     PlaneProgram,
-    PlaneVector,
     plane_program,
 )
 from .python_int import PythonIntBackend
@@ -88,7 +92,6 @@ from .registry import (
 )
 
 __all__ = [
-    "BackendCapabilities",
     "FieldBackend",
     "default_method_for",
     "BitsliceBackend",
@@ -99,18 +102,18 @@ __all__ = [
     "CompiledNativeIR",
     "NativeBackend",
     "NativeIRExecutor",
-    "NativeVector",
     "native_available",
     "FieldIR",
     "FieldProgram",
+    "InterpretedExecutor",
     "IRBuilder",
+    "IRExecutor",
     "cached_program",
     "execute_program",
     "schedule_program",
     "CompiledPlaneIR",
     "PlaneIRExecutor",
     "PlaneProgram",
-    "PlaneVector",
     "plane_program",
     "PythonIntBackend",
     "BACKEND_ENV_VAR",

@@ -24,23 +24,27 @@ Contract
   and the backend-parameterized
   :func:`repro.netlist.verify.verify_by_simulation`) asserts this
   uniformly for every registered implementation.
-* :attr:`FieldBackend.capabilities` advertises coarse performance traits
-  so callers can pick sensible defaults without knowing concrete classes.
+* :meth:`FieldBackend.ir_executor` returns the backend's
+  :class:`~repro.backends.ir.IRExecutor`: compiled plane or C lowerings on
+  ``bitslice`` and ``native``, the interpreting executor everywhere else.
+  Every batched formula — curve ladders, combs, recoveries — runs through
+  it, so callers never branch on the backend.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, List, Sequence
 
 from ..galois.pentanomials import type_ii_parameters
 from ..telemetry import metrics as _metrics
+from .ir import InterpretedExecutor, IRExecutor
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..galois.field import GF2mField
 
-__all__ = ["BackendCapabilities", "FieldBackend", "default_method_for"]
+__all__ = ["FieldBackend", "default_method_for"]
 
 
 def default_method_for(modulus: int) -> str:
@@ -54,33 +58,10 @@ def default_method_for(modulus: int) -> str:
     return "thiswork" if type_ii_parameters(modulus) is not None else "schoolbook"
 
 
-@dataclass(frozen=True)
-class BackendCapabilities:
-    """Coarse performance traits a backend advertises to callers.
-
-    Attributes
-    ----------
-    vectorized:
-        Whether one evaluation step processes many operand pairs at once
-        (bit-packed planes); scalar backends pay per-pair cost instead.
-    compiled:
-        Whether the backend pays a one-time circuit generation/compilation
-        cost that the caches amortize across calls.
-    min_efficient_batch:
-        The batch size from which the backend typically overtakes the
-        scalar reference; below it the ``python`` backend usually wins.
-    """
-
-    vectorized: bool
-    compiled: bool
-    min_efficient_batch: int
-
-
 class FieldBackend(ABC):
     """One execution substrate for the batch arithmetic of a single field.
 
-    Subclasses set :attr:`name` and :attr:`capabilities` and implement the
-    abstract methods.  Instances are cheap handles — expensive state
+    Subclasses set :attr:`name` and implement the abstract methods.  Instances are cheap handles — expensive state
     (generated circuits, compiled evaluators, plane buffers) is built
     lazily and shared through the module-level caches, and the registry
     (:mod:`repro.backends.registry`) caches backend instances per
@@ -89,10 +70,6 @@ class FieldBackend(ABC):
 
     #: Short registry identifier (``"python"``, ``"engine"``, ``"bitslice"``).
     name: str = "abstract"
-    #: Performance traits; overridden per subclass.
-    capabilities: BackendCapabilities = BackendCapabilities(
-        vectorized=False, compiled=False, min_efficient_batch=1
-    )
 
     def __init__(self, field: "GF2mField") -> None:
         self.field = field
@@ -156,21 +133,26 @@ class FieldBackend(ABC):
         inverses[0] = running
         return inverses
 
-    def ir_executor(self):
-        """The backend's compiled FieldIR executor, or ``None`` when absent.
+    def ir_executor(self) -> IRExecutor:
+        """The backend's FieldIR executor, built once per backend instance.
 
-        Backends whose packed representation keeps whole formulas resident
-        return one (``bitslice`` a
-        :class:`~repro.backends.planes.PlaneIRExecutor`, ``native`` a
-        :class:`~repro.backends.native.NativeIRExecutor`): consumers trace
-        their formula as a :class:`~repro.backends.ir.FieldIR`, compile it
-        once, pack operands once, run every step as fused passes, and
-        unpack once.  The scalar and big-integer engine backends return
-        ``None``; consumers then interpret the same program per step
-        through :func:`repro.backends.ir.execute_program`.  This is the one
-        rule that picks a ladder's path.
+        Consumers trace their formula as a
+        :class:`~repro.backends.ir.FieldIR`, compile it once on this
+        executor, and run it over int lists or a step loop — one contract
+        on every backend.  ``bitslice`` keeps whole formulas resident in
+        uint64 planes (:class:`~repro.backends.planes.PlaneIRExecutor`),
+        ``native`` in C word buffers
+        (:class:`~repro.backends.native.NativeIRExecutor`); the scalar and
+        big-integer engine backends interpret the same program through
+        :func:`repro.backends.ir.execute_program`
+        (:class:`~repro.backends.ir.InterpretedExecutor`).
         """
-        return None
+        return self._executor
+
+    @cached_property
+    def _executor(self) -> IRExecutor:
+        """The executor :meth:`ir_executor` returns; packed backends override it."""
+        return InterpretedExecutor(self)
 
     # ----------------------------------------------------------- introspection
     def describe(self) -> str:

@@ -34,19 +34,20 @@ requested.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..engine.bitpack import pack_rows, unpack_planes
 from ..netlist.netlist import OP_AND, OP_XOR
 from ..pipeline.store import LRUCache
-from .base import BackendCapabilities, FieldBackend, default_method_for
+from .base import FieldBackend, default_method_for
+from .ir import lane_words_for
 from .planes import (
     _UNLOADED,
     PlaneIRExecutor,
     _import_numpy,
     _LaneBufferCache,
     _planes_to_array,
-    lane_words_for,
 )
 
 #: numpy, imported on first use (``None`` when it is not installed).
@@ -344,7 +345,6 @@ class BitsliceBackend(FieldBackend):
     """
 
     name = "bitslice"
-    capabilities = BackendCapabilities(vectorized=True, compiled=True, min_efficient_batch=64)
 
     def __init__(
         self,
@@ -359,7 +359,6 @@ class BitsliceBackend(FieldBackend):
         self.chunk_size = chunk_size
         self.verify = verify
         self._sliced: Optional[BitslicedNetlist] = None
-        self._executor: Optional[PlaneIRExecutor] = None
 
     @property
     def sliced(self) -> BitslicedNetlist:
@@ -376,11 +375,10 @@ class BitsliceBackend(FieldBackend):
             )
         return self._sliced
 
-    def ir_executor(self) -> PlaneIRExecutor:
+    @cached_property
+    def _executor(self) -> PlaneIRExecutor:
         """The FieldIR plane executor (see :mod:`repro.backends.planes`)."""
-        if self._executor is None:
-            self._executor = PlaneIRExecutor(self.field, self.sliced)
-        return self._executor
+        return PlaneIRExecutor(self)
 
     def multiply(self, a: int, b: int) -> int:
         return self.sliced.multiply_batch([a], [b])[0]

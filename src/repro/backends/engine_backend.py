@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
-from .base import BackendCapabilities, FieldBackend, default_method_for
+from .base import FieldBackend, default_method_for
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine.engine import Engine
@@ -46,7 +46,6 @@ class EngineBackend(FieldBackend):
     """
 
     name = "engine"
-    capabilities = BackendCapabilities(vectorized=True, compiled=True, min_efficient_batch=32)
 
     def __init__(
         self,

@@ -22,16 +22,17 @@ residual) is expressed *once* and compiled *once*:
   netlist evaluation, every :class:`LinearPass` merges all its linear/XOR
   work into **one** gather/XOR schedule, every :class:`SelectPass` applies
   one broadcast lane mask to all its register swaps.
-* The scheduled :class:`FieldProgram` is backend-neutral.  Two kinds of
-  executor exist: :func:`execute_program` interprets the passes over plain
-  ``int`` batches through any :class:`~repro.backends.base.FieldBackend`
-  (gathering each MulPass into a single ``multiply_batch`` call), and
-  backends with a compiled executor lower it through
-  :meth:`~repro.backends.base.FieldBackend.ir_executor` — fused uint64
-  plane passes on ``bitslice``
-  (:class:`~repro.backends.planes.PlaneIRExecutor`), C word kernels on
-  ``native`` (:class:`~repro.backends.native.NativeIRExecutor`).  A new
-  substrate implements one executor, not a set of ad-hoc ops.
+* The scheduled :class:`FieldProgram` is backend-neutral.  Every backend's
+  :meth:`~repro.backends.base.FieldBackend.ir_executor` returns an
+  :class:`IRExecutor`, one contract over three executors:
+  :class:`InterpretedExecutor` (``python``, ``engine``) keeps values as
+  ``int`` lists and runs each compiled program through
+  :func:`execute_program`, which gathers each MulPass into a single
+  ``multiply_batch`` call; ``bitslice`` lowers to fused uint64 plane
+  passes (:class:`~repro.backends.planes.PlaneIRExecutor`) and ``native``
+  to C instruction streams
+  (:class:`~repro.backends.native.NativeIRExecutor`).  A new substrate
+  implements one executor, not a set of ad-hoc ops.
 
 Scheduled programs are memoized process-wide by their ``key`` (see
 :func:`cached_program`), mirroring the multiplier and netlist caches, so
@@ -40,9 +41,13 @@ repeated curve or backend constructions never re-schedule a formula.
 
 from __future__ import annotations
 
+from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..pipeline.store import LRUCache
+from ..telemetry import metrics as _metrics
+from ..telemetry import trace as _trace
+from .steps import run_steps_python
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..galois.field import GF2LinearMap
@@ -58,7 +63,16 @@ __all__ = [
     "schedule_program",
     "cached_program",
     "execute_program",
+    "CompiledProgram",
+    "IRExecutor",
+    "InterpretedExecutor",
+    "lane_words_for",
+    "lane_mask_bytes",
 ]
+
+#: Lanes per chunk of the interpreting executor.  Its values are int lists,
+#: so the width bounds only how many lanes share one step schedule.
+INTERPRETED_CHUNK = 4096
 
 # Op kinds.  input/mask/const feed the program; mul is the only op that
 # needs a full product circuit; linear covers square and every fixed-map
@@ -350,11 +364,11 @@ class SelectPass:
 class FieldProgram:
     """A :class:`FieldIR` scheduled into fused passes and bound to maps.
 
-    Produced by :func:`schedule_program`; consumed by the batch interpreter
-    (:func:`execute_program`) and by plane executors
-    (:meth:`~repro.backends.base.FieldBackend.ir_executor`).  ``key`` is
-    the process-wide memoization identity (curve/field fingerprint chosen
-    by the caller); executors additionally key their lowerings by it.
+    Produced by :func:`schedule_program`; consumed by every
+    :class:`IRExecutor`.  ``key`` is the process-wide memoization identity
+    (curve/field fingerprint chosen by the caller); executors additionally
+    key their lowerings by it.  ``pass_labels`` are the ``ir.pass.NN.kind``
+    span names every executor records per pass.
     """
 
     def __init__(
@@ -371,6 +385,9 @@ class FieldProgram:
         self.consts = tuple(consts)  # (vid, value) prologue registers
         self.key = key
         self.op_count = len(ir.ops)
+        self.pass_labels = tuple(
+            f"ir.pass.{index:02d}.{item.kind}" for index, item in enumerate(self.passes)
+        )
 
     # ------------------------------------------------------------ introspection
     def pass_counts(self) -> Dict[str, int]:
@@ -576,6 +593,27 @@ def cached_program(key: tuple, factory) -> FieldProgram:
 
 
 # ---------------------------------------------------------------- interpreter
+def _batch_lanes(ir: FieldIR, inputs, masks) -> int:
+    """The lane count every named input and mask of ``ir`` must share.
+
+    Raises ``KeyError`` naming a missing input or mask and ``ValueError``
+    when two streams cover different lane counts.
+    """
+    lanes: Optional[int] = None
+    for kind, declared, streams in (("input", ir.inputs, inputs), ("mask", ir.mask_inputs, masks)):
+        for name, _ in declared:
+            if streams is None or name not in streams:
+                raise KeyError(f"program {ir.name!r} needs {kind} {name!r}")
+            count = len(streams[name])
+            if lanes is None:
+                lanes = count
+            elif count != lanes:
+                raise ValueError(f"{kind} {name!r} has {count} lanes, expected {lanes}")
+    if lanes is None:
+        raise ValueError(f"program {ir.name!r} has no inputs")
+    return lanes
+
+
 def execute_program(
     program: FieldProgram,
     backend,
@@ -586,62 +624,230 @@ def execute_program(
 
     The pass schedule is reused as the batching plan: each
     :class:`MulPass` gathers all its products into **one**
-    ``backend.multiply_batch`` call (this is what the hand-written per-step
-    ladder gather used to do, now derived from the formula), linear ops
-    apply their (chain-collapsed) byte-table maps per element, and selects
-    pick per lane from the 0/1 mask streams.  Works on *every* registered
-    backend — it is the executor of plane-incapable substrates and the
-    cross-check twin of the compiled plane path.
+    ``backend.multiply_batch`` call, linear ops apply their
+    (chain-collapsed) byte-table maps per element, and selects pick per
+    lane from the 0/1 mask streams; each pass records the same
+    ``ir.pass.NN.kind`` span as on the compiled executors.  Works on
+    *every* registered backend — it is what :class:`InterpretedExecutor`
+    runs, and the reference twin the parity harness checks every executor
+    against.
     """
     ir = program.ir
+    lanes = _batch_lanes(ir, inputs, masks)
     values: List[Optional[List[int]]] = [None] * program.op_count
-    lanes: Optional[int] = None
     for name, vid in ir.inputs:
-        if name not in inputs:
-            raise KeyError(f"program {ir.name!r} needs input {name!r}")
-        stream = list(inputs[name])
-        if lanes is None:
-            lanes = len(stream)
-        elif len(stream) != lanes:
-            raise ValueError(
-                f"input {name!r} has {len(stream)} lanes, expected {lanes}"
-            )
-        values[vid] = stream
-    if lanes is None:
-        raise ValueError(f"program {ir.name!r} has no inputs")
-    mask_streams: Dict[str, Sequence[int]] = {}
-    for name, _ in ir.mask_inputs:
-        if masks is None or name not in masks:
-            raise KeyError(f"program {ir.name!r} needs mask {name!r}")
-        stream = masks[name]
-        if len(stream) != lanes:
-            raise ValueError(f"mask {name!r} has {len(stream)} lanes, expected {lanes}")
-        mask_streams[name] = stream
+        values[vid] = list(inputs[name])
     for vid, value in program.consts:
         values[vid] = [value] * lanes
 
-    for item in program.passes:
-        if item.kind == K_MUL:
-            lhs: List[int] = []
-            rhs: List[int] = []
-            for a, b, _ in item.pairs:
-                lhs.extend(values[a])
-                rhs.extend(values[b])
-            products = backend.multiply_batch(lhs, rhs)
-            for index, (_, _, out) in enumerate(item.pairs):
-                values[out] = products[index * lanes:(index + 1) * lanes]
-        elif item.kind == K_LINEAR:
-            for op in item.ops:
-                if op[1] == K_XOR:
-                    values[op[0]] = [x ^ y for x, y in zip(values[op[2]], values[op[3]])]
-                else:
-                    linear_map = op[2]
-                    values[op[0]] = [linear_map(value) for value in values[op[3]]]
-        else:
-            for mask_name, set_vid, clear_vid, out in item.triples:
-                bits = mask_streams[mask_name]
-                values[out] = [
-                    s if bit & 1 else c
-                    for s, c, bit in zip(values[set_vid], values[clear_vid], bits)
-                ]
+    tracer = _trace.TRACER
+    for label, item in zip(program.pass_labels, program.passes):
+        with tracer.span(label):
+            if item.kind == K_MUL:
+                lhs: List[int] = []
+                rhs: List[int] = []
+                for a, b, _ in item.pairs:
+                    lhs.extend(values[a])
+                    rhs.extend(values[b])
+                products = backend.multiply_batch(lhs, rhs)
+                for index, (_, _, out) in enumerate(item.pairs):
+                    values[out] = products[index * lanes:(index + 1) * lanes]
+            elif item.kind == K_LINEAR:
+                for op in item.ops:
+                    if op[1] == K_XOR:
+                        values[op[0]] = [x ^ y for x, y in zip(values[op[2]], values[op[3]])]
+                    else:
+                        linear_map = op[2]
+                        values[op[0]] = [linear_map(value) for value in values[op[3]]]
+            else:
+                for mask_name, set_vid, clear_vid, out in item.triples:
+                    values[out] = [
+                        s if bit & 1 else c
+                        for s, c, bit in zip(values[set_vid], values[clear_vid], masks[mask_name])
+                    ]
     return {name: values[vid] for name, vid in ir.outputs}
+
+
+# ------------------------------------------------------------------ executors
+def lane_words_for(lanes: int) -> int:
+    """``uint64`` words holding one bit per lane for ``lanes`` lanes (min 1)."""
+    return max(1, (lanes + 63) // 64)
+
+
+def lane_mask_bytes(bits: Sequence[int]) -> bytes:
+    """One control bit per lane, packed little-endian into :func:`lane_words_for` words.
+
+    Bit ``p`` of the result is ``bits[p] & 1``; dead lanes stay zero.  The
+    plane and native executors' :meth:`IRExecutor.broadcast_bits` wrap
+    these bytes.
+    """
+    packed = 0
+    for position, bit in enumerate(bits):
+        if bit & 1:
+            packed |= 1 << position
+    return packed.to_bytes(lane_words_for(len(bits)) * 8, "little")
+
+
+class CompiledProgram(ABC):
+    """One :class:`FieldProgram` lowered for one :class:`IRExecutor`.
+
+    Built by :meth:`IRExecutor.compile`.  :meth:`run_arrays` is the
+    per-step entry point: packed values in declared input order and
+    :meth:`IRExecutor.broadcast_bits` masks in declared mask order go in,
+    fresh packed outputs in declared output order come back — the caller
+    may feed them in as the next step's inputs.
+    """
+
+    def __init__(self, executor: "IRExecutor", program: FieldProgram) -> None:
+        self.executor = executor
+        self.program = program
+        self.m = program.m
+        ir = program.ir
+        self.input_names = [name for name, _ in ir.inputs]
+        self.mask_names = [name for name, _ in ir.mask_inputs]
+        self.output_names = [name for name, _ in ir.outputs]
+        self._input_vids = [vid for _, vid in ir.inputs]
+
+    @abstractmethod
+    def run_arrays(self, input_arrays: Sequence, mask_arrays: Sequence) -> List:
+        """Execute the program once over packed inputs and masks."""
+
+    def describe(self) -> str:
+        """Structural summary of the scheduled program plus the substrate."""
+        return f"{self.program.describe()} on {self.executor.backend.describe()}"
+
+
+class IRExecutor(ABC):
+    """The FieldIR executor of one backend: the contract all four backends meet.
+
+    :meth:`compile` lowers a scheduled :class:`FieldProgram` once, memoized
+    per executor by the program's ``key``.  Consumers then run it over int
+    lists (:meth:`run`, chunked at :attr:`chunk_size` lanes), drive a
+    whole step loop over one chunk (:meth:`run_steps`), or hold the packed
+    representation themselves: :meth:`pack` once, the compiled program's
+    ``run_arrays`` per step with :meth:`broadcast_bits` masks, and
+    :meth:`unpack` once.  Subclasses fix that representation (the three
+    boundary methods) and the lowering (:attr:`compiled_type`).
+    """
+
+    #: Short executor label: ``interpreted``, ``plane`` or ``native``.
+    kind: str
+    #: The :class:`CompiledProgram` subclass :meth:`compile` builds.
+    compiled_type: type
+
+    def __init__(self, backend, chunk_size: int) -> None:
+        self.backend = backend
+        self.m = backend.field.m
+        self.chunk_size = chunk_size
+        self._compiled: Dict[object, Tuple[FieldProgram, CompiledProgram]] = {}
+
+    # ------------------------------------------------------------- boundary
+    @abstractmethod
+    def pack(self, values: Sequence[int]):
+        """Validated field elements → the packed value ``run_arrays`` takes."""
+
+    @abstractmethod
+    def unpack(self, array, lanes: int) -> List[int]:
+        """A packed value of ``lanes`` live lanes → field elements."""
+
+    @abstractmethod
+    def broadcast_bits(self, bits: Sequence[int]):
+        """One control bit per lane → the mask ``run_arrays`` takes."""
+
+    # ------------------------------------------------------------- programs
+    def compile(self, program: FieldProgram) -> CompiledProgram:
+        """The memoized lowering of a scheduled ``FieldProgram``."""
+        if program.m != self.m:
+            raise ValueError(
+                f"program is scheduled for m={program.m}, executor is m={self.m}"
+            )
+        key = program.key if program.key is not None else id(program)
+        entry = self._compiled.get(key)
+        if entry is None or entry[0] is not program:
+            name = self.backend.name
+            with _trace.span(
+                "ir.compile", backend=name, program=program.ir.name
+            ), _metrics.timed(f"ir.compile.{name}"):
+                entry = (program, self.compiled_type(self, program))
+            self._compiled[key] = entry
+        return entry[1]
+
+    def run(
+        self,
+        program: FieldProgram,
+        inputs: Mapping[str, Sequence[int]],
+        masks: Optional[Mapping[str, Sequence[int]]] = None,
+    ) -> Dict[str, List[int]]:
+        """Run ``program`` over int lists, one ``run_arrays`` per chunk of lanes.
+
+        ``inputs`` and ``masks`` map every declared name to one value (or
+        one 0/1 bit) per lane: a missing name raises ``KeyError``, streams
+        of different lengths ``ValueError``.  Returns the outputs by name.
+        """
+        lanes = _batch_lanes(program.ir, inputs, masks)
+        compiled = self.compile(program)
+        columns = [inputs[name] for name in compiled.input_names]
+        streams = [masks[name] for name in compiled.mask_names]
+        outputs: Dict[str, List[int]] = {name: [] for name in compiled.output_names}
+        for start in range(0, lanes, self.chunk_size):
+            stop = min(start + self.chunk_size, lanes)
+            arrays = compiled.run_arrays(
+                [self.pack(column[start:stop]) for column in columns],
+                [self.broadcast_bits(stream[start:stop]) for stream in streams],
+            )
+            for values, array in zip(outputs.values(), arrays):
+                values += self.unpack(array, stop - start)
+        return outputs
+
+    def run_steps(self, programs: Sequence[FieldProgram], state, fixed, schedule) -> List[List[int]]:
+        """Run a step loop over one chunk of lanes; returns the final state.
+
+        ``programs`` are the step programs the schedule's events index
+        (:mod:`repro.backends.steps`), ``state`` the initial state
+        registers and ``fixed`` the inputs constant over the loop, as int
+        lists.  The loop is :func:`~repro.backends.steps.run_steps_python`:
+        pack once, one ``run_arrays`` per step, unpack once.
+        """
+        compiled = [self.compile(program) for program in programs]
+        return run_steps_python(self, compiled, state, fixed, schedule)
+
+    def describe(self) -> str:
+        """One-line summary used by the CLI and benchmarks."""
+        return f"FieldIR {self.kind} executor on {self.backend.describe()}"
+
+
+class InterpretedProgram(CompiledProgram):
+    """A program run pass by pass through :func:`execute_program`."""
+
+    def run_arrays(self, input_arrays: Sequence, mask_arrays: Sequence) -> List[List[int]]:
+        outputs = execute_program(
+            self.program,
+            self.executor.backend,
+            dict(zip(self.input_names, input_arrays)),
+            dict(zip(self.mask_names, mask_arrays)),
+        )
+        return [outputs[name] for name in self.output_names]
+
+
+class InterpretedExecutor(IRExecutor):
+    """The executor of the backends with no packed form (``python``, ``engine``).
+
+    Values stay ``int`` lists and masks 0/1 lists; a compiled program is
+    the scheduled program handed to :func:`execute_program`, so every
+    MulPass is one ``multiply_batch`` call on the backend.
+    """
+
+    kind = "interpreted"
+    compiled_type = InterpretedProgram
+
+    def __init__(self, backend) -> None:
+        super().__init__(backend, INTERPRETED_CHUNK)
+
+    def pack(self, values: Sequence[int]) -> List[int]:
+        return list(values)
+
+    def unpack(self, array: List[int], lanes: int) -> List[int]:
+        return list(array)
+
+    def broadcast_bits(self, bits: Sequence[int]) -> List[int]:
+        return list(bits)

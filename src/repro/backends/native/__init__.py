@@ -16,13 +16,13 @@ Three layers:
 * :class:`NativeBackend` — the full :class:`~repro.backends.base.FieldBackend`
   surface over contiguous word buffers, one C call per batch (inversion
   included: Montgomery's trick around one Itoh-Tsujii chain);
-* :class:`NativeIRExecutor` / :class:`CompiledNativeIR` — the
-  :meth:`~repro.backends.base.FieldBackend.ir_executor` capability:
-  a scheduled :class:`~repro.backends.ir.FieldProgram` lowers once to a
-  flat instruction stream (mul / square / xor / linear-map / lane-masked
-  select) that ``gf2m_run_program`` drives over a C register file, and
-  :meth:`NativeIRExecutor.run_steps` runs a whole ladder, comb or τ loop
-  over a chunk of lanes in one C call with the GIL released.
+* :class:`NativeIRExecutor` / :class:`CompiledNativeIR` — the backend's
+  :class:`~repro.backends.ir.IRExecutor`: values are contiguous word
+  buffers, a scheduled :class:`~repro.backends.ir.FieldProgram` lowers
+  once to a flat instruction stream (mul / square / xor / linear-map /
+  lane-masked select) that ``gf2m_run_program`` drives over a C register
+  file, and :meth:`NativeIRExecutor.run_steps` runs a whole ladder, comb
+  or τ loop over a chunk of lanes in one C call with the GIL released.
 
 Everything degrades cleanly: without cffi or a C compiler the backend
 raises a clear :class:`ImportError` and the registry default falls back to
@@ -33,13 +33,22 @@ from __future__ import annotations
 
 import threading
 from array import array
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from ...telemetry import metrics as _metrics
 from ...telemetry import trace as _trace
-from ..base import BackendCapabilities, FieldBackend
-from ..ir import K_LINEAR, K_MUL, K_XOR, FieldProgram
-from ..steps import ROUTE_COMB, ROUTE_LADDER, ROUTE_TAU, run_steps_python
+from ..base import FieldBackend
+from ..ir import (
+    K_LINEAR,
+    K_MUL,
+    K_XOR,
+    CompiledProgram,
+    FieldProgram,
+    IRExecutor,
+    lane_mask_bytes,
+    lane_words_for,
+)
+from ..steps import ROUTE_COMB, ROUTE_LADDER, ROUTE_TAU
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...galois.field import GF2mField
@@ -48,7 +57,6 @@ __all__ = [
     "CompiledNativeIR",
     "NativeBackend",
     "NativeIRExecutor",
-    "NativeVector",
     "native_available",
 ]
 
@@ -111,55 +119,10 @@ def native_available() -> bool:
     return True
 
 
-def _lane_words_for(lanes: int) -> int:
-    return max(1, (lanes + 63) // 64)
-
-
-class NativeVector:
-    """A batch of field elements as one contiguous word buffer.
-
-    ``buf`` holds ``lanes`` elements of ``nw`` little-endian uint64 words
-    each (element-major, the layout the C kernel indexes).  ``array``
-    returns ``self`` so executor-agnostic loops such as
-    :func:`~repro.backends.steps.run_steps_python` (``pack(...).array`` /
-    ``run_arrays`` / ``vector``) work unchanged across the plane and
-    native executors.
-    """
-
-    __slots__ = ("buf", "lanes", "nw")
-
-    def __init__(self, buf: bytearray, lanes: int, nw: int) -> None:
-        self.buf = buf
-        self.lanes = lanes
-        self.nw = nw
-
-    @property
-    def array(self) -> "NativeVector":
-        return self
-
-    @property
-    def lane_words(self) -> int:
-        return _lane_words_for(self.lanes)
-
-    def copy(self) -> "NativeVector":
-        return NativeVector(bytearray(self.buf), self.lanes, self.nw)
-
-
-class NativeMask:
-    """A packed per-lane select mask (``lane_words`` little-endian words)."""
-
-    __slots__ = ("buf", "lane_words")
-
-    def __init__(self, buf: bytes, lane_words: int) -> None:
-        self.buf = buf
-        self.lane_words = lane_words
-
-
 class NativeBackend(FieldBackend):
     """Word-level C arithmetic for one field through the cffi kernel."""
 
     name = "native"
-    capabilities = BackendCapabilities(vectorized=True, compiled=True, min_efficient_batch=8)
 
     def __init__(
         self,
@@ -199,7 +162,6 @@ class NativeBackend(FieldBackend):
              "nterms": len(terms), "terms": self._terms},
         )
         self._mask = (1 << field.m) - 1
-        self._executor: Optional[NativeIRExecutor] = None
 
     # ------------------------------------------------------------- boundary
     def _pack(self, values: Sequence[int]) -> bytes:
@@ -207,7 +169,7 @@ class NativeBackend(FieldBackend):
         mask = self._mask
         return b"".join((value & mask).to_bytes(nb, "little") for value in values)
 
-    def _unpack(self, buf: bytearray, count: int) -> List[int]:
+    def _unpack(self, buf, count: int) -> List[int]:
         nb = self._nw * 8
         return [
             int.from_bytes(buf[i * nb:(i + 1) * nb], "little") for i in range(count)
@@ -280,11 +242,10 @@ class NativeBackend(FieldBackend):
         return self._unpack(out, count)
 
     # ------------------------------------------------------------- executor
-    def ir_executor(self) -> "NativeIRExecutor":
+    @cached_property
+    def _executor(self) -> "NativeIRExecutor":
         """The FieldIR native executor (compiled instruction streams)."""
-        if self._executor is None:
-            self._executor = NativeIRExecutor(self)
-        return self._executor
+        return NativeIRExecutor(self)
 
     # ----------------------------------------------------------- introspection
     def describe(self) -> str:
@@ -299,7 +260,7 @@ class NativeBackend(FieldBackend):
         )
 
 
-class CompiledNativeIR:
+class CompiledNativeIR(CompiledProgram):
     """One :class:`~repro.backends.ir.FieldProgram` as a C instruction stream.
 
     Built by :meth:`NativeIRExecutor.compile`.  The lowering walks the
@@ -317,16 +278,9 @@ class CompiledNativeIR:
     """
 
     def __init__(self, executor: "NativeIRExecutor", program: FieldProgram) -> None:
+        super().__init__(executor, program)
         backend = executor.backend
         ffi = backend._ffi
-        self.executor = executor
-        self.program = program
-        self.m = program.m
-        ir = program.ir
-        self.input_names = [name for name, _ in ir.inputs]
-        self.mask_names = [name for name, _ in ir.mask_inputs]
-        self.output_names = [name for name, _ in ir.outputs]
-        self._input_vids = [vid for _, vid in ir.inputs]
 
         nb = backend._nw * 8
         chain_limit = square_chain_limit(backend._nw)
@@ -376,7 +330,7 @@ class CompiledNativeIR:
         # the trace shows real per-fused-pass timings; disabled runs keep the
         # single whole-program call.
         pass_ranges: List[tuple] = []
-        for pass_index, item in enumerate(program.passes):
+        for label, item in zip(program.pass_labels, program.passes):
             pass_start = len(code) // 5
             if item.kind == K_MUL:
                 for a_vid, b_vid, out_vid in item.pairs:
@@ -393,14 +347,12 @@ class CompiledNativeIR:
                         _OP_SELECT, out_vid, reg(set_vid), reg(clear_vid),
                         self.mask_names.index(mask_name),
                     ))
-            pass_ranges.append(
-                (f"ir.pass.{pass_index:02d}.{item.kind}", pass_start, len(code) // 5)
-            )
+            pass_ranges.append((label, pass_start, len(code) // 5))
         self._pass_ranges = pass_ranges
         self._ninstr = len(code) // 5
         self._code_list = code
         self._code = ffi.new("int32_t[]", code or [0])
-        self._output_vids = [reg(vid) for _, vid in ir.outputs]
+        self._output_vids = [reg(vid) for _, vid in program.ir.outputs]
         self._nreg = program.op_count + len(constants)
 
         nbytes = (self.m + 7) // 8
@@ -444,15 +396,15 @@ class CompiledNativeIR:
             self._regs[count] = regs
         return regs
 
-    def run_arrays(self, input_arrays: Sequence[NativeVector],
-                   mask_arrays: Sequence[NativeMask],
-                   steps: Optional["_StepLoop"] = None) -> List[NativeVector]:
-        """Execute over :class:`NativeVector` s in declared input order.
+    def run_arrays(self, input_arrays: Sequence[bytes], mask_arrays: Sequence[bytes],
+                   steps: Optional["_StepLoop"] = None) -> List[bytearray]:
+        """Execute over word buffers in declared input order.
 
-        ``mask_arrays`` are packed lane masks (one per declared mask input,
-        as built by :meth:`NativeIRExecutor.broadcast_bits`).  Returns
-        fresh output vectors in declared output order — the caller may
-        feed them back in as the next step's inputs.
+        ``input_arrays`` are element-major word buffers (as built by
+        :meth:`NativeIRExecutor.pack`), ``mask_arrays`` packed lane masks
+        (one per declared mask input, as built by
+        :meth:`NativeIRExecutor.broadcast_bits`).  Returns fresh output
+        buffers in declared output order.
 
         With ``steps`` (built by :meth:`NativeIRExecutor.run_steps`) the
         call runs that whole step loop instead: ``input_arrays`` are the
@@ -462,22 +414,22 @@ class CompiledNativeIR:
         backend = self.executor.backend
         ffi = backend._ffi
         nw = self.executor.nw
-        count = input_arrays[0].lanes
+        count = len(input_arrays[0]) // (nw * 8)
         stride = count * nw
         stride_bytes = stride * 8
         if steps is not None:
             return steps.run(input_arrays, count)
-        lane_words = _lane_words_for(count)
+        lane_words = lane_words_for(count)
         if len(self.mask_names) == 0:
             masks_buf = self._empty_masks
         elif len(self.mask_names) == 1:
-            masks_buf = mask_arrays[0].buf
+            masks_buf = mask_arrays[0]
         else:
-            masks_buf = b"".join(bytes(mask.buf) for mask in mask_arrays)
+            masks_buf = b"".join(mask_arrays)
         with self.executor._lock:
             regs = self._regs_for(count)
-            for vid, vector in zip(self._input_vids, input_arrays):
-                ffi.memmove(regs + vid * stride, vector.buf, stride_bytes)
+            for vid, buf in zip(self._input_vids, input_arrays):
+                ffi.memmove(regs + vid * stride, buf, stride_bytes)
             run = backend._ext.lib.gf2m_run_program
             masks_c = ffi.from_buffer("uint64_t[]", masks_buf)
             field_c = backend._field_c
@@ -502,51 +454,8 @@ class CompiledNativeIR:
             for vid in self._output_vids:
                 buf = bytearray(stride_bytes)
                 ffi.memmove(buf, regs + vid * stride, stride_bytes)
-                outputs.append(NativeVector(buf, count, nw))
+                outputs.append(buf)
         return outputs
-
-    def run(
-        self,
-        inputs: Mapping[str, NativeVector],
-        masks: Optional[Mapping[str, Sequence[int]]] = None,
-    ) -> Dict[str, NativeVector]:
-        """Name-keyed execution over :class:`NativeVector` s.
-
-        Mask streams may be plain 0/1 bit sequences (broadcast here) or
-        prebuilt :class:`NativeMask` es.  All inputs must share one batch.
-        """
-        vectors = []
-        for name in self.input_names:
-            if name not in inputs:
-                raise KeyError(f"program {self.program.ir.name!r} needs input {name!r}")
-            vectors.append(inputs[name])
-        first = vectors[0]
-        for vector in vectors[1:]:
-            if vector.lanes != first.lanes or vector.nw != first.nw:
-                raise ValueError(
-                    f"inputs of one batch expected: {vector.lanes} lanes "
-                    f"x{vector.nw} words vs {first.lanes} lanes x{first.nw} words"
-                )
-        mask_arrays = []
-        for name in self.mask_names:
-            if masks is None or name not in masks:
-                raise KeyError(f"program {self.program.ir.name!r} needs mask {name!r}")
-            stream = masks[name]
-            if isinstance(stream, (list, tuple)):
-                stream = self.executor.broadcast_bits(stream)
-            if stream.lane_words != first.lane_words:
-                raise ValueError(
-                    f"mask {name!r} covers {stream.lane_words} lane words, batch "
-                    f"needs {first.lane_words}; build it with broadcast_bits "
-                    "over the same batch"
-                )
-            mask_arrays.append(stream)
-        outputs = self.run_arrays([vector.array for vector in vectors], mask_arrays)
-        return dict(zip(self.output_names, outputs))
-
-    def describe(self) -> str:
-        """Structural summary of the scheduled program plus the substrate."""
-        return f"{self.program.describe()} on {self.executor.backend.describe()}"
 
 
 class _StepLoop:
@@ -611,7 +520,7 @@ class _StepLoop:
         self._events = ffi.from_buffer("int32_t[]", events or array("i", [0, 0]))
         self._nevents = len(schedule.events)
 
-    def run(self, input_arrays: Sequence[NativeVector], count: int) -> List[NativeVector]:
+    def run(self, input_arrays: Sequence[bytes], count: int) -> List[bytearray]:
         executor = self.executor
         backend = executor.backend
         ffi = backend._ffi
@@ -619,15 +528,15 @@ class _StepLoop:
         stride = count * nw
         stride_bytes = stride * 8
         nstate = self.nstate
-        state = bytearray(b"".join(bytes(vector.buf) for vector in input_arrays[:nstate]))
-        work = ffi.new("uint64_t[]", 3 * _lane_words_for(count))
+        state = bytearray(b"".join(input_arrays[:nstate]))
+        work = ffi.new("uint64_t[]", 3 * lane_words_for(count))
         progs = ffi.new("gf2m_step_program[]", len(self.programs))
         with executor._lock:
             for slot, compiled in zip(progs, self.programs):
                 regs = compiled._regs_for(count)
                 inputs = compiled._input_vids
-                for vid, vector in zip(inputs[nstate:nstate + self.nfixed], input_arrays[nstate:]):
-                    ffi.memmove(regs + vid * stride, vector.buf, stride_bytes)
+                for vid, buf in zip(inputs[nstate:nstate + self.nfixed], input_arrays[nstate:]):
+                    ffi.memmove(regs + vid * stride, buf, stride_bytes)
                 gathered = inputs[nstate + self.nfixed:]
                 slot.code = compiled._code
                 slot.ninstr = compiled._ninstr
@@ -640,64 +549,40 @@ class _StepLoop:
                 self._data, ffi.from_buffer("uint64_t[]", state, require_writable=True),
                 work,
             )
-        return [
-            NativeVector(state[j * stride_bytes:(j + 1) * stride_bytes], count, nw)
-            for j in range(nstate)
-        ]
+        return [state[j * stride_bytes:(j + 1) * stride_bytes] for j in range(nstate)]
 
 
-class NativeIRExecutor:
-    """The native *IR executor* capability of a :class:`NativeBackend`.
+class NativeIRExecutor(IRExecutor):
+    """The native backend's :class:`~repro.backends.ir.IRExecutor`.
 
-    Same surface as :class:`~repro.backends.planes.PlaneIRExecutor` — the
-    consumers in :mod:`repro.curves.point` drive either interchangeably:
-    :meth:`pack` / :meth:`unpack` at the batch boundary,
-    :meth:`broadcast_bits` for per-lane control masks, :meth:`compile` for
-    the memoized lowering, :meth:`vector` to rewrap raw step outputs.
+    Packed values are element-major word buffers (``lanes × nw`` uint64
+    words, the layout the C kernel indexes) and masks packed lane bits;
+    :meth:`compile` lowers a program to a :class:`CompiledNativeIR`, and
+    :meth:`run_steps` runs a whole step loop in one C call.
     """
 
+    kind = "native"
+    compiled_type = CompiledNativeIR
+
     def __init__(self, backend: NativeBackend) -> None:
-        self.backend = backend
-        self.field = backend.field
-        self.m = backend.m
+        super().__init__(backend, backend.chunk_size)
         self.nw = backend._nw
-        self._compiled: Dict[object, tuple] = {}
         self._points: Dict[int, tuple] = {}
         # Compiled programs own their register files; one lock serializes
         # every run on this executor's programs.
         self._lock = threading.Lock()
 
-    @property
-    def chunk_size(self) -> int:
-        """Preferred batch lanes per execution (bounds the register file)."""
-        return self.backend.chunk_size
+    def pack(self, values: Sequence[int]) -> bytes:
+        """Validated field elements → one element-major word buffer."""
+        return self.backend._pack(values)
 
-    # ------------------------------------------------------------- boundary
-    def pack(self, values: Sequence[int]) -> NativeVector:
-        """Pack validated field elements into a :class:`NativeVector` (once)."""
-        return NativeVector(
-            bytearray(self.backend._pack(values)), len(values), self.nw
-        )
+    def unpack(self, array, lanes: int) -> List[int]:
+        """The first ``lanes`` elements of a word buffer."""
+        return self.backend._unpack(array, lanes)
 
-    def unpack(self, vector: NativeVector) -> List[int]:
-        """Unpack a :class:`NativeVector` back into field elements (once)."""
-        return self.backend._unpack(vector.buf, vector.lanes)
-
-    def vector(self, array: NativeVector, lanes: int) -> NativeVector:
-        """Rewrap a raw ``run_arrays`` output as a batch of ``lanes`` lanes."""
-        return NativeVector(array.buf, lanes, array.nw)
-
-    def broadcast_bits(self, bits: Sequence[int]) -> NativeMask:
-        """Pack one control bit per lane into a :class:`NativeMask`.
-
-        Bit ``p`` of the result is ``bits[p] & 1``; dead lanes stay zero.
-        """
-        packed = 0
-        for position, bit in enumerate(bits):
-            if bit & 1:
-                packed |= 1 << position
-        lane_words = _lane_words_for(len(bits))
-        return NativeMask(packed.to_bytes(lane_words * 8, "little"), lane_words)
+    def broadcast_bits(self, bits: Sequence[int]) -> bytes:
+        """Per-lane control bits → the packed lane mask the kernel reads."""
+        return lane_mask_bytes(bits)
 
     def _packed_points(self, points: Sequence[tuple]):
         """``(x, y)`` pairs as one word buffer, memoized per table object."""
@@ -718,41 +603,18 @@ class NativeIRExecutor:
     def run_steps(self, programs: Sequence[FieldProgram], state, fixed, schedule) -> List[List[int]]:
         """Run a whole step loop over one chunk: one C call, GIL released.
 
-        ``programs`` are the step programs the schedule's events index;
-        ``state`` the initial state registers and ``fixed`` the inputs
-        constant over the loop, as int lists.  The masks and table-point
-        gathers of every step are built in C from the schedule's packed
-        data (:mod:`repro.backends.steps`).  While a tracer records spans
-        the loop runs in Python instead, one ``run_arrays`` per step, so
-        the trace keeps its per-step and per-pass spans.  Returns the
-        final state as int lists.
+        Same contract as :meth:`IRExecutor.run_steps`, but the masks and
+        table-point gathers of every step are built in C from the
+        schedule's packed data (:mod:`repro.backends.steps`).  While a
+        tracer records spans the inherited Python loop runs instead, one
+        ``run_arrays`` per step, so the trace keeps its per-step and
+        per-pass spans.
         """
-        compiled = [self.compile(program) for program in programs]
         if _trace.TRACER.enabled:
-            return run_steps_python(self, compiled, state, fixed, schedule)
+            return super().run_steps(programs, state, fixed, schedule)
+        compiled = [self.compile(program) for program in programs]
         loop = _StepLoop(self, compiled, schedule, len(fixed))
         arrays = compiled[0].run_arrays(
             [self.pack(values) for values in (*state, *fixed)], (), steps=loop
         )
-        return [self.unpack(vector) for vector in arrays]
-
-    # ------------------------------------------------------------- programs
-    def compile(self, program: FieldProgram) -> CompiledNativeIR:
-        """The memoized native lowering of a scheduled ``FieldProgram``."""
-        if program.m != self.m:
-            raise ValueError(
-                f"program is scheduled for m={program.m}, executor is m={self.m}"
-            )
-        key = program.key if program.key is not None else id(program)
-        entry = self._compiled.get(key)
-        if entry is None or entry[0] is not program:
-            with _trace.span(
-                "ir.compile", backend=self.backend.name, program=program.ir.name
-            ), _metrics.timed("ir.compile.native"):
-                entry = (program, CompiledNativeIR(self, program))
-            self._compiled[key] = entry
-        return entry[1]
-
-    def describe(self) -> str:
-        """One-line summary used by the CLI and benchmarks."""
-        return f"FieldIR native executor on {self.backend.describe()}"
+        return [self.unpack(array, len(state[0])) for array in arrays]

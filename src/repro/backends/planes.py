@@ -5,10 +5,11 @@ multiplication fast, but a consumer like the Montgomery ladder calls it
 ``~m`` times per scalar multiplication — and every call pays two full
 bit-matrix transposes (rows → planes, planes → rows) plus per-element
 scalar Python for everything between the multiplications.  This module
-removes the round trips: a batch of field elements is packed into a
-:class:`PlaneVector` **once**, every operation of the consuming algorithm
-runs directly on the ``(m, lane_words)`` ``uint64`` plane representation,
-and rows are unpacked **once** at the end.
+removes the round trips: a batch of field elements is packed into an
+``(m, lane_words)`` ``uint64`` plane array **once** (bit ``p`` of row
+``i`` is coordinate ``a_i`` of lane ``p``), every operation of the
+consuming algorithm runs directly on that representation, and rows are
+unpacked **once** at the end.
 
 Three kinds of operation cover a whole López-Dahab ladder step:
 
@@ -24,11 +25,12 @@ Three kinds of operation cover a whole López-Dahab ladder step:
   driven by a broadcast lane mask, so mixed control bits across one batch
   never leave the plane domain.
 
-:class:`PlaneIRExecutor` compiles a scheduled
-:class:`~repro.backends.ir.FieldProgram` into these passes; a backend
-advertises it through :meth:`repro.backends.base.FieldBackend.ir_executor`,
-and the batched curve ladder (:meth:`repro.curves.point.BinaryCurve
-.multiply_batch`) then keeps all ``~m`` steps plane-resident.
+:class:`PlaneIRExecutor` is the bitslice backend's
+:class:`~repro.backends.ir.IRExecutor`
+(:meth:`repro.backends.base.FieldBackend.ir_executor`): it compiles a
+scheduled :class:`~repro.backends.ir.FieldProgram` into these passes, so
+the batched curve ladder (:meth:`repro.curves.point.BinaryCurve
+.multiply_batch`) keeps all ``~m`` steps plane-resident.
 
 Compiled :class:`PlaneProgram` s are memoized process-wide (keyed by the
 map's basis images), mirroring the multiplier cache, so repeated field or
@@ -38,15 +40,20 @@ curve constructions never re-lower a linear map.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..engine.bitpack import pack_rows, unpack_planes
 from ..pipeline.store import LRUCache
-from ..telemetry import metrics as _metrics
 from ..telemetry import trace as _trace
-from .ir import K_LINEAR, K_MUL, FieldProgram
-from .steps import run_steps_python
+from .ir import (
+    K_LINEAR,
+    K_MUL,
+    CompiledProgram,
+    FieldProgram,
+    IRExecutor,
+    lane_mask_bytes,
+    lane_words_for,
+)
 
 #: numpy, imported by the first plane computation (``None`` when it is not
 #: installed): importing it with the package would cost every process
@@ -55,11 +62,10 @@ _UNLOADED = object()
 _np = _UNLOADED
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..galois.field import GF2LinearMap, GF2mField
-    from .bitslice import BitslicedNetlist
+    from ..galois.field import GF2LinearMap
+    from .bitslice import BitsliceBackend
 
 __all__ = [
-    "PlaneVector",
     "PlaneProgram",
     "PlaneIRExecutor",
     "CompiledPlaneIR",
@@ -86,11 +92,6 @@ def _require_numpy():
             "run 'pip install numpy' (or install the gf2m-repro[bitslice] extra)"
         )
     return _np
-
-
-def lane_words_for(lanes: int) -> int:
-    """uint64 words per plane for a batch of ``lanes`` elements (min 1)."""
-    return max(1, (lanes + 63) // 64)
 
 
 def _planes_to_array(planes: Sequence[int], lane_words: int):
@@ -133,36 +134,6 @@ class _LaneBufferCache:
             entry = self._factory(lane_words)
             buffers[lane_words] = entry
         return entry
-
-
-@dataclass(frozen=True)
-class PlaneVector:
-    """A batch of GF(2^m) elements resident in uint64 bit planes.
-
-    ``array`` has shape ``(m, lane_words)``: bit ``p`` of row ``i`` is
-    coordinate ``a_i`` of batch element ``p``.  ``lanes`` is the live batch
-    size; lane bits at positions ``lanes`` and above are dead (kept zero by
-    :meth:`PlaneIRExecutor.pack`, ignored by :meth:`PlaneIRExecutor.unpack`).
-    The wrapper is immutable — operations return fresh vectors, so a
-    :class:`PlaneVector` can be reused freely across ladder steps.
-    """
-
-    array: "object"  # numpy (m, lane_words) uint64; untyped to keep numpy optional
-    lanes: int
-
-    @property
-    def m(self) -> int:
-        """Coordinate count (rows of the plane array)."""
-        return self.array.shape[0]
-
-    @property
-    def lane_words(self) -> int:
-        """uint64 words per plane (columns of the array)."""
-        return self.array.shape[1]
-
-    def copy(self) -> "PlaneVector":
-        """An independent copy (same values, fresh storage)."""
-        return PlaneVector(self.array.copy(), self.lanes)
 
 
 class PlaneProgram:
@@ -314,7 +285,7 @@ def _fused_plane_program(masks: Sequence[int], out_bits: int) -> PlaneProgram:
     return _PROGRAM_CACHE.get_or_create(key, lambda: PlaneProgram(masks, out_bits=out_bits))
 
 
-class CompiledPlaneIR:
+class CompiledPlaneIR(CompiledProgram):
     """One :class:`~repro.backends.ir.FieldProgram` lowered to plane passes.
 
     Built by :meth:`PlaneIRExecutor.compile`; holds the per-pass plane
@@ -329,25 +300,14 @@ class CompiledPlaneIR:
       :meth:`PlaneProgram.apply_parts`;
     * a ``SelectPass`` applies each broadcast lane mask with three
       bitwise ops per swapped register, the inverted mask computed once.
-
-    ``run_arrays`` is the hot-loop entry point (plain arrays in schedule
-    order, no dicts); :meth:`run` is the friendly name-keyed wrapper.
     """
 
     def __init__(self, executor: "PlaneIRExecutor", program: FieldProgram) -> None:
+        super().__init__(executor, program)
         np = _require_numpy()
-        self.executor = executor
-        self.program = program
-        self.m = program.m
-        ir = program.ir
-        self.input_names = [name for name, _ in ir.inputs]
-        self.mask_names = [name for name, _ in ir.mask_inputs]
-        self.output_names = [name for name, _ in ir.outputs]
-        self._input_vids = [vid for _, vid in ir.inputs]
-        self._output_vids = [vid for _, vid in ir.outputs]
+        self._output_vids = [vid for _, vid in program.ir.outputs]
         lowered: List[tuple] = []
-        labels: List[str] = []
-        for pass_index, item in enumerate(program.passes):
+        for item in program.passes:
             if item.kind == K_MUL:
                 lowered.append((K_MUL, tuple(item.pairs)))
             elif item.kind == K_LINEAR:
@@ -357,12 +317,7 @@ class CompiledPlaneIR:
                 lowered.append((K_LINEAR, tuple(item.inputs), tuple(item.outputs), fused))
             else:
                 lowered.append(("select", tuple(item.triples)))
-            labels.append(f"ir.pass.{pass_index:02d}.{lowered[-1][0]}")
         self._passes = lowered
-        # Span names are built once here so the traced hot loop never
-        # formats strings; with the NullTracer installed each pass costs
-        # one no-op context manager next to its numpy work.
-        self._pass_labels = labels
         self._np = np
 
     def run_arrays(self, input_arrays: Sequence, mask_arrays: Sequence) -> List:
@@ -370,8 +325,7 @@ class CompiledPlaneIR:
 
         ``mask_arrays`` are broadcast lane-word masks (one per declared
         mask input, as built by :meth:`PlaneIRExecutor.broadcast_bits`).
-        Returns fresh output arrays in declared output order — the caller
-        may feed them back in as the next step's inputs.
+        Returns fresh output arrays in declared output order.
         """
         np = self._np
         sliced = self.executor.sliced
@@ -380,16 +334,16 @@ class CompiledPlaneIR:
         masks: Dict[str, object] = dict(zip(self.mask_names, mask_arrays))
         if self.program.consts:
             lane_words = input_arrays[0].shape[1]
-            live = self.executor._live_lane_words(lane_words)
             for vid, value in self.program.consts:
                 const = np.zeros((m, lane_words), dtype=np.uint64)
-                for i in range(m):
-                    if (value >> i) & 1:
-                        const[i] = live
+                const[[i for i in range(m) if (value >> i) & 1]] = ~np.uint64(0)
                 regs[vid] = const
         inverted: Dict[str, object] = {}
         tracer = _trace.TRACER
-        for label, lowering in zip(self._pass_labels, self._passes):
+        # Span names are built once per program, so the traced hot loop
+        # never formats strings; with the NullTracer installed each pass
+        # costs one no-op context manager next to its numpy work.
+        for label, lowering in zip(self.program.pass_labels, self._passes):
             with tracer.span(label):
                 if lowering[0] == K_MUL:
                     pairs = lowering[1]
@@ -421,156 +375,32 @@ class CompiledPlaneIR:
                         )
         return [regs[vid] for vid in self._output_vids]
 
-    def run(
-        self,
-        inputs: Mapping[str, PlaneVector],
-        masks: Optional[Mapping[str, Sequence[int]]] = None,
-    ) -> Dict[str, PlaneVector]:
-        """Name-keyed execution over :class:`PlaneVector` s.
 
-        Mask streams may be plain 0/1 bit sequences (broadcast here) or
-        prebuilt lane-word mask arrays.  All inputs must share one batch
-        layout.
-        """
-        vectors = []
-        for name in self.input_names:
-            if name not in inputs:
-                raise KeyError(f"program {self.program.ir.name!r} needs input {name!r}")
-            vectors.append(inputs[name])
-        first = vectors[0]
-        for vector in vectors[1:]:
-            if vector.array.shape != first.array.shape or vector.lanes != first.lanes:
-                raise ValueError(
-                    f"inputs of one batch expected: {vector.lanes} lanes "
-                    f"{vector.array.shape} vs {first.lanes} lanes {first.array.shape}"
-                )
-        mask_arrays = []
-        for name in self.mask_names:
-            if masks is None or name not in masks:
-                raise KeyError(f"program {self.program.ir.name!r} needs mask {name!r}")
-            stream = masks[name]
-            if isinstance(stream, (list, tuple)):
-                stream = self.executor.broadcast_bits(stream)
-            if stream.shape != (first.lane_words,):
-                raise ValueError(
-                    f"mask {name!r} shape {stream.shape} does not cover "
-                    f"{first.lane_words} lane words; build it with broadcast_bits "
-                    "over the same batch"
-                )
-            mask_arrays.append(stream)
-        outputs = self.run_arrays([vector.array for vector in vectors], mask_arrays)
-        return {
-            name: PlaneVector(array, first.lanes)
-            for name, array in zip(self.output_names, outputs)
-        }
+class PlaneIRExecutor(IRExecutor):
+    """The bitslice backend's :class:`~repro.backends.ir.IRExecutor`.
 
-    def describe(self) -> str:
-        """Structural summary of the scheduled program plus the substrate."""
-        return f"{self.program.describe()} on {self.executor.sliced.describe()}"
-
-
-class PlaneIRExecutor:
-    """The plane-resident *IR executor* capability of a bitsliced backend.
-
-    A consumer expresses its whole formula as a
-    :class:`~repro.backends.ir.FieldIR`, schedules it once
-    (:func:`~repro.backends.ir.schedule_program`), hands the result to
-    :meth:`compile`, and executes the returned :class:`CompiledPlaneIR`
-    per step.  Only the batch boundary stays explicit: :meth:`pack` /
-    :meth:`unpack` for values, :meth:`broadcast_bits` for per-lane control
-    masks.
-
-    Compiled lowerings are memoized per executor, keyed by the program's
-    fingerprint (``FieldProgram.key``), so repeated ladder calls never
-    re-lower.
+    Packed values are ``(m, lane_words)`` ``uint64`` plane arrays and masks
+    broadcastable ``(lane_words,)`` rows; :meth:`compile` lowers a program
+    to a :class:`CompiledPlaneIR`.  Chunks follow the netlist's lane width.
     """
 
-    def __init__(self, field: "GF2mField", sliced: "BitslicedNetlist") -> None:
-        _require_numpy()
-        self.field = field
-        self.sliced = sliced
-        self.m = sliced.m
-        self._compiled: dict = {}
-        self._live_masks: dict = {}
+    kind = "plane"
+    compiled_type = CompiledPlaneIR
 
-    @property
-    def chunk_size(self) -> int:
-        """Preferred batch lanes per execution (the netlist's chunk size)."""
-        return self.sliced.chunk_size
+    def __init__(self, backend: "BitsliceBackend") -> None:
+        super().__init__(backend, backend.chunk_size)
+        self.sliced = backend.sliced
 
-    # ------------------------------------------------------------- boundary
-    def pack(self, values: Sequence[int]) -> PlaneVector:
-        """Pack validated field elements into a :class:`PlaneVector` (once)."""
-        lanes = len(values)
+    def pack(self, values: Sequence[int]):
+        """Validated field elements → an ``(m, lane_words)`` plane array."""
         mask = (1 << self.m) - 1
         planes = pack_rows([value & mask for value in values], self.m)
-        return PlaneVector(_planes_to_array(planes, lane_words_for(lanes)), lanes)
+        return _planes_to_array(planes, lane_words_for(len(values)))
 
-    def unpack(self, vector: PlaneVector) -> List[int]:
-        """Unpack a :class:`PlaneVector` back into field elements (once)."""
-        return unpack_planes(_array_to_planes(vector.array), self.m, vector.lanes)
-
-    def vector(self, array, lanes: int) -> PlaneVector:
-        """Rewrap a raw ``run_arrays`` output as a batch of ``lanes`` lanes.
-
-        Ladder consumers thread raw arrays through repeated
-        :meth:`CompiledPlaneIR.run_arrays` steps and only rewrap at the
-        end; this hook keeps them executor-agnostic (the native executor
-        provides the same method over its word buffers).
-        """
-        return PlaneVector(array, lanes)
+    def unpack(self, array, lanes: int) -> List[int]:
+        """The first ``lanes`` lanes of a plane array, as field elements."""
+        return unpack_planes(_array_to_planes(array), self.m, lanes)
 
     def broadcast_bits(self, bits: Sequence[int]):
-        """Pack one control bit per lane into a broadcastable lane-word mask.
-
-        Bit ``p`` of the result is ``bits[p] & 1``; dead lanes stay zero.
-        The returned ``(lane_words,)`` array broadcasts over the ``m`` rows
-        of a plane array, driving a whole select pass with one mask.
-        """
-        packed = 0
-        for position, bit in enumerate(bits):
-            if bit & 1:
-                packed |= 1 << position
-        lane_words = lane_words_for(len(bits))
-        return _require_numpy().frombuffer(packed.to_bytes(lane_words * 8, "little"), dtype="<u8")
-
-    def _live_lane_words(self, lane_words: int):
-        """An all-live lane mask of ``lane_words`` words (consts prologue)."""
-        mask = self._live_masks.get(lane_words)
-        if mask is None:
-            full = (1 << (lane_words * 64)) - 1
-            mask = _require_numpy().frombuffer(full.to_bytes(lane_words * 8, "little"), dtype="<u8")
-            self._live_masks[lane_words] = mask
-        return mask
-
-    def run_steps(self, programs: Sequence[FieldProgram], state, fixed, schedule) -> List[List[int]]:
-        """Run a step loop over one chunk: pack once, one fused step per event.
-
-        Same contract as :meth:`NativeIRExecutor.run_steps
-        <repro.backends.native.NativeIRExecutor.run_steps>`; the plane
-        executor builds each step's masks and gathers in Python
-        (:func:`~repro.backends.steps.run_steps_python`).
-        """
-        compiled = [self.compile(program) for program in programs]
-        return run_steps_python(self, compiled, state, fixed, schedule)
-
-    # ------------------------------------------------------------- programs
-    def compile(self, program: FieldProgram) -> CompiledPlaneIR:
-        """The memoized plane lowering of a scheduled ``FieldProgram``."""
-        if program.m != self.m:
-            raise ValueError(
-                f"program is scheduled for m={program.m}, executor is m={self.m}"
-            )
-        key = program.key if program.key is not None else id(program)
-        entry = self._compiled.get(key)
-        if entry is None or entry[0] is not program:
-            with _trace.span(
-                "ir.compile", backend="bitslice", program=program.ir.name
-            ), _metrics.timed("ir.compile.bitslice"):
-                entry = (program, CompiledPlaneIR(self, program))
-            self._compiled[key] = entry
-        return entry[1]
-
-    def describe(self) -> str:
-        """One-line summary used by the CLI and benchmarks."""
-        return f"FieldIR plane executor on {self.sliced.describe()}"
+        """Per-lane control bits → a ``(lane_words,)`` row broadcast over the planes."""
+        return _require_numpy().frombuffer(lane_mask_bytes(bits), dtype="<u8")

@@ -210,11 +210,10 @@ def _assert_ir_parity(field, resolved, a_values, b_values, rng) -> int:
     """Cross-check FieldIR execution on this backend against the reference.
 
     A small mixed formula (mul, chained squarings, xor, select) runs through
-    :func:`repro.backends.ir.execute_program` on every backend, and through
-    the compiled plane path as well when the backend advertises
+    :func:`repro.backends.ir.execute_program` and through the backend's
     :meth:`~repro.backends.base.FieldBackend.ir_executor` — both must match
     the scalar reference byte for byte.  This is the harness arm that keeps
-    the formula compiler honest on every registered substrate.
+    the formula compiler and every executor honest.
     """
     from .ir import IRBuilder, execute_program, schedule_program
 
@@ -239,28 +238,16 @@ def _assert_ir_parity(field, resolved, a_values, b_values, rng) -> int:
         return product ^ field.square(field.square(a))
 
     expected = [reference(a, b, c) for a, b, c in zip(a_values, b_values, bits)]
-    interpreted = execute_program(
-        program, resolved, {"a": a_values, "b": b_values}, {"bit": bits}
-    )["r"]
-    if interpreted != expected:
-        index = next(i for i, (got, want) in enumerate(zip(interpreted, expected)) if got != want)
-        raise AssertionError(
-            f"{resolved.name} backend FieldIR interpreter mismatch on GF(2^{m}) "
-            f"vector {index}: got 0x{interpreted[index]:x}, reference 0x{expected[index]:x}"
-        )
-    checked = len(a_values)
+    inputs, masks = {"a": a_values, "b": b_values}, {"bit": bits}
     executor = resolved.ir_executor()
-    if executor is not None:
-        compiled = executor.compile(program)
-        outputs = compiled.run(
-            {"a": executor.pack(a_values), "b": executor.pack(b_values)}, {"bit": bits}
-        )
-        plane = executor.unpack(outputs["r"])
-        if plane != expected:
-            index = next(i for i, (got, want) in enumerate(zip(plane, expected)) if got != want)
+    for label, got in (
+        ("FieldIR interpreter", execute_program(program, resolved, inputs, masks)["r"]),
+        (f"FieldIR {executor.kind} executor", executor.run(program, inputs, masks)["r"]),
+    ):
+        if got != expected:
+            index = next(i for i, (out, want) in enumerate(zip(got, expected)) if out != want)
             raise AssertionError(
-                f"{resolved.name} backend FieldIR plane mismatch on GF(2^{m}) "
-                f"vector {index}: got 0x{plane[index]:x}, reference 0x{expected[index]:x}"
+                f"{resolved.name} backend {label} mismatch on GF(2^{m}) "
+                f"vector {index}: got 0x{got[index]:x}, reference 0x{expected[index]:x}"
             )
-        checked += len(a_values)
-    return checked
+    return 2 * len(a_values)

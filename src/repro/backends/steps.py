@@ -7,8 +7,8 @@ point each lane gathers.  A schedule describes that data once per chunk,
 in two forms:
 
 * per step, as plain per-lane lists (:meth:`step`) — what
-  :func:`run_steps_python` feeds ``run_arrays`` one step at a time (the
-  bitslice executor, and the native one while a tracer records spans);
+  :func:`run_steps_python` feeds ``run_arrays`` one step at a time (every
+  executor but native, and native too while a tracer records spans);
 * packed once, as the scalars, digit rows and point tables the native step
   loop reads in C (``route`` plus the attributes of each class).
 
@@ -184,14 +184,14 @@ def run_steps_python(executor, programs, state, fixed, schedule) -> List[List[in
     prefix = schedule.span_prefix
     lanes = len(state[0])
     with tracer.span(f"{prefix}.pack", lanes=lanes):
-        arrays = tuple(executor.pack(values).array for values in state)
-        fixed_arrays = tuple(executor.pack(values).array for values in fixed)
+        arrays = tuple(executor.pack(values) for values in state)
+        fixed_arrays = tuple(executor.pack(values) for values in fixed)
     for index, row in schedule.events:
         with tracer.span(f"{prefix}.step"):
             gathered, masks = schedule.step(row)
             arrays = tuple(programs[index].run_arrays(
-                arrays + fixed_arrays + tuple(executor.pack(values).array for values in gathered),
+                arrays + fixed_arrays + tuple(executor.pack(values) for values in gathered),
                 tuple(executor.broadcast_bits(bits) for bits in masks),
             ))
     with tracer.span(f"{prefix}.unpack", lanes=lanes):
-        return [executor.unpack(executor.vector(array, lanes)) for array in arrays]
+        return [executor.unpack(array, lanes) for array in arrays]

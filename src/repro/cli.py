@@ -521,15 +521,13 @@ def _run_bench_backend(args) -> int:
     return 0
 
 
-def _run_bench_describe(args) -> int:
-    """``repro bench --describe``: the formula compiler's pass schedule.
+def _bench_ladder_step(args):
+    """``(field, backend, program, formula)`` of ``bench --describe/--profile``.
 
-    Prints the scheduled López-Dahab ladder-step :class:`FieldProgram` for
-    the bench field — the headline consumer of the formula compiler — and,
-    when the resolved backend advertises a plane IR executor, its compiled
-    plane lowering.  A catalog curve over the bench field supplies the
-    curve constant ``b``; fields without a catalog curve describe the
-    schedule with ``b = 1``, which has the identical pass structure.
+    The scheduled López-Dahab ladder step over the bench field, on the
+    resolved backend.  A catalog curve over the bench field supplies the
+    curve constant ``b``; fields without a catalog curve use ``b = 1``,
+    which has the identical pass structure.
     """
     from .backends.ir import schedule_program
     from .curves.formulas import ladder_step_ir, ladder_step_program
@@ -542,68 +540,47 @@ def _run_bench_describe(args) -> int:
         None,
     )
     if curve is not None:
-        program = ladder_step_program(curve)
-        print(f"formula: López-Dahab ladder step on {curve.name}")
-    else:
-        program = schedule_program(
-            ladder_step_ir(), field.m,
-            {"square": field.square_map, "mul_b": field.constant_multiplier(1)},
-        )
-        print(f"formula: López-Dahab ladder step over GF(2^{args.m}) (no catalog curve; b=1)")
+        return field, backend, ladder_step_program(curve), f"López-Dahab ladder step on {curve.name}"
+    program = schedule_program(
+        ladder_step_ir(), field.m,
+        {"square": field.square_map, "mul_b": field.constant_multiplier(1)},
+    )
+    return field, backend, program, (
+        f"López-Dahab ladder step over GF(2^{args.m}) (no catalog curve; b=1)"
+    )
+
+
+def _run_bench_describe(args) -> int:
+    """``repro bench --describe``: the formula compiler's pass schedule.
+
+    Prints the scheduled ladder step (:func:`_bench_ladder_step`) — the
+    headline consumer of the formula compiler — and its lowering on the
+    resolved backend's executor.
+    """
+    _, backend, program, formula = _bench_ladder_step(args)
+    print(f"formula: {formula}")
     print(backend.describe())
     print(program.describe())
-    executor = backend.ir_executor()
-    if executor is None:
-        print(f"backend {backend.name!r} has no plane IR executor; the program runs interpreted")
-    else:
-        print(f"compiled: {executor.compile(program).describe()}")
+    print(f"compiled: {backend.ir_executor().compile(program).describe()}")
     return 0
 
 
 def _run_bench_profile(args) -> int:
     """``repro bench --profile``: per-fused-pass timings of the ladder step.
 
-    Compiles the López-Dahab ladder-step formula for the bench field on
-    the resolved backend, runs ``m`` steps over a packed random batch
-    under a temporary tracer, and prints where each step's time goes —
-    the per-pass breakdown behind the one ``ladder.step`` number.
+    Compiles the ladder step (:func:`_bench_ladder_step`) on the resolved
+    backend's executor, runs ``m`` steps over a packed random batch under
+    a temporary tracer, and prints where each step's time goes — the
+    per-pass breakdown behind the one ``ladder.step`` number.
     """
-    from .backends.ir import schedule_program
-    from .curves.formulas import ladder_step_ir, ladder_step_program
-
-    modulus = type_ii_pentanomial(args.m, args.n)
-    field = GF2mField(modulus, check_irreducible=False)
-    backend = _resolve_cli_backend(field, args.backend, method=args.method, verify=args.m <= 16)
+    field, backend, program, formula = _bench_ladder_step(args)
     executor = backend.ir_executor()
-    if executor is None:
-        raise SystemExit(
-            f"--profile needs a backend with a FieldIR executor; {backend.name!r} "
-            "has none (use --backend native or bitslice)"
-        )
-    curve = next(
-        (curve_by_name(spec.name) for spec in CURVES if (spec.m, spec.n) == (args.m, args.n)),
-        None,
-    )
-    if curve is not None:
-        program = ladder_step_program(curve)
-        formula = f"López-Dahab ladder step on {curve.name}"
-    else:
-        program = schedule_program(
-            ladder_step_ir(), field.m,
-            {"square": field.square_map, "mul_b": field.constant_multiplier(1)},
-        )
-        formula = f"López-Dahab ladder step over GF(2^{args.m}) (no catalog curve; b=1)"
     compiled = executor.compile(program)
     lanes = min(256, executor.chunk_size, max(1, args.pairs))
     steps = field.m if not args.quick else min(field.m, 24)
     rng = random.Random(2018)
-    base = executor.pack([rng.getrandbits(args.m) or 1 for _ in range(lanes)]).array
-    state = (
-        executor.pack([1] * lanes).array,
-        executor.pack([0] * lanes).array,
-        base.copy(),
-        executor.pack([1] * lanes).array,
-    )
+    base = executor.pack([rng.getrandbits(args.m) or 1 for _ in range(lanes)])
+    state = (executor.pack([1] * lanes), executor.pack([0] * lanes), base, executor.pack([1] * lanes))
     bits = [[rng.getrandbits(1) for _ in range(lanes)] for _ in range(steps)]
     compiled.run_arrays((*state, base), (executor.broadcast_bits(bits[0]),))  # warm
     previous = telemetry_trace.set_tracer(telemetry_trace.Tracer())
@@ -763,14 +740,11 @@ def _run_ecdh(args) -> int:
     keygen_rate = 2 * args.batch / keygen_s if keygen_s > 0 else float("inf")
     agree_rate = ladders / agree_s if agree_s > 0 else float("inf")
     backend_label = args.backend or default_backend_name(curve.field)
-    if resolved.ir_executor() is None:
-        ladder_label = "per-step ladder"
-    else:
-        ladder_label = "plane-resident ladder"
     rep_label = "tau-adic" if resolved_rep == "tau" else "binary"
     print(
-        f"batch {args.batch}, jobs {args.jobs}, backend {backend_label} ({ladder_label}, "
-        f"{rep_label} scalars): all {args.batch} shared secrets agree"
+        f"batch {args.batch}, jobs {args.jobs}, backend {backend_label} "
+        f"({resolved.ir_executor().kind} executor, {rep_label} scalars): "
+        f"all {args.batch} shared secrets agree"
     )
     print(f"  keygen     {2 * args.batch:>6d} ladders in {keygen_s * 1000:>8.1f} ms ({keygen_rate:,.1f} ops/s)")
     print(f"  agreement  {ladders:>6d} ladders in {agree_s * 1000:>8.1f} ms ({agree_rate:,.1f} ops/s)")

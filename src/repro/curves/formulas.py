@@ -9,18 +9,18 @@ module replaces the latter two: the **step**, the **y-recovery** and the
 **curve-equation residual** are traced once as straight-line
 :class:`~repro.backends.ir.FieldIR` and scheduled once per curve through
 the level-scheduling fusion pass (:func:`~repro.backends.ir
-.schedule_program`).  Plane-capable backends compile the scheduled program
-into fused uint64 plane passes
-(:meth:`~repro.backends.base.FieldBackend.ir_executor`); every other
-backend interprets the same program with
-:func:`~repro.backends.ir.execute_program`, which derives the per-step
+.schedule_program`).  Every backend's executor
+(:meth:`~repro.backends.base.FieldBackend.ir_executor`) compiles the
+scheduled program: into fused uint64 plane passes on ``bitslice``, C
+instruction streams on ``native``, and on ``python`` and ``engine`` into
+:func:`~repro.backends.ir.execute_program` runs, which derive the per-step
 ``multiply_batch`` gathers from the schedule instead of hand-written loops.
 The scalar ladder stays as the untouched independent reference the tests
-compare both executions against.
+compare every executor against.
 
 Scheduled programs are memoized process-wide
 (:func:`~repro.backends.ir.cached_program`) keyed by the curve fingerprint
-(modulus plus the participating curve constants), and each plane executor
+(modulus plus the participating curve constants), and each executor
 additionally memoizes its lowering by the same key — so the full chain is
 cached per curve × backend × chunk and repeated ECDH calls never re-trace,
 re-schedule or re-lower.

@@ -145,9 +145,8 @@ def ecdh_batch(
     """Shared points for many independent ``(private, peer)`` pairs.
 
     The batched path routes every ladder step through one execution
-    backend (:mod:`repro.backends`; the compiled engine by default,
-    selectable via ``backend``).  A backend with a compiled executor
-    (``bitslice``, ``native``) keeps all ladder steps in its packed
+    backend (:mod:`repro.backends`; the per-field default, selectable via
+    ``backend``), whose executor keeps all ladder steps in its packed
     representation (see
     :meth:`~repro.curves.point.BinaryCurve.multiply_batch`).
     ``scalar_rep`` picks the scalar recoding: the default ``"auto"``

@@ -63,7 +63,6 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from ..backends.ir import execute_program
 from ..backends.steps import CombSteps, TauSteps
 from ..pipeline.store import ArtifactStore, LRUCache, canonical_fingerprint
 from ..telemetry import metrics as _metrics
@@ -405,32 +404,24 @@ def tau_digits_value(curve: "BinaryCurve", digits: "Sequence[int]") -> "Tuple[in
 
 
 # ----------------------------------------------------------- shared plumbing
-def _run_program_chunked(backend, program, inputs: "Dict[str, List[int]]"):
-    """Run a mask-less FieldProgram on int lists, compiled where possible.
+def _run_step_chunks(backend, count, chunk_for):
+    """Drive a step loop over ``count`` lanes, one ``run_steps`` per executor chunk.
 
-    IR-capable backends get the compiled lowering, chunked at the
-    executor's lane width (pack → run → unpack per chunk); everything
-    else interprets the same program via :func:`execute_program`.
+    ``chunk_for(start, stop)`` returns ``(programs, state, fixed,
+    schedule)`` for the lane slice ``[start, stop)`` (the arguments of
+    :meth:`~repro.backends.ir.IRExecutor.run_steps`); chunks follow the
+    executor's lane width, so register buffers stay bounded for very large
+    batches.  Returns the final state registers as int lists over all
+    lanes.  The binary ladder, the comb and the τ ladder all run through
+    here.
     """
     executor = backend.ir_executor()
-    if executor is None:
-        return execute_program(program, backend, inputs)
-    columns = [inputs[name] for name, _ in program.ir.inputs]
-    out_names = [name for name, _ in program.ir.outputs]
-    count = len(columns[0])
     chunk = executor.chunk_size
-    compiled = executor.compile(program)
-    outputs: "Dict[str, List[int]]" = {name: [] for name in out_names}
-    unpack = executor.unpack
+    state = None
     for start in range(0, count, chunk):
-        stop = min(start + chunk, count)
-        lanes = stop - start
-        arrays = compiled.run_arrays(
-            tuple(executor.pack(column[start:stop]).array for column in columns), ()
-        )
-        for name, array in zip(out_names, arrays):
-            outputs[name] += unpack(executor.vector(array, lanes))
-    return outputs
+        part = executor.run_steps(*chunk_for(start, min(start + chunk, count)))
+        state = part if state is None else [whole + more for whole, more in zip(state, part)]
+    return state
 
 
 def _small_multiples_batch(curve, backend, base_x, base_y, top):
@@ -448,9 +439,8 @@ def _small_multiples_batch(curve, backend, base_x, base_y, top):
     tables: "Dict[int, Tuple[List[int], List[int]]]" = {1: (list(base_x), list(base_y))}
     if top < 2:
         return tables, set()
-    program = small_multiples_program(curve, top)
-    chain = _run_program_chunked(
-        backend, program, {"x2": base_x, "y2": base_y}
+    chain = backend.ir_executor().run(
+        small_multiples_program(curve, top), {"x2": base_x, "y2": base_y}
     )
     degenerate = {
         lane
@@ -474,8 +464,7 @@ def _small_multiples_batch(curve, backend, base_x, base_y, top):
     if slots:
         with _trace.span("scalarmul.table_inverse", count=len(slots)):
             inverses = backend.inverse_batch(flat_z)
-        affine = _run_program_chunked(
-            backend,
+        affine = backend.ir_executor().run(
             projective_to_affine_program(curve),
             {"X": flat_x, "Y": flat_y, "zi": inverses},
         )
@@ -501,8 +490,7 @@ def _finalize_projective(curve, backend, x_acc, y_acc, z_acc):
     if live:
         with _trace.span("scalarmul.inverse_batch", count=len(live)):
             inverses = backend.inverse_batch([z_acc[i] for i in live])
-        affine = _run_program_chunked(
-            backend,
+        affine = backend.ir_executor().run(
             projective_to_affine_program(curve),
             {
                 "X": [x_acc[i] for i in live],
@@ -523,38 +511,15 @@ def _run_masked_steps(backend, count, schedule_for):
     :class:`~repro.backends.steps.CombSteps` /
     :class:`~repro.backends.steps.TauSteps` whose events index them.
     Every lane starts from the not-yet-started LD sentinel ``(1, 1, 0)``.
-    IR-capable backends run each chunk (the executor's lane width) as one
-    :meth:`run_steps` loop; everything else interprets the same programs
-    step by step.  Returns the final accumulator triple as int lists.
+    Returns the final accumulator triple as int lists.
     """
-    executor = backend.ir_executor()
-    if executor is None:
-        programs, schedule = schedule_for(0, count)
-        state = {"X": [1] * count, "Y": [1] * count, "Z": [0] * count}
-        for index, row in schedule.events:
-            gathered, masks = schedule.step(row)
-            out = execute_program(
-                programs[index],
-                backend,
-                {**state, **dict(zip(("x2", "y2"), gathered))},
-                dict(zip(("add", "init"), masks)),
-            )
-            state = {"X": out["Xn"], "Y": out["Yn"], "Z": out["Zn"]}
-        return state["X"], state["Y"], state["Z"]
-    chunk = executor.chunk_size
-    x_out: "List[int]" = []
-    y_out: "List[int]" = []
-    z_out: "List[int]" = []
-    for start in range(0, count, chunk):
-        lanes = min(chunk, count - start)
-        programs, schedule = schedule_for(start, start + lanes)
-        x_part, y_part, z_part = executor.run_steps(
-            programs, ([1] * lanes, [1] * lanes, [0] * lanes), (), schedule
-        )
-        x_out += x_part
-        y_out += y_part
-        z_out += z_part
-    return x_out, y_out, z_out
+
+    def chunk_for(start, stop):
+        lanes = stop - start
+        programs, schedule = schedule_for(start, stop)
+        return programs, ([1] * lanes, [1] * lanes, [0] * lanes), (), schedule
+
+    return _run_step_chunks(backend, count, chunk_for)
 
 
 # ------------------------------------------------------------- τ-adic ladder

@@ -198,17 +198,6 @@ class DynamicBatcher:
 
     # -- lifecycle ----------------------------------------------------
 
-    def flush_now(self) -> None:
-        """Flush every pending group immediately (reason ``deadline``).
-
-        Test/shutdown helper: moves the deadlines into the past and wakes
-        the flusher, so the flush still happens on the flusher thread.
-        """
-        with self._wakeup:
-            for key in self._deadlines:
-                self._deadlines[key] = 0.0
-            self._wakeup.notify()
-
     def close(self) -> None:
         """Flush leftovers (reason ``close``) and stop the flusher thread."""
         with self._wakeup:

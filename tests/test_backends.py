@@ -18,7 +18,6 @@ import pytest
 
 from repro.backends import (
     BACKEND_ENV_VAR,
-    BackendCapabilities,
     BitslicedNetlist,
     FieldBackend,
     assert_backend_parity,
@@ -140,7 +139,6 @@ class TestRegistry:
     def test_custom_backends_can_register(self):
         class NegatingBackend(FieldBackend):
             name = "negating-test"
-            capabilities = BackendCapabilities(False, False, 1)
 
             def multiply(self, a, b):
                 return self.field.multiply(a, b)
@@ -171,7 +169,6 @@ class TestParityNIST:
     def test_parity_harness_catches_mismatches(self):
         class BrokenBackend(FieldBackend):
             name = "broken-test"
-            capabilities = BackendCapabilities(False, False, 1)
 
             def multiply(self, a, b):
                 return self.field.multiply(a, b) ^ 1
@@ -379,11 +376,4 @@ class TestNumpyDegradation:
 class TestCapabilities:
     @pytest.mark.parametrize("name", _backends())
     def test_capabilities_and_describe(self, name):
-        backend = get_backend(name, GF2_16)
-        capabilities = backend.capabilities
-        assert capabilities.min_efficient_batch >= 1
-        assert backend.describe()
-        if name == "python":
-            assert not capabilities.vectorized and not capabilities.compiled
-        else:
-            assert capabilities.vectorized and capabilities.compiled
+        assert get_backend(name, GF2_16).describe()

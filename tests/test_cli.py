@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.backends import native_available
+from repro.backends import get_backend, native_available
 from repro.cli import _parse_fields, build_parser, main
+from repro.curves import curve_by_name
 
 
 class TestParser:
@@ -356,14 +357,14 @@ class TestEcdhCommand:
     @pytest.mark.parametrize(
         "backend, label",
         [
-            ("bitslice", "plane-resident"),
-            ("native", "plane-resident"),
-            ("engine", "per-step"),
-            ("python", "per-step"),
+            ("bitslice", "plane"),
+            ("native", "native"),
+            ("engine", "interpreted"),
+            ("python", "interpreted"),
         ],
     )
     def test_ecdh_ladder_follows_the_backend(self, backend, label, capsys):
-        # Compiled exactly when the backend has an IR executor.
+        # The label names the executor the backend's ladder runs on.
         if backend == "bitslice":
             pytest.importorskip("numpy")
         if backend == "native" and not native_available():
@@ -373,13 +374,15 @@ class TestEcdhCommand:
         ) == 0
         out = capsys.readouterr().out
         # T-13 is Koblitz, so the auto scalar-rep annotates the label
-        # ("(plane-resident ladder, tau-adic scalars)").
-        assert f"({label} ladder" in out and "byte-identical" in out
+        # ("(plane executor, tau-adic scalars)").
+        assert f"({label} executor, tau-adic scalars)" in out and "byte-identical" in out
 
     def test_ecdh_default_ladder_reports_the_path(self, capsys):
-        pytest.importorskip("numpy")
-        assert main(["ecdh", "--curve", "T-13", "--batch", "2", "--backend", "bitslice"]) == 0
-        assert "(plane-resident ladder" in capsys.readouterr().out
+        field = curve_by_name("T-13").field
+        backend = get_backend(None, field)
+        assert main(["ecdh", "--curve", "T-13", "--batch", "2"]) == 0
+        label = f"backend {backend.name} ({backend.ir_executor().kind} executor"
+        assert label in capsys.readouterr().out
 
 
 class TestStatsCommand:
@@ -501,9 +504,12 @@ class TestBenchProfile:
         assert "(outside passes)" in out
         assert "ladder-step-lanes/s" in out
 
-    def test_profile_requires_an_ir_backend(self):
-        with pytest.raises(SystemExit, match="FieldIR executor"):
-            main(["bench", "-m", "8", "-n", "2", "--backend", "python", "--profile"])
+    def test_profile_runs_on_the_interpreting_executor(self, capsys):
+        assert main(["bench", "-m", "8", "-n", "2", "--backend", "python",
+                     "--profile", "--quick"]) == 0
+        out = capsys.readouterr().out
+        assert "python[scalar]" in out and "ir.pass.00.select" in out
+        assert "ladder-step-lanes/s" in out
 
 
 class TestDashboardCommand:

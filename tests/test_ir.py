@@ -154,12 +154,7 @@ class TestExecuteProgramParity:
         b = [rng.getrandbits(163) for _ in range(70)]
         bits = [rng.getrandbits(1) for _ in range(70)]
         interpreted = execute_program(program, backend, {"a": a, "b": b}, {"bit": bits})["r"]
-        executor = backend.ir_executor()
-        compiled = executor.compile(program)
-        outputs = compiled.run(
-            {"a": executor.pack(a), "b": executor.pack(b)}, {"bit": bits}
-        )
-        assert executor.unpack(outputs["r"]) == interpreted
+        assert backend.ir_executor().run(program, {"a": a, "b": b}, {"bit": bits})["r"] == interpreted
 
 
 @requires_numpy

@@ -245,13 +245,10 @@ class TestNativeKernelPaths:
             for name in compiled.input_names
         }
         masks = {name: [rng.getrandbits(1) for _ in range(lanes)] for name in compiled.mask_names}
-        executor = compiled.executor
-        outputs = compiled.run(
-            {name: executor.pack(values) for name, values in inputs.items()}, masks
-        )
+        outputs = compiled.executor.run(program, inputs, masks)
         expected = execute_program(program, get_backend("python", field), inputs, masks)
         for name in compiled.output_names:
-            assert executor.unpack(outputs[name]) == expected[name], name
+            assert outputs[name] == expected[name], name
 
 
 def _mixed_scalars(lanes, seed):

@@ -20,9 +20,13 @@ from hypothesis import strategies as st
 
 from repro.backends import (
     IRBuilder,
+    IRExecutor,
     PlaneProgram,
+    available_backends,
     bitsliced_netlist,
+    execute_program,
     get_backend,
+    native_available,
     numpy_available,
     plane_program,
     schedule_program,
@@ -32,6 +36,13 @@ from repro.galois.field import GF2mField
 from repro.galois.pentanomials import smallest_type_ii_pentanomial
 
 requires_numpy = pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+
+#: Every registered backend this machine can build: bitslice needs numpy,
+#: native a working C toolchain.
+BUILDABLE_BACKENDS = [
+    name for name in available_backends()
+    if (name != "bitslice" or numpy_available()) and (name != "native" or native_available())
+]
 
 GF2_163 = GF2mField(smallest_type_ii_pentanomial(163), check_irreducible=False)
 
@@ -54,8 +65,8 @@ def _mixed_scalars(curve, count, rng):
 def _apply_map(linear_map, values):
     """``linear_map`` over ``values`` through the executor's planes and ``plane_program``."""
     executor = get_backend("bitslice", GF2_163).ir_executor()
-    planes = plane_program(linear_map).apply(executor.pack(values).array)
-    return executor.unpack(executor.vector(planes, len(values)))
+    planes = plane_program(linear_map).apply(executor.pack(values))
+    return executor.unpack(planes, len(values))
 
 
 @requires_numpy
@@ -68,42 +79,57 @@ class TestPlaneCapability:
         assert backend.ir_executor() is executor  # cached per backend instance
 
     @pytest.mark.parametrize("name", ["python", "engine"])
-    def test_other_backends_report_capability_absent(self, name):
-        assert get_backend(name, GF2_163).ir_executor() is None
+    def test_other_backends_interpret_the_same_program(self, name):
+        from repro.curves.formulas import ladder_step_program
+
+        backend = get_backend(name, GF2_163)
+        executor = backend.ir_executor()
+        assert isinstance(executor, IRExecutor) and executor.kind == "interpreted"
+        assert backend.ir_executor() is executor
+        program = ladder_step_program(curve_by_name("B-163"))
+        compiled = executor.compile(program)
+        rng = random.Random(13)
+        inputs = [[rng.getrandbits(163) for _ in range(9)] for _ in compiled.input_names]
+        bits = [rng.getrandbits(1) for _ in range(9)]
+        expected = execute_program(
+            program, backend, dict(zip(compiled.input_names, inputs)), {"bit": bits}
+        )
+        outputs = compiled.run_arrays([executor.pack(values) for values in inputs], [bits])
+        assert [executor.unpack(out, 9) for out in outputs] == [
+            expected[name] for name in compiled.output_names
+        ]
 
     def test_describe_mentions_the_substrate(self):
         executor = get_backend("bitslice", GF2_163).ir_executor()
         assert "plane executor" in executor.describe()
 
 
-@requires_numpy
 class TestPlaneVectorRoundtrip:
-    def test_pack_unpack_is_identity(self):
-        executor = get_backend("bitslice", GF2_163).ir_executor()
-        rng = random.Random(5)
-        values = [0, 1, (1 << 163) - 1] + [rng.getrandbits(163) for _ in range(70)]
-        assert executor.unpack(executor.pack(values)) == values
+    @pytest.mark.parametrize("lanes", [1, 63, 64, 65])
+    @pytest.mark.parametrize("name", BUILDABLE_BACKENDS)
+    def test_pack_unpack_is_identity(self, name, lanes):
+        executor = get_backend(name, GF2_163).ir_executor()
+        rng = random.Random(lanes)
+        values = ([0, 1, (1 << 163) - 1] + [rng.getrandbits(163) for _ in range(lanes)])[:lanes]
+        assert executor.unpack(executor.pack(values), lanes) == values
 
+    @requires_numpy
     def test_xor_and_select(self):
         executor = get_backend("bitslice", GF2_163).ir_executor()
         builder = IRBuilder("probe_xor_select")
         a, b = builder.input("a"), builder.input("b")
         builder.output("sum", builder.xor(a, b))
         builder.output("chosen", builder.select(builder.mask_input("bit"), a, b))
-        compiled = executor.compile(schedule_program(builder.build(), 163, {}))
+        program = schedule_program(builder.build(), 163, {})
         rng = random.Random(6)
         xs = [rng.getrandbits(163) for _ in range(67)]
         ys = [rng.getrandbits(163) for _ in range(67)]
         bits = [rng.getrandbits(1) for _ in range(67)]
-        outputs = compiled.run(
-            {"a": executor.pack(xs), "b": executor.pack(ys)},
-            {"bit": executor.broadcast_bits(bits)},
-        )
-        assert executor.unpack(outputs["sum"]) == [x ^ y for x, y in zip(xs, ys)]
-        assert executor.unpack(outputs["chosen"]) == [
-            x if bit else y for x, y, bit in zip(xs, ys, bits)
-        ]
+        outputs = executor.run(program, {"a": xs, "b": ys}, {"bit": bits})
+        assert outputs["sum"] == [x ^ y for x, y in zip(xs, ys)]
+        assert outputs["chosen"] == [x if bit else y for x, y, bit in zip(xs, ys, bits)]
 
+    @requires_numpy
     def test_multiply_planes_single_and_stacked(self):
         field = GF2_163
         executor = get_backend("bitslice", field).ir_executor()
@@ -117,29 +143,31 @@ class TestPlaneVectorRoundtrip:
         assert stacked_program.mul_pass_widths() == [2]  # one fused pass, two products
         rng = random.Random(7)
         values = {name: [rng.getrandbits(163) for _ in range(33)] for name in "abcd"}
-        packed = {name: executor.pack(lanes) for name, lanes in values.items()}
-        compiled = executor.compile(schedule_program(single.build(), 163, {}))
-        product = executor.unpack(compiled.run({"a": packed["a"], "b": packed["b"]})["ab"])
+        single_program = schedule_program(single.build(), 163, {})
+        product = executor.run(single_program, {"a": values["a"], "b": values["b"]})["ab"]
         assert product == [field.multiply(x, y) for x, y in zip(values["a"], values["b"])]
-        outputs = executor.compile(stacked_program).run(packed)
-        assert executor.unpack(outputs["ab"]) == product
-        assert executor.unpack(outputs["cd"]) == [
-            field.multiply(x, y) for x, y in zip(values["c"], values["d"])
-        ]
+        outputs = executor.run(stacked_program, values)
+        assert outputs["ab"] == product
+        assert outputs["cd"] == [field.multiply(x, y) for x, y in zip(values["c"], values["d"])]
 
+    @requires_numpy
     def test_mismatched_batches_are_rejected(self):
         executor = get_backend("bitslice", GF2_163).ir_executor()
         builder = IRBuilder("probe_select")
         a, b = builder.input("a"), builder.input("b")
         builder.output("y", builder.select(builder.mask_input("bit"), a, builder.xor(a, b)))
-        compiled = executor.compile(schedule_program(builder.build(), 163, {}))
+        program = schedule_program(builder.build(), 163, {})
         rng = random.Random(12)
-        narrow = executor.pack([rng.getrandbits(163) for _ in range(10)])   # 1 lane word
-        wide = executor.pack([rng.getrandbits(163) for _ in range(70)])     # 2 lane words
-        with pytest.raises(ValueError, match="one batch"):
-            compiled.run({"a": narrow, "b": wide}, {"bit": [1] * 10})
-        with pytest.raises(ValueError, match="lane words"):
-            compiled.run({"a": wide, "b": wide}, {"bit": executor.broadcast_bits([1] * 10)})
+        narrow = [rng.getrandbits(163) for _ in range(10)]   # 1 lane word
+        wide = [rng.getrandbits(163) for _ in range(70)]     # 2 lane words
+        with pytest.raises(ValueError, match="input 'b' has 70 lanes, expected 10"):
+            executor.run(program, {"a": narrow, "b": wide}, {"bit": [1] * 10})
+        with pytest.raises(ValueError, match="mask 'bit' has 10 lanes, expected 70"):
+            executor.run(program, {"a": wide, "b": wide}, {"bit": [1] * 10})
+        with pytest.raises(KeyError, match="needs input 'b'"):
+            executor.run(program, {"a": wide}, {"bit": [1] * 70})
+        with pytest.raises(KeyError, match="needs mask 'bit'"):
+            executor.run(program, {"a": wide, "b": wide})
 
 
 @requires_numpy

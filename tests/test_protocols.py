@@ -103,6 +103,31 @@ class TestEcdh:
         right = ecdh_batch(b163, [kp.private for kp in bob], [kp.public for kp in alice])
         assert left == right
 
+    @pytest.mark.parametrize(
+        "name, required",
+        [("B-163", {"ladder.step"}), ("T-13", {"ladder.tau.step", "comb.step"})],
+        ids=["B-163", "T-13"],
+    )
+    def test_traced_engine_run_records_step_and_pass_spans(self, name, required):
+        """The interpreting executor traces like the compiled ones."""
+        from repro.telemetry import trace
+
+        curve = curve_by_name(name)
+        previous = trace.TRACER
+        tracer = trace.enable()
+        try:
+            alice = keygen_batch(curve, 4, seed=7, backend="engine")
+            bob = keygen_batch(curve, 4, seed=8, backend="engine")
+            shared = ecdh_batch(
+                curve, [kp.private for kp in alice], [kp.public for kp in bob], backend="engine"
+            )
+        finally:
+            trace.set_tracer(previous)
+        names = {event["name"] for event in tracer.events()}
+        assert required <= names, sorted(names)
+        assert any(name.startswith("ir.pass.") for name in names), sorted(names)
+        assert shared == [curve.multiply(b.public, a.private) for a, b in zip(alice, bob)]
+
 
 class TestEcdsa:
     def test_sign_verify_roundtrip(self, toy):

@@ -337,11 +337,12 @@ class TestCryptoService:
                     "private": format(privates[index], "x"),
                     "digest": format(digests[index], "x"),
                 }))
-            return await asyncio.gather(
+            responses = await asyncio.gather(
                 *(_post_json(port, path, payload) for path, payload in requests)
             )
+            return responses, (await http_get("127.0.0.1", port, "/stats"))[1]
 
-        responses = _with_service(scenario, max_lanes=64, max_delay_ms=25.0)
+        responses, stats = _with_service(scenario, max_lanes=64, max_delay_ms=25.0)
         assert all(status == 200 for status, _ in responses)
         for index in range(4):
             ecdh_bin, ecdh_tau, keygen, sign = responses[4 * index: 4 * index + 4]
@@ -362,6 +363,8 @@ class TestCryptoService:
         # deadline batch per group.
         assert counters["service.batches"] == 4
         assert counters["service.flush.deadline"] == 4
+        # batch_fill is counted in lanes per flushed batch.
+        assert stats["batch_fill"]["mean"] == stats["batch_fill"]["max"] == 4
 
     def test_mixed_curves_split_into_separate_batches(self, fresh_registry):
         """One service, two warmed curves; responses stay byte-identical."""
