@@ -11,8 +11,8 @@ the CLI — select a substrate by name instead of hard-coding a call path:
   byte for byte.
 * ``engine`` (:class:`EngineBackend`) — the compiled netlist engine of
   :mod:`repro.engine`: one straight-line Python function evaluating the
-  multiplier circuit on big-integer bit planes.  The default for
-  circuit-capable fields.
+  multiplier circuit on big-integer bit planes.  The default only where
+  the ``native`` extension cannot be built (no C toolchain).
 * ``bitslice`` (:class:`BitsliceBackend`) — the same generated circuit
   lowered to numpy ``uint64`` plane arrays with level-segmented
   gather/scatter evaluation (:class:`BitslicedNetlist`): 64+ batch lanes

@@ -32,9 +32,6 @@ class EngineBackend(FieldBackend):
     method:
         Multiplier construction; defaults to the paper's ``thiswork``
         circuit for type II pentanomials and ``schoolbook`` otherwise.
-    mode:
-        Netlist compilation mode (``"exec"`` or ``"arrays"``, see
-        :func:`repro.engine.compiler.compile_netlist`).
     chunk_size:
         Operand pairs per compiled call; ``None`` keeps the engine default.
     verify:
@@ -51,13 +48,11 @@ class EngineBackend(FieldBackend):
         self,
         field: "GF2mField",
         method: Optional[str] = None,
-        mode: str = "exec",
         chunk_size: Optional[int] = None,
         verify: bool = True,
     ) -> None:
         super().__init__(field)
         self.method = method if method is not None else default_method_for(field.modulus)
-        self.mode = mode
         self.chunk_size = chunk_size
         self.verify = verify
         self._engine: Optional["Engine"] = None
@@ -68,9 +63,7 @@ class EngineBackend(FieldBackend):
         if self._engine is None:
             from ..engine.engine import engine_for
 
-            self._engine = engine_for(
-                self.method, self.field.modulus, mode=self.mode, verify=self.verify
-            )
+            self._engine = engine_for(self.method, self.field.modulus, verify=self.verify)
         return self._engine
 
     def multiply(self, a: int, b: int) -> int:

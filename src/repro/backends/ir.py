@@ -85,9 +85,6 @@ K_LINEAR = "linear"
 K_XOR = "xor"
 K_SELECT = "select"
 
-#: Op kinds a LinearPass can absorb (and chain within one pass).
-_LINEAR_KINDS = (K_LINEAR, K_XOR)
-
 
 class Var:
     """An opaque SSA value handle returned by :class:`IRBuilder` ops.

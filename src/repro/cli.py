@@ -4,50 +4,59 @@ Subcommands
 -----------
 ``tables``      print the paper's Tables I-IV for a field
 ``methods``     list the available multiplier constructions
+``fields``      list the paper's field catalog
 ``generate``    generate a multiplier, verify it and print its statistics
 ``implement``   run the full FPGA flow on one multiplier
 ``compare``     regenerate (part of) the paper's Table V
+``sweep``       run a field x method x device x effort grid through the
+                parallel pipeline with the persistent artifact store
 ``emit``        write VHDL/Verilog (and optionally a testbench) to a file
-``fields``      list the paper's field catalog
 ``batch``       multiply operand streams through a batch backend
 ``bench``       measure backend vs scalar-reference throughput (or, without
                 ``--backend``, interpreted vs compiled)
-``sweep``       run a field x method x device x effort grid through the
-                parallel pipeline with the persistent artifact store
 ``curves``      list the elliptic-curve catalog (NIST-degree K/B curves)
 ``ecdh``        run the batched ECDH workload on one curve and report ops/s
+``keygen``      run the batched key-generation workload (comb or ladders)
+``serve``       run the batching crypto service (JSON over HTTP/1.1)
+``loadgen``     drive a running service with concurrent verifying clients
 ``stats``       print the telemetry registry (counters, timing summaries)
                 and every named LRU cache's hit/miss/eviction stats
 ``dashboard``   render the per-PR perf trajectory from the committed
                 ``BENCH_*.json`` files, with advisory regression flags
 
-``batch``, ``bench``, ``ecdh`` and ``sweep`` accept ``--backend``
-(``python`` | ``engine`` | ``bitslice`` | ``native``, see
-:mod:`repro.backends`); the
-``GF2M_REPRO_BACKEND`` environment variable sets the process default.
-The flag is declared once on a shared parent parser (as are ``--method``
-for ``batch``/``bench`` and ``--trace-out`` for every heavy subcommand)
-and resolved at a single site, :func:`_resolve_cli_backend` — subcommands
-cannot drift apart in spelling, defaults or error behavior.
+:func:`build_parser` declares each subcommand once, with its options and
+its handler (``set_defaults(run=...)``); :func:`main` calls
+``args.run(args)``.  An option several subcommands share (``--backend``,
+``--check``, ``--seed``, ...) is declared once (:func:`_option`); a
+subcommand that needs another default sets it with ``set_defaults``.
 
-``--trace-out FILE`` (top level or on batch/bench/ecdh/sweep) records a
-span trace of the run and writes it as Chrome trace-event JSON — open it
-in Perfetto (https://ui.perfetto.dev) to see pack / per-fused-pass /
-unpack / inversion timings nested under each ladder.
+``batch``, ``bench``, ``ecdh``, ``keygen``, ``serve`` and ``sweep`` accept
+``--backend`` (``python`` | ``engine`` | ``bitslice`` | ``native``, see
+:mod:`repro.backends`); the ``GF2M_REPRO_BACKEND`` environment variable
+sets the process default.  Every subcommand resolves it at a single site,
+:func:`_resolve_cli_backend`, so none can drift apart in error behavior.
+
+``--trace-out FILE`` (top level or after any ``--backend`` subcommand)
+records a span trace of the run and writes it as Chrome trace-event JSON —
+open it in Perfetto (https://ui.perfetto.dev) to see pack / per-fused-pass
+/ unpack / inversion timings nested under each ladder.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import random
 import sys
-from typing import List, Optional
+from contextlib import contextmanager
+from typing import Callable, List, Optional
 
 from .analysis.compare import claims_report, comparison_table, compare_to_paper, run_comparison
 from .analysis.tables import render_table1, render_table2, render_table3, render_table4
 from .backends import BACKEND_ENV_VAR, available_backends, default_backend_name, get_backend
-from .curves import CURVES, curve_by_name, ecdh_batch, keygen_batch
+from .backends.steps import LadderSteps
+from .curves import CURVES, curve_by_name, keygen_batch
 from .engine import default_multiplier_cache, engine_for
 from .galois.field import GF2mField
 from .galois.gf2poly import poly_to_string
@@ -69,6 +78,16 @@ from .telemetry.dashboard import DEFAULT_TOLERANCE, render_dashboard
 __all__ = ["main", "build_parser"]
 
 
+def _option(*flags: str, **options) -> Callable[[argparse.ArgumentParser], argparse.Action]:
+    """One declaration of an option several subcommands share.
+
+    :func:`build_parser` adds it to every subcommand that lists it, each
+    with its own action: argparse ``parents`` would share one action, so a
+    subcommand's ``set_defaults`` would change its siblings' default too.
+    """
+    return lambda parser: parser.add_argument(*flags, **options)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -84,89 +103,101 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    # Shared option groups, declared once.  Every backend-aware subcommand
-    # inherits the same --backend flag (and batch/bench the same --method)
-    # from these parents, and all of them resolve through the one
-    # _resolve_cli_backend site below.
-    backend_parent = argparse.ArgumentParser(add_help=False)
-    backend_parent.add_argument(
+    def command(name, run, summary, *shared, **defaults) -> argparse.ArgumentParser:
+        """Declare subcommand ``name``, handled by ``run(args)``, with its ``shared`` options."""
+        subparser = subparsers.add_parser(name, help=summary)
+        for add in shared:
+            add(subparser)
+        subparser.set_defaults(run=run, **defaults)
+        return subparser
+
+    field = (
+        _option("-m", type=int, default=8, help="field degree m (default 8)"),
+        _option("-n", type=int, default=2, help="pentanomial parameter n (default 2)"),
+    )
+    cache = (
+        _option(
+            "--cache-dir",
+            default=None,
+            help="artifact store directory (default ~/.cache/gf2m-repro or $GF2M_REPRO_CACHE_DIR)",
+        ),
+        _option("--no-cache", action="store_true", help="bypass the on-disk artifact store entirely"),
+    )
+    backend = _option(
         "--backend",
         default=None,
         choices=available_backends(),
         help="execution backend (default: $GF2M_REPRO_BACKEND or per-field resolution); "
         "for 'sweep' it is also part of the artifact cache key",
     )
-    method_parent = argparse.ArgumentParser(add_help=False)
-    method_parent.add_argument(
+    # The top-level --trace-out, also accepted after the subcommand.
+    # SUPPRESS keeps a subcommand that was not given the flag from
+    # overwriting the top-level value with its own default.
+    trace = _option(
+        "--trace-out", default=argparse.SUPPRESS, metavar="FILE",
+        help="record a span trace of this run as Chrome trace-event JSON",
+    )
+    circuit = _option(
         "--method",
         default=None,
         help="circuit construction for circuit backends (default thiswork for type II fields)",
     )
-    # The same --trace-out accepted after the subcommand.  SUPPRESS keeps a
-    # subparser that was not given the flag from overwriting the top-level
-    # value with its own default.
-    trace_parent = argparse.ArgumentParser(add_help=False)
-    trace_parent.add_argument(
-        "--trace-out", default=argparse.SUPPRESS, metavar="FILE",
-        help="record a span trace of this run as Chrome trace-event JSON",
-    )
-
-    def add_field_arguments(subparser: argparse.ArgumentParser) -> None:
-        subparser.add_argument("-m", type=int, default=8, help="field degree m (default 8)")
-        subparser.add_argument("-n", type=int, default=2, help="pentanomial parameter n (default 2)")
-
-    tables = subparsers.add_parser("tables", help="print the paper's Tables I-IV for a field")
-    add_field_arguments(tables)
-    tables.add_argument("--which", choices=["1", "2", "3", "4", "all"], default="all")
-
-    subparsers.add_parser("methods", help="list available multiplier constructions")
-    subparsers.add_parser("fields", help="list the paper's field catalog")
-
-    generate = subparsers.add_parser("generate", help="generate and verify one multiplier")
-    add_field_arguments(generate)
-    generate.add_argument("--method", default="thiswork", help="construction name (default thiswork)")
-
-    implement_cmd = subparsers.add_parser("implement", help="run the FPGA flow on one multiplier")
-    add_field_arguments(implement_cmd)
-    implement_cmd.add_argument("--method", default="thiswork")
-    implement_cmd.add_argument("--effort", type=int, default=2, help="mapping effort (default 2)")
-
-    def add_cache_arguments(subparser: argparse.ArgumentParser) -> None:
-        subparser.add_argument(
-            "--cache-dir",
-            default=None,
-            help="artifact store directory (default ~/.cache/gf2m-repro or $GF2M_REPRO_CACHE_DIR)",
-        )
-        subparser.add_argument(
-            "--no-cache", action="store_true", help="bypass the on-disk artifact store entirely"
-        )
-        subparser.add_argument(
-            "--jobs", type=int, default=1, help="worker processes for the sweep scheduler (default 1)"
-        )
-
-    compare = subparsers.add_parser("compare", help="regenerate (part of) the paper's Table V")
-    compare.add_argument(
-        "--fields",
-        default="8:2,64:23",
-        help="comma separated m:n pairs, or 'paper' for all nine paper fields",
-    )
-    compare.add_argument("--methods", default=",".join(TABLE5_METHODS))
-    compare.add_argument("--effort", type=int, default=2)
-    compare.add_argument("--paper", action="store_true", help="show paper values side by side")
-    compare.add_argument("--claims", action="store_true", help="evaluate the paper's qualitative claims")
-    add_cache_arguments(compare)
-
-    sweep = subparsers.add_parser(
-        "sweep",
-        parents=[backend_parent, trace_parent],
-        help="run a field x method x device x effort grid through the parallel pipeline",
-    )
-    sweep.add_argument(
+    method = _option("--method", default="thiswork", help="construction name (default thiswork)")
+    methods = _option("--methods", default=",".join(TABLE5_METHODS), help="comma separated construction names")
+    fields = _option(
         "--fields",
         default="paper",
-        help="comma separated m:n pairs, or 'paper' for all nine paper fields (default)",
+        help="comma separated m:n pairs, or 'paper' for all nine paper fields (default %(default)s)",
     )
-    sweep.add_argument("--methods", default=",".join(TABLE5_METHODS))
+    effort = _option("--effort", type=int, default=2, help="mapping effort (default 2)")
+    jobs = _option("--jobs", type=int, default=1, help="worker processes (default 1)")
+    output = _option("--output", default="-", help="output file (default stdout)")
+    seed = _option("--seed", type=int, default=2018, help="seed for the random draws (default 2018)")
+    curve = _option(
+        "--curve", default="B-163", help="catalog curve name (default %(default)s; see 'repro curves')"
+    )
+    check = _option(
+        "--check", type=int, default=0, metavar="N",
+        help="cross-check the first N results against the scalar-ladder reference path "
+        "(default %(default)s)",
+    )
+    scalar_rep = _option(
+        "--scalar-rep",
+        choices=["auto", "binary", "tau"],
+        default="auto",
+        help="scalar recoding: 'tau' demands the τ-adic Frobenius ladder (Koblitz "
+        "curves only), 'binary' pins the Montgomery ladder, 'auto' (default) picks "
+        "τ exactly when the curve supports it",
+    )
+    start_method = _option(
+        "--start-method", default=None, metavar="METHOD",
+        help="multiprocessing start method of the worker processes (default: fork "
+        "where available, else spawn; results are byte-identical either way)",
+    )
+    host = _option("--host", default="127.0.0.1", help="service address (default 127.0.0.1)")
+    port = _option(
+        "--port", type=int, default=8742, help="service port (default 8742; 'serve --port 0' picks a free port)"
+    )
+
+    tables = command("tables", _run_tables, "print the paper's Tables I-IV for a field", *field)
+    tables.add_argument("--which", choices=["1", "2", "3", "4", "all"], default="all")
+
+    command("methods", _run_methods, "list available multiplier constructions")
+    command("fields", _run_fields, "list the paper's field catalog")
+    command("generate", _run_generate, "generate and verify one multiplier", *field, method)
+    command("implement", _run_implement, "run the FPGA flow on one multiplier", *field, method, effort)
+
+    compare = command(
+        "compare", _run_compare, "regenerate (part of) the paper's Table V",
+        fields, methods, effort, *cache, jobs, fields="8:2,64:23",
+    )
+    compare.add_argument("--paper", action="store_true", help="show paper values side by side")
+    compare.add_argument("--claims", action="store_true", help="evaluate the paper's qualitative claims")
+
+    sweep = command(
+        "sweep", _run_sweep, "run a field x method x device x effort grid through the parallel pipeline",
+        backend, trace, fields, methods, *cache, jobs,
+    )
     sweep.add_argument(
         "--devices",
         default="artix7",
@@ -175,23 +206,16 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--efforts", default="2", help="comma separated mapping efforts (default 2)")
     sweep.add_argument("--format", choices=["table", "json", "csv"], default="table")
     sweep.add_argument("--stats", action="store_true", help="also print per-run scheduler/cache statistics")
-    add_cache_arguments(sweep)
 
-    emit = subparsers.add_parser("emit", help="emit HDL for one multiplier")
-    add_field_arguments(emit)
-    emit.add_argument("--method", default="thiswork")
+    emit = command("emit", _run_emit, "emit HDL for one multiplier", *field, method, output)
     emit.add_argument("--language", choices=["vhdl", "vhdl-behavioral", "verilog"], default="vhdl")
     emit.add_argument("--testbench", action="store_true", help="also emit a VHDL testbench")
-    emit.add_argument("--output", default="-", help="output file (default stdout)")
 
-    batch = subparsers.add_parser(
-        "batch",
-        parents=[backend_parent, method_parent, trace_parent],
-        help="multiply operand streams through a batch backend",
+    batch = command(
+        "batch", _run_batch, "multiply operand streams through a batch backend",
+        backend, circuit, trace, *field, seed, output,
     )
-    add_field_arguments(batch)
     batch.add_argument("--count", type=int, default=1000, help="number of random operand pairs (default 1000)")
-    batch.add_argument("--seed", type=int, default=2018, help="seed for the random operand stream")
     batch.add_argument("--input", help="file with one 'hexA hexB' pair per line instead of random operands")
     batch.add_argument(
         "--chunk-size", type=int, default=None,
@@ -199,14 +223,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument("--check", action="store_true", help="verify every product against the reference field")
     batch.add_argument("--stats", action="store_true", help="print throughput and cache statistics")
-    batch.add_argument("--output", default="-", help="output file for hex products (default stdout)")
 
-    bench = subparsers.add_parser(
-        "bench",
-        parents=[backend_parent, method_parent, trace_parent],
-        help="throughput of one field: backend vs scalar reference (or interpreted vs compiled)",
+    bench = command(
+        "bench", _run_bench,
+        "throughput of one field: backend vs scalar reference (or interpreted vs compiled)",
+        backend, circuit, trace, *field,
     )
-    add_field_arguments(bench)
     bench.add_argument(
         "--check", action="store_true",
         help="with --backend: cross-check every product against the scalar reference",
@@ -224,43 +246,19 @@ def build_parser() -> argparse.ArgumentParser:
         "timing breakdown instead of benchmarking (needs a FieldIR-capable backend)",
     )
 
-    subparsers.add_parser("curves", help="list the elliptic-curve catalog")
+    command("curves", _run_curves, "list the elliptic-curve catalog")
 
-    ecdh = subparsers.add_parser(
-        "ecdh",
-        parents=[backend_parent, trace_parent],
-        help="batched ECDH key agreement workload on one curve",
+    ecdh = command(
+        "ecdh", _run_ecdh, "batched ECDH key agreement workload on one curve",
+        backend, trace, curve, jobs, start_method, seed, check, scalar_rep,
     )
-    ecdh.add_argument("--curve", default="B-163", help="catalog curve name (default B-163; see 'repro curves')")
     ecdh.add_argument("--batch", type=int, default=64, help="independent key agreements per side (default 64)")
-    ecdh.add_argument("--jobs", type=int, default=1, help="worker processes sharding the batch (default 1)")
-    ecdh.add_argument(
-        "--start-method", default=None, metavar="METHOD",
-        help="multiprocessing start method for --jobs (default: fork where "
-        "available, else spawn; shard results are byte-identical either way)",
-    )
-    ecdh.add_argument("--seed", type=int, default=2018, help="seed for the key draws")
-    ecdh.add_argument(
-        "--check", type=int, default=0, metavar="N",
-        help="cross-check the first N results against the scalar-ladder reference path",
-    )
-    ecdh.add_argument(
-        "--scalar-rep",
-        choices=["auto", "binary", "tau"],
-        default="auto",
-        help="scalar recoding: 'tau' demands the τ-adic Frobenius ladder (Koblitz "
-        "curves only), 'binary' pins the Montgomery ladder, 'auto' (default) picks "
-        "τ exactly when the curve supports it",
-    )
 
-    keygen = subparsers.add_parser(
-        "keygen",
-        parents=[backend_parent, trace_parent],
-        help="batched key generation workload on one curve (fixed-base comb by default)",
+    keygen = command(
+        "keygen", _run_keygen, "batched key generation workload on one curve (fixed-base comb by default)",
+        backend, trace, curve, seed, scalar_rep, check, curve="K-163",
     )
-    keygen.add_argument("--curve", default="K-163", help="catalog curve name (default K-163; see 'repro curves')")
     keygen.add_argument("--batch", type=int, default=256, help="key pairs to generate (default 256)")
-    keygen.add_argument("--seed", type=int, default=2018, help="seed for the key draws")
     keygen.add_argument(
         "--path",
         choices=["auto", "comb", "ladder"],
@@ -269,24 +267,11 @@ def build_parser() -> argparse.ArgumentParser:
         "pins the generic ladders, 'auto' (default) uses the comb when the table "
         "covers the draw",
     )
-    keygen.add_argument(
-        "--scalar-rep",
-        choices=["auto", "binary", "tau"],
-        default="auto",
-        help="scalar recoding of the ladder route (see 'repro ecdh --scalar-rep')",
-    )
-    keygen.add_argument(
-        "--check", type=int, default=0, metavar="N",
-        help="cross-check the first N public keys against the scalar-ladder reference path",
-    )
 
-    serve = subparsers.add_parser(
-        "serve",
-        parents=[backend_parent, trace_parent],
-        help="run the batching crypto service (JSON over HTTP/1.1, stdlib asyncio)",
+    serve = command(
+        "serve", _run_serve, "run the batching crypto service (JSON over HTTP/1.1, stdlib asyncio)",
+        backend, trace, host, port, start_method,
     )
-    serve.add_argument("--host", default="127.0.0.1", help="bind address (default 127.0.0.1)")
-    serve.add_argument("--port", type=int, default=8742, help="bind port (default 8742; 0 picks a free port)")
     serve.add_argument(
         "--curves", default="B-163,K-163", metavar="NAMES",
         help="comma-separated catalog curves to warm and serve (default B-163,K-163)",
@@ -305,39 +290,23 @@ def build_parser() -> argparse.ArgumentParser:
         "batches inline on one worker thread — best on single-core machines)",
     )
     serve.add_argument(
-        "--start-method", default=None, metavar="METHOD",
-        help="multiprocessing start method for the worker pool (default: fork "
-        "where available, else spawn)",
-    )
-    serve.add_argument(
         "--seed", type=int, default=None,
         help="seed the server-side keygen scalar draws (reproducible runs)",
     )
 
-    loadgen = subparsers.add_parser(
-        "loadgen",
-        help="drive a running service with many concurrent single-request clients",
+    loadgen = command(
+        "loadgen", _run_loadgen,
+        "drive a running service with many concurrent single-request clients, verifying "
+        "every response against a locally batched expectation",
+        host, port, curve, scalar_rep, check, check=4,
     )
-    loadgen.add_argument("--host", default="127.0.0.1", help="service address (default 127.0.0.1)")
-    loadgen.add_argument("--port", type=int, default=8742, help="service port (default 8742)")
     loadgen.add_argument("--op", choices=["ecdh", "keygen", "sign"], default="ecdh")
-    loadgen.add_argument("--curve", default="B-163", help="catalog curve name (default B-163)")
     loadgen.add_argument("--clients", type=int, default=64, help="concurrent closed-loop clients (default 64)")
     loadgen.add_argument(
         "--requests", type=int, default=4, metavar="N",
         help="requests per client, sent back-to-back on one keep-alive connection (default 4)",
     )
     loadgen.add_argument("--seed", type=int, default=0, help="workload seed (default 0)")
-    loadgen.add_argument(
-        "--scalar-rep", choices=["auto", "binary", "tau"], default="auto",
-        help="scalar recoding requested from the service (see 'repro ecdh --scalar-rep')",
-    )
-    loadgen.add_argument(
-        "--check", type=int, default=4, metavar="N",
-        help="additionally recompute the first N responses on the scalar "
-        "reference path (default 4; every response is always verified "
-        "against the locally batched expectation)",
-    )
     loadgen.add_argument(
         "--connect-timeout", type=float, default=30.0, metavar="S",
         help="keep retrying the initial connections for this long (default 30 s)",
@@ -347,21 +316,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="fetch and print the service's /stats after the run",
     )
 
-    stats = subparsers.add_parser(
-        "stats",
-        help="print the telemetry registry and every named LRU cache's statistics",
+    stats = command(
+        "stats", _run_stats, "print the telemetry registry and every named LRU cache's statistics"
     )
     stats.add_argument("--format", choices=["table", "json"], default="table")
 
-    dashboard = subparsers.add_parser(
-        "dashboard",
-        help="render the per-PR perf trajectory from the committed BENCH_*.json files",
+    dashboard = command(
+        "dashboard", _run_dashboard,
+        "render the per-PR perf trajectory from the committed BENCH_*.json files", output,
     )
     dashboard.add_argument(
         "--dir", default=".", help="directory holding the BENCH_*.json files (default: .)"
     )
     dashboard.add_argument("--format", choices=["markdown", "html"], default="markdown")
-    dashboard.add_argument("--output", default="-", help="output file (default stdout)")
     dashboard.add_argument(
         "--tolerance", type=float, default=DEFAULT_TOLERANCE,
         help="fractional drop vs the best prior PR that raises a regression flag "
@@ -378,6 +345,46 @@ def build_parser() -> argparse.ArgumentParser:
         "the committed-trajectory job; PR runs stay warn-only)",
     )
     return parser
+
+
+# ---------------------------------------------------------------- helpers
+@contextmanager
+def _clean_exit(errors=(KeyError, ValueError)):
+    """Turn ``errors`` raised in the block into an exit with the error's message.
+
+    The message is ``args[0]``: ``str()`` of a ``KeyError`` would quote it.
+    """
+    try:
+        yield
+    except errors as error:
+        raise SystemExit(str(error.args[0]) if error.args else str(error)) from None
+
+
+def _rate(count: int, seconds: float) -> float:
+    """``count`` per second, infinite when the timer read zero."""
+    return count / seconds if seconds > 0 else float("inf")
+
+
+def _names(text: str) -> List[str]:
+    """The non-empty items of a comma separated list argument."""
+    return [name.strip() for name in text.split(",") if name.strip()]
+
+
+def _write_output(path: str, text: str, what: str, file=None) -> None:
+    """Print ``text`` when ``path`` is ``-``, else write the same bytes there and note it on ``file``."""
+    if path == "-":
+        if text:
+            print(text)
+        return
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text + "\n" if text else "")
+    print(f"wrote {what} to {path}", file=file)
+
+
+def _random_pairs(m: int, count: int, seed: int) -> tuple:
+    """``count`` random operand pairs of GF(2^m), as two lists."""
+    rng = random.Random(seed)
+    return [rng.getrandbits(m) for _ in range(count)], [rng.getrandbits(m) for _ in range(count)]
 
 
 def _read_operand_pairs(path: str, m: int) -> tuple:
@@ -424,7 +431,7 @@ def _resolve_cli_backend(field: GF2mField, name, method=None, chunk_size=None, v
     ``repro batch``/``bench``); it does not apply to ``native``, which
     evaluates no generated circuit.
     """
-    try:
+    with _clean_exit((KeyError, ValueError, ImportError)):
         if name is None:
             name = default_backend_name(field)
         options = {}
@@ -436,372 +443,54 @@ def _resolve_cli_backend(field: GF2mField, name, method=None, chunk_size=None, v
             if name != "native" and not verify:
                 options["verify"] = False
         return get_backend(name, field, **options)
-    except (KeyError, ValueError, ImportError) as error:
-        raise SystemExit(str(error.args[0]) if error.args else str(error)) from None
 
 
-def _run_batch(args) -> int:
-    modulus = type_ii_pentanomial(args.m, args.n)
-    if args.input:
-        a_values, b_values = _read_operand_pairs(args.input, args.m)
-    else:
-        rng = random.Random(args.seed)
-        a_values = [rng.getrandbits(args.m) for _ in range(args.count)]
-        b_values = [rng.getrandbits(args.m) for _ in range(args.count)]
-    field = GF2mField(modulus, check_irreducible=False)
+def _field_backend(args, chunk_size=None):
+    """The ``-m``/``-n`` field and its resolved ``--backend``/``--method`` backend."""
+    field = GF2mField(type_ii_pentanomial(args.m, args.n), check_irreducible=False)
     backend = _resolve_cli_backend(
-        field, args.backend, method=args.method, chunk_size=args.chunk_size, verify=args.m <= 16
+        field, args.backend, method=args.method, chunk_size=chunk_size, verify=args.m <= 16
     )
-    backend.multiply_batch(a_values[:1], b_values[:1])  # pay one-time costs up front
-    with telemetry_metrics.timed("cli.batch.multiply") as timer:
+    return field, backend
+
+
+def _multiply_and_check(backend, field, a_values, b_values, prefix: str, checked: int) -> tuple:
+    """``(products, seconds, reference seconds)`` of one timed batch.
+
+    A one-pair call pays one-time costs first; the batch is timed as
+    ``{prefix}.multiply``, and its first ``checked`` products are
+    recomputed with ``field.multiply`` (timed as ``{prefix}.reference``).
+    A mismatch exits instead of reporting anything.
+    """
+    backend.multiply_batch(a_values[:1], b_values[:1])
+    with telemetry_metrics.timed(f"{prefix}.multiply") as timer:
         products = backend.multiply_batch(a_values, b_values)
-    elapsed = timer.seconds
-    if args.check:
-        for a, b, product in zip(a_values, b_values, products):
-            if product != field.multiply(a, b):
-                raise SystemExit(f"MISMATCH: {a:x} * {b:x} -> {product:x} != reference")
-    digits = (args.m + 3) // 4
-    lines = "\n".join(f"{product:0{digits}x}" for product in products)
-    if args.output == "-":
-        if lines:
-            print(lines)
-    else:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(lines + ("\n" if lines else ""))
-        print(f"wrote {len(products)} products to {args.output}")
-    if args.check:
-        print(f"checked {len(products)} products against the reference field: all match")
-    if args.stats:
-        rate = len(products) / elapsed if elapsed > 0 else float("inf")
-        print(backend.describe())
-        print(f"{len(products)} products in {elapsed * 1000:.1f} ms ({rate:,.0f} products/s)")
-        print(f"multiplier cache: {default_multiplier_cache().info()}")
-    return 0
+    with telemetry_metrics.timed(f"{prefix}.reference") as reference_timer:
+        reference = [field.multiply(a, b) for a, b in zip(a_values[:checked], b_values[:checked])]
+    for a, b, product, expected in zip(a_values, b_values, products, reference):
+        if product != expected:
+            raise SystemExit(f"MISMATCH: {backend.name}: {a:x} * {b:x} -> {product:x} != reference")
+    return products, timer.seconds, reference_timer.seconds
 
 
-def _run_bench_backend(args) -> int:
-    """``repro bench --backend X``: backend vs scalar reference throughput.
-
-    Always cross-checks a subset against ``GF2mField.multiply``;
-    ``--check`` extends the cross-check to every product (the CI parity
-    smoke step relies on this).
-    """
-    modulus = type_ii_pentanomial(args.m, args.n)
-    pairs = min(args.pairs, 512) if args.quick else args.pairs
-    rng = random.Random(2018)
-    a_values = [rng.getrandbits(args.m) for _ in range(pairs)]
-    b_values = [rng.getrandbits(args.m) for _ in range(pairs)]
-    field = GF2mField(modulus, check_irreducible=False)
-    backend = _resolve_cli_backend(field, args.backend, method=args.method, verify=args.m <= 16)
-
-    backend.multiply_batch(a_values[:1], b_values[:1])  # pay one-time costs up front
-    with telemetry_metrics.timed("cli.bench.backend") as backend_timer:
-        products = backend.multiply_batch(a_values, b_values)
-    backend_s = backend_timer.seconds
-
-    scalar_pairs = pairs if args.check else min(pairs, 256)
-    with telemetry_metrics.timed("cli.bench.scalar") as scalar_timer:
-        reference = [field.multiply(a, b) for a, b in zip(a_values[:scalar_pairs], b_values[:scalar_pairs])]
-    scalar_s = scalar_timer.seconds
-
-    if products[:scalar_pairs] != reference:
-        raise SystemExit(
-            f"MISMATCH: backend {backend.name!r} disagrees with the scalar reference "
-            "— refusing to report throughput"
-        )
-    backend_rate = pairs / backend_s if backend_s > 0 else float("inf")
-    scalar_rate = scalar_pairs / scalar_s if scalar_s > 0 else float("inf")
-    print(backend.describe())
-    print(f"GF(2^{args.m}) {backend.name}: {pairs} pairs")
-    print(f"  scalar ref   {scalar_rate:>12,.0f} products/s")
-    print(f"  {backend.name:<12s} {backend_rate:>12,.0f} products/s")
-    print(f"  speedup      {backend_rate / scalar_rate:>12.1f}x")
-    if args.check:
-        print(f"checked {pairs} products against the scalar reference: all match")
-    return 0
-
-
-def _bench_ladder_step(args):
-    """``(field, backend, program, formula)`` of ``bench --describe/--profile``.
-
-    The scheduled López-Dahab ladder step over the bench field, on the
-    resolved backend.  A catalog curve over the bench field supplies the
-    curve constant ``b``; fields without a catalog curve use ``b = 1``,
-    which has the identical pass structure.
-    """
-    from .backends.ir import schedule_program
-    from .curves.formulas import ladder_step_ir, ladder_step_program
-
-    modulus = type_ii_pentanomial(args.m, args.n)
-    field = GF2mField(modulus, check_irreducible=False)
-    backend = _resolve_cli_backend(field, args.backend, method=args.method, verify=args.m <= 16)
-    curve = next(
-        (curve_by_name(spec.name) for spec in CURVES if (spec.m, spec.n) == (args.m, args.n)),
-        None,
-    )
-    if curve is not None:
-        return field, backend, ladder_step_program(curve), f"López-Dahab ladder step on {curve.name}"
-    program = schedule_program(
-        ladder_step_ir(), field.m,
-        {"square": field.square_map, "mul_b": field.constant_multiplier(1)},
-    )
-    return field, backend, program, (
-        f"López-Dahab ladder step over GF(2^{args.m}) (no catalog curve; b=1)"
-    )
-
-
-def _run_bench_describe(args) -> int:
-    """``repro bench --describe``: the formula compiler's pass schedule.
-
-    Prints the scheduled ladder step (:func:`_bench_ladder_step`) — the
-    headline consumer of the formula compiler — and its lowering on the
-    resolved backend's executor.
-    """
-    _, backend, program, formula = _bench_ladder_step(args)
-    print(f"formula: {formula}")
-    print(backend.describe())
-    print(program.describe())
-    print(f"compiled: {backend.ir_executor().compile(program).describe()}")
-    return 0
-
-
-def _run_bench_profile(args) -> int:
-    """``repro bench --profile``: per-fused-pass timings of the ladder step.
-
-    Compiles the ladder step (:func:`_bench_ladder_step`) on the resolved
-    backend's executor, runs ``m`` steps over a packed random batch under
-    a temporary tracer, and prints where each step's time goes — the
-    per-pass breakdown behind the one ``ladder.step`` number.
-    """
-    field, backend, program, formula = _bench_ladder_step(args)
-    executor = backend.ir_executor()
-    compiled = executor.compile(program)
-    lanes = min(256, executor.chunk_size, max(1, args.pairs))
-    steps = field.m if not args.quick else min(field.m, 24)
-    rng = random.Random(2018)
-    base = executor.pack([rng.getrandbits(args.m) or 1 for _ in range(lanes)])
-    state = (executor.pack([1] * lanes), executor.pack([0] * lanes), base, executor.pack([1] * lanes))
-    bits = [[rng.getrandbits(1) for _ in range(lanes)] for _ in range(steps)]
-    compiled.run_arrays((*state, base), (executor.broadcast_bits(bits[0]),))  # warm
-    previous = telemetry_trace.set_tracer(telemetry_trace.Tracer())
-    try:
-        with telemetry_metrics.timed("cli.bench.profile") as timer:
-            for step in range(steps):
-                mask = executor.broadcast_bits(bits[step])
-                state = tuple(compiled.run_arrays((*state, base), (mask,)))
-        summary = telemetry_trace.aggregate_spans(
-            telemetry_trace.TRACER.events(), prefix="ir.pass."
-        )
-    finally:
-        telemetry_trace.set_tracer(previous)
-    print(f"formula: {formula}")
-    print(backend.describe())
-    print(f"{steps} fused steps x {lanes} lanes, traced per pass:")
-    total_s = sum(entry["total_s"] for entry in summary.values())
-    header = f"  {'pass':<24s} {'count':>7s} {'total ms':>10s} {'share':>7s} {'per-step µs':>12s}"
-    print(header)
-    print("  " + "-" * (len(header) - 2))
-    for name in sorted(summary):
-        entry = summary[name]
-        share = entry["total_s"] / total_s * 100 if total_s > 0 else 0.0
-        per_step_us = entry["total_s"] / steps * 1e6
-        print(
-            f"  {name:<24s} {entry['count']:>7.0f} {entry['total_s'] * 1000:>10.2f} "
-            f"{share:>6.1f}% {per_step_us:>12.1f}"
-        )
-    overhead_s = timer.seconds - total_s
-    print(
-        f"  {'(outside passes)':<24s} {'':>7s} {overhead_s * 1000:>10.2f} "
-        f"{(overhead_s / timer.seconds * 100 if timer.seconds > 0 else 0.0):>6.1f}%"
-    )
-    print(
-        f"total {timer.seconds * 1000:.2f} ms "
-        f"({steps * lanes / timer.seconds:,.0f} ladder-step-lanes/s)"
-    )
-    return 0
-
-
-def _run_bench(args) -> int:
-    if args.describe:
-        return _run_bench_describe(args)
-    if args.profile:
-        return _run_bench_profile(args)
-    if args.backend or os.environ.get(BACKEND_ENV_VAR):
-        # An explicit flag or the process-wide env default selects the
-        # backend-vs-scalar comparison (a bad env value fails loudly there).
-        return _run_bench_backend(args)
-    modulus = type_ii_pentanomial(args.m, args.n)
-    method = args.method or "thiswork"
-    pairs = min(args.pairs, 256) if args.quick else args.pairs
-    rng = random.Random(2018)
-    a_values = [rng.getrandbits(args.m) for _ in range(pairs)]
-    b_values = [rng.getrandbits(args.m) for _ in range(pairs)]
-    multiplier = generate_multiplier(method, modulus, verify=args.m <= 16)
-
-    with telemetry_metrics.timed("cli.bench.interpreted") as interpreted_timer:
-        interpreted = simulate_words(multiplier.netlist, args.m, a_values, b_values)
-    interpreted_s = interpreted_timer.seconds
-
-    engine = engine_for(method, modulus, verify=False)
-    engine.multiply_batch(a_values[:1], b_values[:1])  # warm the compiled path
-    with telemetry_metrics.timed("cli.bench.compiled") as compiled_timer:
-        compiled = engine.multiply_batch(a_values, b_values)
-    compiled_s = compiled_timer.seconds
-
-    if compiled != interpreted:
-        raise SystemExit("engine and interpreter disagree — refusing to report throughput")
-    print(f"GF(2^{args.m}) {method}: {pairs} pairs")
-    print(f"  interpreted  {pairs / interpreted_s:>12,.0f} products/s")
-    print(f"  compiled     {pairs / compiled_s:>12,.0f} products/s")
-    print(f"  speedup      {interpreted_s / compiled_s:>12.1f}x")
-    return 0
-
-
-def _ecdh_agreements(
-    curve, privates, peers, jobs: int, backend=None, scalar_rep="auto", start_method=None,
-) -> List:
-    """The batch of shared points, optionally sharded over worker processes.
-
-    Delegates to :func:`repro.serve.workers.ecdh_sharded`, the same
-    start-method-agnostic pool code the serving layer uses — under
-    ``fork`` the children inherit the parent's warm caches, under
-    ``spawn`` each shard warms itself, and shard results are
-    byte-identical either way.
-    """
-    from .serve.workers import ecdh_sharded
-
-    return ecdh_sharded(
-        curve, privates, peers, jobs, backend=backend, scalar_rep=scalar_rep,
-        start_method=start_method,
-    )
-
-
-def _run_ecdh(args) -> int:
-    try:
+def _workload_curve(args):
+    """``(curve, backend)`` of ``ecdh``/``keygen``, with ``--batch``/``--check`` validated."""
+    with _clean_exit():
         curve = curve_by_name(args.curve)
-    except KeyError as error:
-        raise SystemExit(str(error.args[0])) from None
     if args.batch < 1:
         raise SystemExit("--batch must be at least 1")
     if args.check < 0:
         raise SystemExit("--check must be non-negative")
     # Resolve eagerly so a bad backend (or missing numpy) fails before work.
-    resolved = _resolve_cli_backend(curve.field, args.backend)
-    try:
-        resolved_rep = curve._resolve_scalar_rep(args.scalar_rep)
-    except ValueError as error:
-        raise SystemExit(str(error)) from None
-    print(curve.describe())
-
-    with telemetry_metrics.timed("cli.ecdh.keygen") as keygen_timer:
-        alice = keygen_batch(
-            curve, args.batch, seed=args.seed, backend=args.backend, scalar_rep=args.scalar_rep,
-        )
-        bob = keygen_batch(
-            curve, args.batch, seed=args.seed + 1, backend=args.backend,
-            scalar_rep=args.scalar_rep,
-        )
-    keygen_s = keygen_timer.seconds
-
-    alice_privates = [pair.private for pair in alice]
-    bob_privates = [pair.private for pair in bob]
-    with telemetry_metrics.timed("cli.ecdh.agreement") as agree_timer:
-        alice_shared = _ecdh_agreements(
-            curve,
-            alice_privates,
-            [pair.public for pair in bob],
-            args.jobs,
-            backend=args.backend,
-            scalar_rep=args.scalar_rep,
-            start_method=args.start_method,
-        )
-        bob_shared = _ecdh_agreements(
-            curve,
-            bob_privates,
-            [pair.public for pair in alice],
-            args.jobs,
-            backend=args.backend,
-            scalar_rep=args.scalar_rep,
-            start_method=args.start_method,
-        )
-    agree_s = agree_timer.seconds
-
-    if alice_shared != bob_shared:
-        raise SystemExit("ECDH FAILURE: the two sides disagree on the shared secret")
-    if args.check:
-        count = min(args.check, args.batch)
-        for index in range(count):
-            reference = curve.multiply(bob[index].public, alice[index].private)
-            if alice_shared[index] != reference:
-                raise SystemExit(f"MISMATCH: batched agreement {index} != scalar-ladder reference")
-        print(f"checked {count} agreements against the scalar-ladder reference: byte-identical")
-
-    ladders = 2 * args.batch  # one per side per agreement
-    keygen_rate = 2 * args.batch / keygen_s if keygen_s > 0 else float("inf")
-    agree_rate = ladders / agree_s if agree_s > 0 else float("inf")
-    backend_label = args.backend or default_backend_name(curve.field)
-    rep_label = "tau-adic" if resolved_rep == "tau" else "binary"
-    print(
-        f"batch {args.batch}, jobs {args.jobs}, backend {backend_label} "
-        f"({resolved.ir_executor().kind} executor, {rep_label} scalars): "
-        f"all {args.batch} shared secrets agree"
-    )
-    print(f"  keygen     {2 * args.batch:>6d} ladders in {keygen_s * 1000:>8.1f} ms ({keygen_rate:,.1f} ops/s)")
-    print(f"  agreement  {ladders:>6d} ladders in {agree_s * 1000:>8.1f} ms ({agree_rate:,.1f} ops/s)")
-    return 0
+    return curve, _resolve_cli_backend(curve.field, args.backend)
 
 
-def _run_keygen(args) -> int:
-    """``repro keygen``: the batched key-generation workload on one curve."""
-    try:
-        curve = curve_by_name(args.curve)
-    except KeyError as error:
-        raise SystemExit(str(error.args[0])) from None
-    if args.batch < 1:
-        raise SystemExit("--batch must be at least 1")
-    if args.check < 0:
-        raise SystemExit("--check must be non-negative")
-    # Resolve eagerly so a bad backend (or missing numpy) fails before work.
-    _resolve_cli_backend(curve.field, args.backend)
-    fixed_base = {"auto": None, "comb": True, "ladder": False}[args.path]
-    print(curve.describe())
-    curve.generator  # derive outside the timed region (shared by all paths)
-    try:
-        with telemetry_metrics.timed("cli.keygen") as timer:
-            pairs = keygen_batch(
-                curve,
-                args.batch,
-                seed=args.seed,
-                backend=args.backend,
-                scalar_rep=args.scalar_rep,
-                fixed_base=fixed_base,
-            )
-    except ValueError as error:
-        raise SystemExit(str(error)) from None
-    seconds = timer.seconds
-    if args.check:
-        count = min(args.check, args.batch)
-        for index in range(count):
-            reference = curve.multiply(curve.generator, pairs[index].private)
-            if pairs[index].public != reference:
-                raise SystemExit(f"MISMATCH: batched keypair {index} != scalar-ladder reference")
-        print(f"checked {count} public keys against the scalar-ladder reference: byte-identical")
-    rate = args.batch / seconds if seconds > 0 else float("inf")
-    backend_label = args.backend or default_backend_name(curve.field)
-    path_label = {"auto": "auto (comb when covered)", "comb": "comb", "ladder": "ladder"}[args.path]
-    print(
-        f"batch {args.batch}, backend {backend_label}, path {path_label}: "
-        f"{args.batch} key pairs in {seconds * 1000:.1f} ms ({rate:,.1f} keys/s)"
-    )
-    registry = telemetry_metrics.REGISTRY
-    if registry.enabled:
-        snapshot = registry.snapshot()
-        counters = snapshot.get("counters", {})
-        hits = counters.get("comb.table.hit", 0)
-        builds = counters.get("comb.table.build", 0)
-        if hits or builds:
-            print(f"  comb table: {builds} build(s), {hits} store hit(s)")
-    return 0
+def _check_against_ladder(curve, noun: str, rows) -> None:
+    """Exit unless every ``(result, base, scalar)`` row matches the scalar ladder."""
+    for index, (result, base, scalar) in enumerate(rows):
+        if result != curve.multiply(base, scalar):
+            raise SystemExit(f"MISMATCH: batched {noun} {index} != scalar-ladder reference")
+    print(f"checked {len(rows)} {noun}s against the scalar-ladder reference: byte-identical")
 
 
 def _parse_fields(text: str) -> List[tuple]:
@@ -813,10 +502,7 @@ def _parse_fields(text: str) -> List[tuple]:
     if text.strip().lower() == "paper":
         return [(spec.m, spec.n) for spec in PAPER_TABLE5_FIELDS]
     fields = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+    for chunk in _names(text):
         m_text, sep, n_text = chunk.partition(":")
         try:
             if not sep:
@@ -840,7 +526,7 @@ def _parse_fields(text: str) -> List[tuple]:
 def _parse_int_list(text: str, what: str) -> List[int]:
     """Parse a comma separated integer list CLI argument."""
     try:
-        values = [int(chunk) for chunk in text.split(",") if chunk.strip()]
+        values = [int(chunk) for chunk in _names(text)]
     except ValueError:
         raise SystemExit(f"invalid {what} list {text!r}: expected comma separated integers") from None
     if not values:
@@ -855,36 +541,384 @@ def _artifact_store(args) -> Optional[ArtifactStore]:
     return ArtifactStore(args.cache_dir) if args.cache_dir else ArtifactStore()
 
 
+# ---------------------------------------------------------------- handlers
+def _run_tables(args) -> int:
+    modulus = type_ii_pentanomial(args.m, args.n)
+    renderers = {"1": render_table1, "2": render_table2, "3": render_table3, "4": render_table4}
+    selected = renderers.values() if args.which == "all" else [renderers[args.which]]
+    for renderer in selected:
+        print(renderer(modulus))
+        print()
+    return 0
+
+
+def _run_methods(args) -> int:
+    for metadata in describe_methods():
+        print(f"{metadata['name']:<15s} {metadata['reference']:<45s} {metadata['description']}")
+    return 0
+
+
+def _run_fields(args) -> int:
+    for spec in PAPER_TABLE5_FIELDS:
+        print(f"({spec.m},{spec.n})  {spec.standard or '-':<6s} {spec.modulus_string()}")
+    return 0
+
+
+def _run_generate(args) -> int:
+    modulus = type_ii_pentanomial(args.m, args.n)
+    multiplier = generate_multiplier(args.method, modulus)
+    print(multiplier.describe())
+    print(f"modulus: {poly_to_string(modulus)}")
+    print("formally verified against the product specification: yes")
+    return 0
+
+
+def _run_implement(args) -> int:
+    modulus = type_ii_pentanomial(args.m, args.n)
+    multiplier = generate_multiplier(args.method, modulus, verify=args.m <= 16)
+    result = implement(multiplier, options=SynthesisOptions(effort=args.effort))
+    for key, value in result.as_dict().items():
+        print(f"{key:20s} {value}")
+    return 0
+
+
+def _run_compare(args) -> int:
+    fields = _parse_fields(args.fields)
+    with _clean_exit():
+        comparisons = run_comparison(
+            fields=fields,
+            methods=_names(args.methods),
+            options=SynthesisOptions(effort=args.effort),
+            jobs=args.jobs,
+            store=_artifact_store(args),
+        )
+    if args.paper:
+        print(compare_to_paper(comparisons))
+    else:
+        print(comparison_table(comparisons, title="Measured comparison (paper Table V layout)"))
+    if args.claims:
+        report = claims_report(comparisons)
+        print()
+        for claim, fields_holding in report.items():
+            print(f"{claim}: {fields_holding}")
+    return 0
+
+
 def _run_sweep(args) -> int:
     fields = _parse_fields(args.fields)
-    methods = [name.strip() for name in args.methods.split(",") if name.strip()]
+    methods = _names(args.methods)
     if not methods:
         raise SystemExit("no methods given: pass comma separated construction names (see 'repro methods')")
-    try:
-        devices = [device_by_name(name) for name in args.devices.split(",") if name.strip()]
-    except KeyError as error:
-        raise SystemExit(str(error.args[0])) from None
+    with _clean_exit():
+        devices = [device_by_name(name) for name in _names(args.devices)]
     if not devices:
         raise SystemExit("no devices given: pass comma separated device names (e.g. 'artix7')")
     efforts = _parse_int_list(args.efforts, "effort")
-    store = _artifact_store(args)
-    try:
+    with _clean_exit():
         result = run_sweep(
             fields=fields,
             methods=methods,
             devices=devices,
             efforts=efforts,
             jobs=args.jobs,
-            store=store,
+            store=_artifact_store(args),
             backend=args.backend,
         )
-    except KeyError as error:
-        raise SystemExit(str(error.args[0])) from None
     print(format_sweep(result, fmt=args.format))
     if args.stats:
         for line in format_outcome_stats(result.outcomes):
             print(line, file=sys.stderr)
     print(f"sweep: {result.summary()}", file=sys.stderr)
+    return 0
+
+
+def _run_emit(args) -> int:
+    modulus = type_ii_pentanomial(args.m, args.n)
+    multiplier = generate_multiplier(args.method, modulus, verify=args.m <= 16)
+    if args.language == "vhdl":
+        text = netlist_to_vhdl(multiplier.netlist)
+    elif args.language == "vhdl-behavioral":
+        text = multiplier_to_behavioral_vhdl(multiplier)
+    else:
+        text = netlist_to_verilog(multiplier.netlist)
+    if args.testbench:
+        text += "\n" + vhdl_testbench(modulus)
+    _write_output(args.output, text, args.language)
+    return 0
+
+
+def _run_batch(args) -> int:
+    if args.input:
+        a_values, b_values = _read_operand_pairs(args.input, args.m)
+    else:
+        a_values, b_values = _random_pairs(args.m, args.count, args.seed)
+    field, backend = _field_backend(args, chunk_size=args.chunk_size)
+    products, elapsed, _ = _multiply_and_check(
+        backend, field, a_values, b_values, "cli.batch", len(a_values) if args.check else 0
+    )
+    digits = (args.m + 3) // 4
+    lines = "\n".join(f"{product:0{digits}x}" for product in products)
+    _write_output(args.output, lines, f"{len(products)} products")
+    if args.check:
+        print(f"checked {len(products)} products against the reference field: all match")
+    if args.stats:
+        print(backend.describe())
+        print(
+            f"{len(products)} products in {elapsed * 1000:.1f} ms "
+            f"({_rate(len(products), elapsed):,.0f} products/s)"
+        )
+        print(f"multiplier cache: {default_multiplier_cache().info()}")
+    return 0
+
+
+def _run_bench(args) -> int:
+    if args.pairs < 1:
+        raise SystemExit("--pairs must be at least 1")
+    if args.describe:
+        return _run_bench_describe(args)
+    if args.profile:
+        return _run_bench_profile(args)
+    if args.backend or os.environ.get(BACKEND_ENV_VAR):
+        # An explicit flag or the process-wide env default selects the
+        # backend-vs-scalar comparison (a bad env value fails loudly there).
+        return _run_bench_backend(args)
+    modulus = type_ii_pentanomial(args.m, args.n)
+    method = args.method or "thiswork"
+    pairs = min(args.pairs, 256) if args.quick else args.pairs
+    a_values, b_values = _random_pairs(args.m, pairs, 2018)
+    multiplier = generate_multiplier(method, modulus, verify=args.m <= 16)
+
+    with telemetry_metrics.timed("cli.bench.interpreted") as interpreted_timer:
+        interpreted = simulate_words(multiplier.netlist, args.m, a_values, b_values)
+    interpreted_s = interpreted_timer.seconds
+
+    engine = engine_for(method, modulus, verify=False)
+    engine.multiply_batch(a_values[:1], b_values[:1])  # warm the compiled path
+    with telemetry_metrics.timed("cli.bench.compiled") as compiled_timer:
+        compiled = engine.multiply_batch(a_values, b_values)
+    compiled_s = compiled_timer.seconds
+
+    if compiled != interpreted:
+        raise SystemExit("engine and interpreter disagree — refusing to report throughput")
+    print(f"GF(2^{args.m}) {method}: {pairs} pairs")
+    print(f"  interpreted  {_rate(pairs, interpreted_s):>12,.0f} products/s")
+    print(f"  compiled     {_rate(pairs, compiled_s):>12,.0f} products/s")
+    print(f"  speedup      {interpreted_s / compiled_s:>12.1f}x")
+    return 0
+
+
+def _run_bench_backend(args) -> int:
+    """``repro bench --backend X``: backend vs scalar reference throughput.
+
+    Always cross-checks a subset against ``GF2mField.multiply``;
+    ``--check`` extends the cross-check to every product (the CI parity
+    smoke step relies on this).
+    """
+    pairs = min(args.pairs, 512) if args.quick else args.pairs
+    a_values, b_values = _random_pairs(args.m, pairs, 2018)
+    field, backend = _field_backend(args)
+    scalar_pairs = pairs if args.check else min(pairs, 256)
+    _, backend_s, scalar_s = _multiply_and_check(
+        backend, field, a_values, b_values, "cli.bench", scalar_pairs
+    )
+    backend_rate = _rate(pairs, backend_s)
+    scalar_rate = _rate(scalar_pairs, scalar_s)
+    print(backend.describe())
+    print(f"GF(2^{args.m}) {backend.name}: {pairs} pairs")
+    print(f"  scalar ref   {scalar_rate:>12,.0f} products/s")
+    print(f"  {backend.name:<12s} {backend_rate:>12,.0f} products/s")
+    print(f"  speedup      {backend_rate / scalar_rate:>12.1f}x")
+    if args.check:
+        print(f"checked {pairs} products against the scalar reference: all match")
+    return 0
+
+
+def _bench_ladder_step(args):
+    """``(field, backend, program)`` of ``bench --describe/--profile``, after naming both.
+
+    The scheduled López-Dahab ladder step over the bench field, on the
+    resolved backend.  A catalog curve over the bench field supplies the
+    curve constant ``b``; fields without a catalog curve use ``b = 1``,
+    which has the identical pass structure.
+    """
+    from .backends.ir import schedule_program
+    from .curves.formulas import ladder_step_ir, ladder_step_program
+
+    field, backend = _field_backend(args)
+    curve = next(
+        (curve_by_name(spec.name) for spec in CURVES if (spec.m, spec.n) == (args.m, args.n)),
+        None,
+    )
+    if curve is not None:
+        program = ladder_step_program(curve)
+        print(f"formula: López-Dahab ladder step on {curve.name}")
+    else:
+        program = schedule_program(
+            ladder_step_ir(), field.m,
+            {"square": field.square_map, "mul_b": field.constant_multiplier(1)},
+        )
+        print(f"formula: López-Dahab ladder step over GF(2^{args.m}) (no catalog curve; b=1)")
+    print(backend.describe())
+    return field, backend, program
+
+
+def _run_bench_describe(args) -> int:
+    """``repro bench --describe``: the formula compiler's pass schedule.
+
+    Prints the scheduled ladder step (:func:`_bench_ladder_step`) — the
+    headline consumer of the formula compiler — and its lowering on the
+    resolved backend's executor.
+    """
+    _, backend, program = _bench_ladder_step(args)
+    print(program.describe())
+    print(f"compiled: {backend.ir_executor().compile(program).describe()}")
+    return 0
+
+
+def _run_bench_profile(args) -> int:
+    """``repro bench --profile``: per-fused-pass timings of the ladder step.
+
+    Runs ``m`` ladder steps (:func:`_bench_ladder_step`) over a random
+    batch through the executor's ``run_steps`` under a temporary tracer,
+    and prints where each step's time goes — the per-pass breakdown behind
+    the one ``ladder.step`` number.
+    """
+    field, backend, program = _bench_ladder_step(args)
+    executor = backend.ir_executor()
+    lanes = min(256, executor.chunk_size, args.pairs)
+    steps = field.m if not args.quick else min(field.m, 24)
+    rng = random.Random(2018)
+    base = [rng.getrandbits(args.m) or 1 for _ in range(lanes)]
+    scalars = [rng.getrandbits(steps) | 1 << (steps - 1) for _ in range(lanes)]
+    state = ([1] * lanes, [0] * lanes, base, [1] * lanes)
+    executor.run_steps([program], state, (base,), LadderSteps([1] * lanes))  # warm
+    previous = telemetry_trace.set_tracer(telemetry_trace.Tracer())
+    try:
+        with telemetry_metrics.timed("cli.bench.profile") as timer:
+            executor.run_steps([program], state, (base,), LadderSteps(scalars))
+        summary = telemetry_trace.aggregate_spans(
+            telemetry_trace.TRACER.events(), prefix="ir.pass."
+        )
+    finally:
+        telemetry_trace.set_tracer(previous)
+    print(f"{steps} fused steps x {lanes} lanes, traced per pass:")
+    total_s = sum(entry["total_s"] for entry in summary.values())
+    header = f"  {'pass':<24s} {'count':>7s} {'total ms':>10s} {'share':>7s} {'per-step µs':>12s}"
+    print(header)
+    print("  " + "-" * (len(header) - 2))
+    for name in sorted(summary):
+        entry = summary[name]
+        share = entry["total_s"] / total_s * 100 if total_s > 0 else 0.0
+        per_step_us = entry["total_s"] / steps * 1e6
+        print(
+            f"  {name:<24s} {entry['count']:>7.0f} {entry['total_s'] * 1000:>10.2f} "
+            f"{share:>6.1f}% {per_step_us:>12.1f}"
+        )
+    overhead_s = timer.seconds - total_s
+    print(
+        f"  {'(outside passes)':<24s} {'':>7s} {overhead_s * 1000:>10.2f} "
+        f"{(overhead_s / timer.seconds * 100 if timer.seconds > 0 else 0.0):>6.1f}%"
+    )
+    print(
+        f"total {timer.seconds * 1000:.2f} ms "
+        f"({_rate(steps * lanes, timer.seconds):,.0f} ladder-step-lanes/s)"
+    )
+    return 0
+
+
+def _run_curves(args) -> int:
+    print(f"{'name':<7s} {'field':<10s} {'a':>1s} {'order':<12s} {'standard':<12s} note")
+    for spec in CURVES:
+        order = f"{spec.order.bit_length()}-bit n" if spec.order else "unknown"
+        print(
+            f"{spec.name:<7s} ({spec.m},{spec.n:<3d})  {spec.a:>1d} {order:<12s} "
+            f"{spec.standard or '-':<12s} {spec.note}"
+        )
+    return 0
+
+
+def _run_ecdh(args) -> int:
+    """``repro ecdh``: both sides' keygen, then the agreements, optionally sharded."""
+    from .serve.workers import ecdh_sharded
+
+    curve, resolved = _workload_curve(args)
+    with _clean_exit():
+        resolved_rep = curve._resolve_scalar_rep(args.scalar_rep)
+    print(curve.describe())
+
+    with telemetry_metrics.timed("cli.ecdh.keygen") as keygen_timer:
+        alice, bob = (
+            keygen_batch(
+                curve, args.batch, seed=args.seed + side, backend=args.backend, scalar_rep=args.scalar_rep,
+            )
+            for side in (0, 1)
+        )
+    with telemetry_metrics.timed("cli.ecdh.agreement") as agree_timer:
+        alice_shared, bob_shared = (
+            ecdh_sharded(
+                curve,
+                [pair.private for pair in mine],
+                [pair.public for pair in theirs],
+                args.jobs,
+                backend=args.backend,
+                scalar_rep=args.scalar_rep,
+                start_method=args.start_method,
+            )
+            for mine, theirs in ((alice, bob), (bob, alice))
+        )
+
+    if alice_shared != bob_shared:
+        raise SystemExit("ECDH FAILURE: the two sides disagree on the shared secret")
+    if args.check:
+        _check_against_ladder(curve, "agreement", [
+            (shared, theirs.public, mine.private)
+            for shared, mine, theirs in zip(alice_shared[:args.check], alice, bob)
+        ])
+
+    ladders = 2 * args.batch  # one per side per agreement
+    rep_label = "tau-adic" if resolved_rep == "tau" else "binary"
+    print(
+        f"batch {args.batch}, jobs {args.jobs}, backend {resolved.name} "
+        f"({resolved.ir_executor().kind} executor, {rep_label} scalars): "
+        f"all {args.batch} shared secrets agree"
+    )
+    for label, seconds in (("keygen", keygen_timer.seconds), ("agreement", agree_timer.seconds)):
+        print(
+            f"  {label:<10s} {ladders:>6d} ladders in {seconds * 1000:>8.1f} ms "
+            f"({_rate(ladders, seconds):,.1f} ops/s)"
+        )
+    return 0
+
+
+def _run_keygen(args) -> int:
+    """``repro keygen``: the batched key-generation workload on one curve."""
+    curve, resolved = _workload_curve(args)
+    fixed_base = {"auto": None, "comb": True, "ladder": False}[args.path]
+    print(curve.describe())
+    generator = curve.generator  # derive outside the timed region (shared by all paths)
+    with _clean_exit(), telemetry_metrics.timed("cli.keygen") as timer:
+        pairs = keygen_batch(
+            curve,
+            args.batch,
+            seed=args.seed,
+            backend=args.backend,
+            scalar_rep=args.scalar_rep,
+            fixed_base=fixed_base,
+        )
+    if args.check:
+        _check_against_ladder(
+            curve, "public key", [(pair.public, generator, pair.private) for pair in pairs[:args.check]]
+        )
+    path_label = {"auto": "auto (comb when covered)", "comb": "comb", "ladder": "ladder"}[args.path]
+    print(
+        f"batch {args.batch}, backend {resolved.name}, path {path_label}: "
+        f"{args.batch} key pairs in {timer.seconds * 1000:.1f} ms "
+        f"({_rate(args.batch, timer.seconds):,.1f} keys/s)"
+    )
+    counters = telemetry_metrics.REGISTRY.snapshot()["counters"]
+    hits, builds = counters.get("comb.table.hit", 0), counters.get("comb.table.build", 0)
+    if hits or builds:
+        print(f"  comb table: {builds} build(s), {hits} store hit(s)")
     return 0
 
 
@@ -894,10 +928,10 @@ def _run_serve(args) -> int:
 
     from .serve import CryptoService
 
-    curves = tuple(name.strip() for name in args.curves.split(",") if name.strip())
+    curves = tuple(_names(args.curves))
     if not curves:
         raise SystemExit("--curves must name at least one catalog curve")
-    try:
+    with _clean_exit():
         service = CryptoService(
             backend=args.backend,
             curves=curves,
@@ -907,8 +941,6 @@ def _run_serve(args) -> int:
             start_method=args.start_method,
             seed=args.seed,
         )
-    except (KeyError, ValueError) as error:
-        raise SystemExit(str(error.args[0] if error.args else error)) from None
     print(service.pool.describe(), file=sys.stderr)
 
     def announce(port: int) -> None:
@@ -928,22 +960,20 @@ def _run_serve(args) -> int:
 def _run_loadgen(args) -> int:
     """``repro loadgen``: fire many small clients at a running service."""
     import asyncio
-    import json as json_module
 
     from .serve.loadgen import generate_load, http_get
 
     if args.clients < 1 or args.requests < 1:
         raise SystemExit("--clients and --requests must be at least 1")
     try:
-        result = generate_load(
-            args.host, args.port,
-            op=args.op, curve=args.curve,
-            clients=args.clients, requests_per_client=args.requests,
-            seed=args.seed, scalar_rep=args.scalar_rep,
-            spot_checks=args.check, connect_timeout_s=args.connect_timeout,
-        )
-    except (KeyError, ValueError) as error:
-        raise SystemExit(str(error.args[0] if error.args else error)) from None
+        with _clean_exit():
+            result = generate_load(
+                args.host, args.port,
+                op=args.op, curve=args.curve,
+                clients=args.clients, requests_per_client=args.requests,
+                seed=args.seed, scalar_rep=args.scalar_rep,
+                spot_checks=args.check, connect_timeout_s=args.connect_timeout,
+            )
     except OSError as error:
         raise SystemExit(
             f"cannot reach the service at {args.host}:{args.port}: {error}"
@@ -969,7 +999,7 @@ def _run_loadgen(args) -> int:
         print(f"  ... and {len(result.errors) - 10} more errors", file=sys.stderr)
     if args.stats:
         status, payload = asyncio.run(http_get(args.host, args.port, "/stats"))
-        print(json_module.dumps(payload, indent=2))
+        print(json.dumps(payload, indent=2))
     return 1 if result.errors or result.completed != result.total else 0
 
 
@@ -977,8 +1007,6 @@ def _run_stats(args) -> int:
     """``repro stats``: the registry plus every named cache, table or JSON."""
     snapshot = snapshot_all()
     if args.format == "json":
-        import json
-
         print(json.dumps(snapshot, indent=1, sort_keys=True))
         return 0
     counters = snapshot["metrics"]["counters"]
@@ -1021,173 +1049,38 @@ def _run_dashboard(args) -> int:
         )
     except ValueError as error:
         raise SystemExit(f"dashboard: {error}") from None
-    if args.check:
-        if regressions:
-            mode = "strict" if args.strict else "warn-only"
-            flag = "FAIL" if args.strict else "WARN"
-            print(
-                f"dashboard: {len(regressions)} regression flag(s) beyond "
-                f"{args.tolerance * 100:.0f}% tolerance ({mode}):",
-                file=sys.stderr,
-            )
-            for regression in regressions:
-                print(f"  {flag} {regression.describe()}", file=sys.stderr)
-            return 1 if args.strict else 0
-        print("dashboard: no regressions flagged", file=sys.stderr)
-        return 0
-    if args.output == "-":
-        print(document)
-    else:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(document + "\n")
-        print(f"wrote {args.format} dashboard to {args.output}", file=sys.stderr)
+    if not args.check:
+        _write_output(args.output, document, f"{args.format} dashboard", file=sys.stderr)
+    strict = args.check and args.strict
     if regressions:
         print(
             f"dashboard: {len(regressions)} regression flag(s) beyond "
-            f"{args.tolerance * 100:.0f}% tolerance (warn-only)",
+            f"{args.tolerance * 100:.0f}% tolerance ({'strict' if strict else 'warn-only'})",
             file=sys.stderr,
         )
-    return 0
+        if args.check:
+            for regression in regressions:
+                print(f"  {'FAIL' if strict else 'WARN'} {regression.describe()}", file=sys.stderr)
+    elif args.check:
+        print("dashboard: no regressions flagged", file=sys.stderr)
+    return 1 if strict and regressions else 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    trace_out = getattr(args, "trace_out", None)
-    if not trace_out:
-        return _dispatch(parser, args)
+    args = build_parser().parse_args(argv)
+    if not args.trace_out:
+        return args.run(args)
     # --trace-out: collect spans for the whole command, write the Chrome
     # trace-event file even when the command exits early, then restore the
     # no-op tracer (main() may be called repeatedly in one process).
     telemetry_trace.enable()
     try:
-        return _dispatch(parser, args)
+        return args.run(args)
     finally:
-        count = telemetry_trace.write_chrome_trace(trace_out)
-        print(f"wrote {count} trace events to {trace_out}", file=sys.stderr)
+        count = telemetry_trace.write_chrome_trace(args.trace_out)
+        print(f"wrote {count} trace events to {args.trace_out}", file=sys.stderr)
         telemetry_trace.disable()
-
-
-def _dispatch(parser: argparse.ArgumentParser, args) -> int:
-    """Route parsed arguments to their subcommand implementation."""
-    if args.command == "methods":
-        for metadata in describe_methods():
-            print(f"{metadata['name']:<15s} {metadata['reference']:<45s} {metadata['description']}")
-        return 0
-
-    if args.command == "fields":
-        for spec in PAPER_TABLE5_FIELDS:
-            print(f"({spec.m},{spec.n})  {spec.standard or '-':<6s} {spec.modulus_string()}")
-        return 0
-
-    if args.command == "curves":
-        print(f"{'name':<7s} {'field':<10s} {'a':>1s} {'order':<12s} {'standard':<12s} note")
-        for spec in CURVES:
-            order = f"{spec.order.bit_length()}-bit n" if spec.order else "unknown"
-            print(
-                f"{spec.name:<7s} ({spec.m},{spec.n:<3d})  {spec.a:>1d} {order:<12s} "
-                f"{spec.standard or '-':<12s} {spec.note}"
-            )
-        return 0
-
-    if args.command == "ecdh":
-        return _run_ecdh(args)
-
-    if args.command == "keygen":
-        return _run_keygen(args)
-
-    if args.command == "serve":
-        return _run_serve(args)
-
-    if args.command == "loadgen":
-        return _run_loadgen(args)
-
-    if args.command == "stats":
-        return _run_stats(args)
-
-    if args.command == "dashboard":
-        return _run_dashboard(args)
-
-    if args.command == "tables":
-        modulus = type_ii_pentanomial(args.m, args.n)
-        renderers = {"1": render_table1, "2": render_table2, "3": render_table3, "4": render_table4}
-        selected = renderers.values() if args.which == "all" else [renderers[args.which]]
-        for renderer in selected:
-            print(renderer(modulus))
-            print()
-        return 0
-
-    if args.command == "generate":
-        modulus = type_ii_pentanomial(args.m, args.n)
-        multiplier = generate_multiplier(args.method, modulus)
-        print(multiplier.describe())
-        print(f"modulus: {poly_to_string(modulus)}")
-        print("formally verified against the product specification: yes")
-        return 0
-
-    if args.command == "implement":
-        modulus = type_ii_pentanomial(args.m, args.n)
-        multiplier = generate_multiplier(args.method, modulus, verify=args.m <= 16)
-        result = implement(multiplier, options=SynthesisOptions(effort=args.effort))
-        for key, value in result.as_dict().items():
-            print(f"{key:20s} {value}")
-        return 0
-
-    if args.command == "sweep":
-        return _run_sweep(args)
-
-    if args.command == "compare":
-        fields = _parse_fields(args.fields)
-        methods = [name.strip() for name in args.methods.split(",") if name.strip()]
-        try:
-            comparisons = run_comparison(
-                fields=fields,
-                methods=methods,
-                options=SynthesisOptions(effort=args.effort),
-                jobs=args.jobs,
-                store=_artifact_store(args),
-            )
-        except KeyError as error:
-            raise SystemExit(str(error.args[0])) from None
-        if args.paper:
-            print(compare_to_paper(comparisons))
-        else:
-            print(comparison_table(comparisons, title="Measured comparison (paper Table V layout)"))
-        if args.claims:
-            report = claims_report(comparisons)
-            print()
-            for claim, fields_holding in report.items():
-                print(f"{claim}: {fields_holding}")
-        return 0
-
-    if args.command == "batch":
-        return _run_batch(args)
-
-    if args.command == "bench":
-        return _run_bench(args)
-
-    if args.command == "emit":
-        modulus = type_ii_pentanomial(args.m, args.n)
-        multiplier = generate_multiplier(args.method, modulus, verify=args.m <= 16)
-        if args.language == "vhdl":
-            text = netlist_to_vhdl(multiplier.netlist)
-        elif args.language == "vhdl-behavioral":
-            text = multiplier_to_behavioral_vhdl(multiplier)
-        else:
-            text = netlist_to_verilog(multiplier.netlist)
-        if args.testbench:
-            text += "\n" + vhdl_testbench(modulus)
-        if args.output == "-":
-            print(text)
-        else:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(text)
-            print(f"wrote {args.output}")
-        return 0
-
-    parser.error(f"unknown command {args.command!r}")  # pragma: no cover
-    return 2  # pragma: no cover
 
 
 if __name__ == "__main__":  # pragma: no cover

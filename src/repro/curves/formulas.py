@@ -53,10 +53,6 @@ __all__ = [
     "frobenius_program",
     "frobenius_add_ir",
     "frobenius_add_program",
-    "ld_double_ir",
-    "ld_double_program",
-    "mixed_add_ir",
-    "mixed_add_program",
     "small_multiples_ir",
     "small_multiples_program",
     "double_add_ir",
@@ -306,67 +302,6 @@ def frobenius_add_program(curve: "BinaryCurve", squarings: int = 1) -> FieldProg
         key,
         lambda: schedule_program(
             frobenius_add_ir(squarings),
-            field.m,
-            {"square": field.square_map, "mul_a": field.constant_multiplier(curve.a)},
-            key=key,
-        ),
-    )
-
-
-def ld_double_ir() -> FieldIR:
-    """Plain LD projective doubling ``2·(X:Y:Z)`` (HMV Alg. 3.25)."""
-    builder = IRBuilder("ld_double")
-    x_p, y_p, z_p = (builder.input(name) for name in ("X", "Y", "Z"))
-    doubled = _ld_double(builder, x_p, y_p, z_p)
-    for name, var in zip(("Xn", "Yn", "Zn"), doubled):
-        builder.output(name, var)
-    return builder.build()
-
-
-def ld_double_program(curve: "BinaryCurve") -> FieldProgram:
-    """The scheduled projective doubling (memoized per modulus, a and b)."""
-    field = curve.field
-    key = ("ld-double", field.modulus, curve.a, curve.b)
-    return cached_program(
-        key,
-        lambda: schedule_program(
-            ld_double_ir(),
-            field.m,
-            {
-                "square": field.square_map,
-                "mul_a": field.constant_multiplier(curve.a),
-                "mul_b": curve._mul_b,
-            },
-            key=key,
-        ),
-    )
-
-
-def mixed_add_ir() -> FieldIR:
-    """Plain LD mixed addition ``(X:Y:Z) + (x2, y2)`` — no masks.
-
-    The batched evaluators' small-multiple tables are built with this:
-    the running multiple stays projective through the whole add chain and
-    every entry is normalized by one shared batch inversion at the end.
-    Degenerate adds yield the sticky ``Z = 0`` flag as usual.
-    """
-    builder = IRBuilder("ld_mixed_add")
-    x_p, y_p, z_p = (builder.input(name) for name in ("X", "Y", "Z"))
-    x2, y2 = builder.input("x2"), builder.input("y2")
-    added = _ld_mixed_add(builder, x_p, y_p, z_p, x2, y2)
-    for name, var in zip(("Xn", "Yn", "Zn"), added):
-        builder.output(name, var)
-    return builder.build()
-
-
-def mixed_add_program(curve: "BinaryCurve") -> FieldProgram:
-    """The scheduled plain mixed add (memoized per modulus and a)."""
-    field = curve.field
-    key = ("ld-mixed-add", field.modulus, curve.a)
-    return cached_program(
-        key,
-        lambda: schedule_program(
-            mixed_add_ir(),
             field.m,
             {"square": field.square_map, "mul_a": field.constant_multiplier(curve.a)},
             key=key,

@@ -5,10 +5,10 @@ The batched entry points (:func:`keygen_batch`, :func:`ecdh_batch`) are the
 subsystem's reason to exist from the ROADMAP's point of view: a batch of
 ``N`` key agreements performs ``~6 N`` independent field multiplications
 per ladder step, and :meth:`repro.curves.point.BinaryCurve.multiply_batch`
-gathers all of them into compiled-engine calls
-(:meth:`~repro.galois.field.GF2mField.multiply_batch`).  The batched
-results are byte-identical to the scalar reference path — asserted in the
-tests.
+runs all of them as one compiled ladder-step program per step on the
+resolved backend's executor (:meth:`~repro.backends.base.FieldBackend
+.ir_executor`).  The batched results are byte-identical to the scalar
+reference path — asserted in the tests.
 
 ECDSA here is "ECDSA-style": the digest is taken as an integer reduced
 modulo ``n`` and the default nonce is derived deterministically from the

@@ -284,10 +284,11 @@ class GF2mField:
 
         Heavy traffic should not pay the per-call reduce of :meth:`multiply`:
         the whole batch is delegated to an execution backend
-        (:mod:`repro.backends`) — by default the compiled circuit engine,
-        which bit-packs the streams and evaluates a generated multiplier
-        netlist on all pairs at once; the numpy ``bitslice`` backend
-        evaluates the same netlist over ``uint64`` plane arrays instead.
+        (:mod:`repro.backends`) — by default the ``native`` C word-level
+        kernel (the compiled circuit ``engine`` where no C toolchain
+        exists), which multiplies all pairs in one call; the circuit
+        backends instead bit-pack the streams and evaluate a generated
+        multiplier netlist on all pairs at once.
 
         ``backend`` names the substrate (or passes an instance); ``method``
         selects the circuit construction of circuit-backed backends (by

@@ -220,7 +220,6 @@ def verify_by_simulation(
     trials: int = 256,
     seed: int = 2018,
     exhaustive_limit: int = 8,
-    use_engine: bool = True,
     backend: Optional[str] = None,
 ) -> bool:
     """Check the netlist against reference field arithmetic by simulation.
@@ -232,11 +231,10 @@ def verify_by_simulation(
     ``backend`` selects the simulation substrate (``"engine"``,
     ``"bitslice"``, ``"native"`` or ``"python"``), so parity with the
     reference scalar arithmetic is asserted uniformly for every execution
-    backend on the very same vectors.  Without it, the legacy behaviour applies: the
-    compiled engine when ``use_engine`` is true (falling back to the
-    interpreter for netlists outside the multiplier I/O convention), the
-    interpreted :func:`~repro.netlist.simulate.simulate_words` path
-    otherwise — e.g. when the engine itself is the code under test.
+    backend on the very same vectors.  Without it, the compiled engine
+    simulates, falling back to the interpreted
+    :func:`~repro.netlist.simulate.simulate_words` path for netlists
+    outside the multiplier I/O convention.
     """
     m = degree(modulus)
     reference = GF2mField(modulus, check_irreducible=False)
@@ -256,15 +254,13 @@ def verify_by_simulation(
             b_values.append(rng.getrandbits(m))
     if backend is not None:
         multiply_batch = _netlist_evaluator(netlist, modulus, backend, len(a_values))
-    elif use_engine:
+    else:
         try:
             multiply_batch = _netlist_evaluator(netlist, modulus, "engine", len(a_values))
         except ValueError:
             # Netlists outside the multiplier I/O convention (odd input names,
             # missing outputs) still verify through the tolerant interpreter.
             multiply_batch = _netlist_evaluator(netlist, modulus, "python", len(a_values))
-    else:
-        multiply_batch = _netlist_evaluator(netlist, modulus, "python", len(a_values))
     batch = 4096
     for start in range(0, len(a_values), batch):
         a_chunk = a_values[start:start + batch]

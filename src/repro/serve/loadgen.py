@@ -217,19 +217,6 @@ class LoadResult:
             for q in (0.5, 0.95, 0.99)
         }
 
-    def to_dict(self) -> "Dict[str, Any]":
-        out = {
-            "op": self.op, "curve": self.curve,
-            "clients": self.clients, "requests_per_client": self.requests_per_client,
-            "completed": self.completed, "verified": self.verified,
-            "spot_checked": self.spot_checked,
-            "elapsed_s": self.elapsed_s, "requests_per_s": self.throughput,
-            "errors": len(self.errors),
-        }
-        for name, value in self.latency_quantiles().items():
-            out[f"latency_{name}_s"] = value
-        return out
-
 
 async def run_load(
     host: str,

@@ -2,11 +2,136 @@
 
 from __future__ import annotations
 
+import argparse
+
 import pytest
 
 from repro.backends import get_backend, native_available
 from repro.cli import _parse_fields, build_parser, main
 from repro.curves import curve_by_name
+
+BACKENDS = ("python", "engine", "bitslice", "native")
+SCALAR_REPS = ("auto", "binary", "tau")
+TABLE5 = "paar,rashidi,reyhani_hasan,imana2012,imana2016,thiswork"
+FIELD = {"m": (("-m",), 8, None), "n": (("-n",), 2, None)}
+CACHE = {
+    "cache_dir": (("--cache-dir",), None, None),
+    "no_cache": (("--no-cache",), False, None),
+    "jobs": (("--jobs",), 1, None),
+}
+BACKEND = {"backend": (("--backend",), None, BACKENDS)}
+TRACE = {"trace_out": (("--trace-out",), argparse.SUPPRESS, None)}
+
+#: Every subcommand's options as ``{dest: (option strings, default, choices)}``.
+SURFACE = {
+    "tables": {**FIELD, "which": (("--which",), "all", ("1", "2", "3", "4", "all"))},
+    "methods": {},
+    "fields": {},
+    "generate": {**FIELD, "method": (("--method",), "thiswork", None)},
+    "implement": {
+        **FIELD,
+        "method": (("--method",), "thiswork", None),
+        "effort": (("--effort",), 2, None),
+    },
+    "compare": {
+        "fields": (("--fields",), "8:2,64:23", None),
+        "methods": (("--methods",), TABLE5, None),
+        "effort": (("--effort",), 2, None),
+        "paper": (("--paper",), False, None),
+        "claims": (("--claims",), False, None),
+        **CACHE,
+    },
+    "sweep": {
+        **BACKEND, **TRACE,
+        "fields": (("--fields",), "paper", None),
+        "methods": (("--methods",), TABLE5, None),
+        "devices": (("--devices",), "artix7", None),
+        "efforts": (("--efforts",), "2", None),
+        "format": (("--format",), "table", ("table", "json", "csv")),
+        "stats": (("--stats",), False, None),
+        **CACHE,
+    },
+    "emit": {
+        **FIELD,
+        "method": (("--method",), "thiswork", None),
+        "language": (("--language",), "vhdl", ("vhdl", "vhdl-behavioral", "verilog")),
+        "testbench": (("--testbench",), False, None),
+        "output": (("--output",), "-", None),
+    },
+    "batch": {
+        **BACKEND, **TRACE, **FIELD,
+        "method": (("--method",), None, None),
+        "count": (("--count",), 1000, None),
+        "seed": (("--seed",), 2018, None),
+        "input": (("--input",), None, None),
+        "chunk_size": (("--chunk-size",), None, None),
+        "check": (("--check",), False, None),
+        "stats": (("--stats",), False, None),
+        "output": (("--output",), "-", None),
+    },
+    "bench": {
+        **BACKEND, **TRACE, **FIELD,
+        "method": (("--method",), None, None),
+        "check": (("--check",), False, None),
+        "pairs": (("--pairs",), 2048, None),
+        "quick": (("--quick",), False, None),
+        "describe": (("--describe",), False, None),
+        "profile": (("--profile",), False, None),
+    },
+    "curves": {},
+    "ecdh": {
+        **BACKEND, **TRACE,
+        "curve": (("--curve",), "B-163", None),
+        "batch": (("--batch",), 64, None),
+        "jobs": (("--jobs",), 1, None),
+        "start_method": (("--start-method",), None, None),
+        "seed": (("--seed",), 2018, None),
+        "check": (("--check",), 0, None),
+        "scalar_rep": (("--scalar-rep",), "auto", SCALAR_REPS),
+    },
+    "keygen": {
+        **BACKEND, **TRACE,
+        "curve": (("--curve",), "K-163", None),
+        "batch": (("--batch",), 256, None),
+        "seed": (("--seed",), 2018, None),
+        "path": (("--path",), "auto", ("auto", "comb", "ladder")),
+        "scalar_rep": (("--scalar-rep",), "auto", SCALAR_REPS),
+        "check": (("--check",), 0, None),
+    },
+    "serve": {
+        **BACKEND, **TRACE,
+        "host": (("--host",), "127.0.0.1", None),
+        "port": (("--port",), 8742, None),
+        "curves": (("--curves",), "B-163,K-163", None),
+        "max_lanes": (("--max-lanes",), 256, None),
+        "max_delay_ms": (("--max-delay-ms",), 5.0, None),
+        "workers": (("--workers",), None, None),
+        "start_method": (("--start-method",), None, None),
+        "seed": (("--seed",), None, None),
+    },
+    "loadgen": {
+        "host": (("--host",), "127.0.0.1", None),
+        "port": (("--port",), 8742, None),
+        "op": (("--op",), "ecdh", ("ecdh", "keygen", "sign")),
+        "curve": (("--curve",), "B-163", None),
+        "clients": (("--clients",), 64, None),
+        "requests": (("--requests",), 4, None),
+        "seed": (("--seed",), 0, None),
+        "scalar_rep": (("--scalar-rep",), "auto", SCALAR_REPS),
+        "check": (("--check",), 4, None),
+        "connect_timeout": (("--connect-timeout",), 30.0, None),
+        "stats": (("--stats",), False, None),
+    },
+    "stats": {"format": (("--format",), "table", ("table", "json"))},
+    "dashboard": {
+        "dir": (("--dir",), ".", None),
+        "format": (("--format",), "markdown", ("markdown", "html")),
+        "output": (("--output",), "-", None),
+        "tolerance": (("--tolerance",), 0.1, None),
+        "check": (("--check",), False, None),
+        "strict": (("--strict",), False, None),
+    },
+}
 
 
 class TestParser:
@@ -19,6 +144,35 @@ class TestParser:
         assert parser.parse_args(["methods"]).command == "methods"
         assert parser.parse_args(["tables", "-m", "8", "-n", "2"]).m == 8
         assert parser.parse_args(["compare", "--fields", "8:2"]).fields == "8:2"
+
+    @pytest.mark.parametrize("command", sorted(SURFACE))
+    def test_subcommand_surface(self, command, capsys, monkeypatch):
+        """Each subcommand keeps its flags, defaults and choices, and its help runs."""
+        from repro.backends import registry
+
+        # Other tests register extra backends process-wide; the --backend
+        # choices are pinned against the built-in four.
+        monkeypatch.setattr(registry, "_FACTORIES", {name: registry._FACTORIES[name] for name in BACKENDS})
+        parser = build_parser()
+        subparsers = next(
+            action.choices for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        assert sorted(subparsers) == sorted(SURFACE)
+        surface = {
+            action.dest: (
+                tuple(action.option_strings),
+                action.default,
+                None if action.choices is None else tuple(action.choices),
+            )
+            for action in subparsers[command]._actions
+            if action.dest != "help"
+        }
+        assert surface == SURFACE[command]
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        assert f"usage: gf2m-repro {command}" in capsys.readouterr().out
 
 
 class TestCommands:
@@ -170,6 +324,14 @@ class TestBenchCommand:
         monkeypatch.setenv("GF2M_REPRO_BACKEND", "no_such_backend")
         with pytest.raises(SystemExit, match="no_such_backend"):
             main(["bench", "-m", "16", "-n", "3", "--quick"])
+
+    @pytest.mark.parametrize(
+        "extra, pairs",
+        [([], "0"), (["--backend", "python"], "0"), (["--backend", "python"], "-4")],
+    )
+    def test_bench_rejects_fewer_than_one_pair(self, extra, pairs):
+        with pytest.raises(SystemExit, match="--pairs must be at least 1"):
+            main(["bench", "-m", "16", "-n", "3", "--pairs", pairs, *extra])
 
 
 class TestParseFields:
@@ -383,6 +545,47 @@ class TestEcdhCommand:
         assert main(["ecdh", "--curve", "T-13", "--batch", "2"]) == 0
         label = f"backend {backend.name} ({backend.ir_executor().kind} executor"
         assert label in capsys.readouterr().out
+
+
+class TestKeygenCommand:
+    @pytest.fixture(autouse=True)
+    def cold_comb_tables(self):
+        """A fresh registry and no in-memory comb table: a comb run builds one."""
+        from repro.curves import scalarmul
+        from repro.telemetry import metrics
+
+        previous = metrics.set_registry(metrics.MetricsRegistry())
+        scalarmul._COMB_CACHE.clear()
+        yield
+        metrics.set_registry(previous)
+
+    @pytest.mark.parametrize(
+        "path, label, rides_comb",
+        [
+            ("comb", "path comb:", True),
+            ("ladder", "path ladder:", False),
+            ("auto", "path auto (comb when covered):", True),
+        ],
+    )
+    def test_every_path_matches_the_scalar_ladder(self, path, label, rides_comb, capsys):
+        assert main(["keygen", "--curve", "T-13", "--batch", "8", "--path", path,
+                     "--check", "4"]) == 0
+        out = capsys.readouterr().out
+        assert "checked 4 public keys against the scalar-ladder reference: byte-identical" in out
+        assert label in out and "8 key pairs" in out
+        assert ("comb table: 1 build(s), 0 store hit(s)" in out) == rides_comb
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--curve", "T-13", "--batch", "0"], "--batch must be at least 1"),
+            (["--curve", "T-13", "--check", "-1"], "--check must be non-negative"),
+            (["--curve", "P-256"], "unknown curve 'P-256'"),
+        ],
+    )
+    def test_bad_arguments_exit_cleanly(self, args, message):
+        with pytest.raises(SystemExit, match=message):
+            main(["keygen", *args])
 
 
 class TestStatsCommand:
