@@ -719,12 +719,13 @@ class IRExecutor(ABC):
 
     :meth:`compile` lowers a scheduled :class:`FieldProgram` once, memoized
     per executor by the program's ``key``.  Consumers then run it over int
-    lists (:meth:`run`, chunked at :attr:`chunk_size` lanes), drive a
-    whole step loop over one chunk (:meth:`run_steps`), or hold the packed
-    representation themselves: :meth:`pack` once, the compiled program's
-    ``run_arrays`` per step with :meth:`broadcast_bits` masks, and
-    :meth:`unpack` once.  Subclasses fix that representation (the three
-    boundary methods) and the lowering (:attr:`compiled_type`).
+    lists (:meth:`run`, chunked at :attr:`chunk_size` lanes), or hold the
+    packed representation themselves for up to :attr:`chunk_size` lanes:
+    :meth:`pack` once, the compiled programs' ``run_arrays``, whole step
+    loops (:meth:`run_steps`) and batch inversions (:meth:`inverse_packed`)
+    on packed values, and :meth:`unpack` once.  Subclasses fix that
+    representation (the three boundary methods) and the lowering
+    (:attr:`compiled_type`).
     """
 
     #: Short executor label: ``interpreted``, ``plane`` or ``native``.
@@ -796,17 +797,30 @@ class IRExecutor(ABC):
                 values += self.unpack(array, stop - start)
         return outputs
 
-    def run_steps(self, programs: Sequence[FieldProgram], state, fixed, schedule) -> List[List[int]]:
+    def run_steps(self, programs: Sequence[FieldProgram], state, fixed, schedule) -> List:
         """Run a step loop over one chunk of lanes; returns the final state.
 
         ``programs`` are the step programs the schedule's events index
         (:mod:`repro.backends.steps`), ``state`` the initial state
-        registers and ``fixed`` the inputs constant over the loop, as int
-        lists.  The loop is :func:`~repro.backends.steps.run_steps_python`:
-        pack once, one ``run_arrays`` per step, unpack once.
+        registers and ``fixed`` the inputs constant over the loop, all as
+        packed values (:meth:`pack`); the final state comes back packed.
+        The loop is :func:`~repro.backends.steps.run_steps_python`, one
+        ``run_arrays`` per step.
         """
         compiled = [self.compile(program) for program in programs]
         return run_steps_python(self, compiled, state, fixed, schedule)
+
+    def inverse_packed(self, array, lanes: int) -> Tuple[object, List[int]]:
+        """Batch inverse of a packed value: ``(inverses, zero lanes)``.
+
+        Zero lanes map to zero and are listed in ascending order; the rest
+        share one :meth:`~repro.backends.base.FieldBackend.inverse_batch`
+        call, so the backend's telemetry counts them.
+        """
+        values = self.unpack(array, lanes)
+        zeros = [lane for lane, value in enumerate(values) if not value]
+        inverses = iter(self.backend.inverse_batch([value for value in values if value]))
+        return self.pack([next(inverses) if value else 0 for value in values]), zeros
 
     def describe(self) -> str:
         """One-line summary used by the CLI and benchmarks."""

@@ -21,8 +21,14 @@ Three layers:
   buffers, a scheduled :class:`~repro.backends.ir.FieldProgram` lowers
   once to a flat instruction stream (mul / square / xor / linear-map /
   lane-masked select) that ``gf2m_run_program`` drives over a C register
-  file, and :meth:`NativeIRExecutor.run_steps` runs a whole ladder, comb
-  or τ loop over a chunk of lanes in one C call with the GIL released.
+  file, :meth:`NativeIRExecutor.run_steps` runs a whole ladder, comb
+  or τ loop over a chunk of lanes in one C call with the GIL released,
+  and :meth:`NativeIRExecutor.inverse_packed` inverts a word buffer in
+  one call (zero lanes stay zero and are reported).
+
+Outside any backend, :func:`recode_tau` is the C τ-adic window recoder:
+the batched τ route calls it whenever the extension loads, whatever its
+backend, because recoding is integer arithmetic.
 
 Everything degrades cleanly: without cffi or a C compiler the backend
 raises a clear :class:`ImportError` and the registry default falls back to
@@ -58,6 +64,7 @@ __all__ = [
     "NativeBackend",
     "NativeIRExecutor",
     "native_available",
+    "recode_tau",
 ]
 
 #: Preferred lanes per compiled-program execution; bounds the C register
@@ -238,6 +245,7 @@ class NativeBackend(FieldBackend):
             ffi.from_buffer("uint64_t[]", self._pack(values)),
             ffi.from_buffer("uint64_t[]", out, require_writable=True),
             count,
+            ffi.NULL,
         )
         return self._unpack(out, count)
 
@@ -355,16 +363,12 @@ class CompiledNativeIR(CompiledProgram):
         self._output_vids = [reg(vid) for _, vid in program.ir.outputs]
         self._nreg = program.op_count + len(constants)
 
-        nbytes = (self.m + 7) // 8
+        # The table buffer comes straight from each map's masks; the map
+        # itself never builds (or keeps) its Python tables for this.
         parts: List[bytes] = []
         for linear_map in map_objects:
-            for tables in linear_map.tables:
-                parts.extend(value.to_bytes(nb, "little") for value in tables)
-            if len(linear_map.tables) != nbytes:
-                raise ValueError(
-                    f"linear map has {len(linear_map.tables)} byte tables, "
-                    f"expected {nbytes}"
-                )
+            for table in linear_map.byte_tables():
+                parts.extend(value.to_bytes(nb, "little") for value in table)
         self._tables_buf = b"".join(parts) if parts else bytes(8)
         self._tables = ffi.from_buffer("uint64_t[]", self._tables_buf)
         # Constant registers are never written, so each register file gets
@@ -462,7 +466,8 @@ class _StepLoop:
     """One chunk's step loop, packed for ``gf2m_run_steps``.
 
     Holds the compiled programs the schedule's events index, the packed
-    control data of the route (scalar words, digit rows, point tables) and
+    control data of the route (scalar words; or the τ digit rows and the
+    planar x and y tables, joined from the schedule's packed values) and
     the event list.  :meth:`run` is what :meth:`CompiledNativeIR.run_arrays`
     calls when it is handed a loop.
     """
@@ -474,7 +479,6 @@ class _StepLoop:
         self.nstate = schedule.nstate
         self.nfixed = nfixed
         ffi = executor.backend._ffi
-        nb = executor.nw * 8
         mask_names = ["bit"] if schedule.route == ROUTE_LADDER else ["add", "init"]
         for compiled in programs:
             if len(compiled.output_names) != self.nstate or set(
@@ -501,17 +505,20 @@ class _StepLoop:
             data.update(teeth=schedule.teeth, columns=schedule.columns,
                         points=executor._packed_points(schedule.points))
         elif schedule.route == ROUTE_TAU:
-            digits = array("i")
-            for row in schedule.digits:
-                digits.extend(row)
-            keep.append(ffi.from_buffer("int32_t[]", digits or array("i", [0])))
-            points = b"".join(
-                x.to_bytes(nb, "little") + y.to_bytes(nb, "little")
-                for xs, ys in schedule.tables
-                for x, y in zip(xs, ys)
-            )
-            keep.append(ffi.from_buffer("uint64_t[]", points or bytes(8)))
-            data.update(digits=keep[-2], points=keep[-1])
+            # The kernel indexes digit row `row` and table entry |digit| - 1
+            # of every lane; the recoders keep |digit| <= len(tables).
+            rows = len(schedule.digits) // max(schedule.lanes, 1)
+            if any(row >= rows for _, row in schedule.events) or any(
+                len(values) != schedule.lanes * executor.nw * 8
+                for table in schedule.tables for values in table
+            ):
+                raise ValueError("τ digit rows or tables do not cover the scheduled steps")
+            keep += [
+                ffi.from_buffer("int8_t[]", schedule.digits or bytes(1)),
+                ffi.from_buffer("uint64_t[]", b"".join(x for x, _ in schedule.tables)),
+                ffi.from_buffer("uint64_t[]", b"".join(y for _, y in schedule.tables)),
+            ]
+            data.update(digits=keep[-3], points=keep[-2], points_y=keep[-1])
         self._keep = keep
         self._data = ffi.new("gf2m_step_data *", data)
         events = array("i")
@@ -600,7 +607,29 @@ class NativeIRExecutor(IRExecutor):
             )
         return entry[1]
 
-    def run_steps(self, programs: Sequence[FieldProgram], state, fixed, schedule) -> List[List[int]]:
+    def inverse_packed(self, array, lanes: int):
+        """Montgomery inversion of a word buffer in one C call; zero lanes stay zero."""
+        backend = self.backend
+        ffi = backend._ffi
+        if len(array) < lanes * self.nw * 8:
+            raise ValueError(f"a packed value of {len(array)} bytes holds fewer than {lanes} lanes")
+        zeros = bytearray(lane_words_for(lanes) * 8)
+        out = bytearray(lanes * self.nw * 8)
+        nzero = backend._ext.lib.gf2m_inverse_batch(
+            backend._field_c,
+            ffi.from_buffer("uint64_t[]", array),
+            ffi.from_buffer("uint64_t[]", out, require_writable=True),
+            lanes,
+            ffi.from_buffer("uint64_t[]", zeros, require_writable=True),
+        )
+        if nzero < lanes:
+            backend._count_batch("inverse_batch", lanes - nzero)
+        if not nzero:
+            return out, []
+        bits = int.from_bytes(zeros, "little")
+        return out, [lane for lane in range(lanes) if bits >> lane & 1]
+
+    def run_steps(self, programs: Sequence[FieldProgram], state, fixed, schedule) -> List:
         """Run a whole step loop over one chunk: one C call, GIL released.
 
         Same contract as :meth:`IRExecutor.run_steps`, but the masks and
@@ -608,13 +637,47 @@ class NativeIRExecutor(IRExecutor):
         schedule's packed data (:mod:`repro.backends.steps`).  While a
         tracer records spans the inherited Python loop runs instead, one
         ``run_arrays`` per step, so the trace keeps its per-step and
-        per-pass spans.
+        per-pass spans; so does a schedule with no steps at all (a τ chunk
+        whose every scalar reduces to zero), which returns ``state``.
         """
-        if _trace.TRACER.enabled:
+        if _trace.TRACER.enabled or not schedule.events:
             return super().run_steps(programs, state, fixed, schedule)
         compiled = [self.compile(program) for program in programs]
         loop = _StepLoop(self, compiled, schedule, len(fixed))
-        arrays = compiled[0].run_arrays(
-            [self.pack(values) for values in (*state, *fixed)], (), steps=loop
-        )
-        return [self.unpack(array, len(state[0])) for array in arrays]
+        return compiled[0].run_arrays([*state, *fixed], (), steps=loop)
+
+
+def recode_tau(constants: Dict[str, int], residues: Sequence[tuple], positions: int):
+    """τ-adic window digit rows of reduced residues, in one C call.
+
+    ``constants`` fills ``gf2m_tau_recoding`` (window width, μ, the
+    ``t_w``/``t_2`` roots, the division constants ``e0 e1 f``, the tail
+    ``threshold`` and ``gate``); ``residues`` are the ``(r0, r1)`` of each
+    lane.  Returns ``(digits, occupied, span)`` as
+    :class:`~repro.backends.steps.TauSteps` reads them — ``positions`` rows
+    of one int8 digit per lane, one flag per row — or ``None`` when the
+    kernel reports a width it does not take, a residue outgrowing its limbs
+    or a digit past the last row.  Raises ImportError without the kernel.
+    """
+    ext = _load_extension()
+    ffi = ext.ffi
+    lanes = len(residues)
+    bits = max((abs(value).bit_length() for pair in residues for value in pair), default=0)
+    limbs = (bits + 24) // 32 + 1  # sign, 8 bits of headroom, room to grow
+    size = 4 * limbs
+    packed = b"".join(
+        r0.to_bytes(size, "little", signed=True) + r1.to_bytes(size, "little", signed=True)
+        for r0, r1 in residues
+    )
+    digits = bytearray(positions * lanes)
+    occupied = bytearray(positions)
+    span = ext.lib.gf2m_tau_recode(
+        ffi.new("gf2m_tau_recoding *", constants),
+        ffi.from_buffer("uint32_t[]", packed or bytes(4)),
+        limbs,
+        lanes,
+        ffi.from_buffer("int8_t[]", digits or bytearray(1), require_writable=True),
+        ffi.from_buffer("uint8_t[]", occupied or bytearray(1), require_writable=True),
+        positions,
+    )
+    return None if span < 0 else (digits, occupied, span)

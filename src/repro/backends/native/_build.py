@@ -54,22 +54,34 @@ typedef struct {
     int scalar_words;
     int teeth;
     int columns;
-    const int32_t *digits;
+    const int8_t *digits;
     const uint64_t *points;
+    const uint64_t *points_y;
 } gf2m_step_data;
+typedef struct {
+    int width;
+    int mu;
+    int64_t t_w, t_2;
+    int64_t e0, e1, f;
+    int64_t threshold;
+    int64_t gate;
+} gf2m_tau_recoding;
 int gf2m_has_clmul(void);
 void gf2m_mul_batch(const gf2m_field *f, const uint64_t *a, const uint64_t *b,
                     uint64_t *out, long count);
 void gf2m_square_batch(const gf2m_field *f, const uint64_t *values,
                        uint64_t *out, long count);
-void gf2m_inverse_batch(const gf2m_field *f, const uint64_t *values,
-                        uint64_t *out, long count);
+long gf2m_inverse_batch(const gf2m_field *f, const uint64_t *values,
+                        uint64_t *out, long count, uint64_t *zeros);
 void gf2m_run_program(const gf2m_field *f, const int32_t *code, int ninstr,
                       uint64_t *regs, long count, const uint64_t *tables,
                       const uint64_t *masks, long lane_words);
 void gf2m_run_steps(const gf2m_field *f, const gf2m_step_program *progs,
                     const int32_t *events, int nevents, long count,
                     const gf2m_step_data *data, uint64_t *state, uint64_t *work);
+long gf2m_tau_recode(const gf2m_tau_recoding *c, const uint32_t *residues,
+                     int limbs, long count, int8_t *digits, uint8_t *occupied,
+                     long positions);
 """
 
 
@@ -80,7 +92,10 @@ def _kernel_source() -> str:
 def _make_ffibuilder() -> cffi.FFI:
     builder = cffi.FFI()
     builder.cdef(_CDEF)
-    builder.set_source(_MODULE_NAME, _kernel_source(), extra_compile_args=["-O2"])
+    # -g0 drops the debug info Python's own CFLAGS ask for: nothing reads it
+    # at run time, and it is ~10% of the cold first-use build, which every
+    # fresh cache pays (the sanitizer test builds its own -g copy).
+    builder.set_source(_MODULE_NAME, _kernel_source(), extra_compile_args=["-O2", "-g0"])
     return builder
 
 

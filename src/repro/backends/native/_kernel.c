@@ -27,7 +27,10 @@
  * loop of such programs over one chunk of lanes, building every step's
  * select masks and table-point gathers from data packed once per batch.
  * gf2m_inverse_batch is Montgomery's simultaneous inversion around one
- * Itoh-Tsujii chain.
+ * Itoh-Tsujii chain; zero lanes map to zero and are reported.
+ * gf2m_tau_recode is the tau-adic window recoding of a whole chunk of
+ * scalars (already reduced in Z[tau]) into the digit rows the tau step
+ * loop reads.
  */
 
 #include <stdint.h>
@@ -61,9 +64,19 @@ typedef struct {
     int scalar_words;
     int teeth;   /* comb: tooth t of column c is scalar bit t*columns + c */
     int columns;
-    const int32_t *digits;  /* tau: one row of count signed digits per add */
-    const uint64_t *points; /* (x, y) pairs: comb shared, tau per lane */
+    const int8_t *digits;   /* tau: one row of count signed digits per position */
+    const uint64_t *points; /* comb: shared (x, y) pairs; tau: x of u*P per lane */
+    const uint64_t *points_y; /* tau: y of u*P per lane */
 } gf2m_step_data;
+
+typedef struct {
+    int width;         /* window width w, 2..7, so |digit| <= 2^(w-1) fits int8 */
+    int mu;            /* tau^2 = mu*tau - 2 */
+    int64_t t_w, t_2;  /* tau -> t maps Z[tau]/tau^w onto Z/2^w (and Z/4) */
+    int64_t e0, e1, f; /* conj(tau^w) = e0 + e1*tau, f = e0 + mu*e1 */
+    int64_t threshold; /* tail hand-over: |r0|, |r1| <= gate and norm <= threshold */
+    int64_t gate;
+} gf2m_tau_recoding;
 
 /* ------------------------------------------------------------------ */
 /* portable carry-less multiply                                        */
@@ -411,28 +424,60 @@ static void inverse_one(const gf2m_field *f, const uint64_t *a, uint64_t *out)
     sq_rows(f, out, out, 1);
 }
 
+static int is_zero(const uint64_t *a, int nw)
+{
+    uint64_t any = 0;
+    int w;
+    for (w = 0; w < nw; w++)
+        any |= a[w];
+    return any == 0;
+}
+
 /* Montgomery's trick: prefix products in out, one inversion of the total,
- * then one walk back.  Every value must be nonzero (checked by the caller). */
-void gf2m_inverse_batch(const gf2m_field *f, const uint64_t *values,
-                        uint64_t *out, long count)
+ * then one walk back.  A zero lane counts as 1 in the products and gets 0
+ * back; when zeros is not NULL (lane_words words, zero on entry) it gets
+ * bit e set for each zero lane e.  Returns the number of zero lanes.  out
+ * must not alias values. */
+long gf2m_inverse_batch(const gf2m_field *f, const uint64_t *values,
+                        uint64_t *out, long count, uint64_t *zeros)
 {
     uint64_t running[GF2M_MAX_WORDS], tmp[GF2M_MAX_WORDS];
+    uint64_t one[GF2M_MAX_WORDS] = {1};
     int nw = f->nw;
-    long e;
+    long e, nzero = 0;
 
     ensure_init();
     if (count <= 0)
-        return;
-    memcpy(out, values, (size_t)nw * 8);
-    for (e = 1; e < count; e++)
-        mul_rows(f, out + (e - 1) * nw, values + e * nw, out + e * nw, 1);
+        return 0;
+    for (e = 0; e < count; e++) {
+        const uint64_t *v = values + e * nw;
+        uint64_t *dst = out + e * nw;
+        if (is_zero(v, nw)) {
+            memcpy(dst, e ? dst - nw : one, (size_t)nw * 8);
+            nzero++;
+            if (zeros)
+                zeros[e >> 6] |= 1ULL << (e & 63);
+        } else if (e == 0) {
+            memcpy(dst, v, (size_t)nw * 8);
+        } else {
+            mul_rows(f, dst - nw, v, dst, 1);
+        }
+    }
     inverse_one(f, out + (count - 1) * nw, running);
     for (e = count - 1; e > 0; e--) {
+        if (is_zero(values + e * nw, nw)) {
+            memset(out + e * nw, 0, (size_t)nw * 8);
+            continue;
+        }
         mul_rows(f, running, out + (e - 1) * nw, tmp, 1);
         mul_rows(f, running, values + e * nw, running, 1);
         memcpy(out + e * nw, tmp, (size_t)nw * 8);
     }
-    memcpy(out, running, (size_t)nw * 8);
+    if (is_zero(values, nw))
+        memset(out, 0, (size_t)nw * 8);
+    else
+        memcpy(out, running, (size_t)nw * 8);
+    return nzero;
 }
 
 /* ------------------------------------------------------------------ */
@@ -548,8 +593,8 @@ static long step_digit(const gf2m_step_data *d, long lane, int row, long count)
  *   comb:   row is the column; mask 0 adds, mask 1 starts, gathered from
  *           the shared table at the column's tooth pattern - 1;
  *   tau:    row is the digit row (-1: no add, the program has no gathers);
- *           lane e gathers its own table entry (|digit| - 1) * count + e,
- *           negated (y ^= x) for negative digits.
+ *           lane e gathers element (|digit| - 1) * count + e of the planar
+ *           x and y tables, negated (y ^= x) for negative digits.
  * The state enters through state (nstate blocks of count*nw words) and is
  * written back there.  work holds 3 * lane_words scratch words. */
 void gf2m_run_steps(const gf2m_field *f, const gf2m_step_program *progs,
@@ -587,16 +632,19 @@ void gf2m_run_steps(const gf2m_field *f, const gf2m_step_program *progs,
                 uint64_t bit = 1ULL << (e & 63);
                 uint64_t live = digit ? ~0ULL : 0; /* no add: gather zeros */
                 uint64_t negate = digit < 0 ? ~0ULL : 0; /* -(x, y) = (x, x + y) */
-                const uint64_t *point = data->points;
-                if (digit && data->route == 1)
-                    point += (digit - 1) * 2 * nw;
-                else if (digit)
-                    point += ((digit < 0 ? -digit : digit) - 1) * count * 2 * nw
-                        + e * 2 * nw;
+                const uint64_t *px = data->points, *py = data->points + nw;
+                if (digit && data->route == 1) {
+                    px += (digit - 1) * 2 * nw;
+                    py = px + nw;
+                } else if (digit) {
+                    long at = ((digit < 0 ? -digit : digit) - 1) * stride + e * nw;
+                    px += at;
+                    py = data->points_y + at;
+                }
                 for (w = 0; w < nw; w++) {
-                    uint64_t x = point[w] & live;
+                    uint64_t x = px[w] & live;
                     x2[e * nw + w] = x;
-                    y2[e * nw + w] = (point[nw + w] & live) ^ (x & negate);
+                    y2[e * nw + w] = (py[w] & live) ^ (x & negate);
                 }
                 if (!digit)
                     continue;
@@ -616,4 +664,185 @@ void gf2m_run_steps(const gf2m_field *f, const gf2m_step_program *progs,
     for (j = 0; j < ns; j++)
         if (src[j] != state + j * stride)
             memcpy(state + j * stride, src[j], (size_t)stride * 8);
+}
+
+/* ------------------------------------------------------------------ */
+/* tau-adic window recoding                                            */
+/* ------------------------------------------------------------------ */
+
+/* Residues are signed two's-complement integers of `limbs` 32-bit limbs,
+ * least significant first.  A value "fits" while its top limb keeps 8
+ * bits of sign, so subtracting a digit never wraps. */
+#define TAU_MAX_LIMBS 32
+#define TAU_MAX_CONST ((int64_t)1 << 16) /* |e0|, |e1|, |f| bound: no int64 overflow */
+
+static uint32_t sign_limb(uint32_t top)
+{
+    return (top >> 31) ? 0xFFFFFFFFu : 0;
+}
+
+static int limbs_fit(const uint32_t *r, int limbs)
+{
+    return (r[limbs - 1] >> 24) == (sign_limb(r[limbs - 1]) >> 24);
+}
+
+/* Limb k of r as a signed value: the top limb carries the sign. */
+static int64_t limb_at(const uint32_t *r, int limbs, int k)
+{
+    int64_t value = (int64_t)r[k];
+    if (k == limbs - 1 && (r[k] >> 31))
+        value -= (int64_t)1 << 32;
+    return value;
+}
+
+/* floor(v / 2^32), exactly, for any sign of v. */
+static int64_t carry_of(int64_t v)
+{
+    return (v - (int64_t)(uint32_t)v) / ((int64_t)1 << 32);
+}
+
+/* r -= u, modulo 2^(32 * limbs), for a small u. */
+static void limbs_sub_small(uint32_t *r, int limbs, int64_t u)
+{
+    int64_t carry = -u;
+    int k;
+    for (k = 0; k < limbs && carry; k++) {
+        int64_t sum = limb_at(r, limbs, k) + carry;
+        r[k] = (uint32_t)sum;
+        carry = carry_of(sum);
+    }
+}
+
+/* (r0, r1) <- (r0*a + r1*b, r0*c + r1*d) >> w, in one pass over the limbs.
+ * The quotients are exact; returns 0 when either one does not fit. */
+static int limbs_divide_window(uint32_t *r0, uint32_t *r1, int limbs, int64_t a,
+                               int64_t b, int64_t c, int64_t d, int w)
+{
+    uint32_t n0[TAU_MAX_LIMBS + 1], n1[TAU_MAX_LIMBS + 1];
+    int64_t carry0 = 0, carry1 = 0;
+    int k;
+    for (k = 0; k < limbs; k++) {
+        int64_t x = limb_at(r0, limbs, k), y = limb_at(r1, limbs, k);
+        carry0 += x * a + y * b;
+        carry1 += x * c + y * d;
+        n0[k] = (uint32_t)carry0;
+        n1[k] = (uint32_t)carry1;
+        carry0 = carry_of(carry0);
+        carry1 = carry_of(carry1);
+    }
+    n0[limbs] = (uint32_t)carry0;
+    n1[limbs] = (uint32_t)carry1;
+    for (k = 0; k < limbs; k++) {
+        r0[k] = (n0[k] >> w) | (n0[k + 1] << (32 - w));
+        r1[k] = (n1[k] >> w) | (n1[k + 1] << (32 - w));
+    }
+    /* the shifted-out top limb must be the sign of what remains */
+    return carry_of(carry0 * ((int64_t)1 << (32 - w))) == -(int64_t)(r0[limbs - 1] >> 31)
+        && carry_of(carry1 * ((int64_t)1 << (32 - w))) == -(int64_t)(r1[limbs - 1] >> 31)
+        && limbs_fit(r0, limbs) && limbs_fit(r1, limbs);
+}
+
+/* The value of r when it lies in [-bound, bound] (bound < 2^32); *small = 0 otherwise. */
+static int64_t limbs_small(const uint32_t *r, int limbs, int64_t bound, int *small)
+{
+    int64_t value = limb_at(r, limbs, limbs - 1);
+    int k;
+    *small = 0;
+    for (k = limbs - 2; k >= 0; k--) {
+        if (value < -1 || value > 0)
+            return 0; /* |r| >= 2^32 */
+        value = value * ((int64_t)1 << 32) + (int64_t)r[k];
+    }
+    *small = value >= -bound && value <= bound;
+    return value;
+}
+
+/* Records one digit at a position below the row count. */
+static void tau_emit(int8_t *digits, uint8_t *occupied, long count, long lane,
+                     long position, int64_t u, long *last)
+{
+    digits[position * count + lane] = (int8_t)u;
+    occupied[position] = 1;
+    *last = position + 1;
+}
+
+/* The window recurrence of scalarmul._tau_sparse_digits over count lanes.
+ * residues holds (r0, r1) per lane, `limbs` limbs each.  Digits go to the
+ * position-major rows digits[position * count + lane] and occupied[position]
+ * is set for every position some lane adds at; both must be zero on entry
+ * and hold `positions` rows.  Returns the total span (sum over lanes of the
+ * highest digit position + 1), or -1 for bad parameters, -2 when a value
+ * outgrows its limbs, -3 when a digit falls past the last row. */
+long gf2m_tau_recode(const gf2m_tau_recoding *c, const uint32_t *residues,
+                     int limbs, long count, int8_t *digits, uint8_t *occupied,
+                     long positions)
+{
+    uint32_t r0[TAU_MAX_LIMBS], r1[TAU_MAX_LIMBS];
+    int w = c->width;
+    int64_t power, half, mask;
+    const int64_t bound = TAU_MAX_CONST;
+    long lane, total = 0;
+
+    if (w < 2 || w > 7)
+        return -1;
+    power = (int64_t)1 << w;
+    half = power >> 1;
+    mask = power - 1;
+    if (limbs < 1 || limbs > TAU_MAX_LIMBS || count < 0
+        || positions < 0 || (c->mu != 1 && c->mu != -1)
+        || c->t_w < 0 || c->t_w >= power || c->t_2 < 0 || c->t_2 >= 4
+        || c->gate < 0 || c->gate > ((int64_t)1 << 20) || c->threshold < 0
+        || c->e0 <= -bound || c->e0 >= bound || c->e1 <= -bound || c->e1 >= bound
+        || c->f <= -bound || c->f >= bound)
+        return -1;
+    for (lane = 0; lane < count; lane++) {
+        long position = 0, last = 0;
+        int64_t a, b, u;
+        memcpy(r0, residues + lane * 2 * limbs, (size_t)limbs * 4);
+        memcpy(r1, residues + lane * 2 * limbs + limbs, (size_t)limbs * 4);
+        if (!limbs_fit(r0, limbs) || !limbs_fit(r1, limbs))
+            return -2;
+        for (;;) {
+            int small0, small1;
+            a = limbs_small(r0, limbs, c->gate, &small0);
+            b = limbs_small(r1, limbs, c->gate, &small1);
+            if (small0 && small1 && a * a + c->mu * a * b + 2 * b * b <= c->threshold)
+                break;
+            if (position >= positions)
+                return -3; /* a nonzero residue still owes digits */
+            /* u = r0 + r1 * t_w (mod 2^w), balanced into (-half, half] */
+            u = (int64_t)(((r0[0] & (uint64_t)mask)
+                           + (r1[0] & (uint64_t)mask) * (uint64_t)c->t_w)
+                          & (uint64_t)mask);
+            if (u > half)
+                u -= power;
+            if (u) {
+                tau_emit(digits, occupied, count, lane, position, u, &last);
+                limbs_sub_small(r0, limbs, u);
+            }
+            /* (r0, r1) <- (r0*e0 - 2*r1*e1, r0*e1 + r1*f) >> w, exactly */
+            if (!limbs_divide_window(r0, r1, limbs, c->e0, -2 * c->e1, c->e1, c->f, w))
+                return -2;
+            position += w;
+        }
+        /* below the threshold: the plain tau-NAF tail on small values */
+        while (a || b) {
+            int64_t h;
+            if (position >= positions)
+                return -3;
+            if ((uint64_t)a & 1) {
+                u = (int64_t)((uint64_t)(a + b * c->t_2) & 3);
+                if (u > 2)
+                    u -= 4;
+                tau_emit(digits, occupied, count, lane, position, u, &last);
+                a -= u;
+            }
+            h = a / 2; /* exact division by tau */
+            a = b + c->mu * h;
+            b = -h;
+            position++;
+        }
+        total += last;
+    }
+    return total;
 }

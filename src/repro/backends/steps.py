@@ -21,7 +21,10 @@ The three routes:
   column; the row is the column, the digit the lane's tooth pattern.
 * :class:`TauSteps` — the τ-adic ladder: one step per position where some
   lane adds (or per run of pure Frobenius squarings, row ``-1``); the row
-  indexes explicit signed digit rows.
+  is the digit position.  Its digits are position-major int8 rows (byte
+  ``position · lanes + lane``, as the recoder writes them) and its table
+  holds the executor's packed values of ``u·P`` per lane, so the native
+  loop gathers from them directly.
 
 On the masked-add routes a lane with a nonzero digit gathers the table
 point of ``|digit|`` (negated for negative digits) and either starts its
@@ -61,7 +64,7 @@ class LadderSteps:
         top = max(scalar.bit_length() for scalar in scalars)
         self.events = [(0, bit) for bit in range(top - 1, -1, -1)]
 
-    def step(self, row: int) -> Tuple[tuple, tuple]:
+    def step(self, row: int, executor) -> Tuple[tuple, tuple]:
         """``(gathered inputs, mask bit lists)`` of the step at bit ``row``."""
         return (), ([(scalar >> row) & 1 for scalar in self.scalars],)
 
@@ -81,7 +84,7 @@ class _MaskedAddSteps:
     def _point(self, magnitude: int, lane: int) -> Tuple[int, int]:
         raise NotImplementedError
 
-    def step(self, row: int) -> Tuple[tuple, tuple]:
+    def step(self, row: int, executor) -> Tuple[tuple, tuple]:
         if row < 0:
             return (), ()
         lanes = self.lanes
@@ -146,52 +149,63 @@ class CombSteps(_MaskedAddSteps):
 
 
 class TauSteps(_MaskedAddSteps):
-    """τ-adic steps: ``events`` from the caller, ``digits[row][lane]`` signed.
+    """τ-adic steps: ``events`` from the caller, ``digits`` int8 rows by position.
 
-    ``tables[u - 1]`` holds the per-lane affine coordinate lists
-    ``(xs, ys)`` of ``u·P_lane``.
+    ``digits[position · lanes + lane]`` is the lane's signed digit at a
+    position; ``tables[u - 1]`` holds the packed per-lane affine
+    coordinates ``(xs, ys)`` of ``u·P_lane``.  The Python loop unpacks the
+    table once, at its first step.
     """
 
     route = ROUTE_TAU
     span_prefix = "ladder.tau"
 
     def __init__(
-        self, events: Sequence[Tuple[int, int]], digits: Sequence[Sequence[int]],
-        tables: Sequence[Tuple[Sequence[int], Sequence[int]]], lanes: int,
+        self, events: Sequence[Tuple[int, int]], digits: bytearray,
+        tables: Sequence[tuple], lanes: int,
     ) -> None:
         super().__init__(lanes)
         self.events = events
         self.digits = digits
         self.tables = tables
+        self._values: List[Tuple[List[int], List[int]]] = []
+
+    def step(self, row: int, executor) -> Tuple[tuple, tuple]:
+        if row >= 0 and not self._values:
+            self._values = [
+                (executor.unpack(xs, self.lanes), executor.unpack(ys, self.lanes))
+                for xs, ys in self.tables
+            ]
+        return super().step(row, executor)
 
     def _digits(self, row: int) -> Sequence[int]:
-        return self.digits[row]
+        lanes = self.lanes
+        return memoryview(self.digits).cast("b")[row * lanes:(row + 1) * lanes]
 
     def _point(self, magnitude: int, lane: int) -> Tuple[int, int]:
-        xs, ys = self.tables[magnitude - 1]
+        xs, ys = self._values[magnitude - 1]
         return xs[lane], ys[lane]
 
 
-def run_steps_python(executor, programs, state, fixed, schedule) -> List[List[int]]:
-    """The step loop in Python: pack once, one ``run_arrays`` per step, unpack once.
+def run_steps_python(executor, programs, state, fixed, schedule) -> List:
+    """The step loop in Python: one ``run_arrays`` per step over packed values.
 
     ``programs`` are compiled lowerings indexed by the schedule's events;
     each takes the state registers, then ``fixed`` (inputs constant over
     the loop), then the step's gathered inputs, and returns the next
-    state.  Returns the final state as int lists.
+    state.  ``state`` and ``fixed`` come packed and the final state goes
+    back packed; only each step's gathered inputs and masks are packed
+    here.
     """
     tracer = _trace.TRACER
-    prefix = schedule.span_prefix
-    lanes = len(state[0])
-    with tracer.span(f"{prefix}.pack", lanes=lanes):
-        arrays = tuple(executor.pack(values) for values in state)
-        fixed_arrays = tuple(executor.pack(values) for values in fixed)
+    span = f"{schedule.span_prefix}.step"
+    arrays = tuple(state)
+    fixed = tuple(fixed)
     for index, row in schedule.events:
-        with tracer.span(f"{prefix}.step"):
-            gathered, masks = schedule.step(row)
+        with tracer.span(span):
+            gathered, masks = schedule.step(row, executor)
             arrays = tuple(programs[index].run_arrays(
-                arrays + fixed_arrays + tuple(executor.pack(values) for values in gathered),
+                arrays + fixed + tuple(executor.pack(values) for values in gathered),
                 tuple(executor.broadcast_bits(bits) for bits in masks),
             ))
-    with tracer.span(f"{prefix}.unpack", lanes=lanes):
-        return [executor.unpack(array, lanes) for array in arrays]
+    return list(arrays)

@@ -790,12 +790,13 @@ def _run_bench_profile(args) -> int:
     rng = random.Random(2018)
     base = [rng.getrandbits(args.m) or 1 for _ in range(lanes)]
     scalars = [rng.getrandbits(steps) | 1 << (steps - 1) for _ in range(lanes)]
-    state = ([1] * lanes, [0] * lanes, base, [1] * lanes)
-    executor.run_steps([program], state, (base,), LadderSteps([1] * lanes))  # warm
+    state = [executor.pack(values) for values in ([1] * lanes, [0] * lanes, base, [1] * lanes)]
+    fixed = (executor.pack(base),)
+    executor.run_steps([program], state, fixed, LadderSteps([1] * lanes))  # warm
     previous = telemetry_trace.set_tracer(telemetry_trace.Tracer())
     try:
         with telemetry_metrics.timed("cli.bench.profile") as timer:
-            executor.run_steps([program], state, (base,), LadderSteps(scalars))
+            executor.run_steps([program], state, fixed, LadderSteps(scalars))
         summary = telemetry_trace.aggregate_spans(
             telemetry_trace.TRACER.events(), prefix="ir.pass."
         )

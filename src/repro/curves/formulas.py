@@ -55,6 +55,8 @@ __all__ = [
     "frobenius_add_program",
     "small_multiples_ir",
     "small_multiples_program",
+    "small_multiples_affine_ir",
+    "small_multiples_affine_program",
     "double_add_ir",
     "double_add_program",
     "projective_to_affine_program",
@@ -314,18 +316,24 @@ def small_multiples_ir(top: int) -> FieldIR:
 
     One trace for the τ evaluator's per-lane table: a doubling from
     ``(x2, y2, 1)`` followed by ``top − 2`` mixed adds of the base, each
-    intermediate state emitted as ``X<u> Y<u> Z<u>``.  Fusing the chain
-    into a single program lets the scheduler stack the linear work across
-    steps and costs one executor round trip instead of ``top − 1``.
+    intermediate state emitted as ``X<u> Y<u> Z<u>``, plus ``Zall``, the
+    product of every ``Z<u>`` — one inversion of it normalizes the whole
+    table (:func:`small_multiples_affine_ir`), and it is zero exactly on
+    the lanes whose chain degenerated.  Fusing the chain into a single
+    program lets the scheduler stack the linear work across steps and
+    costs one executor round trip instead of ``top − 1``.
     """
     builder = IRBuilder(f"ld_small_multiples_{top}")
     x2, y2 = builder.input("x2"), builder.input("y2")
     state = _ld_double(builder, x2, y2, builder.const(1))
+    z_all = state[2]
     for u in range(2, top + 1):
         for name, var in zip((f"X{u}", f"Y{u}", f"Z{u}"), state):
             builder.output(name, var)
         if u < top:
             state = _ld_mixed_add(builder, *state, x2, y2)
+            z_all = builder.mul(z_all, state[2])
+    builder.output("Zall", z_all)
     return builder.build()
 
 
@@ -344,6 +352,45 @@ def small_multiples_program(curve: "BinaryCurve", top: int) -> FieldProgram:
                 "mul_b": curve._mul_b,
             },
             key=key,
+        ),
+    )
+
+
+def small_multiples_affine_ir(top: int) -> FieldIR:
+    """Affine ``x<u> y<u>`` of the whole chain from ``zi = (Z2 ⋯ Z<top>)⁻¹``.
+
+    Montgomery's trick inside one lane: the prefix products of the
+    ``Z<u>``, then one walk back peeling each ``Z<u>⁻¹`` off the single
+    inverse ``zi``, then the LD conversion ``x = X/Z``, ``y = Y/Z²`` per
+    entry.  A lane with ``zi = 0`` (a degenerate chain) gets zeros.
+    """
+    builder = IRBuilder(f"ld_small_multiples_affine_{top}")
+    coords = [
+        tuple(builder.input(f"{name}{u}") for name in "XYZ") for u in range(2, top + 1)
+    ]
+    inverse = builder.input("zi")
+    prefix = [coords[0][2]]  # prefix[k] = Z2 ⋯ Z<k+2>
+    for _, _, z in coords[1:-1]:
+        prefix.append(builder.mul(prefix[-1], z))
+    for k in range(len(coords) - 1, -1, -1):
+        x, y, z = coords[k]
+        zi = inverse
+        if k:
+            zi = builder.mul(inverse, prefix[k - 1])
+            inverse = builder.mul(inverse, z)
+        builder.output(f"x{k + 2}", builder.mul(x, zi))
+        builder.output(f"y{k + 2}", builder.mul(y, builder.square(zi)))
+    return builder.build()
+
+
+def small_multiples_affine_program(curve: "BinaryCurve", top: int) -> FieldProgram:
+    """The scheduled table normalization (memoized per modulus and top)."""
+    field = curve.field
+    key = ("ld-small-multiples-affine", field.modulus, top)
+    return cached_program(
+        key,
+        lambda: schedule_program(
+            small_multiples_affine_ir(top), field.m, {"square": field.square_map}, key=key
         ),
     )
 
@@ -389,9 +436,9 @@ def double_add_program(curve: "BinaryCurve") -> FieldProgram:
 def projective_to_affine_program(curve: "BinaryCurve") -> FieldProgram:
     """Affine ``(x3, y3)`` from LD ``(X : Y : Z)`` given ``zi = Z⁻¹``.
 
-    The inversion itself stays outside the IR (the callers feed every live
-    lane's ``Z`` through the backend's Montgomery batch inverse first);
-    this program is the two products and one squaring that remain.
+    The inversion itself stays outside the IR (the callers invert every
+    lane's ``Z`` in one packed batch inverse first, zero lanes staying
+    zero); this program is the two products and one squaring that remain.
     """
     field = curve.field
     key = ("ld-proj-affine", field.modulus)

@@ -49,6 +49,15 @@ Two recodings are provided:
   whole batch shares one masked-add step, everywhere else the step is a
   pure squaring pass.
 
+The batched route recodes a whole chunk of lanes at once into
+position-major digit rows: in C (``gf2m_tau_recode``) whenever the native
+extension loads, whatever the batch's backend, and through the Python
+recurrence (:func:`_tau_sparse_digits`, the reference) otherwise.  From
+the packed bases to the affine results every value stays in the
+executor's packed form — chain, table inversion, step loop and final
+conversion hand packed values to each other — so int lists appear only
+at entry and exit.
+
 Degenerate lanes
 ----------------
 The mixed-add formula yields ``Z = 0`` when an add degenerates (the
@@ -63,6 +72,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
+from ..backends import native
 from ..backends.steps import CombSteps, TauSteps
 from ..pipeline.store import ArtifactStore, LRUCache, canonical_fingerprint
 from ..telemetry import metrics as _metrics
@@ -72,6 +82,7 @@ from .formulas import (
     frobenius_add_program,
     frobenius_program,
     projective_to_affine_program,
+    small_multiples_affine_program,
     small_multiples_program,
 )
 
@@ -243,6 +254,24 @@ class _TauContext:
             value = self._div_consts[width] = (e0, e1, e0 + self.mu * e1)
         return value
 
+    def reduce(self, scalar: int) -> "Tuple[int, int]":
+        """:func:`reduce_scalar` on this context: ``scalar − round(scalar / d)·d``."""
+        # q = round(scalar · conj(d) / N(d)) componentwise, then scalar − q·d.
+        c0, c1 = self.conj
+        q = (_round_div(scalar * c0, self.norm), _round_div(scalar * c1, self.norm))
+        p0, p1 = _zt_mul(self.mu, q, self.d)
+        return scalar - p0, -p1
+
+    def recoding(self, width: int) -> "Dict[str, int]":
+        """The constants of :func:`_tau_sparse_digits` at ``width``, as the C recoder takes them."""
+        e0, e1, f = self.div_constants(width)
+        threshold = _tail_threshold(width)
+        return {
+            "width": width, "mu": self.mu, "t_w": self.t_width(width), "t_2": self.t_width(2),
+            "e0": e0, "e1": e1, "f": f,
+            "threshold": threshold, "gate": math.isqrt(2 * threshold) + 1,
+        }
+
 
 _TAU_CONTEXTS = LRUCache(maxsize=16, name="curves.tau_contexts")
 
@@ -263,11 +292,7 @@ def reduce_scalar(curve: "BinaryCurve", scalar: int) -> "Tuple[int, int]":
     subgroup-membership assumption, unlike reduction by
     ``δ = (τ^m − 1)/(τ − 1)``).
     """
-    ctx = _tau_context(curve)
-    n0, n1 = _zt_mul(ctx.mu, (scalar, 0), ctx.conj)
-    q = (_round_div(n0, ctx.norm), _round_div(n1, ctx.norm))
-    p0, p1 = _zt_mul(ctx.mu, q, ctx.d)
-    return scalar - p0, -p1
+    return _tau_context(curve).reduce(scalar)
 
 
 def tau_naf(curve: "BinaryCurve", scalar: int, width: int = DEFAULT_TAU_WIDTH) -> "List[int]":
@@ -340,9 +365,10 @@ def _tau_sparse_digits(
     """:func:`tau_window_digits` as sparse ``(position, digit)`` events.
 
     Returns ``(events, span)`` with events ordered lowest position first
-    and ``span`` the dense digit count (highest position + 1).  The
-    batched evaluator consumes this directly — zero runs never
-    materialise, they fold into the next event's composed squaring map.
+    and ``span`` the dense digit count (highest position + 1).  This is
+    the reference recurrence: the C recoder behind
+    :func:`_tau_digit_rows` runs it on fixed-width limbs, and the batch
+    falls back to it where that recoder is missing.
     """
     ctx = _tau_context(curve)
     mu = ctx.mu
@@ -404,122 +430,148 @@ def tau_digits_value(curve: "BinaryCurve", digits: "Sequence[int]") -> "Tuple[in
 
 
 # ----------------------------------------------------------- shared plumbing
-def _run_step_chunks(backend, count, chunk_for):
-    """Drive a step loop over ``count`` lanes, one ``run_steps`` per executor chunk.
+def _finalize_projective(curve, executor, x_acc, y_acc, z_acc, lanes, prefix):
+    """Affine points from packed LD accumulators; ``None`` marks fallback lanes.
 
-    ``chunk_for(start, stop)`` returns ``(programs, state, fixed,
-    schedule)`` for the lane slice ``[start, stop)`` (the arguments of
-    :meth:`~repro.backends.ir.IRExecutor.run_steps`); chunks follow the
-    executor's lane width, so register buffers stay bounded for very large
-    batches.  Returns the final state registers as int lists over all
-    lanes.  The binary ladder, the comb and the τ ladder all run through
-    here.
-    """
-    executor = backend.ir_executor()
-    chunk = executor.chunk_size
-    state = None
-    for start in range(0, count, chunk):
-        part = executor.run_steps(*chunk_for(start, min(start + chunk, count)))
-        state = part if state is None else [whole + more for whole, more in zip(state, part)]
-    return state
-
-
-def _small_multiples_batch(curve, backend, base_x, base_y, top):
-    """Per-lane multiples ``u·P`` for ``u = 1..top``, built projectively.
-
-    The add chain ``2P, 3P, …`` runs through the compiled LD doubling /
-    mixed-add formulas — no inversions anywhere in the chain — and every
-    entry is normalized to affine by **one** shared Montgomery batch
-    inversion at the end.  Returns ``(tables, degenerate)``:
-    ``tables[u]`` the affine coordinate lists of ``u · P_lane`` (zeros on
-    dead lanes) and ``degenerate`` the lanes whose chain hit the sticky
-    ``Z = 0`` flag (tiny point orders) and must take the scalar fallback.
-    """
-    count = len(base_x)
-    tables: "Dict[int, Tuple[List[int], List[int]]]" = {1: (list(base_x), list(base_y))}
-    if top < 2:
-        return tables, set()
-    chain = backend.ir_executor().run(
-        small_multiples_program(curve, top), {"x2": base_x, "y2": base_y}
-    )
-    degenerate = {
-        lane
-        for u in range(2, top + 1)
-        for lane in range(count)
-        if chain[f"Z{u}"][lane] == 0
-    }
-    flat_x: "List[int]" = []
-    flat_y: "List[int]" = []
-    flat_z: "List[int]" = []
-    slots: "List[Tuple[int, int]]" = []
-    for u in range(2, top + 1):
-        tables[u] = ([0] * count, [0] * count)
-        xs, ys, zs = chain[f"X{u}"], chain[f"Y{u}"], chain[f"Z{u}"]
-        for lane in range(count):
-            if lane not in degenerate:
-                slots.append((u, lane))
-                flat_x.append(xs[lane])
-                flat_y.append(ys[lane])
-                flat_z.append(zs[lane])
-    if slots:
-        with _trace.span("scalarmul.table_inverse", count=len(slots)):
-            inverses = backend.inverse_batch(flat_z)
-        affine = backend.ir_executor().run(
-            projective_to_affine_program(curve),
-            {"X": flat_x, "Y": flat_y, "zi": inverses},
-        )
-        for (u, lane), x3, y3 in zip(slots, affine["x3"], affine["y3"]):
-            tables[u][0][lane] = x3
-            tables[u][1][lane] = y3
-    return tables, degenerate
-
-
-def _finalize_projective(curve, backend, x_acc, y_acc, z_acc):
-    """Affine points from LD accumulators; ``None`` marks fallback lanes.
-
-    A zero ``Z`` is the sticky degenerate/never-started flag — those lanes
-    (plus any the caller already marked) are returned as ``None`` for the
-    per-lane scalar-ladder fallback.  Live lanes share one Montgomery
-    batch inversion and one compiled conversion formula.
+    A zero ``Z`` is the sticky degenerate/never-started flag.  Every lane
+    shares one packed batch inversion, which leaves those lanes zero and
+    names them, and one compiled conversion formula; the named lanes come
+    back as ``None`` for the per-lane scalar-ladder fallback.  The results
+    unpack here, the batch's only int-list exit.
     """
     from .point import Point
 
-    count = len(z_acc)
-    live = [index for index in range(count) if z_acc[index] != 0]
-    points: "List[Optional[Point]]" = [None] * count
-    if live:
-        with _trace.span("scalarmul.inverse_batch", count=len(live)):
-            inverses = backend.inverse_batch([z_acc[i] for i in live])
-        affine = backend.ir_executor().run(
-            projective_to_affine_program(curve),
-            {
-                "X": [x_acc[i] for i in live],
-                "Y": [y_acc[i] for i in live],
-                "zi": inverses,
-            },
-        )
-        for slot, index in enumerate(live):
-            points[index] = Point(curve, affine["x3"][slot], affine["y3"][slot])
+    with _trace.span("scalarmul.inverse_batch", count=lanes):
+        inverses, dead = executor.inverse_packed(z_acc, lanes)
+    affine = executor.compile(projective_to_affine_program(curve))
+    x3, y3 = affine.run_arrays((x_acc, y_acc, inverses), ())
+    with _trace.span(f"{prefix}.unpack", lanes=lanes):
+        points = [
+            Point(curve, x, y)
+            for x, y in zip(executor.unpack(x3, lanes), executor.unpack(y3, lanes))
+        ]
+    for lane in dead:
+        points[lane] = None
     return points
 
 
-def _run_masked_steps(backend, count, schedule_for):
-    """Drive a digit/column schedule through the compiled step formulas.
+def _run_masked_steps(curve, executor, lanes, programs, schedule):
+    """One chunk of a digit/column schedule, from the sentinel to affine points.
 
-    ``schedule_for(start, stop)`` returns ``(programs, schedule)`` for the
-    lane slice ``[start, stop)``: the step programs and a
+    ``programs`` are the step programs a
     :class:`~repro.backends.steps.CombSteps` /
-    :class:`~repro.backends.steps.TauSteps` whose events index them.
-    Every lane starts from the not-yet-started LD sentinel ``(1, 1, 0)``.
-    Returns the final accumulator triple as int lists.
+    :class:`~repro.backends.steps.TauSteps` schedule's events index.  Every
+    lane starts from the not-yet-started LD sentinel ``(1, 1, 0)``; the
+    accumulators stay packed through :meth:`~repro.backends.ir.IRExecutor
+    .run_steps` and :func:`_finalize_projective`.
     """
+    prefix = schedule.span_prefix
+    with _trace.span(f"{prefix}.pack", lanes=lanes):
+        state = [executor.pack(values) for values in ([1] * lanes, [1] * lanes, [0] * lanes)]
+    x_acc, y_acc, z_acc = executor.run_steps(programs, state, (), schedule)
+    return _finalize_projective(curve, executor, x_acc, y_acc, z_acc, lanes, prefix)
 
-    def chunk_for(start, stop):
-        lanes = stop - start
-        programs, schedule = schedule_for(start, stop)
-        return programs, ([1] * lanes, [1] * lanes, [0] * lanes), (), schedule
 
-    return _run_step_chunks(backend, count, chunk_for)
+def _tau_digit_rows(curve, scalars, width):
+    """The digit rows of a chunk of scalars: ``(digits, occupied, span)``.
+
+    ``digits`` holds one int8 row per τ-position with one signed digit
+    per lane (the :class:`~repro.backends.steps.TauSteps` layout),
+    ``occupied[position]`` is 1 where some lane's digit is nonzero, and
+    ``span`` sums the lanes' :func:`_tau_sparse_digits` spans.  The C
+    recoder fills them whenever the native extension loads, whatever
+    backend runs the batch (recoding is integer arithmetic); without it,
+    or if it reports an overflow, the reference recurrence fills the same
+    rows.
+    """
+    ctx = _tau_context(curve)
+    try:
+        rows = native.recode_tau(
+            ctx.recoding(width),
+            [ctx.reduce(scalar) for scalar in scalars],
+            curve.field.m + width + 32,
+        )
+    except ImportError:
+        rows = None
+    if rows is not None:
+        return rows
+    lanes = len(scalars)
+    lane_events = [_tau_sparse_digits(curve, scalar, width) for scalar in scalars]
+    positions = max((span for _, span in lane_events), default=0)
+    digits = bytearray(positions * lanes)
+    occupied = bytearray(positions)
+    for lane, (events, _) in enumerate(lane_events):
+        for position, digit in events:
+            digits[position * lanes + lane] = digit & 0xFF
+            occupied[position] = 1
+    return digits, occupied, sum(span for _, span in lane_events)
+
+
+def _tau_schedule(curve, occupied):
+    """The step programs and events of a chunk with digits at ``occupied`` positions.
+
+    Runs of zero digits fold into the following add event (or a trailing
+    pure-Frobenius event): τ^k is one squaring chain, so the step count is
+    the number of positions where *some* lane has a nonzero digit.  An add
+    event's row is its position.
+    """
+    programs: "List[object]" = []
+    indices: "Dict[Tuple[int, bool], int]" = {}
+
+    def program_index(squarings, has_add):
+        index = indices.get((squarings, has_add))
+        if index is None:
+            index = indices[(squarings, has_add)] = len(programs)
+            programs.append(
+                frobenius_add_program(curve, squarings)
+                if has_add
+                else frobenius_program(curve, squarings)
+            )
+        return index
+
+    events: "List[Tuple[int, int]]" = []
+    previous: "Optional[int]" = None
+    for position in range(len(occupied) - 1, -1, -1):
+        if not occupied[position]:
+            continue
+        squarings = 1 if previous is None else previous - position
+        previous = position
+        while squarings > MAX_FUSED_SQUARINGS:
+            events.append((program_index(MAX_FUSED_SQUARINGS, False), -1))
+            squarings -= MAX_FUSED_SQUARINGS
+        events.append((program_index(squarings, True), position))
+    pending = previous if previous else 0
+    while pending > 0:
+        squarings = min(pending, MAX_FUSED_SQUARINGS)
+        events.append((program_index(squarings, False), -1))
+        pending -= squarings
+    return programs, events
+
+
+def _small_multiples_batch(curve, executor, xs, ys, lanes, top):
+    """Per-lane multiples ``u·P`` for ``u = 1..top`` from packed bases.
+
+    The add chain ``2P, 3P, …`` runs through the compiled LD doubling /
+    mixed-add formulas — no inversions anywhere in the chain — and the
+    whole table is normalized to affine through **one** packed batch
+    inversion of each lane's ``Z`` product
+    (:func:`~repro.curves.formulas.small_multiples_affine_program`).
+    Returns ``(tables, degenerate)``: ``tables[u - 1]`` the packed affine
+    coordinates of ``u · P_lane`` (zeros on dead lanes) and ``degenerate``
+    the lanes whose chain hit the sticky ``Z = 0`` flag (tiny point
+    orders), which must take the scalar fallback.
+    """
+    chain_program = executor.compile(small_multiples_program(curve, top))
+    chain = dict(zip(chain_program.output_names, chain_program.run_arrays((xs, ys), ())))
+    with _trace.span("scalarmul.table_inverse", count=lanes):
+        chain["zi"], degenerate = executor.inverse_packed(chain.pop("Zall"), lanes)
+    affine_program = executor.compile(small_multiples_affine_program(curve, top))
+    affine = dict(zip(
+        affine_program.output_names,
+        affine_program.run_arrays([chain[name] for name in affine_program.input_names], ()),
+    ))
+    tables = [(xs, ys)] + [(affine[f"x{u}"], affine[f"y{u}"]) for u in range(2, top + 1)]
+    return tables, degenerate
 
 
 # ------------------------------------------------------------- τ-adic ladder
@@ -567,93 +619,47 @@ def multiply_tau_batch(
     scalars: "List[int]",
     *,
     backend,
-    width: int = DEFAULT_TAU_WIDTH,
 ) -> "List[Point]":
     """Batched τ-adic ladder over independent ``(point, scalar)`` lanes.
 
-    Per-lane sparse window recodings (:func:`tau_window_digits` events)
-    share one masked-add schedule (their nonzeros are window-aligned);
-    the per-lane small-multiple tables come from one fused
-    :func:`~repro.curves.formulas.small_multiples_program` chain plus a
-    shared Montgomery batch inversion.  Every scheduled event runs the
-    compiled
+    Per chunk of the executor's lanes: the scalars are recoded into
+    window-aligned digit rows (:func:`_tau_digit_rows`; their nonzeros
+    share one masked-add schedule), the per-lane small-multiple tables
+    come from one fused
+    :func:`~repro.curves.formulas.small_multiples_program` chain plus one
+    packed batch inversion, and every scheduled event runs the compiled
     :func:`~repro.curves.formulas.frobenius_program` (squarings only) or
     :func:`~repro.curves.formulas.frobenius_add_program` (squarings plus
-    the lane-masked add).  Lanes that finish with the sticky ``Z = 0``
-    flag — degenerate adds or annihilated scalars — take the scalar
-    ladder per lane; the result is byte-identical to the binary paths.
+    the lane-masked add).  Values stay packed from the bases to the affine
+    results.  Lanes that finish with the sticky ``Z = 0`` flag —
+    degenerate adds or annihilated scalars — take the scalar ladder per
+    lane; the result is byte-identical to the binary paths.
     """
-    count = len(base_x)
-    lane_events: "List[Dict[int, int]]" = []
-    span_total = 0
-    for scalar in scalars:
-        events, span = _tau_sparse_digits(curve, scalar, width)
-        lane_events.append(dict(events))
-        span_total += span
-    registry = _metrics.REGISTRY
-    if registry.enabled:
-        registry.inc("ladder.tau.digits", span_total)
-    top = 1 << (width - 1)
-    tables, degenerate = _small_multiples_batch(curve, backend, base_x, base_y, top)
-    for lane in degenerate:
-        lane_events[lane] = {}
-
-    def schedule_for(start, stop):
-        # Runs of zero digits fold into the following add event (or a
-        # trailing pure-Frobenius event): τ^k is one squaring chain, so
-        # the step count drops to the number of positions where *some*
-        # lane has a nonzero digit.  Events are indexed sparsely by
-        # position up front, so each digit row touches only the lanes
-        # that actually add (~1/width of the slice).
-        slots = stop - start
-        by_position: "Dict[int, List[Tuple[int, int]]]" = {}
-        for slot in range(slots):
-            for position, digit in lane_events[start + slot].items():
-                by_position.setdefault(position, []).append((slot, digit))
-        programs: "List[object]" = []
-        indices: "Dict[Tuple[int, bool], int]" = {}
-
-        def program_index(squarings, has_add):
-            index = indices.get((squarings, has_add))
-            if index is None:
-                index = indices[(squarings, has_add)] = len(programs)
-                programs.append(
-                    frobenius_add_program(curve, squarings)
-                    if has_add
-                    else frobenius_program(curve, squarings)
-                )
-            return index
-
-        events: "List[Tuple[int, int]]" = []
-        digits: "List[List[int]]" = []
-        previous: "Optional[int]" = None
-        for position in sorted(by_position, reverse=True):
-            squarings = 1 if previous is None else previous - position
-            previous = position
-            while squarings > MAX_FUSED_SQUARINGS:
-                events.append((program_index(MAX_FUSED_SQUARINGS, False), -1))
-                squarings -= MAX_FUSED_SQUARINGS
-            row = [0] * slots
-            for slot, digit in by_position[position]:
-                row[slot] = digit
-            events.append((program_index(squarings, True), len(digits)))
-            digits.append(row)
-        pending = previous if previous else 0
-        while pending > 0:
-            squarings = min(pending, MAX_FUSED_SQUARINGS)
-            events.append((program_index(squarings, False), -1))
-            pending -= squarings
-        lane_tables = [
-            (tables[u][0][start:stop], tables[u][1][start:stop]) for u in range(1, top + 1)
-        ]
-        return programs, TauSteps(events, digits, lane_tables, slots)
-
-    x_acc, y_acc, z_acc = _run_masked_steps(backend, count, schedule_for)
-    for lane in degenerate:
-        z_acc[lane] = 0
-    points = _finalize_projective(curve, backend, x_acc, y_acc, z_acc)
     from .point import Point
 
+    width = DEFAULT_TAU_WIDTH
+    top = 1 << (width - 1)
+    executor = backend.ir_executor()
+    registry = _metrics.REGISTRY
+    count = len(base_x)
+    points: "List[Optional[Point]]" = []
+    for start in range(0, count, executor.chunk_size):
+        stop = min(start + executor.chunk_size, count)
+        lanes = stop - start
+        digits, occupied, span = _tau_digit_rows(curve, scalars[start:stop], width)
+        if registry.enabled:
+            registry.inc("ladder.tau.digits", span)
+        with _trace.span("ladder.tau.pack", lanes=lanes):
+            xs = executor.pack(base_x[start:stop])
+            ys = executor.pack(base_y[start:stop])
+        tables, degenerate = _small_multiples_batch(curve, executor, xs, ys, lanes, top)
+        for lane in degenerate:
+            # A degenerate lane never adds, so its Z stays the sentinel's 0.
+            digits[lane::lanes] = bytes(len(occupied))
+        programs, events = _tau_schedule(curve, occupied)
+        points += _run_masked_steps(
+            curve, executor, lanes, programs, TauSteps(events, digits, tables, lanes)
+        )
     for index in range(count):
         if points[index] is None:
             points[index] = curve.multiply(
@@ -853,15 +859,14 @@ def multiply_comb_batch(
         registry.inc("comb.columns", columns * count)
 
     program = double_add_program(curve)
-    x_acc, y_acc, z_acc = _run_masked_steps(
-        backend,
-        count,
-        lambda start, stop: (
-            [program],
+    executor = backend.ir_executor()
+    points: "List[Optional[Point]]" = []
+    for start in range(0, count, executor.chunk_size):
+        stop = min(start + executor.chunk_size, count)
+        points += _run_masked_steps(
+            curve, executor, stop - start, [program],
             CombSteps(scalars[start:stop], width, columns, table.points),
-        ),
-    )
-    points = _finalize_projective(curve, backend, x_acc, y_acc, z_acc)
+        )
     generator = curve.generator
     for index in range(count):
         if points[index] is None:

@@ -51,7 +51,10 @@ class GF2LinearMap:
     Bits are consumed eight at a time through 256-entry lookup tables, so an
     application costs ``ceil(m / 8)`` table lookups and XORs — for the
     NIST-size fields that is 20-70 word operations instead of a full
-    carry-less product and reduction.
+    carry-less product and reduction.  The tables are built on the first
+    call: the compiled executors re-lower a map from its :attr:`masks`
+    (:meth:`byte_tables` streams the same tables without keeping them),
+    so a map only they run never holds ``ceil(m / 8) × 256`` Python ints.
 
     The defining images stay available as :attr:`masks` so other execution
     substrates can re-lower the same map — the plane-resident backend
@@ -66,32 +69,36 @@ class GF2LinearMap:
     and one product instead of a table walk.
     """
 
-    __slots__ = ("tables", "input_bits", "masks", "power")
+    __slots__ = ("_tables", "input_bits", "masks", "power")
 
     def __init__(self, masks: Sequence[int], *, power: Optional[int] = None) -> None:
         self.masks = tuple(masks)
         self.input_bits = len(masks)
         self.power = power
-        tables: List[List[int]] = []
+        self._tables: Optional[List[List[int]]] = None
+
+    def byte_tables(self) -> Iterator[List[int]]:
+        """The ``ceil(m / 8)`` per-byte lookup tables, built afresh, lowest byte first."""
+        masks = self.masks
         for start in range(0, len(masks), 8):
-            chunk = masks[start:start + 8]
             table = [0] * 256
-            for bit, mask in enumerate(chunk):
+            for bit, mask in enumerate(masks[start:start + 8]):
                 step = 1 << bit
                 for base in range(0, 256, step << 1):
                     for offset in range(step):
                         table[base + step + offset] = table[base + offset] ^ mask
-            tables.append(table)
-        self.tables = tables
+            yield table
 
     def __call__(self, value: int) -> int:
         if value < 0 or value >> self.input_bits:
             raise ValueError(
                 f"0x{value:x} is outside the map's {self.input_bits}-bit input space"
             )
+        tables = self._tables
+        if tables is None:
+            tables = self._tables = list(self.byte_tables())
         result = 0
         index = 0
-        tables = self.tables
         while value:
             result ^= tables[index][value & 0xFF]
             value >>= 8

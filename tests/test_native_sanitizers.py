@@ -5,10 +5,12 @@ The kernel source and its cffi declarations are built a second time with
 a checking subprocess (libasan preloaded, since the Python binary itself
 is not instrumented) swaps that build in for the native backend and runs
 every entry point against the pure-Python reference: the mul, square and
-inverse batches on m = 8, 64 and every catalogue degree, the program
-runner on every opcode, and the step loop on each route (binary ladder,
-comb, τ) on T-13, B-163, K-233 and K-283.  Any sanitizer report fails
-the test.  Skipped where gcc, cffi or libasan is missing.
+inverse batches (plus the zero-tolerant packed inverse) on m = 8, 64 and
+every catalogue degree, the program runner on every opcode, the step loop
+on each route (binary ladder, comb, τ) on T-13, B-163, K-233 and K-283,
+and the τ recoder against the Python recurrence, bounds reports included.
+Any sanitizer report fails the test.  Skipped where gcc, cffi or libasan
+is missing.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ CHECKS = textwrap.dedent(
     from repro.backends.ir import execute_program
     from repro.curves import curve_by_name
     from repro.curves.formulas import frobenius_add_program, ladder_step_program
+    from repro.curves import scalarmul
     from repro.curves.scalarmul import multiply_comb_batch
     from repro.galois import GF2mField
     from repro.galois.pentanomials import smallest_type_ii_pentanomial
@@ -55,6 +58,56 @@ CHECKS = textwrap.dedent(
         assert backend.square_batch(a) == [field.square(x) for x in a]
         nonzero = [value or 1 for value in a]
         assert backend.inverse_batch(nonzero) == [field.inverse(value) for value in nonzero]
+        # The packed inverse: zero lanes stay zero and are named.
+        executor = backend.ir_executor()
+        for lanes in (1, 63, 64, 65):
+            values = [rng.randrange(1, field.order) for _ in range(lanes)]
+            zeros = sorted({0, lanes // 2, lanes - 1})
+            for lane in zeros:
+                values[lane] = 0
+            inverses, reported = executor.inverse_packed(executor.pack(values), lanes)
+            assert reported == zeros
+            assert executor.unpack(inverses, lanes) == [
+                field.inverse(value) if value else 0 for value in values
+            ]
+
+    def check_recoder(curve):
+        # The C recoder against the Python recurrence directly: the batch
+        # comparison below runs the same C recoder on both backends.
+        ctx = scalarmul._tau_context(curve)
+        m, n = curve.field.m, curve.order
+        scalars = [0, 1, 2, n - 1, n, n + 1, 1 << m, 3 * n] + [
+            rng.randrange(1 << (2 * m)) for _ in range(6)
+        ]
+        residues = [scalarmul.reduce_scalar(curve, scalar) for scalar in scalars]
+        lanes = len(scalars)
+        for width in range(2, 8):
+            digits, occupied, span = native.recode_tau(ctx.recoding(width), residues, m + width + 32)
+            signed = memoryview(digits).cast("b")
+            total = 0
+            for lane, scalar in enumerate(scalars):
+                events, lane_span = scalarmul._tau_sparse_digits(curve, scalar, width)
+                total += lane_span
+                assert events == [
+                    (position, signed[position * lanes + lane])
+                    for position in range(len(occupied))
+                    if signed[position * lanes + lane]
+                ], (curve.name, width, scalar)
+            assert span == total
+        # Bounds: too few rows and a width past int8 digits are reported.
+        assert native.recode_tau(ctx.recoding(4), residues, 8) is None
+        assert native.recode_tau(ctx.recoding(8), residues, m + 64) is None
+        # A residue wider than its limbs is reported, not written past.
+        ext = native._load_extension()
+        ffi = ext.ffi
+        digits, occupied = bytearray(m + 40), bytearray(m + 40)
+        wide = (1 << 30).to_bytes(4, "little") + bytes(4)  # r0 = 2^30 in one limb
+        assert ext.lib.gf2m_tau_recode(
+            ffi.new("gf2m_tau_recoding *", ctx.recoding(4)),
+            ffi.from_buffer("uint32_t[]", wide), 1, 1,
+            ffi.from_buffer("int8_t[]", digits), ffi.from_buffer("uint8_t[]", occupied),
+            m + 40,
+        ) == -2
 
     def check_program(program, field):
         # The program runner against the interpreter on the Python backend.
@@ -97,6 +150,7 @@ CHECKS = textwrap.dedent(
             got = curve.multiply_batch(bases, binary, backend=backend)
             assert got == curve.multiply_batch(bases, binary, backend=python), curve_name
             continue
+        check_recoder(curve)
         bases = [curve.generator] * 5
         for options in ({"scalar_rep": "binary"}, {"scalar_rep": "tau"}):
             scalars = binary if options["scalar_rep"] == "binary" else [
