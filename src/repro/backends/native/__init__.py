@@ -79,15 +79,17 @@ _OP_NAMES = {_OP_MUL: "mul", _OP_XOR: "xor", _OP_LINEAR: "linear",
 def square_chain_limit(nw: int) -> int:
     """Longest Frobenius power ``v ↦ c·v^(2^k)`` lowered to ``k`` SQUAREs.
 
-    Longer chains keep one per-byte table walk.  Measured on x86-64 with
-    PCLMULQDQ, 256 lanes, per lane: a SQUARE costs ~40 ns at m = 163..283
-    and ~60 ns at m = 571, a table walk ~60 ns at m = 163, ~150 ns at
-    m = 283 and ~600 ns at m = 571 (it grows with m²/64, the chain with m),
-    so chains break even near 2, 4 and 7 squarings.  The floor of 2 keeps
-    the ladder step's ``square∘square`` maps on SQUARE at m = 163, where a
-    table walk would still be ~15% faster in the ladder.
+    Longer chains keep one per-byte table walk.  Measured on a shared
+    2-core x86-64 host with PCLMULQDQ, 256 lanes, per lane and map: a
+    SQUARE costs ~15–25 ns at m = 163 (the kernel's register-resident
+    3-word rows), ~50–70 ns at m = 283 and ~80 ns at m = 571 (the generic
+    rows); a table walk ~100 ns at m = 163, ~290 ns at m = 283 and
+    ~640 ns at m = 571 (it grows with m²/64, the chain with m).  3-word
+    chains break even near 5 squarings, hence their limit of 5; wider
+    fields keep ``max(2, nw − 2)`` (3 at m = 283, 7 at m = 571) on the
+    generic rows, whose break-evens lie near 4–5 and 7–8 squarings.
     """
-    return max(2, nw - 2)
+    return 5 if nw == 3 else max(2, nw - 2)
 
 
 _EXT = None
@@ -257,14 +259,16 @@ class NativeBackend(FieldBackend):
 
     # ----------------------------------------------------------- introspection
     def describe(self) -> str:
-        clmul = "PCLMULQDQ" if self._ext.lib.gf2m_has_clmul() else "portable clmul"
+        # The kernel chooses the rows (from the field's shape and the CPU)
+        # and names them.
+        rows = self._ffi.string(self._ext.lib.gf2m_rows(self._field_c)).decode()
         if self._fold_n >= 0:
             reduction = f"type II fold reduction (n={self._fold_n})"
         else:
             reduction = f"{self._nterms}-term reduction"
         return (
-            f"native[C] GF(2^{self.m}): {self._nw}x64-bit words, {clmul}, "
-            f"{reduction}, {self.chunk_size} lanes/chunk"
+            f"native[C] GF(2^{self.m}): {self._nw}x64-bit words, {reduction}, "
+            f"{rows} rows, {self.chunk_size} lanes/chunk"
         )
 
 

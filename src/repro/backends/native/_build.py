@@ -1,15 +1,18 @@
-"""cffi build script and runtime loader for the native GF(2^m) kernel.
+"""cffi declarations, build and runtime loader for the native GF(2^m) kernel.
 
 Two ways to get the compiled extension:
 
-* **Install time** — ``pip install .[native]`` runs this module through the
-  ``cffi_modules`` hook in ``setup.py``, which builds
+* **Install time** — ``pip install .[native]`` runs :data:`ffibuilder`
+  through the ``cffi_modules`` hook in ``setup.py``, which builds
   ``repro.backends.native._gf2m_native`` into the installed package.
 * **Import time** — when the project runs from a source tree (the test and
-  benchmark configuration), :func:`extension_module` compiles the kernel
-  once into the shared artifact cache (``~/.cache/gf2m-repro/native``,
-  ``$GF2M_REPRO_CACHE_DIR`` aware) keyed by a hash of the source, and loads
-  it from there on every later run.
+  benchmark configuration), :func:`extension_module` has cffi emit the
+  module's C source and builds it with **one** call of the C compiler
+  Python was built with (:func:`_compile_command`), once, into the shared
+  artifact cache (``~/.cache/gf2m-repro/native``, ``$GF2M_REPRO_CACHE_DIR``
+  aware) keyed by a hash of the source and that command, and loads it from
+  there on every later run.  No setuptools or distutils is imported, and
+  nothing is printed.
 
 Both paths need a C compiler and :mod:`cffi`; every failure is collapsed
 into an :class:`ImportError` whose message says how to fix it, so the
@@ -22,12 +25,17 @@ import hashlib
 import importlib.machinery
 import importlib.util
 import os
+import shlex
 import shutil
+import subprocess
 import sys
+import sysconfig
 import tempfile
 from pathlib import Path
+from typing import List
 
 import cffi
+from cffi.recompiler import make_c_source
 
 _MODULE_NAME = "repro.backends.native._gf2m_native"
 
@@ -66,7 +74,7 @@ typedef struct {
     int64_t threshold;
     int64_t gate;
 } gf2m_tau_recoding;
-int gf2m_has_clmul(void);
+const char *gf2m_rows(const gf2m_field *f);
 void gf2m_mul_batch(const gf2m_field *f, const uint64_t *a, const uint64_t *b,
                     uint64_t *out, long count);
 void gf2m_square_batch(const gf2m_field *f, const uint64_t *values,
@@ -89,13 +97,17 @@ def _kernel_source() -> str:
     return (Path(__file__).with_name("_kernel.c")).read_text(encoding="utf-8")
 
 
+#: Appended to Python's own CFLAGS.  -g0 drops the debug info those ask
+#: for: nothing reads it at run time, and it is ~10% of the cold first-use
+#: build, which every fresh cache pays (the sanitizer test builds its own
+#: -g copy).
+_OPT_FLAGS = ["-O2", "-g0"]
+
+
 def _make_ffibuilder() -> cffi.FFI:
     builder = cffi.FFI()
     builder.cdef(_CDEF)
-    # -g0 drops the debug info Python's own CFLAGS ask for: nothing reads it
-    # at run time, and it is ~10% of the cold first-use build, which every
-    # fresh cache pays (the sanitizer test builds its own -g copy).
-    builder.set_source(_MODULE_NAME, _kernel_source(), extra_compile_args=["-O2", "-g0"])
+    builder.set_source(_MODULE_NAME, _kernel_source(), extra_compile_args=_OPT_FLAGS)
     return builder
 
 
@@ -109,6 +121,32 @@ def _cache_dir() -> Path:
     return default_cache_root() / "native"
 
 
+def _compile_command(source: str, target: str) -> List[str]:
+    """One compiler call that builds the C file ``source`` into ``target``.
+
+    The platform's build configuration, read as distutils reads it:
+    ``LDSHARED`` (its compiler replaced by ``$CC`` when that is set) with
+    ``CFLAGS``, ``CCSHARED`` and Python's include directory, then
+    :data:`_OPT_FLAGS`.
+    """
+    config = sysconfig.get_config_vars()
+    cc, ldshared = config.get("CC") or "", config.get("LDSHARED")
+    if not ldshared:
+        raise OSError("this Python's build configuration names no shared-object linker")
+    if os.environ.get("CC") and ldshared.startswith(cc):
+        ldshared = os.environ["CC"] + ldshared[len(cc):]
+    return [
+        *shlex.split(ldshared),
+        *shlex.split(config.get("CFLAGS") or ""),
+        *shlex.split(config.get("CCSHARED") or ""),
+        "-I" + sysconfig.get_paths()["include"],
+        *_OPT_FLAGS,
+        source,
+        "-o",
+        target,
+    ]
+
+
 def _source_key() -> str:
     payload = "\n".join(
         [
@@ -116,17 +154,34 @@ def _source_key() -> str:
             _kernel_source(),
             cffi.__version__,
             "cp%d%d" % sys.version_info[:2],
+            *_compile_command("SOURCE", "TARGET"),
         ]
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
+def _artifact_path() -> Path:
+    """Where the import-time build of this source and command is cached."""
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+    return _cache_dir() / f"_gf2m_native.{_source_key()}{suffix}"
+
+
 def _compile_into_cache(target: Path) -> None:
     """Build the extension in a scratch dir, then atomically publish it."""
     target.parent.mkdir(parents=True, exist_ok=True)
-    scratch = tempfile.mkdtemp(prefix="build-", dir=str(target.parent))
+    scratch = Path(tempfile.mkdtemp(prefix="build-", dir=str(target.parent)))
     try:
-        built = ffibuilder.compile(tmpdir=scratch, verbose=False)
+        source, built = scratch / "_gf2m_native.c", scratch / target.name
+        make_c_source(ffibuilder, _MODULE_NAME, _kernel_source(), str(source))
+        command = _compile_command(str(source), str(built))
+        result = subprocess.run(
+            command, stdin=subprocess.DEVNULL, capture_output=True, text=True
+        )
+        if result.returncode:
+            raise OSError(
+                f"{command[0]} exited with status {result.returncode}: "
+                f"{result.stderr.strip()[-2000:]}"
+            )
         os.replace(built, target)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
@@ -153,9 +208,8 @@ def extension_module():
     except ImportError:
         pass
 
-    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
-    target = _cache_dir() / f"_gf2m_native.{_source_key()}{suffix}"
     try:
+        target = _artifact_path()
         if not target.exists():
             _compile_into_cache(target)
         return _load_from_path(target)

@@ -12,7 +12,11 @@ than fails when the extension cannot be built.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +32,7 @@ from repro.backends import (
 from repro.backends.native import NativeBackend
 from repro.curves import curve_by_name
 from repro.galois.field import GF2mField
-from repro.galois.pentanomials import smallest_type_ii_pentanomial
+from repro.galois.pentanomials import smallest_type_ii_pentanomial, type_ii_pentanomial
 
 requires_native = pytest.mark.skipif(
     not native_available(), reason="native extension not buildable here"
@@ -142,9 +146,65 @@ class TestNativeDegradation:
         assert default_backend_name(GF2_163) == "engine"
 
 
+class TestNativeBuild:
+    """The import-time build: one compiler call, cached under its command."""
+
+    @pytest.fixture()
+    def build(self):
+        pytest.importorskip("cffi")
+        from repro.backends.native import _build
+
+        return _build
+
+    def test_the_cache_key_covers_the_compile_command(self, build, monkeypatch):
+        """A flag-only or compiler-only change builds a new artifact."""
+        monkeypatch.delenv("CC", raising=False)
+        plain = build._artifact_path()
+        monkeypatch.setattr(build, "_OPT_FLAGS", [*build._OPT_FLAGS, "-funroll-loops"])
+        unrolled = build._artifact_path()
+        monkeypatch.setenv("CC", "another-cc")
+        assert len({plain, unrolled, build._artifact_path()}) == 3
+
+    def test_a_missing_compiler_raises_the_install_hint(self, build, monkeypatch, tmp_path):
+        # A loaded build registers itself in sys.modules, where the lookup for
+        # an installed extension would find it: start as a fresh process does.
+        monkeypatch.delitem(sys.modules, build._MODULE_NAME, raising=False)
+        monkeypatch.setenv("GF2M_REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("CC", str(tmp_path / "no-such-cc"))
+        with pytest.raises(ImportError, match=r"install a C compiler and cffi \(pip install"):
+            build.extension_module()
+        assert not list((tmp_path / "native").glob("build-*"))
+
+    @requires_native
+    def test_first_use_builds_silently_without_setuptools(self, tmp_path):
+        script = (
+            "import sys\n"
+            "from repro.backends import native_available\n"
+            "assert native_available()\n"
+            "loaded = sorted(name for name in sys.modules\n"
+            "                if name.split('.')[0] in ('setuptools', 'distutils', 'pkg_resources'))\n"
+            "sys.exit(f'imported {loaded}' if loaded else 0)\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(
+            os.environ,
+            GF2M_REPRO_CACHE_DIR=str(tmp_path),
+            PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])),
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
+        )
+        assert result.returncode == 0, result.stderr[-2000:]
+        assert result.stdout == ""
+        built = sorted(path.name for path in (tmp_path / "native").iterdir())
+        assert len(built) == 1 and built[0].startswith("_gf2m_native."), built
+
+
 # ------------------------------------------------------------------ kernel paths
 # Every catalogue modulus (T-13 and the five NIST degrees) plus the small
 # type II fields; m = 64 is the one the two-fold reduction does not cover.
+# m = 137 (n = 26) and m = 170 (n = 5) are 3-word fields whose fold word
+# offset n >> 6 is 0, where B-163's (n = 66) is 1.
 CATALOGUE_FIELDS = {
     name: curve_by_name(curve).field
     for name, curve in (
@@ -154,6 +214,9 @@ CATALOGUE_FIELDS = {
 }
 CATALOGUE_FIELDS.update(
     {str(m): GF2mField(smallest_type_ii_pentanomial(m)) for m in (8, 16, 64)}
+)
+CATALOGUE_FIELDS.update(
+    {str(m): GF2mField(type_ii_pentanomial(m, n)) for m, n in ((137, 26), (170, 5))}
 )
 
 
@@ -170,6 +233,14 @@ class TestNativeKernelPaths:
         field = CATALOGUE_FIELDS[name]
         description = NativeBackend(field).describe()
         assert ("type II fold" in description) == (field.m != 64), description
+        if "portable clmul rows" in description:
+            return  # no PCLMULQDQ: every shape runs the portable rows
+        # On PCLMULQDQ, 3-word type II folds (B-163, m = 137, 170) get the
+        # register-resident rows and every other shape (K-571, m = 64) the
+        # generic ones.
+        resident = "type II fold" in description and (field.m + 63) // 64 == 3
+        assert ("PCLMULQDQ register-resident fold rows" in description) == resident, description
+        assert ("PCLMULQDQ generic fold rows" in description) == (not resident), description
 
     @pytest.mark.parametrize("name", sorted(CATALOGUE_FIELDS))
     @settings(max_examples=25, deadline=None)
@@ -180,8 +251,52 @@ class TestNativeKernelPaths:
         values = st.integers(min_value=0, max_value=field.order - 1)
         a = data.draw(st.lists(values, min_size=1, max_size=9))
         b = data.draw(st.lists(values, min_size=len(a), max_size=len(a)))
+        # Every pair of 0, 1, y^(m-1) and all-ones: the top bits reach both folds.
+        edges = [0, 1, 1 << (field.m - 1), field.order - 1]
+        a = [x for x in edges for _ in edges] + a
+        b = edges * len(edges) + b
         assert backend.multiply_batch(a, b) == [field.multiply(x, y) for x, y in zip(a, b)]
         assert backend.square_batch(a) == [field.square(x) for x in a]
+
+    def test_register_resident_rows_match_the_generic_rows_on_every_3_word_shape(self):
+        """Every type II shape the fold takes at 129 <= m <= 191 (n >> 6 is 0
+        or 1, and n = 64 has no bit shift), irreducible or not: the rows the
+        kernel picks equal the generic reduction rows, which a field record
+        without a fold (fold_n = -1) runs; a sample equals the reference."""
+        rng = random.Random(191)
+        shapes = 0
+        for m in range(129, 192):
+            for n in range(2, m // 2):
+                if 2 * n + 2 >= m:
+                    continue
+                field = GF2mField(type_ii_pentanomial(m, n), check_irreducible=False)
+                backend = NativeBackend(field)
+                ffi, lib = backend._ffi, backend._ext.lib
+                generic = ffi.new("gf2m_field *", {
+                    "m": m, "nw": 3, "fold_n": -1,
+                    "nterms": backend._nterms, "terms": backend._terms,
+                })
+                edges = [0, 1, 1 << (m - 1), field.order - 1]
+                a = [x for x in edges for _ in edges] + [rng.getrandbits(m) for _ in range(8)]
+                b = edges * len(edges) + [rng.getrandbits(m) for _ in range(8)]
+                x = ffi.from_buffer("uint64_t[]", backend._pack(a))
+                y = ffi.from_buffer("uint64_t[]", backend._pack(b))
+                products, squares = [], []
+                for record in (backend._field_c, generic):
+                    product = ffi.new("uint64_t[]", 3 * len(a))
+                    square = ffi.new("uint64_t[]", 3 * len(a))
+                    lib.gf2m_mul_batch(record, x, y, product, len(a))
+                    lib.gf2m_square_batch(record, x, square, len(a))
+                    products.append(ffi.buffer(product)[:])
+                    squares.append(ffi.buffer(square)[:])
+                assert products[0] == products[1] and squares[0] == squares[1], (m, n)
+                if n % 16 == 0:
+                    assert backend._unpack(products[0], len(a)) == [
+                        field.multiply(p, q) for p, q in zip(a, b)
+                    ], (m, n)
+                    assert backend._unpack(squares[0], len(a)) == [field.square(p) for p in a]
+                shapes += 1
+        assert shapes > 4800
 
     @pytest.mark.parametrize("lanes", [1, 2, 15, 16, 257])
     @pytest.mark.parametrize("name", ["T-13", "163", "283", "64"])

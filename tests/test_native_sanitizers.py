@@ -5,12 +5,15 @@ The kernel source and its cffi declarations are built a second time with
 a checking subprocess (libasan preloaded, since the Python binary itself
 is not instrumented) swaps that build in for the native backend and runs
 every entry point against the pure-Python reference: the mul, square and
-inverse batches (plus the zero-tolerant packed inverse) on m = 8, 64 and
-every catalogue degree, the program runner on every opcode, the step loop
-on each route (binary ladder, comb, τ) on T-13, B-163, K-233 and K-283,
-and the τ recoder against the Python recurrence, bounds reports included.
-Any sanitizer report fails the test.  Skipped where gcc, cffi or libasan
-is missing.
+inverse batches (plus the zero-tolerant packed inverse) on m = 8, 64, 137
+and every catalogue degree, the program runner on every opcode, the step
+loop on each route (binary ladder, comb, τ) on T-13, B-163, K-233 and
+K-283, and the τ recoder against the Python recurrence, bounds reports
+included.  On x86-64 that build runs the register-resident and the
+generic fold rows; a third build with ``-DGF2M_NO_PCLMUL`` runs the
+portable rows through the batches and a binary and a τ ladder on T-13,
+B-163 and K-283.  Any sanitizer report fails the test.  Skipped where
+gcc, cffi or libasan is missing.
 """
 
 from __future__ import annotations
@@ -38,9 +41,9 @@ CHECKS = textwrap.dedent(
     from repro.curves import scalarmul
     from repro.curves.scalarmul import multiply_comb_batch
     from repro.galois import GF2mField
-    from repro.galois.pentanomials import smallest_type_ii_pentanomial
+    from repro.galois.pentanomials import smallest_type_ii_pentanomial, type_ii_pentanomial
 
-    path, name = sys.argv[1], sys.argv[2]
+    path, name, portable = sys.argv[1], sys.argv[2], sys.argv[3] == "portable"
     loader = importlib.machinery.ExtensionFileLoader(name, path)
     spec = importlib.util.spec_from_file_location(name, path, loader=loader)
     module = importlib.util.module_from_spec(spec)
@@ -49,9 +52,11 @@ CHECKS = textwrap.dedent(
 
     rng = random.Random(2018)
     opcodes = set()
+    rows = set()
 
     def check_batches(field):
         backend = native.NativeBackend(field)
+        rows.add(backend._ffi.string(module.lib.gf2m_rows(backend._field_c)).decode())
         a = [0, 1, field.order - 1] + [rng.randrange(field.order) for _ in range(17)]
         b = [field.order - 1, 0, field.order - 1] + [rng.randrange(field.order) for _ in range(17)]
         assert backend.multiply_batch(a, b) == [field.multiply(x, y) for x, y in zip(a, b)]
@@ -122,16 +127,45 @@ CHECKS = textwrap.dedent(
         for key in compiled.output_names:
             assert got[key] == want[key], (program.ir.name, key)
 
+    def check_ladders(curve, backend, python):
+        # Binary scalars stay short (the step code is the same at every
+        # bit); τ scalars span the group.
+        binary = [rng.getrandbits(80) | 1 for _ in range(5)]
+        if curve.order is None:
+            bases = [curve.random_point(rng) for _ in range(5)]
+            got = curve.multiply_batch(bases, binary, backend=backend)
+            assert got == curve.multiply_batch(bases, binary, backend=python), curve.name
+            return
+        bases = [curve.generator] * 5
+        for options in ({"scalar_rep": "binary"}, {"scalar_rep": "tau"}):
+            scalars = binary if options["scalar_rep"] == "binary" else [
+                rng.randrange(1, curve.order) for _ in range(5)
+            ]
+            got = curve.multiply_batch(bases, scalars, backend=backend, fixed_base=False, **options)
+            want = curve.multiply_batch(bases, scalars, backend=python, fixed_base=False, **options)
+            assert got == want, (curve.name, options)
+
+    if portable:
+        # The rows no x86-64 CPU would otherwise reach, on 1, 3 and 5 words.
+        for curve_name in ("T-13", "B-163", "K-283"):
+            curve = curve_by_name(curve_name)
+            check_batches(curve.field)
+            backend = native.NativeBackend(curve.field, chunk_size=4)
+            check_ladders(curve, backend, get_backend("python", curve.field))
+        assert rows == {"portable clmul"}, rows
+        print("sanitized kernel ok")
+        sys.exit(0)
+
     for m in (8, 64):
         check_batches(GF2mField(smallest_type_ii_pentanomial(m)))
+    check_batches(GF2mField(type_ii_pentanomial(137, 26)))  # 3 words, n < 64
     for curve_name in ("K-409", "K-571"):
         check_batches(curve_by_name(curve_name).field)
 
     # The step loop on every route, at one, three, four and five words per
     # element.  Five lanes in chunks of four: every route crosses a chunk
-    # boundary.  Binary scalars stay short (the step code is the same at
-    # every bit); τ scalars span the group; the comb uses a 4-tooth table
-    # so that building it stays cheap in a cold cache.
+    # boundary.  The comb uses a 4-tooth table so that building it stays
+    # cheap in a cold cache.
     for curve_name in ("T-13", "B-163", "K-233", "K-283"):
         curve = curve_by_name(curve_name)
         field = curve.field
@@ -144,25 +178,20 @@ CHECKS = textwrap.dedent(
             check_program(frobenius_add_program(curve, limit + 1), field)
         backend = native.NativeBackend(field, chunk_size=4)
         python = get_backend("python", field)
-        binary = [rng.getrandbits(80) | 1 for _ in range(5)]
+        if curve.order is not None:
+            check_recoder(curve)
+        check_ladders(curve, backend, python)
         if curve.order is None:
-            bases = [curve.random_point(rng) for _ in range(5)]
-            got = curve.multiply_batch(bases, binary, backend=backend)
-            assert got == curve.multiply_batch(bases, binary, backend=python), curve_name
             continue
-        check_recoder(curve)
-        bases = [curve.generator] * 5
-        for options in ({"scalar_rep": "binary"}, {"scalar_rep": "tau"}):
-            scalars = binary if options["scalar_rep"] == "binary" else [
-                rng.randrange(1, curve.order) for _ in range(5)
-            ]
-            got = curve.multiply_batch(bases, scalars, backend=backend, fixed_base=False, **options)
-            want = curve.multiply_batch(bases, scalars, backend=python, fixed_base=False, **options)
-            assert got == want, (curve_name, options)
         scalars = [rng.randrange(1, curve.order) for _ in range(5)]
         got = multiply_comb_batch(curve, scalars, backend=backend, teeth=4)
         assert got == multiply_comb_batch(curve, scalars, backend=python, teeth=4), curve_name
     assert opcodes == {"mul", "xor", "square", "linear", "select"}, opcodes
+    # On x86-64 both PCLMULQDQ kinds of rows ran; elsewhere the portable ones.
+    assert rows in (
+        {"PCLMULQDQ register-resident fold", "PCLMULQDQ generic fold"},
+        {"portable clmul"},
+    ), rows
     print("sanitized kernel ok")
     """
 )
@@ -178,20 +207,20 @@ def _libasan():
     return found if found and os.path.isabs(found) and os.path.exists(found) else None
 
 
-def test_kernel_is_sanitizer_clean(tmp_path):
+def _sanitized_run(tmp_path, name, defines, rows):
+    """Build the kernel sanitized as ``name`` and run CHECKS against it."""
     cffi = pytest.importorskip("cffi")
     libasan = _libasan()
     if libasan is None:
         pytest.skip("gcc with libasan is needed for the sanitizer build")
     from repro.backends.native import _build
 
-    name = "_gf2m_native_sanitized"
     ffi = cffi.FFI()
     ffi.cdef(_build._CDEF)
     ffi.set_source(
         name,
         _build._kernel_source(),
-        extra_compile_args=SANITIZE_FLAGS,
+        extra_compile_args=SANITIZE_FLAGS + defines,
         extra_link_args=["-fsanitize=address,undefined"],
     )
     try:
@@ -207,7 +236,7 @@ def test_kernel_is_sanitizer_clean(tmp_path):
         PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])),
     )
     result = subprocess.run(
-        [sys.executable, "-c", CHECKS, built, name],
+        [sys.executable, "-c", CHECKS, built, name, rows],
         capture_output=True, text=True, env=env, timeout=600,
     )
     report = result.stdout + result.stderr
@@ -215,3 +244,12 @@ def test_kernel_is_sanitizer_clean(tmp_path):
     assert "sanitized kernel ok" in result.stdout
     for marker in ("AddressSanitizer", "runtime error:", "LeakSanitizer"):
         assert marker not in report, report[-4000:]
+
+
+def test_kernel_is_sanitizer_clean(tmp_path):
+    _sanitized_run(tmp_path, "_gf2m_native_sanitized", [], "native")
+
+
+def test_portable_rows_are_sanitizer_clean(tmp_path):
+    """GF2M_NO_PCLMUL leaves only the portable rows in the build."""
+    _sanitized_run(tmp_path, "_gf2m_native_portable", ["-DGF2M_NO_PCLMUL"], "portable")
