@@ -20,7 +20,7 @@ binary Montgomery ladder on the **same** backend:
 All paths are asserted byte-identical to each other and spot-checked
 against the scalar-ladder reference before any rate is reported.  The
 trajectory covers K-163..K-571 (full runs; quick CI runs keep the
-headline K-163 grid on both plane-resident backends).
+headline K-163 grid on bitslice and native).
 
 Run standalone::
 
@@ -42,12 +42,12 @@ DEFAULT_BATCH = 256
 
 #: Asserted CI floors on the headline grid point (conservative for shared
 #: runners; local targets run higher — see BENCH_koblitz.json).  The
-#: protocol floor is per-backend: the bitslice planes execute squarings as
-#: fused XOR passes, so τ pays off outright (measured ~2.1×); on native
-#: both ladders run their whole step loop in C, τ recodes its scalars in C
-#: too and keeps the batch packed from table to finalize, so τ beats the
-#: binary ladder at every Koblitz degree (~1.5× at K-163) and the comb
-#: adds its own win on keygen.
+#: protocol floor is per-backend: bitslice interprets every route, so its
+#: cost is the netlist products, which τ and the comb cut and squarings
+#: do not add to (measured ~2.5–2.8×); on native both ladders run their whole
+#: step loop in C, τ recodes its scalars in C too and keeps the batch
+#: packed from table to finalize, so τ beats the binary ladder at every
+#: Koblitz degree (~1.5× at K-163) and the comb adds its own win on keygen.
 PROTOCOL_FLOORS = {"bitslice": 1.8, "native": 1.2}
 KEYGEN_FLOOR = 2.0     # comb keygen vs ladder keygen, every backend
 #: τ agreement vs binary agreement: native makes τ the ``auto`` default
@@ -245,7 +245,7 @@ def test_koblitz_floors():
     if not backends:  # pragma: no cover - CI installs numpy/cffi
         import pytest
 
-        pytest.skip("no plane-resident backend available")
+        pytest.skip("neither bitslice nor native is available")
     row = measure_koblitz(backend_name=backends[-1])
     print("\n" + report([row]))
     _assert_floors(row)
@@ -266,7 +266,7 @@ def main(argv=None):
     repeats = min(args.repeats, 3) if args.quick else args.repeats
     backends = _headline_backends()
     if not backends:
-        raise SystemExit("no plane-resident backend available (install numpy or cffi)")
+        raise SystemExit("neither bitslice nor native is available (install numpy or cffi)")
     rows = [
         measure_koblitz(
             curve_name=args.curve, batch=batch, repeats=repeats, backend_name=name

@@ -23,9 +23,10 @@ the best backend row of the full run, and the more conservative
 Server and clients share one machine (and on single-core boxes, one
 core), so the ratio is only reachable when per-request Python overhead is
 small next to a ladder's share of its batch — which is why the headline
-row uses the ``bitslice`` substrate (~2 ms/ladder at batch 256); the
-``native`` row (~0.16 ms/ladder) is reported unasserted as the stretch
-target for the trajectory.
+row uses the ``bitslice`` substrate (the paper's netlist under the
+interpreting executor, ~6–14 ms/ladder at batch 256 on a shared 2-core
+x86-64 host); the ``native`` row (~0.16 ms/ladder) is reported unasserted
+as the stretch target for the trajectory.
 
 Run standalone::
 
@@ -64,7 +65,7 @@ STRETCH_BACKEND = "native"
 #: Default flush deadline per substrate.  The deadline must be invisible
 #: next to ONE batch execution, or stragglers fragment into partial
 #: batches that serialize behind the worker: bitslice runs a 256-lane
-#: B-163 batch in ~0.5 s, so a 60 ms assembly window costs nothing and
+#: B-163 batch in ~1.5–3.5 s, so a 60 ms assembly window costs nothing and
 #: captures whole closed-loop waves; native runs the same batch in
 #: ~40 ms, so 5 ms is already proportionate.
 DEADLINE_MS = {GATED_BACKEND: 60.0, STRETCH_BACKEND: 5.0}
@@ -117,7 +118,7 @@ def measure_serve(
     bound = curve.order if curve.order is not None else curve.field.order
     privates = [rng.randrange(1, bound) for _ in range(offline_batch)]
     peer_privates = [rng.randrange(1, bound) for _ in range(offline_batch)]
-    # Peers via the batched ladder itself (also warms circuit/plane caches).
+    # Peers via the batched ladder itself (also warms circuit/program caches).
     peers = curve.multiply_batch([curve.generator] * offline_batch, peer_privates, backend=backend)
     _, offline_s = best_of(
         lambda: ecdh_batch(curve, privates, peers, backend=backend), repeats

@@ -1,13 +1,15 @@
 """Telemetry overhead A/B — the PR 8 "observability is free when off" gate.
 
-Runs the identical compiled-formula López-Dahab ladder (the PR 6 fused
-step, B-163 at batch 256) twice per repetition, interleaved: once with the
+Runs the identical fused FieldIR López-Dahab ladder (B-163 at batch
+256) twice per repetition, interleaved: once with the
 process :class:`~repro.telemetry.metrics.MetricsRegistry` enabled and once
 with the :class:`~repro.telemetry.metrics.NullRegistry` installed.  The
 instrumentation contract is that every hot-path hook costs one attribute
 check when telemetry is off and one dict update when it is on, so the two
 timings must agree to within ``OVERHEAD_CEILING`` (the asserted ≤ 3%
-acceptance figure) on every available IR substrate.
+acceptance figure) on both executors: ``bitslice`` prices the interpreting
+executor's hooks around the paper's netlist, ``native`` the compiled C
+executor's.
 
 Span tracing is **off on both sides** of the asserted A/B — the tracer
 records one event per fused pass per ladder step, which is a deliberate
@@ -141,7 +143,7 @@ def _assert_ceiling(row):
 
 
 def _ir_backends():
-    """Every registered backend with a compiled-formula executor."""
+    """The priced backends: bitslice (interpreting executor) and native (compiled)."""
     return [name for name in available_backends() if name in ("bitslice", "native")]
 
 
@@ -151,7 +153,7 @@ def test_metrics_overhead_within_ceiling_b163():
     if not numpy_available():  # pragma: no cover - CI installs numpy
         import pytest
 
-        pytest.skip("numpy not installed; no IR substrate available")
+        pytest.skip("numpy not installed; bitslice backend unavailable")
     rows = [measure_overhead(name, batch=128, repeats=4) for name in _ir_backends()]
     print("\n" + report(rows))
     for row in rows:

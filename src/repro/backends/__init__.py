@@ -18,11 +18,9 @@ the CLI — select a substrate by name instead of hard-coding a call path:
   gather/scatter evaluation (:class:`BitslicedNetlist`): 64+ batch lanes
   per word op, ~9× the scalar reference at GF(2^163)/batch-2048.
   Requires the optional numpy dependency (``gf2m-repro[bitslice]``).
-  Its :class:`PlaneIRExecutor` compiles whole formulas traced as
-  :class:`FieldIR` (:mod:`repro.backends.ir`) into fused plane passes —
-  lane-stacked netlist products, merged gather/XOR linear stages, masked
-  selects — so a batch is packed into uint64 planes once, runs the
-  compiled formula per step, and is unpacked once.
+  Never a default: it is the test reference that runs the paper's
+  circuit under every batched formula, each fused product pass one
+  :meth:`BitslicedNetlist.multiply_batch` call.
 * ``native`` (:class:`NativeBackend`) — the compiled word-level tier
   (:mod:`repro.backends.native`): a C kernel doing 64-bit carry-less
   multiplication (PCLMULQDQ when the CPU has it) plus sparse tail
@@ -35,7 +33,7 @@ the CLI — select a substrate by name instead of hard-coding a call path:
   when no C compiler is available.
 
 Every backend's :meth:`FieldBackend.ir_executor` returns an
-:class:`IRExecutor` — ``python`` and ``engine`` the
+:class:`IRExecutor` — ``python``, ``engine`` and ``bitslice`` the
 :class:`InterpretedExecutor`, which runs the same programs through
 :func:`execute_program` — so every batched formula takes one path on
 every substrate.
@@ -74,12 +72,6 @@ from .ir import (
     execute_program,
     schedule_program,
 )
-from .planes import (
-    CompiledPlaneIR,
-    PlaneIRExecutor,
-    PlaneProgram,
-    plane_program,
-)
 from .python_int import PythonIntBackend
 from .registry import (
     BACKEND_ENV_VAR,
@@ -111,10 +103,6 @@ __all__ = [
     "cached_program",
     "execute_program",
     "schedule_program",
-    "CompiledPlaneIR",
-    "PlaneIRExecutor",
-    "PlaneProgram",
-    "plane_program",
     "PythonIntBackend",
     "BACKEND_ENV_VAR",
     "assert_backend_parity",

@@ -25,10 +25,10 @@ Contract
   :func:`repro.netlist.verify.verify_by_simulation`) asserts this
   uniformly for every registered implementation.
 * :meth:`FieldBackend.ir_executor` returns the backend's
-  :class:`~repro.backends.ir.IRExecutor`: compiled plane or C lowerings on
-  ``bitslice`` and ``native``, the interpreting executor everywhere else.
-  Every batched formula — curve ladders, combs, recoveries — runs through
-  it, so callers never branch on the backend.
+  :class:`~repro.backends.ir.IRExecutor`: the C lowering on ``native``,
+  the interpreting executor everywhere else.  Every batched formula —
+  curve ladders, combs, recoveries — runs through it, so callers never
+  branch on the backend.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ class FieldBackend(ABC):
     """One execution substrate for the batch arithmetic of a single field.
 
     Subclasses set :attr:`name` and implement the abstract methods.  Instances are cheap handles — expensive state
-    (generated circuits, compiled evaluators, plane buffers) is built
+    (generated circuits, compiled evaluators, lane buffers) is built
     lazily and shared through the module-level caches, and the registry
     (:mod:`repro.backends.registry`) caches backend instances per
     ``(name, modulus, options)`` so repeated resolution costs nothing.
@@ -139,19 +139,18 @@ class FieldBackend(ABC):
         Consumers trace their formula as a
         :class:`~repro.backends.ir.FieldIR`, compile it once on this
         executor, and run it over int lists or a step loop — one contract
-        on every backend.  ``bitslice`` keeps whole formulas resident in
-        uint64 planes (:class:`~repro.backends.planes.PlaneIRExecutor`),
-        ``native`` in C word buffers
-        (:class:`~repro.backends.native.NativeIRExecutor`); the scalar and
-        big-integer engine backends interpret the same program through
-        :func:`repro.backends.ir.execute_program`
-        (:class:`~repro.backends.ir.InterpretedExecutor`).
+        on every backend.  ``native`` keeps whole formulas resident in C
+        word buffers (:class:`~repro.backends.native.NativeIRExecutor`);
+        the scalar, big-integer engine and bitslice backends interpret the
+        same program through :func:`repro.backends.ir.execute_program`
+        (:class:`~repro.backends.ir.InterpretedExecutor`), one
+        ``multiply_batch`` call per fused product pass.
         """
         return self._executor
 
     @cached_property
     def _executor(self) -> IRExecutor:
-        """The executor :meth:`ir_executor` returns; packed backends override it."""
+        """The executor :meth:`ir_executor` returns; ``native`` overrides it."""
         return InterpretedExecutor(self)
 
     # ----------------------------------------------------------- introspection

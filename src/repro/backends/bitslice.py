@@ -22,9 +22,15 @@ numpy calls per chunk.
 Packing reuses the word-level bit-matrix transposes of
 :mod:`repro.engine.bitpack` (rows → plane big-ints) with a zero-copy
 ``int.to_bytes``/``np.frombuffer`` hop between big-int planes and ``uint64``
-lane words.  :meth:`BitslicedNetlist.multiply_planes` skips the transposes
-altogether for callers that already hold plane arrays — the entry point of
-the plane-resident compute layer (:mod:`repro.backends.planes`).
+lane words.
+
+The backend's FieldIR executor is the inherited
+:class:`~repro.backends.ir.InterpretedExecutor`, as on ``engine``: every
+MulPass of a ladder, comb or τ program reaches the netlist as one
+:meth:`BitslicedNetlist.multiply_batch` call, so batched curve arithmetic
+on this backend is the paper's circuit checked lane for lane against the
+scalar reference.  ``native`` is the fast path; this one is the circuit
+test reference.
 
 numpy is an *optional* dependency: the module imports without it and every
 entry point raises a clear ``ImportError`` (install ``numpy`` or the
@@ -34,7 +40,7 @@ requested.
 
 from __future__ import annotations
 
-from functools import cached_property
+import threading
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..engine.bitpack import pack_rows, unpack_planes
@@ -42,15 +48,11 @@ from ..netlist.netlist import OP_AND, OP_XOR
 from ..pipeline.store import LRUCache
 from .base import FieldBackend, default_method_for
 from .ir import lane_words_for
-from .planes import (
-    _UNLOADED,
-    PlaneIRExecutor,
-    _import_numpy,
-    _LaneBufferCache,
-    _planes_to_array,
-)
 
-#: numpy, imported on first use (``None`` when it is not installed).
+#: numpy, imported on first use (``None`` when it is not installed):
+#: importing it with the package would cost every process ~12 MB of
+#: resident memory, word-level backends included.
+_UNLOADED = object()
 _np = _UNLOADED
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -61,6 +63,15 @@ __all__ = ["BitslicedNetlist", "BitsliceBackend", "bitsliced_netlist", "numpy_av
 
 #: Default batch lanes evaluated per numpy pass (64 pairs per uint64 word).
 DEFAULT_LANES = 4096
+
+
+def _import_numpy():
+    """The numpy module, or ``None`` when it is not installed."""
+    try:
+        import numpy
+    except ImportError:  # pragma: no cover
+        return None
+    return numpy
 
 
 def numpy_available() -> bool:
@@ -79,6 +90,40 @@ def _require_numpy():
             "or select the 'engine' or 'python' backend instead"
         )
     return _np
+
+
+def _planes_to_array(planes: Sequence[int], lane_words: int):
+    """Big-integer planes → a ``(len(planes), lane_words)`` uint64 array."""
+    lane_bytes = lane_words * 8
+    buffer = b"".join(plane.to_bytes(lane_bytes, "little") for plane in planes)
+    return _require_numpy().frombuffer(buffer, dtype="<u8").reshape(len(planes), lane_words)
+
+
+class _LaneBufferCache:
+    """Thread-local per-lane-width buffer pool, bounded to four widths.
+
+    Compiled netlists are cached process-wide and used from multiple
+    threads, so each thread gets its own buffers, keyed by lane width and
+    evicted wholesale once odd tail widths would accumulate.
+    """
+
+    __slots__ = ("_factory", "_local")
+
+    def __init__(self, factory) -> None:
+        self._factory = factory
+        self._local = threading.local()
+
+    def get(self, lane_words: int):
+        buffers = getattr(self._local, "buffers", None)
+        if buffers is None:
+            buffers = self._local.buffers = {}
+        entry = buffers.get(lane_words)
+        if entry is None:
+            if len(buffers) >= 4:
+                buffers.clear()
+            entry = self._factory(lane_words)
+            buffers[lane_words] = entry
+        return entry
 
 
 class BitslicedNetlist:
@@ -201,8 +246,8 @@ class BitslicedNetlist:
                 raise ValueError(f"netlist is missing output c{k}")
             self._output_rows.append(row)
 
-        # Index arrays for the plane-resident entry point: one fancy-indexed
-        # scatter per operand replaces the per-row input writes.
+        # Index arrays for multiply_planes: one fancy-indexed scatter per
+        # operand replaces the per-row input writes.
         a_live = [(row, bit) for row, operand, bit in self._input_rows if operand == 0]
         b_live = [(row, bit) for row, operand, bit in self._input_rows if operand == 1]
         self._a_rows = np.asarray([row for row, _ in a_live], dtype=np.intp)
@@ -212,7 +257,7 @@ class BitslicedNetlist:
         self._output_row_array = np.asarray(self._output_rows, dtype=np.intp)
 
         #: (values, gather0, gather1) buffers, thread-local and keyed by lane
-        #: words (:class:`~repro.backends.planes._LaneBufferCache`): backend
+        #: words (:class:`_LaneBufferCache`): backend
         #: instances are shared process-wide through the registry cache, so
         #: concurrent batches must never write into the same array.  Const-0
         #: rows stay zero because only gate rows (segments) and input rows
@@ -231,11 +276,10 @@ class BitslicedNetlist:
     def multiply_planes(self, a_planes, b_planes):
         """Products of two ``(m, lane_words)`` uint64 plane arrays, as planes.
 
-        The plane-resident entry point: no packing, no unpacking — inputs
-        scatter into the value buffer with two fancy-indexed writes, the
-        level segments run as usual, and the output rows gather into a
-        fresh array (never aliasing the reused buffer).  Lane stacking is
-        transparent: any common ``lane_words`` width works.
+        No packing, no unpacking: inputs scatter into the value buffer with
+        two fancy-indexed writes, the level segments run, and the output
+        rows gather into a fresh array (never aliasing the reused buffer).
+        Any common ``lane_words`` width works.
         """
         np = _require_numpy()
         if a_planes.shape != b_planes.shape or a_planes.shape[0] != self.m:
@@ -342,6 +386,12 @@ class BitsliceBackend(FieldBackend):
     ``verify=False``), then is compiled once into a
     :class:`BitslicedNetlist`.  Byte-identical to the scalar reference by
     construction and asserted by the parity harness.
+
+    ``chunk_size`` is the netlist's numpy pass width (lanes per
+    :meth:`BitslicedNetlist.multiply_batch` chunk).  Ladders, combs and τ
+    programs run on the inherited interpreting executor and chunk at its
+    :data:`~repro.backends.ir.INTERPRETED_CHUNK` lanes, as on ``engine``.
+    Batch inversion is the inherited Montgomery chain.
     """
 
     name = "bitslice"
@@ -375,60 +425,12 @@ class BitsliceBackend(FieldBackend):
             )
         return self._sliced
 
-    @cached_property
-    def _executor(self) -> PlaneIRExecutor:
-        """The FieldIR plane executor (see :mod:`repro.backends.planes`)."""
-        return PlaneIRExecutor(self)
-
     def multiply(self, a: int, b: int) -> int:
         return self.sliced.multiply_batch([a], [b])[0]
 
     def multiply_batch(self, a_values: Sequence[int], b_values: Sequence[int]) -> List[int]:
         self._count_batch("multiply_batch", len(a_values))
         return self.sliced.multiply_batch(a_values, b_values)
-
-    def inverse_batch(self, values: Sequence[int]) -> List[int]:
-        """Simultaneous inversion via a product tree of batched multiplies.
-
-        The base-class Montgomery chain is a strictly sequential walk of
-        ``3(len - 1)`` scalar reference multiplies — on this backend those
-        dominate the y-recovery of a batched ladder.  A product tree has the
-        same multiplication count but only ``2·log2(len)`` *levels*, and
-        every level is one lane-parallel :meth:`multiply_batch` call: pair
-        the values upward to the root product, invert the root once, then
-        walk back down handing each node's inverse to its two children
-        (``inv_left = inv_parent · right`` and symmetrically).  Exact
-        arithmetic, so the results stay byte-identical to the scalar chain;
-        tiny batches keep the chain (pack/unpack overhead would dominate).
-        """
-        values = list(values)
-        if 0 in values:
-            index = values.index(0)
-            raise ZeroDivisionError(f"0 has no multiplicative inverse (batch index {index})")
-        if len(values) < 16:
-            return super().inverse_batch(values)
-        self._count_batch("inverse_batch", len(values))
-        levels = [values]
-        while len(levels[-1]) > 1:
-            current = levels[-1]
-            half = len(current) // 2
-            products = self.multiply_batch(current[0:2 * half:2], current[1:2 * half:2])
-            if len(current) % 2:
-                products.append(current[-1])
-            levels.append(products)
-        inverses = [self.field.inverse(levels[-1][0])]
-        for level in reversed(levels[:-1]):
-            half = len(level) // 2
-            left_factors: List[int] = []
-            right_factors: List[int] = []
-            for i in range(half):
-                left_factors.extend((inverses[i], inverses[i]))
-                right_factors.extend((level[2 * i + 1], level[2 * i]))
-            children = self.multiply_batch(left_factors, right_factors)
-            if len(level) % 2:
-                children.append(inverses[half])
-            inverses = children
-        return inverses
 
     def describe(self) -> str:
         return self.sliced.describe()

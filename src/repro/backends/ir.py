@@ -3,10 +3,9 @@
 Driven op by op, one Montgomery ladder step is ~10 separate batched
 passes — two lane-stacked multiplies, six squaring programs, XORs and
 masked selects — each paying dispatch, scratch traffic and Python call
-overhead.  This module generalizes the single-linear-map ``PlaneProgram``
-idea into a small straight-line **IR over batched field ops**, so a whole
-formula (the entire López-Dahab step, the y-recovery, the curve-equation
-residual) is expressed *once* and compiled *once*:
+overhead.  This module is a small straight-line **IR over batched field
+ops**, so a whole formula (the entire López-Dahab step, the y-recovery,
+the curve-equation residual) is expressed *once* and compiled *once*:
 
 * :class:`IRBuilder` traces a formula into a :class:`FieldIR` — SSA ops
   ``mul`` / ``square`` / ``apply_linear`` / ``xor`` / ``select`` /
@@ -18,19 +17,17 @@ residual) is expressed *once* and compiled *once*:
   (:meth:`GF2LinearMap.compose` — ``square∘square`` becomes one quartic
   map, ``mul_b∘square∘square`` one dense map), hoists constants into a
   prologue, and packs the ops into the fewest alternating passes — every
-  :class:`MulPass` lane-stacks all its independent products into **one**
-  netlist evaluation, every :class:`LinearPass` merges all its linear/XOR
-  work into **one** gather/XOR schedule, every :class:`SelectPass` applies
-  one broadcast lane mask to all its register swaps.
+  :class:`MulPass` gathers all its independent products into **one**
+  batched multiply, every :class:`LinearPass` holds all the linear/XOR
+  work between two barriers, every :class:`SelectPass` applies one
+  broadcast lane mask to all its register swaps.
 * The scheduled :class:`FieldProgram` is backend-neutral.  Every backend's
   :meth:`~repro.backends.base.FieldBackend.ir_executor` returns an
-  :class:`IRExecutor`, one contract over three executors:
-  :class:`InterpretedExecutor` (``python``, ``engine``) keeps values as
-  ``int`` lists and runs each compiled program through
+  :class:`IRExecutor`, one contract over two executors:
+  :class:`InterpretedExecutor` (``python``, ``engine``, ``bitslice``)
+  keeps values as ``int`` lists and runs each compiled program through
   :func:`execute_program`, which gathers each MulPass into a single
-  ``multiply_batch`` call; ``bitslice`` lowers to fused uint64 plane
-  passes (:class:`~repro.backends.planes.PlaneIRExecutor`) and ``native``
-  to C instruction streams
+  ``multiply_batch`` call, and ``native`` lowers to C instruction streams
   (:class:`~repro.backends.native.NativeIRExecutor`).  A new substrate
   implements one executor, not a set of ad-hoc ops.
 
@@ -271,9 +268,9 @@ class IRBuilder:
 class MulPass:
     """One lane-stackable batch of independent full products.
 
-    The plane executor evaluates all pairs with a single netlist pass over
-    the lane-concatenated operand planes; the batch interpreter gathers
-    them into a single ``multiply_batch`` call.
+    The batch interpreter gathers all pairs into a single
+    ``multiply_batch`` call; the native lowering emits one product per
+    pair.
     """
 
     kind = K_MUL
@@ -284,67 +281,18 @@ class MulPass:
 
 
 class LinearPass:
-    """All linear/XOR work between two barrier passes, fused into one stage.
+    """All linear/XOR work between two barrier passes, in one stage.
 
-    ``ops`` keep the (chain-collapsed) op list for the batch interpreter;
-    the plane executor instead calls :meth:`fused_masks` once to merge the
-    whole stage into a single multi-input multi-output gather/XOR program.
-    ``inputs`` are the external registers the stage reads, ``outputs`` the
-    values consumed outside the stage — intra-stage temporaries never
-    materialize on the plane path.
+    ``ops`` keep the (chain-collapsed) op list in dependency order; a stage
+    reads registers produced before it and may chain its own results.
     """
 
     kind = K_LINEAR
-    __slots__ = ("ops", "inputs", "outputs")
+    __slots__ = ("ops",)
 
     def __init__(self) -> None:
         # (out_vid, K_XOR, a_vid, b_vid) or (out_vid, K_LINEAR, map_obj, x_vid)
         self.ops: List[tuple] = []
-        self.inputs: List[int] = []
-        self.outputs: List[int] = []
-
-    def fused_masks(self, m: int) -> List[int]:
-        """The whole stage as basis-image masks over the stacked input space.
-
-        Input bit ``p*m + j`` is coordinate ``j`` of ``inputs[p]``; output
-        bit ``q*m + j`` is coordinate ``j`` of ``outputs[q]``.  Computed by
-        symbolic GF(2) propagation through the op list, so chains of maps
-        and XORs collapse into one level-scheduled gather/XOR program
-        (:class:`~repro.backends.planes.PlaneProgram` consumes exactly this
-        mask form).
-        """
-        # rep[vid][j] = XOR-set of stacked input bits equal to coordinate j.
-        rep: Dict[int, List[int]] = {}
-        for position, vid in enumerate(self.inputs):
-            base = position * m
-            rep[vid] = [1 << (base + j) for j in range(m)]
-        for op in self.ops:
-            if op[1] == K_XOR:
-                _, _, a, b = op
-                rep[op[0]] = [x ^ y for x, y in zip(rep[a], rep[b])]
-            else:
-                _, _, linear_map, x = op
-                source = rep[x]
-                out = [0] * m
-                for i, image in enumerate(linear_map.masks):
-                    if not image:
-                        continue
-                    source_i = source[i]
-                    while image:
-                        low = image & -image
-                        out[low.bit_length() - 1] ^= source_i
-                        image ^= low
-                rep[op[0]] = out
-        masks = [0] * (len(self.inputs) * m)
-        for position, vid in enumerate(self.outputs):
-            base = position * m
-            for j, bits in enumerate(rep[vid]):
-                target = 1 << (base + j)
-                while bits:
-                    low = bits & -bits
-                    masks[low.bit_length() - 1] |= target
-                    bits ^= low
-        return masks
 
 
 class SelectPass:
@@ -411,7 +359,7 @@ class FieldProgram:
             if item.kind == K_MUL:
                 stages.append(f"mul x{len(item.pairs)}")
             elif item.kind == K_LINEAR:
-                stages.append(f"linear {len(item.inputs)}->{len(item.outputs)}")
+                stages.append(f"linear x{len(item.ops)}")
             else:
                 stages.append(f"select x{len(item.triples)}")
         return (
@@ -435,9 +383,9 @@ def schedule_program(
     1. **chain collapsing** — a linear op whose only consumer-feeding
        operand is another fan-out-1 linear op composes into a single
        :class:`~repro.galois.field.GF2LinearMap`
-       (``square∘square``, ``mul_b∘square∘square``), halving both table
-       applications on the interpreter path and symbolic work on the plane
-       path;
+       (``square∘square``, ``mul_b∘square∘square``), halving the table
+       applications on the interpreter path and the instructions of the
+       native lowering;
     2. **const hoisting** — ``const`` ops become prologue registers,
        materialized once per execution;
     3. **ASAP pass packing** — each remaining op joins the earliest
@@ -544,33 +492,6 @@ def schedule_program(
                 target.ops.append((vid, K_XOR, op[1], op[2]))
         position[vid] = index
 
-    # External reads of each LinearPass: inputs from outside, outputs read
-    # outside (or named program outputs).
-    output_vids = {vid for _, vid in ir.outputs}
-    for index, item in enumerate(passes):
-        if not isinstance(item, LinearPass):
-            continue
-        produced = {op[0] for op in item.ops}
-        reads: List[int] = []
-        for op in item.ops:
-            for dep in (op[2:] if op[1] == K_XOR else (op[3],)):
-                if dep not in produced and dep not in reads:
-                    reads.append(dep)
-        item.inputs = reads
-        consumed_later: set = set(output_vids)
-        for later in passes[index + 1:]:
-            if isinstance(later, MulPass):
-                for a, b, _ in later.pairs:
-                    consumed_later.update((a, b))
-            elif isinstance(later, SelectPass):
-                for _, set_vid, clear_vid, _ in later.triples:
-                    consumed_later.update((set_vid, clear_vid))
-            else:
-                for op in later.ops:
-                    consumed_later.update(op[2:] if op[1] == K_XOR else (op[3],))
-        item.outputs = [vid for vid in produced if vid in consumed_later]
-        item.outputs.sort(key=lambda vid: [op[0] for op in item.ops].index(vid))
-
     return FieldProgram(ir, m, passes, consts, key)
 
 
@@ -675,8 +596,7 @@ def lane_mask_bytes(bits: Sequence[int]) -> bytes:
     """One control bit per lane, packed little-endian into :func:`lane_words_for` words.
 
     Bit ``p`` of the result is ``bits[p] & 1``; dead lanes stay zero.  The
-    plane and native executors' :meth:`IRExecutor.broadcast_bits` wrap
-    these bytes.
+    native executor's :meth:`IRExecutor.broadcast_bits` wraps these bytes.
     """
     packed = 0
     for position, bit in enumerate(bits):
@@ -728,7 +648,7 @@ class IRExecutor(ABC):
     (:attr:`compiled_type`).
     """
 
-    #: Short executor label: ``interpreted``, ``plane`` or ``native``.
+    #: Short executor label: ``interpreted`` or ``native``.
     kind: str
     #: The :class:`CompiledProgram` subclass :meth:`compile` builds.
     compiled_type: type
@@ -841,7 +761,7 @@ class InterpretedProgram(CompiledProgram):
 
 
 class InterpretedExecutor(IRExecutor):
-    """The executor of the backends with no packed form (``python``, ``engine``).
+    """The executor of the backends with no packed form (``python``, ``engine``, ``bitslice``).
 
     Values stay ``int`` lists and masks 0/1 lists; a compiled program is
     the scheduled program handed to :func:`execute_program`, so every

@@ -237,8 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--quick", action="store_true", help="small fast run for CI smoke tests")
     bench.add_argument(
         "--describe", action="store_true",
-        help="print the FieldIR pass schedule of the López-Dahab ladder step (and its compiled "
-        "plane lowering when the backend has one) instead of benchmarking",
+        help="print the FieldIR pass schedule of the López-Dahab ladder step (and its lowering "
+        "on the backend's executor) instead of benchmarking",
     )
     bench.add_argument(
         "--profile", action="store_true",

@@ -11,8 +11,8 @@ module replaces the latter two: the **step**, the **y-recovery** and the
 the level-scheduling fusion pass (:func:`~repro.backends.ir
 .schedule_program`).  Every backend's executor
 (:meth:`~repro.backends.base.FieldBackend.ir_executor`) compiles the
-scheduled program: into fused uint64 plane passes on ``bitslice``, C
-instruction streams on ``native``, and on ``python`` and ``engine`` into
+scheduled program: into C instruction streams on ``native``, and on
+``python``, ``engine`` and ``bitslice`` into
 :func:`~repro.backends.ir.execute_program` runs, which derive the per-step
 ``multiply_batch`` gathers from the schedule instead of hand-written loops.
 The scalar ladder stays as the untouched independent reference the tests

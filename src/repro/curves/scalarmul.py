@@ -2,7 +2,7 @@
 fixed-base combs, compiled through FieldIR.
 
 Every speedup before this module came from the execution substrate — the
-compiled engine, bitsliced planes, the native C tier — while the scalar
+compiled engine, the bitsliced netlist, the native C tier — while the scalar
 multiplication *algorithm* stayed a generic Montgomery ladder.  This module
 closes the algorithmic gap with two compiled paths, both traced once in
 :mod:`repro.curves.formulas` and lowered through the same
@@ -14,8 +14,8 @@ every backend (python/engine/bitslice/native):
   endomorphism satisfying ``τ² = μτ − 2`` with ``μ = (−1)^(1−a)``.  The
   scalar is partially reduced in ℤ[τ] and recoded into sparse τ-adic
   digits, replacing the ladder's ~m point doublings with squarings — the
-  op the paper's pentanomial fields execute almost for free as fused
-  linear passes.  The per-digit step is
+  op the paper's pentanomial fields execute almost for free (fused
+  linear passes, word squarings on native).  The per-digit step is
   :func:`~repro.curves.formulas.frobenius_add_program` (squarings + one
   lane-masked mixed add).
 * **fixed-base combs** — generator multiplies (the whole of

@@ -57,9 +57,7 @@ class GF2LinearMap:
     so a map only they run never holds ``ceil(m / 8) × 256`` Python ints.
 
     The defining images stay available as :attr:`masks` so other execution
-    substrates can re-lower the same map — the plane-resident backend
-    compiles them into gather/XOR passes over uint64 bit planes
-    (:class:`repro.backends.planes.PlaneProgram`).
+    substrates can re-lower the same map.
 
     :attr:`power` records the maps the field builds in closed form: when it
     is not ``None`` the map is ``v ↦ c · v^(2^power)`` with ``c =
@@ -112,7 +110,7 @@ class GF2LinearMap:
         ``i`` under the composition is ``self(inner.masks[i])``.  The IR
         fusion pass (:mod:`repro.backends.ir`) uses this to collapse
         ``square ∘ square`` or ``mul_b ∘ square ∘ square`` chains into one
-        map, halving both table applications and plane gather work.
+        map, halving the table applications.
         """
         if inner.masks and max(inner.masks).bit_length() > self.input_bits:
             raise ValueError(
@@ -360,8 +358,8 @@ class GF2mField:
         """The squaring map ``y^i -> y^(2i) mod f`` as a :class:`GF2LinearMap`.
 
         Built lazily and cached per field; :meth:`square` applies it one
-        element at a time, while plane-resident backends re-lower its
-        :attr:`~GF2LinearMap.masks` into batched plane programs.
+        element at a time, while the native backend re-lowers the map as
+        a word squaring (:attr:`~GF2LinearMap.power`).
         """
         square_map = self._square_map
         if square_map is None:

@@ -78,7 +78,7 @@ class LRUCache:
     A ``name`` registers the instance in the process-wide named-cache view
     (see :func:`named_caches`), which is how ``repro stats`` surfaces every
     long-lived memo — multipliers, compiled engines, bitsliced netlists,
-    plane programs, FieldIR programs, backend instances — in one table.
+    FieldIR programs, backend instances — in one table.
     """
 
     def __init__(self, maxsize: int = 32, name: Optional[str] = None) -> None:

@@ -1,7 +1,7 @@
 """repro.serve — crypto-as-a-service: dynamic micro-batching front-end.
 
-The repo's whole performance story (compiled engines, plane-resident
-ladders, native word kernels, τ/comb recodings) pays off when requests
+The repo's whole performance story (compiled engines, bitsliced
+netlists, native word kernels, τ/comb recodings) pays off when requests
 arrive in *batches* — but real traffic arrives one request at a time.
 This package closes that gap with the same request-coalescing pattern
 production inference servers use to amortize kernel launches:

@@ -7,7 +7,7 @@ whether two requests can share one batched ladder call — and hands each
 group to a ``dispatch`` callable as one :class:`Batch` when either
 
 * the group reaches ``max_lanes`` pending requests (**size flush** — the
-  batch is as wide as the plane/word kernels want it), or
+  batch is as wide as the batched kernels want it), or
 * ``max_delay_s`` has elapsed since the group's *oldest* request
   (**deadline flush** — a lone request never waits longer than the
   deadline for company).
@@ -52,7 +52,7 @@ GroupKey = Tuple[str, str, str]
 __all__ = ["GroupKey", "PendingRequest", "Batch", "DynamicBatcher"]
 
 
-#: Default flush policy: the plane/word kernels' preferred lane count and
+#: Default flush policy: the batched kernels' preferred lane count and
 #: a deadline short enough to be invisible next to one m=163 ladder.
 DEFAULT_MAX_LANES = 256
 DEFAULT_MAX_DELAY_S = 0.005

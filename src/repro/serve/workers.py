@@ -78,7 +78,7 @@ def preferred_start_method(explicit: "Optional[str]" = None) -> str:
     """The multiprocessing start method the pools use.
 
     ``fork`` when the platform offers it — children inherit every warm
-    cache (compiled circuits, comb tables, plane lowerings) for free —
+    cache (compiled circuits, comb tables, executor lowerings) for free —
     and ``spawn`` otherwise, where the worker initializer re-warms.  An
     ``explicit`` method is validated against the platform rather than
     passed through blindly.
@@ -105,7 +105,7 @@ def warm_curve(curve: "BinaryCurve", backend: "Optional[str]" = None) -> "FieldB
     Runs tiny batches through each route a service request can take —
     the binary ladder, the τ-adic ladder on Koblitz curves, and the
     fixed-base auto route (which builds or loads the comb table) — so the
-    compiled formulas, plane/word lowerings and comb tables are all hot
+    compiled formulas, executor lowerings and comb tables are all hot
     before the first real request arrives.
     """
     from ..curves import scalarmul

@@ -23,10 +23,20 @@ def _isolated_artifact_cache(tmp_path, monkeypatch):
 
 @pytest.fixture(scope="session")
 def compiled_backends():
-    """``compiled_backends(field, **options)``: every backend with a compiled
-    FieldIR executor — bitslice, plus native when its extension builds."""
-    names = ["bitslice"] + (["native"] if native_available() else [])
+    """``compiled_backends(field, **options)``: every backend with a packed
+    FieldIR executor — native, when its extension builds."""
+    names = ["native"] if native_available() else []
     return lambda field, **options: [get_backend(name, field, **options) for name in names]
+
+
+@pytest.fixture(scope="session")
+def ladder_backends(compiled_backends):
+    """``ladder_backends(field, **options)``: the backends the ladder parity
+    tests check against the references — bitslice (the paper's netlist on
+    the interpreting executor) plus :func:`compiled_backends`."""
+    return lambda field, **options: (
+        [get_backend("bitslice", field, **options)] + compiled_backends(field, **options)
+    )
 
 
 @pytest.fixture(scope="session")

@@ -22,6 +22,7 @@ from repro.backends import (
     FieldBackend,
     assert_backend_parity,
     available_backends,
+    bitsliced_netlist,
     default_backend_name,
     default_method_for,
     get_backend,
@@ -245,7 +246,7 @@ class TestFieldDelegation:
     def test_inverse_batch_matches_scalar(self):
         field = GF2mField(type_ii_pentanomial(16, 3))
         rng = random.Random(4)
-        values = [rng.getrandbits(16) or 1 for _ in range(12)]
+        values = [rng.getrandbits(16) or 1 for _ in range(20)]
         expected = [field.inverse(value) for value in values]
         for name in ALL_BACKENDS:
             if not _available(name):
@@ -345,6 +346,32 @@ class TestBitslicedNetlist:
         assert not failures
 
 
+@requires_numpy
+class TestNetlistMemoization:
+    def test_lowering_is_shared_across_equal_fields(self):
+        modulus = GF2_163.modulus
+        multiplier = cached_multiplier("thiswork", modulus, verify=False)
+        first = bitsliced_netlist(multiplier.netlist, multiplier.m, modulus=modulus)
+        second = bitsliced_netlist(multiplier.netlist, multiplier.m, modulus=modulus)
+        assert first is second
+        # Backend instances for equal fields reuse the same lowering.
+        backend = get_backend("bitslice", GF2mField(modulus, check_irreducible=False))
+        assert backend.sliced is first
+
+    def test_no_modulus_means_no_cache_entry(self):
+        multiplier = cached_multiplier("thiswork", GF2_163.modulus, verify=False)
+        first = bitsliced_netlist(multiplier.netlist, multiplier.m)
+        second = bitsliced_netlist(multiplier.netlist, multiplier.m)
+        assert first is not second
+
+    def test_chunk_size_is_part_of_the_key(self):
+        modulus = GF2_163.modulus
+        multiplier = cached_multiplier("thiswork", modulus, verify=False)
+        default = bitsliced_netlist(multiplier.netlist, multiplier.m, modulus=modulus)
+        narrow = bitsliced_netlist(multiplier.netlist, multiplier.m, chunk_size=64, modulus=modulus)
+        assert default is not narrow and narrow.chunk_size == 64
+
+
 class TestNumpyDegradation:
     def test_clear_import_error_without_numpy(self, monkeypatch):
         monkeypatch.setattr(bitslice_module, "_np", None)
@@ -355,7 +382,7 @@ class TestNumpyDegradation:
             bitslice_module._require_numpy()
 
     def test_word_level_protocols_never_import_numpy(self):
-        """numpy (~12 MB resident) loads with the first plane computation only."""
+        """numpy (~12 MB resident) loads with the first bitsliced evaluation only."""
         script = (
             "import sys\n"
             "from repro.curves import curve_by_name, ecdh_batch, keygen_batch\n"

@@ -519,7 +519,7 @@ class TestEcdhCommand:
     @pytest.mark.parametrize(
         "backend, label",
         [
-            ("bitslice", "plane"),
+            ("bitslice", "interpreted"),
             ("native", "native"),
             ("engine", "interpreted"),
             ("python", "interpreted"),
@@ -536,7 +536,7 @@ class TestEcdhCommand:
         ) == 0
         out = capsys.readouterr().out
         # T-13 is Koblitz, so the auto scalar-rep annotates the label
-        # ("(plane executor, tau-adic scalars)").
+        # ("(native executor, tau-adic scalars)").
         assert f"({label} executor, tau-adic scalars)" in out and "byte-identical" in out
 
     def test_ecdh_default_ladder_reports_the_path(self, capsys):
