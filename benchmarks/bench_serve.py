@@ -4,7 +4,10 @@ The PR 10 tentpole figure.  An offline ``ecdh_batch`` at batch 256 is the
 repo's best case — every ladder step amortised across all lanes.  The
 serving layer's claim is that **many concurrent single-request clients**
 get (nearly) that same throughput: the :class:`DynamicBatcher` coalesces
-compatible requests into full batches before they reach a ladder.
+the compatible requests that arrive while the worker is busy into full
+batches before they reach a ladder (continuous batching: a group goes the
+moment the worker is free, so each closed-loop wave's first request
+starts alone and the rest of the wave rides the next batch).
 
 The measurement: a :class:`CryptoService` runs on its own thread; the
 closed-loop load generator (``repro.serve.loadgen``) fires ``clients``
@@ -62,14 +65,6 @@ COMMIT_PR = 10
 GATED_BACKEND = "bitslice"
 STRETCH_BACKEND = "native"
 
-#: Default flush deadline per substrate.  The deadline must be invisible
-#: next to ONE batch execution, or stragglers fragment into partial
-#: batches that serialize behind the worker: bitslice runs a 256-lane
-#: B-163 batch in ~1.5–3.5 s, so a 60 ms assembly window costs nothing and
-#: captures whole closed-loop waves; native runs the same batch in
-#: ~40 ms, so 5 ms is already proportionate.
-DEADLINE_MS = {GATED_BACKEND: 60.0, STRETCH_BACKEND: 5.0}
-
 
 class _ServiceThread:
     """A CryptoService on its own thread with its own event loop."""
@@ -105,12 +100,15 @@ def measure_serve(
     repeats=2,
     workers=0,
     max_lanes=256,
-    max_delay_ms=None,
     seed=2018,
 ):
-    """One benchmark row: sustained served throughput vs the offline batch."""
-    if max_delay_ms is None:
-        max_delay_ms = DEADLINE_MS.get(backend_name, 5.0)
+    """One benchmark row: sustained served throughput vs the offline batch.
+
+    The service batches continuously (no flush deadline to tune per
+    substrate): with ``workers=0`` its one slot takes a group whenever the
+    inline worker is free, so at ``clients`` closed-loop clients a batch
+    holds whatever arrived during the previous one.
+    """
     curve = curve_by_name(curve_name)
     backend = get_backend(backend_name, curve.field)
     offline_batch = min(clients, max_lanes)
@@ -127,7 +125,7 @@ def measure_serve(
 
     runner = _ServiceThread(
         backend=backend_name, curves=(curve_name,), workers=workers,
-        max_lanes=max_lanes, max_delay_ms=max_delay_ms, seed=seed,
+        max_lanes=max_lanes, seed=seed,
     )
     try:
         # Warm wave: HTTP/JSON paths, connection setup, comb/ladder caches.
@@ -167,7 +165,6 @@ def measure_serve(
         "requests_per_client": requests_per_client,
         "workers": workers,
         "max_lanes": max_lanes,
-        "max_delay_ms": max_delay_ms,
         "verified": result.verified,
         "checked_vs_scalar": result.spot_checked,
         "served_requests_per_s": result.throughput,

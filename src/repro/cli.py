@@ -278,11 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--max-lanes", type=int, default=256,
-        help="flush a batch group when it reaches this many requests (default 256)",
-    )
-    serve.add_argument(
-        "--max-delay-ms", type=float, default=5.0,
-        help="flush a batch group this long after its oldest request (default 5 ms)",
+        help="dispatch a batch group at this many requests even while every worker "
+        "is busy (default 256); otherwise it goes when a worker is free",
     )
     serve.add_argument(
         "--workers", type=int, default=None, metavar="N",
@@ -937,7 +934,6 @@ def _run_serve(args) -> int:
             backend=args.backend,
             curves=curves,
             max_lanes=args.max_lanes,
-            max_delay_ms=args.max_delay_ms,
             workers=args.workers,
             start_method=args.start_method,
             seed=args.seed,
@@ -947,7 +943,7 @@ def _run_serve(args) -> int:
     def announce(port: int) -> None:
         print(
             f"serving {', '.join(curves)} on http://{args.host}:{port} "
-            f"(max_lanes {args.max_lanes}, max_delay {args.max_delay_ms} ms)",
+            f"(max_lanes {args.max_lanes})",
             file=sys.stderr,
         )
 

@@ -126,11 +126,36 @@ def keygen_batch(
     return [KeyPair(private, public) for private, public in zip(privates, publics)]
 
 
+def _require_peer(curve: BinaryCurve, peer: Point) -> None:
+    """Reject the point at infinity and the low-order points as ECDH peers."""
+    if peer.is_infinity:
+        raise ValueError("a peer public key is the point at infinity")
+    if peer.x in curve.low_order_xs:
+        raise ValueError(
+            f"a peer public key is a low-order point of {curve.name or 'the curve'} (4P = O)"
+        )
+
+
+def _require_finite_shared(points: Sequence[Point]) -> None:
+    """Reject a shared point at infinity (the scalar annihilates the peer)."""
+    if any(point.is_infinity for point in points):
+        raise ValueError("a shared point is the point at infinity")
+
+
 def ecdh_shared(curve: BinaryCurve, private: int, peer_public: Point) -> Point:
-    """The Diffie-Hellman shared point ``d * Q_peer`` (validates the peer)."""
-    if not curve.contains(peer_public) or peer_public.is_infinity:
-        raise ValueError("the peer public key is not a finite point of the curve")
-    return curve.multiply(peer_public, private)
+    """The Diffie-Hellman shared point ``d * Q_peer``.
+
+    Validates the peer: it must be a point of the curve, neither infinity
+    nor of order dividing 4 (:attr:`~repro.curves.point.BinaryCurve
+    .low_order_xs`), and the shared point must not be infinity; each
+    failure raises ``ValueError``.
+    """
+    if not curve.contains(peer_public):
+        raise ValueError("the peer public key is not a point of the curve")
+    _require_peer(curve, peer_public)
+    shared = curve.multiply(peer_public, private)
+    _require_finite_shared([shared])
+    return shared
 
 
 def ecdh_batch(
@@ -153,25 +178,30 @@ def ecdh_batch(
     rides the τ-adic Frobenius ladder on Koblitz curves and the binary
     ladder elsewhere; ``"tau"`` demands τ (raising on non-Koblitz
     curves), ``"binary"`` pins the ladder.  ``batched=False`` is the
-    scalar reference.  All paths return byte-identical points.
+    scalar reference.  All paths return byte-identical points, and all
+    validate as :func:`ecdh_shared` does: one peer at infinity or of order
+    dividing 4, or one shared point at infinity, fails the whole batch
+    with ``ValueError``.
     """
     if len(privates) != len(peer_publics):
         raise ValueError(
             f"batch size mismatch: {len(privates)} privates vs {len(peer_publics)} peers"
         )
     # On-curve validation happens once inside the ladder entry points; only
-    # the infinity screen (a protocol-level concern) is needed here.
+    # the protocol-level screens (infinity, low order) are needed here.
     for peer in peer_publics:
-        if peer.is_infinity:
-            raise ValueError("a peer public key is the point at infinity")
+        _require_peer(curve, peer)
     if batched:
-        return curve.multiply_batch(
+        shared = curve.multiply_batch(
             list(peer_publics),
             list(privates),
             backend=backend,
             scalar_rep=scalar_rep,
         )
-    return [curve.multiply(peer, private) for private, peer in zip(privates, peer_publics)]
+    else:
+        shared = [curve.multiply(peer, private) for private, peer in zip(privates, peer_publics)]
+    _require_finite_shared(shared)
+    return shared
 
 
 def _deterministic_nonce(curve: BinaryCurve, private: int, digest: int, counter: int) -> int:

@@ -7,10 +7,10 @@ This package closes that gap with the same request-coalescing pattern
 production inference servers use to amortize kernel launches:
 
 * :mod:`repro.serve.batcher` — a thread-safe :class:`DynamicBatcher`
-  that parks each request behind a future and flushes a group of
+  that parks each request behind a future and dispatches a group of
   compatible requests (same curve × op × scalar recoding) as one batch
-  when it reaches the lane target **or** its deadline expires
-  (default 256 lanes / 5 ms);
+  the moment a worker is free, or at the lane target (default 256) while
+  every worker is busy — continuous batching, no timer;
 * :mod:`repro.serve.workers` — a :class:`WorkerPool` of warmed worker
   processes (start-method-agnostic; also the sharding engine behind
   ``repro ecdh --jobs``) that execute leased batches through the batched

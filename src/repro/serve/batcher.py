@@ -1,29 +1,29 @@
-"""Dynamic micro-batching: coalesce single requests into batched lanes.
+"""Continuous micro-batching: coalesce single requests into batched lanes.
 
 A :class:`DynamicBatcher` accepts one request at a time (each parked
 behind a :class:`concurrent.futures.Future`), groups compatible requests
 by :data:`GroupKey` — ``(op, curve, scalar_rep)``, the tuple that decides
-whether two requests can share one batched ladder call — and hands each
-group to a ``dispatch`` callable as one :class:`Batch` when either
+whether two requests can share one batched ladder call — and hands a
+group to ``dispatch`` as one :class:`Batch` as soon as a worker can take
+it (continuous batching, as in Yu et al., "Orca", OSDI 2022):
 
-* the group reaches ``max_lanes`` pending requests (**size flush** — the
-  batch is as wide as the batched kernels want it), or
-* ``max_delay_s`` has elapsed since the group's *oldest* request
-  (**deadline flush** — a lone request never waits longer than the
-  deadline for company).
+* **idle flush** — a worker slot is free: inside ``submit``, or when a
+  finished batch frees its slot for the group holding the oldest waiting
+  request.  A lone request on an idle service never waits for company;
+* **size flush** — the group reaches ``max_lanes``, even while every slot
+  is busy.  It holds no slot, so full groups of a hot key never keep a
+  freed slot from the oldest waiting request;
+* **close flush** — :meth:`DynamicBatcher.close` drains what still waits.
 
-Size flushes happen inline on the submitting thread, so a full batch
-never waits for the flusher to wake; deadline flushes come from one
-background flusher thread that sleeps until the earliest pending
-deadline.  ``dispatch`` runs outside the batcher lock and is free to
-block (the server's dispatch submits to the worker pool).
+Groups accumulate only while every slot is busy: no timer, no thread.
 
 Telemetry (all through :mod:`repro.telemetry.metrics`):
 
 * ``service.requests`` / ``service.batches`` counters,
-* ``service.flush.size`` / ``service.flush.deadline`` / ``service.flush.close``
+* ``service.flush.idle`` / ``service.flush.size`` / ``service.flush.close``
   flush-reason counters,
 * ``service.batch_fill`` — a bucketed histogram of flushed lane counts,
+* ``service.queue_wait`` — each request's wait from enqueue to flush,
 * ``service.queue.depth`` — a gauge of requests currently parked.
 
 With a tracer installed, every flush records a ``serve.flush`` span
@@ -33,9 +33,11 @@ covering the batch-assembly window (oldest enqueue → flush), so
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import threading
 import time
-from concurrent.futures import Future
+from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Tuple
 
@@ -52,10 +54,9 @@ GroupKey = Tuple[str, str, str]
 __all__ = ["GroupKey", "PendingRequest", "Batch", "DynamicBatcher"]
 
 
-#: Default flush policy: the batched kernels' preferred lane count and
-#: a deadline short enough to be invisible next to one m=163 ladder.
+#: The batched kernels' preferred lane count: a group this large is
+#: dispatched even while every worker is busy.
 DEFAULT_MAX_LANES = 256
-DEFAULT_MAX_DELAY_S = 0.005
 
 
 @dataclass
@@ -73,7 +74,7 @@ class Batch:
 
     key: "GroupKey"
     requests: "List[PendingRequest]"
-    reason: str  # "size" | "deadline" | "close"
+    reason: str  # "idle" | "size" | "close"
     flushed_at: float
 
     def __len__(self) -> int:
@@ -81,46 +82,45 @@ class Batch:
 
 
 class DynamicBatcher:
-    """Thread-safe size-or-deadline request coalescer.
+    """Thread-safe slot-driven request coalescer.
 
-    ``dispatch(batch)`` is called outside the internal lock, from the
-    submitting thread on size flushes and from the flusher thread on
-    deadline flushes.  Exceptions raised by ``dispatch`` are routed to
-    the batch's request futures, so a failing dispatch never takes the
-    flusher thread down.
+    ``slots`` idle flushes may be in flight at once (the worker pool's
+    width); size and close flushes hold no slot.  ``dispatch(batch)`` runs
+    outside the lock, on the submitting thread or on the one that completed
+    the previous lease, and returns the batch's lease future (one result row
+    per request).  The batcher fans the rows out, or routes the error of a
+    failed lease (or of a raising ``dispatch``) to every request, and frees
+    the slot if the batch held one.
     """
 
     def __init__(
         self,
-        dispatch: "Callable[[Batch], None]",
+        dispatch: "Callable[[Batch], Future]",
         *,
         max_lanes: int = DEFAULT_MAX_LANES,
-        max_delay_s: float = DEFAULT_MAX_DELAY_S,
+        slots: int = 1,
     ) -> None:
         if max_lanes < 1:
             raise ValueError("max_lanes must be at least 1")
-        if max_delay_s <= 0:
-            raise ValueError("max_delay_s must be positive")
+        if slots < 1:
+            raise ValueError("slots must be at least 1")
         self._dispatch = dispatch
         self.max_lanes = max_lanes
-        self.max_delay_s = max_delay_s
+        self.slots = slots
         self._lock = threading.Lock()
-        self._wakeup = threading.Condition(self._lock)
+        # Dict order is creation order, and a group is created by its oldest
+        # request: the first key always holds the oldest waiting request.
         self._groups: "Dict[GroupKey, List[PendingRequest]]" = {}
-        self._deadlines: "Dict[GroupKey, float]" = {}
+        self._busy = 0  # slot-holding (idle) leases in flight, at most slots
         self._closed = False
-        self._flusher = threading.Thread(
-            target=self._run_flusher, name="repro-serve-flusher", daemon=True
-        )
-        self._flusher.start()
 
     # -- submission ---------------------------------------------------
 
     def submit(self, key: "GroupKey", payload: "Dict[str, Any]") -> "Future":
         """Enqueue one request; returns the future its result will land on."""
         request = PendingRequest(payload, Future())
-        full: "Optional[Batch]" = None
-        with self._wakeup:
+        batch: "Optional[Batch]" = None
+        with self._lock:
             if self._closed:
                 raise RuntimeError("the batcher is closed")
             group = self._groups.setdefault(key, [])
@@ -129,13 +129,11 @@ class DynamicBatcher:
             if registry.enabled:
                 registry.inc("service.requests")
                 registry.gauge("service.queue.depth", self._depth_locked())
-            if len(group) >= self.max_lanes:
-                full = self._take_locked(key, "size")
-            elif len(group) == 1:
-                self._deadlines[key] = request.enqueued_at + self.max_delay_s
-                self._wakeup.notify()
-        if full is not None:
-            self._dispatch_batch(full)
+            if self._busy < self.slots:
+                batch = self._take_locked(key, "idle")
+            elif len(group) >= self.max_lanes:
+                batch = self._take_locked(key, "size")
+        self._dispatch_batch(batch)
         return request.future
 
     def queue_depth(self) -> int:
@@ -146,12 +144,13 @@ class DynamicBatcher:
     def _depth_locked(self) -> int:
         return sum(len(group) for group in self._groups.values())
 
-    # -- flushing -----------------------------------------------------
+    # -- the batch lifecycle ------------------------------------------
 
     def _take_locked(self, key: "GroupKey", reason: str) -> Batch:
-        """Detach one group as a :class:`Batch` (caller holds the lock)."""
+        """Detach one group as a :class:`Batch` (lock held); idle takes a slot."""
         requests = self._groups.pop(key)
-        self._deadlines.pop(key, None)
+        if reason == "idle":
+            self._busy += 1
         registry = _metrics.REGISTRY
         if registry.enabled:
             registry.inc("service.batches")
@@ -160,7 +159,10 @@ class DynamicBatcher:
             registry.gauge("service.queue.depth", self._depth_locked())
         return Batch(key, requests, reason, time.perf_counter())
 
-    def _dispatch_batch(self, batch: Batch) -> None:
+    def _dispatch_batch(self, batch: "Optional[Batch]") -> None:
+        """Lease ``batch`` out (outside the lock); its callback frees the slot."""
+        if batch is None:
+            return
         oldest = min(request.enqueued_at for request in batch.requests)
         _trace.record_span(
             "serve.flush",
@@ -171,36 +173,46 @@ class DynamicBatcher:
             lanes=len(batch),
             reason=batch.reason,
         )
-        try:
-            self._dispatch(batch)
-        except Exception as error:  # route, don't kill the flusher
+        registry = _metrics.REGISTRY
+        if registry.enabled:
             for request in batch.requests:
-                if not request.future.done():
+                registry.observe("service.queue_wait", batch.flushed_at - request.enqueued_at)
+        try:
+            lease = self._dispatch(batch)
+        except Exception as error:  # the requests see a failed lease
+            lease = Future()
+            lease.set_exception(error)
+        lease.add_done_callback(functools.partial(self._finished, batch))
+
+    def _finished(self, batch: Batch, lease: "Future") -> None:
+        """Hand the batch's slot on, if it held one, then fan the lease's rows
+        (row ``i`` to request ``i``) or its error out: no client hears back
+        before the slot is free."""
+        if batch.reason == "idle":
+            self._dispatch_batch(self._release())
+        error = lease.exception()
+        rows = lease.result() if error is None else [None] * len(batch)
+        for request, row in zip(batch.requests, rows):
+            with contextlib.suppress(InvalidStateError):  # cancelled meanwhile
+                if error is None:
+                    request.future.set_result(row)
+                else:
                     request.future.set_exception(error)
 
-    def _run_flusher(self) -> None:
-        while True:
-            due: "List[Batch]" = []
-            with self._wakeup:
-                if self._closed and not self._groups:
-                    return
-                now = time.perf_counter()
-                for key in list(self._deadlines):
-                    if self._closed or self._deadlines[key] <= now:
-                        due.append(self._take_locked(key, "close" if self._closed else "deadline"))
-                if not due:
-                    next_deadline = min(self._deadlines.values(), default=None)
-                    timeout = None if next_deadline is None else max(next_deadline - now, 0.0)
-                    self._wakeup.wait(timeout)
-                    continue
-            for batch in due:
-                self._dispatch_batch(batch)
+    def _release(self) -> "Optional[Batch]":
+        """Free one slot; take the group holding the oldest waiting request."""
+        with self._lock:
+            self._busy -= 1
+            if self._groups:
+                return self._take_locked(next(iter(self._groups)), "idle")
+        return None
 
     # -- lifecycle ----------------------------------------------------
 
     def close(self) -> None:
-        """Flush leftovers (reason ``close``) and stop the flusher thread."""
-        with self._wakeup:
+        """Flush every waiting group (reason ``close``) and refuse new requests."""
+        with self._lock:
             self._closed = True
-            self._wakeup.notify()
-        self._flusher.join()
+            batches = [self._take_locked(key, "close") for key in list(self._groups)]
+        for batch in batches:
+            self._dispatch_batch(batch)

@@ -3,9 +3,10 @@
 One asyncio event loop accepts many concurrent keep-alive connections,
 validates each JSON request at ingress, parks it in the
 :class:`~repro.serve.batcher.DynamicBatcher`, and awaits its future.
-Compatible requests (same curve × op × resolved scalar recoding) that
-arrive within the flush window ride **one** batched ladder call on the
-:class:`~repro.serve.workers.WorkerPool` — single-request traffic gets
+A request that finds a worker idle is dispatched at once; compatible
+requests (same curve × op × resolved scalar recoding) arriving while every
+worker is busy ride **one** batched ladder call on the next free worker of
+the :class:`~repro.serve.workers.WorkerPool` — single-request traffic gets
 batch-256 throughput without clients ever knowing.
 
 Endpoints (all bodies JSON; integers accepted as ints or hex strings,
@@ -19,14 +20,14 @@ returned as lowercase hex):
 * ``POST /sign``   — ``{"curve", "private", "digest"}`` → ``{"r", "s"}``;
 * ``GET /healthz`` — liveness (curves warmed, pool mode);
 * ``GET /stats``   — queue depth, batch-fill histogram, flush-reason
-  counts and per-op latency p50/p95/p99 straight from the telemetry
-  registry's bucketed observations.
+  counts, queue wait and per-op latency p50/p95/p99 straight from the
+  telemetry registry's bucketed observations.
 
 All three POST bodies take an optional ``"scalar_rep"`` (``"auto"`` /
 ``"binary"`` / ``"tau"``) which is resolved at ingress — so ``"auto"``
 and ``"tau"`` requests on a Koblitz curve land in the *same* batch
 group, and ``"tau"`` on a B-curve is rejected with 400 before it can
-poison a batch.
+poison a batch, as is a low-order ECDH peer (``BinaryCurve.low_order_xs``).
 
 The HTTP layer is deliberately minimal (request line + headers via
 ``readline``, body via ``readexactly(Content-Length)``, keep-alive
@@ -48,11 +49,12 @@ from ..curves import curve_by_name
 from ..telemetry import metrics as _metrics
 from ..telemetry import trace as _trace
 from ..telemetry.metrics import summary_quantiles
-from .batcher import DEFAULT_MAX_DELAY_S, DEFAULT_MAX_LANES, DynamicBatcher
+from .batcher import DEFAULT_MAX_LANES, DynamicBatcher
 from .workers import OP_FIELDS, WorkerPool
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from typing import Any, Dict, List, Optional, Sequence, Tuple
+    from concurrent.futures import Future
+    from typing import Any, Dict, Optional, Sequence, Tuple
 
     from .batcher import Batch, GroupKey
 
@@ -105,9 +107,9 @@ class CryptoService:
     ``workers=None`` sizes the pool to the CPU count; ``workers=0`` runs
     batches inline on one worker thread (the right call on single-core
     machines — no IPC, and the native backend releases the GIL during
-    its C calls).  ``backend`` is a backend registry name or ``None``
-    for the per-field default.  ``seed`` makes server-side keygen draws
-    reproducible.
+    its C calls); the batcher gets one slot per worker (one inline).
+    ``backend`` is a backend registry name or ``None`` for the per-field
+    default.  ``seed`` makes server-side keygen draws reproducible.
     """
 
     def __init__(
@@ -116,7 +118,6 @@ class CryptoService:
         backend: "Optional[str]" = None,
         curves: "Sequence[str]" = DEFAULT_CURVES,
         max_lanes: int = DEFAULT_MAX_LANES,
-        max_delay_ms: float = DEFAULT_MAX_DELAY_S * 1000.0,
         workers: "Optional[int]" = None,
         start_method: "Optional[str]" = None,
         seed: "Optional[int]" = None,
@@ -127,7 +128,7 @@ class CryptoService:
             curves=tuple(self.curves), start_method=start_method,
         )
         self.batcher = DynamicBatcher(
-            self._dispatch, max_lanes=max_lanes, max_delay_s=max_delay_ms / 1000.0
+            self._dispatch, max_lanes=max_lanes, slots=max(self.pool.workers, 1)
         )
         self._rng = random.Random(seed)
         self._rng_lock = threading.Lock()
@@ -137,27 +138,13 @@ class CryptoService:
 
     # -- batch plumbing ----------------------------------------------
 
-    def _dispatch(self, batch: "Batch") -> None:
-        """Hand one flushed batch to the pool; fan results back to futures."""
-        fields = OP_FIELDS[batch.key[0]]
+    def _dispatch(self, batch: "Batch") -> "Future":
+        """Lease one flushed batch to the pool as columns of its payloads."""
         columns = {
             field: [request.payload[field] for request in batch.requests]
-            for field in fields
+            for field in OP_FIELDS[batch.key[0]]
         }
-        lease = self.pool.submit(batch.key, columns)
-
-        def _complete(done) -> None:
-            error = done.exception()
-            if error is not None:
-                for request in batch.requests:
-                    if not request.future.done():
-                        request.future.set_exception(error)
-                return
-            for request, row in zip(batch.requests, done.result()):
-                if not request.future.done():
-                    request.future.set_result(row)
-
-        lease.add_done_callback(_complete)
+        return self.pool.submit(batch.key, columns)
 
     # -- request validation ------------------------------------------
 
@@ -166,8 +153,8 @@ class CryptoService:
 
         Everything that could make a request incompatible with (or
         poisonous to) a batch is decided here, at ingress: unknown or
-        unserved curves, malformed integers, out-of-range scalars and
-        invalid scalar recodings all turn into 400s before enqueue.
+        unserved curves, malformed integers, out-of-range scalars, invalid
+        scalar recodings and low-order ECDH peers all get 400s before enqueue.
         """
         try:
             data = json.loads(body.decode("utf-8") or "{}")
@@ -208,6 +195,8 @@ class CryptoService:
             for coord in ("peer_x", "peer_y"):
                 if payload[coord] >= field_order:
                     raise _HttpError(400, f"{coord} is not a field element of {curve_name}")
+            if payload["peer_x"] in curve.low_order_xs:
+                raise _HttpError(400, f"the peer is a low-order point of {curve_name} (4P = O)")
         elif op == "sign":
             if curve.order is None:
                 raise _HttpError(
@@ -273,11 +262,12 @@ class CryptoService:
             "requests": counters.get("service.requests", 0),
             "batches": counters.get("service.batches", 0),
             "batch_fallbacks": counters.get("service.batch_fallback", 0),
-            "flush_reasons": {
+            "flush_reasons": {  # "deadline" stays for existing readers; it reads 0
                 reason: counters.get(f"service.flush.{reason}", 0)
-                for reason in ("size", "deadline", "close")
+                for reason in ("idle", "size", "deadline", "close")
             },
             "batch_fill": _summary("service.batch_fill"),
+            "queue_wait_s": _summary("service.queue_wait"),
             "execute_s": _summary("service.execute"),
             "latency_s": {
                 op: _summary(f"service.latency.{op}") for op in OP_FIELDS
@@ -285,7 +275,7 @@ class CryptoService:
             "config": {
                 "curves": sorted(self.curves),
                 "max_lanes": self.batcher.max_lanes,
-                "max_delay_ms": self.batcher.max_delay_s * 1000.0,
+                "slots": self.batcher.slots,
                 "workers": self.pool.workers,
                 "backend": self.pool.backend_name,
             },

@@ -104,7 +104,6 @@ SURFACE = {
         "port": (("--port",), 8742, None),
         "curves": (("--curves",), "B-163,K-163", None),
         "max_lanes": (("--max-lanes",), 256, None),
-        "max_delay_ms": (("--max-delay-ms",), 5.0, None),
         "workers": (("--workers",), None, None),
         "start_method": (("--start-method",), None, None),
         "seed": (("--seed",), None, None),

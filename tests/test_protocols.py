@@ -129,6 +129,72 @@ class TestEcdh:
         assert shared == [curve.multiply(b.public, a.private) for a, b in zip(alice, bob)]
 
 
+def _low_order_peers():
+    """Catalog points of order 2 and 4: (0, sqrt(b)), and (b^(1/4), y) when Tr(a) = 0."""
+    b163 = curve_by_name("B-163")
+    return [
+        ("K-163", 0, 1),
+        ("K-233", 0, 1),
+        ("K-233", 1, 0),
+        ("K-233", 1, 1),
+        ("T-13", 0, 1),
+        ("T-13", 1, 0),
+        ("T-13", 1, 1),
+        ("B-163", 0, b163.field.sqrt(b163.b)),
+    ]
+
+
+def _ecdh_entry_points():
+    """Every ECDH entry point, each fed one valid lane beside the peer under test."""
+
+    def batched(curve, private, peer):
+        return ecdh_batch(curve, [private, private], [curve.generator, peer])
+
+    def scalar(curve, private, peer):
+        return ecdh_batch(curve, [private, private], [curve.generator, peer], batched=False)
+
+    return {"ecdh_shared": ecdh_shared, "ecdh_batch": batched, "ecdh_batch-scalar": scalar}
+
+
+class TestLowOrderPeers:
+    """SEC 1 §3.2.2 / NIST SP 800-56A §5.6.2.3: a peer whose small multiple
+    is infinity would leak the private scalar modulo its order."""
+
+    @pytest.mark.parametrize("name, x, y", _low_order_peers())
+    def test_catalog_points_have_order_two_or_four(self, name, x, y):
+        curve = curve_by_name(name)
+        point = curve.point(x, y)
+        assert not point.is_infinity
+        assert curve.double(curve.double(point)).is_infinity
+        assert x in curve.low_order_xs
+
+    @pytest.mark.parametrize("entry", sorted(_ecdh_entry_points()))
+    @pytest.mark.parametrize("name, x, y", _low_order_peers())
+    def test_every_entry_point_refuses_them(self, name, x, y, entry):
+        curve = curve_by_name(name)
+        peer = curve.point(x, y)
+        # Before the check, d and d + 2 gave different answers: d mod 2 (and
+        # on order-4 points d mod 4) leaked.
+        for private in (6, 7):
+            with pytest.raises(ValueError, match="low-order"):
+                _ecdh_entry_points()[entry](curve, private, peer)
+
+    def test_low_order_xs_is_exactly_the_four_torsion_on_t13(self, toy):
+        field = toy.field
+        four_torsion = set()
+        for x in range(field.order):
+            y = toy.solve_y(x)
+            if y is not None and toy.double(toy.double(toy.point(x, y))).is_infinity:
+                four_torsion.add(x)
+        assert four_torsion == set(toy.low_order_xs) == {0, 1}
+
+    @pytest.mark.parametrize("entry", sorted(_ecdh_entry_points()))
+    def test_shared_point_at_infinity_is_refused(self, toy, entry):
+        # The generator has order n, so d = n annihilates it.
+        with pytest.raises(ValueError, match="infinity"):
+            _ecdh_entry_points()[entry](toy, toy.order, toy.generator)
+
+
 class TestEcdsa:
     def test_sign_verify_roundtrip(self, toy):
         pair = generate_keypair(toy, random.Random(5))

@@ -12,18 +12,19 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import sys
 import threading
 import time
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import pytest
 
 from repro.curves import curve_by_name, ecdsa_sign, ecdsa_verify
 from repro.curves.protocols import ecdh_shared
-from repro.serve.batcher import Batch, DynamicBatcher
+from repro.serve.batcher import DynamicBatcher
 from repro.serve.loadgen import http_get, run_load
 from repro.serve.server import CryptoService
 from repro.serve.workers import (
-    OP_FIELDS,
     WorkerPool,
     ecdh_sharded,
     execute_group_isolated,
@@ -55,77 +56,232 @@ def _keypairs(curve, count, seed):
     return privates, [curve.multiply(curve.generator, d) for d in privates]
 
 
+KEY = ("ecdh", "T-13", "tau")
+OTHER = ("keygen", "T-13", "tau")
+
+
+class _Leases:
+    """A ``dispatch`` that records each batch and returns a lease the test completes."""
+
+    def __init__(self):
+        self.batches = []
+        self.leases = []
+
+    def __call__(self, batch):
+        self.batches.append(batch)
+        self.leases.append(Future())
+        return self.leases[-1]
+
+    def payloads(self, index):
+        return [request.payload["i"] for request in self.batches[index].requests]
+
+
 class TestDynamicBatcher:
+    def test_idle_request_is_dispatched_inside_submit(self):
+        leases = _Leases()
+        batcher = DynamicBatcher(leases, max_lanes=8)
+        future = batcher.submit(KEY, {"i": 0})
+        assert len(leases.batches) == 1  # no waiting for company
+        batch = leases.batches[0]
+        assert (batch.key, batch.reason, len(batch)) == (KEY, "idle", 1)
+        assert batcher.queue_depth() == 0
+        leases.leases[0].set_result([{"x": 7}])
+        assert future.result(timeout=5) == {"x": 7}
+
+    def test_busy_slot_accumulates_groups_and_frees_the_oldest_first(self):
+        leases = _Leases()
+        batcher = DynamicBatcher(leases, max_lanes=8)
+        batcher.submit(KEY, {"i": 0})  # takes the only slot
+        batcher.submit(OTHER, {"i": 1})
+        batcher.submit(KEY, {"i": 2})
+        batcher.submit(OTHER, {"i": 3})
+        assert len(leases.batches) == 1
+        assert batcher.queue_depth() == 3
+        leases.leases[0].set_result([{}])
+        # OTHER holds the oldest waiting request (1), so it goes first, whole.
+        assert len(leases.batches) == 2
+        assert (leases.batches[1].key, leases.batches[1].reason) == (OTHER, "idle")
+        assert leases.payloads(1) == [1, 3]
+        assert batcher.queue_depth() == 1
+        leases.leases[1].set_result([{}, {}])
+        assert (leases.batches[2].key, leases.payloads(2)) == (KEY, [2])
+        assert batcher.queue_depth() == 0
+
+    def test_slots_bound_the_leases_in_flight(self):
+        leases = _Leases()
+        batcher = DynamicBatcher(leases, max_lanes=8, slots=2)
+        for index in range(3):
+            batcher.submit(KEY, {"i": index})
+        assert [leases.payloads(0), leases.payloads(1)] == [[0], [1]]
+        assert batcher.queue_depth() == 1
+        leases.leases[1].set_result([{}])
+        assert leases.payloads(2) == [2]
+
     def test_size_flush_is_immediate_and_splits_by_key(self):
-        batches = []
-        batcher = DynamicBatcher(batches.append, max_lanes=3, max_delay_s=60.0)
-        try:
-            for index in range(3):
-                batcher.submit(("ecdh", "T-13", "tau"), {"i": index})
-            batcher.submit(("keygen", "T-13", "tau"), {"i": 99})
-            assert len(batches) == 1  # size flush happened inline; other group waits
-            batch = batches[0]
-            assert batch.reason == "size"
-            assert batch.key == ("ecdh", "T-13", "tau")
-            assert [request.payload["i"] for request in batch.requests] == [0, 1, 2]
-            assert batcher.queue_depth() == 1
-        finally:
-            batcher.close()
-        assert len(batches) == 2 and batches[1].reason == "close"
+        leases = _Leases()
+        batcher = DynamicBatcher(leases, max_lanes=3)
+        batcher.submit(OTHER, {"i": 99})  # takes the only slot
+        for index in range(3):
+            batcher.submit(KEY, {"i": index})
+        batcher.submit(OTHER, {"i": 100})
+        assert len(leases.batches) == 2  # a full group does not wait for the slot
+        batch = leases.batches[1]
+        assert (batch.key, batch.reason) == (KEY, "size")
+        assert leases.payloads(1) == [0, 1, 2]
+        assert batcher.queue_depth() == 1
+        # The size lease holds no slot: its completion frees nothing, and
+        # the slot's own lease lets the waiting group go.
+        leases.leases[1].set_result([{}, {}, {}])
+        assert len(leases.batches) == 2
+        leases.leases[0].set_result([{}])
+        assert (leases.batches[2].reason, leases.payloads(2)) == ("idle", [100])
 
-    def test_deadline_flush_releases_partial_batches(self):
-        flushed = threading.Event()
-        batches = []
-
-        def dispatch(batch):
-            batches.append(batch)
-            flushed.set()
-
-        batcher = DynamicBatcher(dispatch, max_lanes=100, max_delay_s=0.02)
-        try:
-            batcher.submit(("ecdh", "T-13", "tau"), {"i": 0})
-            batcher.submit(("ecdh", "T-13", "tau"), {"i": 1})
-            assert flushed.wait(5.0), "deadline flush never happened"
-            assert batches[0].reason == "deadline"
-            assert len(batches[0]) == 2
-            assert batcher.queue_depth() == 0
-        finally:
-            batcher.close()
+    def test_size_flushes_never_keep_the_slot_from_the_oldest_request(self):
+        """A hot group refilling to ``max_lanes`` faster than leases finish
+        must not starve a waiting group: the slot's lease hands its slot to
+        the oldest waiting request however many size leases are in flight."""
+        leases = _Leases()
+        batcher = DynamicBatcher(leases, max_lanes=2)
+        batcher.submit(KEY, {"i": 0})  # takes the only slot
+        waiting = batcher.submit(OTHER, {"i": 1})
+        for index in range(2, 6):
+            batcher.submit(KEY, {"i": index})  # size leases [2, 3] and [4, 5]
+        batcher.submit(KEY, {"i": 6})  # the hot group's partial remainder
+        assert [batch.reason for batch in leases.batches] == ["idle", "size", "size"]
+        assert batcher.queue_depth() == 2
+        leases.leases[0].set_result([{}])  # both size leases still in flight
+        assert (leases.batches[3].key, leases.batches[3].reason) == (OTHER, "idle")
+        leases.leases[3].set_result([{"x": 1}])
+        assert waiting.result(timeout=5) == {"x": 1}
+        assert (leases.batches[4].reason, leases.payloads(4)) == ("idle", [6])
+        for lease in leases.leases[1:3]:
+            lease.set_result([{}, {}])
+        assert len(leases.batches) == 5 and batcher._busy == 1
+        leases.leases[4].set_result([{}])
+        assert batcher._busy == 0 and batcher.queue_depth() == 0
 
     def test_dispatch_errors_land_on_request_futures(self):
+        calls = []
+
         def dispatch(batch):
+            calls.append(batch)
             raise RuntimeError("backend on fire")
 
-        batcher = DynamicBatcher(dispatch, max_lanes=2, max_delay_s=60.0)
-        try:
-            first = batcher.submit(("ecdh", "T-13", "tau"), {})
-            second = batcher.submit(("ecdh", "T-13", "tau"), {})
+        batcher = DynamicBatcher(dispatch, max_lanes=8)
+        first = batcher.submit(KEY, {"i": 0})
+        second = batcher.submit(KEY, {"i": 1})
+        for future in (first, second):
             with pytest.raises(RuntimeError, match="on fire"):
-                first.result(timeout=5)
+                future.result(timeout=5)
+        assert len(calls) == 2  # the failed dispatch freed its slot
+
+    def test_dispatch_error_frees_the_slot_for_waiting_groups(self):
+        leases = _Leases()
+        failing = []
+
+        def dispatch(batch):
+            if batch.key == OTHER:
+                failing.append(batch)
+                raise RuntimeError("backend on fire")
+            return leases(batch)
+
+        batcher = DynamicBatcher(dispatch, max_lanes=8)
+        batcher.submit(KEY, {"i": 0})
+        doomed = [batcher.submit(OTHER, {"i": index}) for index in (1, 2)]
+        waiting = batcher.submit(KEY, {"i": 3})
+        leases.leases[0].set_result([{}])
+        for future in doomed:
             with pytest.raises(RuntimeError, match="on fire"):
-                second.result(timeout=5)
-        finally:
-            batcher.close()
+                future.result(timeout=5)
+        assert leases.payloads(1) == [3]
+        leases.leases[1].set_result([{"x": 3}])
+        assert waiting.result(timeout=5) == {"x": 3}
+
+    def test_lease_rows_reach_their_requests_and_failures_reach_all(self):
+        leases = _Leases()
+        batcher = DynamicBatcher(leases, max_lanes=8)
+        batcher.submit(OTHER, {"i": 99})
+        rows = [batcher.submit(KEY, {"i": index}) for index in range(3)]
+        failed = [batcher.submit(OTHER, {"i": index}) for index in range(2)]
+        leases.leases[0].set_result([{}])
+        leases.leases[1].set_result([{"x": 10}, {"x": 11}, {"x": 12}])
+        assert [future.result(timeout=5) for future in rows] == [{"x": 10}, {"x": 11}, {"x": 12}]
+        leases.leases[2].set_exception(ArithmeticError("lease lost"))
+        for future in failed:
+            with pytest.raises(ArithmeticError, match="lease lost"):
+                future.result(timeout=5)
+        assert batcher.queue_depth() == 0
 
     def test_submit_after_close_is_refused(self):
-        batcher = DynamicBatcher(lambda batch: None, max_lanes=2, max_delay_s=0.01)
-        batcher.close()
+        leases = _Leases()
+        batcher = DynamicBatcher(leases, max_lanes=8)
+        batcher.submit(KEY, {"i": 0})
+        batcher.submit(OTHER, {"i": 1})
+        batcher.submit(KEY, {"i": 2})
+        batcher.close()  # flushes what waits behind the held slot
+        assert [batch.reason for batch in leases.batches] == ["idle", "close", "close"]
+        assert [leases.payloads(1), leases.payloads(2)] == [[1], [2]]
         with pytest.raises(RuntimeError):
-            batcher.submit(("ecdh", "T-13", "tau"), {})
+            batcher.submit(KEY, {})
+
+    def test_rejects_empty_lanes_and_slots(self):
+        with pytest.raises(ValueError, match="max_lanes"):
+            DynamicBatcher(_Leases(), max_lanes=0)
+        with pytest.raises(ValueError, match="slots"):
+            DynamicBatcher(_Leases(), slots=0)
+
+    def test_concurrent_submitters_and_completers_lose_no_request(self):
+        """Stress: 8 submitting threads, leases completed on 4 other threads,
+        2 slots, a tiny switch interval.  A lost update to the groups or the
+        slot count would drop, swap or strand a request, or leak a slot."""
+        completer = ThreadPoolExecutor(max_workers=4)
+
+        def dispatch(batch):
+            rows = [{"i": request.payload["i"]} for request in batch.requests]
+            return completer.submit(lambda: rows)
+
+        batcher = DynamicBatcher(dispatch, max_lanes=8, slots=2)
+        keys = (KEY, OTHER, ("sign", "T-13", "tau"))
+
+        def client(base):
+            futures = [
+                batcher.submit(keys[(base + k) % 3], {"i": 1000 * base + k}) for k in range(200)
+            ]
+            return [future.result(timeout=60)["i"] for future in futures]
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as clients:
+                results = list(clients.map(client, range(8)))
+        finally:
+            sys.setswitchinterval(previous)
+            completer.shutdown(wait=True)
+        for base, got in enumerate(results):
+            assert got == [1000 * base + k for k in range(200)]
+        assert batcher.queue_depth() == 0
+        assert batcher._busy == 0  # every slot came back
 
     def test_telemetry_counts_requests_batches_and_fill(self, fresh_registry):
-        batcher = DynamicBatcher(lambda batch: None, max_lanes=2, max_delay_s=60.0)
-        try:
-            batcher.submit(("ecdh", "T-13", "tau"), {})
-            batcher.submit(("ecdh", "T-13", "tau"), {})
-        finally:
-            batcher.close()
+        leases = _Leases()
+        batcher = DynamicBatcher(leases, max_lanes=2)
+        batcher.submit(KEY, {})
+        batcher.submit(KEY, {})
+        batcher.submit(KEY, {})
+        batcher.submit(OTHER, {})
+        batcher.close()
         snap = fresh_registry.snapshot()
-        assert snap["counters"]["service.requests"] == 2
-        assert snap["counters"]["service.batches"] == 1
-        assert snap["counters"]["service.flush.size"] == 1
+        counters = snap["counters"]
+        assert counters["service.requests"] == 4
+        assert counters["service.batches"] == 3
+        assert counters["service.flush.idle"] == 1
+        assert counters["service.flush.size"] == 1
+        assert counters["service.flush.close"] == 1
+        assert "service.flush.deadline" not in counters
         fill = snap["observations"]["service.batch_fill"]
-        assert fill["count"] == 1 and fill["min_s"] == 2
+        assert (fill["count"], fill["min_s"], fill["max_s"]) == (3, 1, 2)
+        assert snap["observations"]["service.queue_wait"]["count"] == 4
+        assert snap["gauges"]["service.queue.depth"] == 0
 
 
 class TestWorkerPool:
@@ -231,7 +387,6 @@ def _with_service(async_fn, **service_kwargs):
     """Run ``async_fn(service, port)`` against a live service, then stop it."""
     service_kwargs.setdefault("curves", ("T-13",))
     service_kwargs.setdefault("workers", 0)
-    service_kwargs.setdefault("max_delay_ms", 5.0)
     service_kwargs.setdefault("seed", 99)
 
     async def runner():
@@ -272,6 +427,42 @@ async def _raw_exchange(port, raw):
             await writer.wait_closed()
 
 
+def _hold_the_slot(service, queued, hold_s=0.0):
+    """Occupy a one-slot service's worker slot with a blocker lease.
+
+    The lease completes ``hold_s`` after ``queued`` requests wait in the
+    batcher, so they accumulate into whole groups, and those are then
+    dispatched one at a time.  The blocker itself is one keygen request.
+    """
+    lease = Future()
+
+    def release():
+        give_up = time.monotonic() + 60
+        while service.batcher.queue_depth() < queued and time.monotonic() < give_up:
+            time.sleep(0.001)
+        time.sleep(hold_s)
+        lease.set_result([{}])
+
+    service.pool.submit = lambda key, columns: lease
+    try:
+        service.batcher.submit(("keygen", "T-13", "tau"), {"private": 1})
+    finally:
+        del service.pool.submit
+    thread = threading.Thread(target=release, name="test-slot-release", daemon=True)
+    thread.start()
+    return thread
+
+
+def _ecdh_body(curve, private, peer, **extra):
+    return {
+        "curve": curve.name,
+        "private": format(private, "x"),
+        "peer_x": format(peer.x, "x"),
+        "peer_y": format(peer.y, "x"),
+        **extra,
+    }
+
+
 class TestCryptoService:
     @pytest.mark.parametrize(
         "raw",
@@ -307,8 +498,8 @@ class TestCryptoService:
         assert recorded == []
 
     def test_mixed_ops_and_reps_split_into_compatible_batches(self, toy, fresh_registry):
-        """Concurrent requests across op x scalar_rep coalesce per group and
-        every response is byte-identical to the scalar reference."""
+        """Requests queued behind a busy worker coalesce per group, and every
+        response is byte-identical to the scalar reference."""
         privates, peers = _keypairs(toy, 4, seed=7)
         other, _ = _keypairs(toy, 4, seed=8)
         digests = [11, 22, 33, 44]
@@ -316,33 +507,28 @@ class TestCryptoService:
         async def scenario(service, port):
             requests = []
             for index in range(4):
-                requests.append(("/ecdh", {
-                    "curve": "T-13", "scalar_rep": "binary",
-                    "private": format(other[index], "x"),
-                    "peer_x": format(peers[index].x, "x"),
-                    "peer_y": format(peers[index].y, "x"),
-                }))
+                requests.append(("/ecdh", _ecdh_body(
+                    toy, other[index], peers[index], scalar_rep="binary"
+                )))
                 # "tau" and "auto" resolve identically on a Koblitz curve, so
                 # these two land in the SAME group.
                 rep = "tau" if index % 2 else "auto"
-                requests.append(("/ecdh", {
-                    "curve": "T-13", "scalar_rep": rep,
-                    "private": format(other[index], "x"),
-                    "peer_x": format(peers[index].x, "x"),
-                    "peer_y": format(peers[index].y, "x"),
-                }))
+                requests.append(("/ecdh", _ecdh_body(
+                    toy, other[index], peers[index], scalar_rep=rep
+                )))
                 requests.append(("/keygen", {"curve": "T-13", "private": format(privates[index], "x")}))
                 requests.append(("/sign", {
                     "curve": "T-13",
                     "private": format(privates[index], "x"),
                     "digest": format(digests[index], "x"),
                 }))
+            _hold_the_slot(service, queued=len(requests))
             responses = await asyncio.gather(
                 *(_post_json(port, path, payload) for path, payload in requests)
             )
             return responses, (await http_get("127.0.0.1", port, "/stats"))[1]
 
-        responses, stats = _with_service(scenario, max_lanes=64, max_delay_ms=25.0)
+        responses, stats = _with_service(scenario, max_lanes=64)
         assert all(status == 200 for status, _ in responses)
         for index in range(4):
             ecdh_bin, ecdh_tau, keygen, sign = responses[4 * index: 4 * index + 4]
@@ -357,14 +543,16 @@ class TestCryptoService:
             assert int(sign[1]["r"], 16) == signature.r
             assert int(sign[1]["s"], 16) == signature.s
         counters = fresh_registry.snapshot()["counters"]
-        assert counters["service.requests"] == 16
+        assert counters["service.requests"] == 16 + 1  # + the blocker
         # 4 distinct groups: ecdh-binary, ecdh-tau (tau + auto merged),
-        # keygen-tau, sign-tau.  Nothing reached max_lanes, so exactly one
-        # deadline batch per group.
-        assert counters["service.batches"] == 4
-        assert counters["service.flush.deadline"] == 4
+        # keygen-tau, sign-tau; each was dispatched whole, from the
+        # completion of the lease before it.
+        assert counters["service.batches"] == 4 + 1
+        assert counters["service.flush.idle"] == 4 + 1
         # batch_fill is counted in lanes per flushed batch.
-        assert stats["batch_fill"]["mean"] == stats["batch_fill"]["max"] == 4
+        assert stats["batch_fill"]["count"] == 4 + 1
+        assert stats["batch_fill"]["max"] == 4
+        assert stats["batch_fill"]["min"] == 1
 
     def test_mixed_curves_split_into_separate_batches(self, fresh_registry):
         """One service, two warmed curves; responses stay byte-identical."""
@@ -389,9 +577,7 @@ class TestCryptoService:
                 }),
             )
 
-        k_response, t_response = _with_service(
-            scenario, curves=("T-13", "K-163"), max_lanes=16, max_delay_ms=25.0
-        )
+        k_response, t_response = _with_service(scenario, curves=("T-13", "K-163"), max_lanes=16)
         assert k_response[0] == 200 and t_response[0] == 200
         k_reference = ecdh_shared(k163, k_privates[0], k_peers[0])
         assert int(k_response[1]["x"], 16) == k_reference.x
@@ -412,30 +598,28 @@ class TestCryptoService:
         assert int(payload["x"], 16) == public.x
         assert int(payload["y"], 16) == public.y
 
-    def test_bad_peer_gets_400_without_poisoning_the_batch(self, toy):
+    def test_bad_peer_gets_400_without_poisoning_the_batch(self, toy, fresh_registry):
         privates, peers = _keypairs(toy, 2, seed=11)
 
         async def scenario(service, port):
-            good = _post_json(port, "/ecdh", {
-                "curve": "T-13",
-                "private": format(privates[0], "x"),
-                "peer_x": format(peers[0].x, "x"),
-                "peer_y": format(peers[0].y, "x"),
-            })
+            _hold_the_slot(service, queued=2)
+            good = _post_json(port, "/ecdh", _ecdh_body(toy, privates[0], peers[0]))
             bad = _post_json(port, "/ecdh", {
-                "curve": "T-13",
-                "private": format(privates[1], "x"),
-                "peer_x": format(peers[1].x, "x"),
+                **_ecdh_body(toy, privates[1], peers[1]),
                 "peer_y": format(peers[1].y ^ 1, "x"),
             })
             return await asyncio.gather(good, bad)
 
-        good_response, bad_response = _with_service(scenario, max_lanes=8, max_delay_ms=20.0)
+        good_response, bad_response = _with_service(scenario, max_lanes=8)
         assert bad_response[0] == 400
         assert "error" in bad_response[1]
         assert good_response[0] == 200
         reference = ecdh_shared(toy, privates[0], peers[0])
         assert int(good_response[1]["x"], 16) == reference.x
+        # Both rode one batch, whose failure fell back to per-request retries.
+        counters = fresh_registry.snapshot()["counters"]
+        assert counters["service.batches"] == 1 + 1  # + the blocker
+        assert counters["service.batch_fallback"] == 1
 
     def test_ingress_validation_and_routing(self):
         async def scenario(service, port):
@@ -471,7 +655,7 @@ class TestCryptoService:
         assert cases["missing_field"][0] == 400
         stats = cases["stats"][1]
         assert stats["queue_depth"] == 0
-        assert set(stats["flush_reasons"]) == {"size", "deadline", "close"}
+        assert set(stats["flush_reasons"]) == {"idle", "size", "deadline", "close"}
         assert "latency_s" in stats and "batch_fill" in stats
 
     def test_loadgen_closed_loop_verifies_every_response(self):
@@ -481,10 +665,122 @@ class TestCryptoService:
                 clients=8, requests_per_client=2, seed=21, spot_checks=2,
             )
 
-        result = _with_service(scenario, max_lanes=16, max_delay_ms=5.0)
+        result = _with_service(scenario, max_lanes=16)
         assert result.errors == []
         assert result.completed == result.total == 16
         assert result.verified == 16
         assert result.spot_checked == 2
         assert result.throughput > 0
         assert set(result.latency_quantiles()) == {"p50", "p95", "p99"}
+
+    def test_queue_wait_is_reported_per_request(self, toy, fresh_registry):
+        """/stats times each request from enqueue to flush: near zero on an
+        idle service, at least the hold time behind a busy worker."""
+        privates, peers = _keypairs(toy, 3, seed=14)
+        hold_s = 0.05
+
+        async def scenario(service, port):
+            lone = await _post_json(port, "/ecdh", _ecdh_body(toy, privates[0], peers[0]))
+            idle = (await http_get("127.0.0.1", port, "/stats"))[1]
+            _hold_the_slot(service, queued=2, hold_s=hold_s)
+            held = await asyncio.gather(*(
+                _post_json(port, "/ecdh", _ecdh_body(toy, privates[i], peers[i])) for i in (1, 2)
+            ))
+            return [lone, *held], idle, (await http_get("127.0.0.1", port, "/stats"))[1]
+
+        responses, idle, busy = _with_service(scenario)
+        assert [status for status, _ in responses] == [200, 200, 200]
+        assert idle["queue_wait_s"]["count"] == 1
+        assert idle["queue_wait_s"]["max"] < 0.001
+        waits = busy["queue_wait_s"]
+        assert waits["count"] == 4  # + the blocker, which found the slot idle
+        assert waits["max"] >= hold_s
+        assert waits["count"] == busy["requests"]
+        assert busy["config"]["slots"] == 1
+        assert busy["flush_reasons"]["deadline"] == 0
+
+    def test_process_pool_dispatches_queued_groups_on_completion(self, toy, fresh_registry):
+        """workers=1: a group queued behind the busy worker is dispatched from
+        the completion callback of the lease before it, off the event loop."""
+        privates, publics = _keypairs(toy, 6, seed=15)
+        other, _ = _keypairs(toy, 6, seed=16)
+        digests = [3, 1, 4, 1, 5, 9]
+        dispatched_on, completed_on = [], []
+
+        async def scenario(service, port):
+            submit = service.pool.submit
+
+            def recording_submit(key, columns):
+                if not dispatched_on:
+                    # Busy the worker first, so this lease cannot finish before
+                    # the batcher attaches to it: it completes on the pool's
+                    # own result thread.
+                    service.pool._executor.submit(time.sleep, 0.1)
+                dispatched_on.append(threading.current_thread())
+                lease = submit(key, columns)
+                lease.add_done_callback(
+                    lambda _: completed_on.append(threading.current_thread())
+                )
+                return lease
+
+            requests = [("/ecdh", _ecdh_body(toy, d, q)) for d, q in zip(other, publics)]
+            requests += [
+                ("/sign", {"curve": "T-13", "private": format(d, "x"), "digest": format(h, "x")})
+                for d, h in zip(privates, digests)
+            ]
+            releaser = _hold_the_slot(service, queued=len(requests))
+            service.pool.submit = recording_submit
+            try:
+                responses = await asyncio.gather(
+                    *(_post_json(port, path, payload) for path, payload in requests)
+                )
+            finally:
+                del service.pool.submit
+            return responses, threading.current_thread(), releaser
+
+        responses, loop_thread, releaser = _with_service(scenario, workers=1)
+        assert all(status == 200 for status, _ in responses)
+        for index, (_, payload) in enumerate(responses[:6]):
+            reference = ecdh_shared(toy, other[index], publics[index])
+            assert (int(payload["x"], 16), int(payload["y"], 16)) == (reference.x, reference.y)
+        for index, (_, payload) in enumerate(responses[6:]):
+            signature = ecdsa_sign(toy, privates[index], digests[index])
+            assert (int(payload["r"], 16), int(payload["s"], 16)) == (signature.r, signature.s)
+        # The blocker's release dispatched the ecdh group; the sign group
+        # waited for the one worker and went from the ecdh lease's
+        # completion callback — the process pool's thread.
+        assert dispatched_on[0] is releaser
+        assert dispatched_on[1] is completed_on[0]
+        assert completed_on[0] not in (loop_thread, releaser)
+        counters = fresh_registry.snapshot()["counters"]
+        assert counters["service.batches"] == 2 + 1  # + the blocker
+        assert counters["service.flush.idle"] == 2 + 1
+
+    def test_no_flusher_thread_runs(self):
+        async def scenario(service, port):
+            await _post_json(port, "/keygen", {"curve": "T-13"})
+            return [thread.name for thread in threading.enumerate()]
+
+        names = _with_service(scenario)
+        assert "repro-serve-flusher" not in names
+
+    def test_low_order_peer_gets_400_before_enqueue(self, fresh_registry):
+        """Peers of order dividing 4 would leak the private scalar mod 2 or 4."""
+        private = 0x1234
+
+        async def scenario(service, port):
+            responses = [
+                await _post_json(port, "/ecdh", {
+                    "curve": curve, "private": format(private, "x"),
+                    "peer_x": format(x, "x"), "peer_y": format(y, "x"),
+                })
+                for curve, x, y in (("K-163", 0, 1), ("T-13", 0, 1), ("T-13", 1, 0), ("T-13", 1, 1))
+            ]
+            return responses, (await http_get("127.0.0.1", port, "/stats"))[1]
+
+        responses, stats = _with_service(scenario, curves=("T-13", "K-163"))
+        for status, payload in responses:
+            assert status == 400
+            assert "low-order" in payload["error"]
+        assert stats["requests"] == 0
+        assert "service.requests" not in fresh_registry.snapshot()["counters"]
