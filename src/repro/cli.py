@@ -328,8 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     dashboard.add_argument("--format", choices=["markdown", "html"], default="markdown")
     dashboard.add_argument(
         "--tolerance", type=float, default=DEFAULT_TOLERANCE,
-        help="fractional drop vs the best prior PR that raises a regression flag "
-        f"(default {DEFAULT_TOLERANCE})",
+        help="fractional drop vs the best prior PR that raises a regression flag, "
+        f"if it also exceeds the relative IQR both rows recorded (default {DEFAULT_TOLERANCE})",
     )
     dashboard.add_argument(
         "--check", action="store_true",
@@ -921,8 +921,9 @@ def _run_keygen(args) -> int:
 
 
 def _run_serve(args) -> int:
-    """``repro serve``: run the batching service until interrupted."""
+    """``repro serve``: run the batching service until interrupted or terminated."""
     import asyncio
+    import signal
 
     from .serve import CryptoService
 
@@ -947,8 +948,16 @@ def _run_serve(args) -> int:
             file=sys.stderr,
         )
 
+    async def serve() -> None:
+        # SIGTERM (kill, service managers) shuts down as Ctrl-C does: the
+        # cancelled run() closes the batcher, then the worker pool, so no
+        # worker process outlives the server.
+        loop = asyncio.get_running_loop()
+        loop.add_signal_handler(signal.SIGTERM, asyncio.current_task().cancel)
+        await service.run(args.host, args.port, announce=announce)
+
     try:
-        asyncio.run(service.run(args.host, args.port, announce=announce))
+        asyncio.run(serve())
     except KeyboardInterrupt:
         print("interrupted; shutting down", file=sys.stderr)
     return 0

@@ -13,9 +13,9 @@ batches through the compiled function in bit-packed chunks
    word belongs to pair ``p``),
 3. the output planes are transposed back into product words.
 
-Throughput at GF(2^163) is 15-30× the interpreted
-:func:`repro.netlist.simulate.simulate_words` path (see
-``benchmarks/bench_engine_throughput.py``).
+``benchmarks/bench_layers.py`` asserts that throughput at GF(2^163) is at
+least 10× the interpreted :func:`repro.netlist.simulate.simulate_words`
+path.
 
 Module-level factories cache engines so that repeated callers — the CLI,
 :meth:`repro.galois.field.GF2mField.multiply_batch`, the verification

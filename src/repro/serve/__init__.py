@@ -20,7 +20,8 @@ production inference servers use to amortize kernel launches:
   JSON-over-HTTP/1.1 front-end exposing ``/ecdh``, ``/keygen``,
   ``/sign``, ``/healthz`` and ``/stats``;
 * :mod:`repro.serve.loadgen` — the many-small-clients closed-loop load
-  generator behind ``repro loadgen`` and ``benchmarks/bench_serve.py``.
+  generator behind ``repro loadgen`` and the served layer of
+  ``benchmarks/bench_layers.py``.
 
 Everything is stdlib-only: no new runtime dependencies.
 """

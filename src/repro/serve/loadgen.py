@@ -17,7 +17,7 @@ response can be verified:
   ``ecdsa_sign``) — the slow, independent implementation — closing the
   loop on the repo-wide batched == scalar byte-identity guarantee.
 
-Used by ``repro loadgen``, ``benchmarks/bench_serve.py`` and the CI
+Used by ``repro loadgen``, ``benchmarks/bench_layers.py`` and the CI
 service smoke test.  Stdlib only.
 """
 

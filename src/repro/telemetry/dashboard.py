@@ -3,19 +3,21 @@
 The repo's performance story lives in the bench reports committed at the
 repo root: one file per bench, each either a single snapshot (``{bench,
 commit_pr, config, results}``) or a list of such snapshots — the
-trajectory form that :func:`benchmarks._harness.write_bench_json` now
-appends to.  This module reads all of them, pivots every throughput-like
-result field into per-series trajectories (one series per bench × result
-identity, e.g. ``backend=native m=163``), renders the table as markdown
-or standalone HTML, and flags any series whose latest value fell more
-than ``tolerance`` below the best value recorded under an *earlier*
-``commit_pr``.
+trajectory form ``benchmarks/bench_layers.py --json`` appends to.  This
+module reads all of them, pivots every rate field into per-series
+trajectories (one series per bench × result identity, e.g. ``layer=field_op
+backend=native m=163 route=mul batch=2048``), renders the table as
+markdown or standalone HTML, and flags any series whose latest value fell
+below the best value recorded under an *earlier* ``commit_pr`` by more
+than both ``tolerance`` and the relative IQR either snapshot recorded for
+its row.  :func:`splice_readme` renders README's perf tables from one
+snapshot of ``BENCH_layers.json``.
 
-Metric fields are recognised by name: ``rate``/``*_rate``/``*_per_s``/
-``speedup*`` — all higher-is-better throughputs or ratios.  Regression
-flags are advisory (``repro dashboard --check`` warns but exits 0):
-shared runners are noisy, and the hard perf floors in CI remain the
-gate.
+Metric fields are recognised by name: ``rate``/``*_rate``/``*_per_s`` —
+all higher-is-better absolute rates; ratios are derived for display and
+never tracked.  Regression flags are advisory (``repro dashboard
+--check`` warns but exits 0 unless ``--strict``): the hard perf floors
+asserted by the benchmark remain the gate.
 """
 
 from __future__ import annotations
@@ -41,19 +43,21 @@ __all__ = [
     "render_markdown",
     "render_html",
     "render_dashboard",
+    "render_readme_blocks",
+    "splice_readme",
 ]
 
 DEFAULT_TOLERANCE = 0.10
 
 #: Result-row keys that identify a series (as opposed to carrying a metric).
-IDENTITY_KEYS = ("backend", "curve", "method", "m", "n", "batch", "pairs")
+IDENTITY_KEYS = ("layer", "backend", "curve", "method", "m", "n", "route", "batch", "pairs", "clients")
 
 _REQUIRED_SNAPSHOT_KEYS = ("bench", "commit_pr", "config", "results")
 
 
 def is_metric_key(key: str) -> bool:
-    """True for higher-is-better throughput/ratio fields by naming convention."""
-    return key == "rate" or key.endswith("_rate") or key.endswith("_per_s") or key.startswith("speedup")
+    """True for higher-is-better rate fields by naming convention (never a ratio)."""
+    return key == "rate" or key.endswith("_rate") or key.endswith("_per_s")
 
 
 @dataclass(frozen=True)
@@ -67,6 +71,14 @@ class TrajectoryPoint:
     commit_pr: int
     timestamp: str
     source: str
+    #: The relative spread of a row's ``rate``: the row's ``iqr`` over its
+    #: ``rate`` (zero for other metrics and for rows that record none).
+    spread: float = 0.0
+
+
+def _beyond_noise(latest: TrajectoryPoint, best: TrajectoryPoint, tolerance: float) -> bool:
+    """Whether ``latest`` fell below ``best`` by more than the tolerance and both spreads."""
+    return 1.0 - latest.value / best.value > max(tolerance, latest.spread, best.spread)
 
 
 @dataclass(frozen=True)
@@ -169,6 +181,7 @@ def build_trajectory(
         timestamp = str(snapshot["config"].get("timestamp_utc", ""))
         for row in snapshot["results"]:
             series = _series_label(row)
+            iqr = row.get("iqr") if isinstance(row.get("iqr"), (int, float)) else 0.0
             for key, value in row.items():
                 if not is_metric_key(key) or not isinstance(value, (int, float)):
                     continue
@@ -180,6 +193,7 @@ def build_trajectory(
                     commit_pr=commit_pr,
                     timestamp=timestamp,
                     source=source,
+                    spread=iqr / value if key == "rate" and value > 0 else 0.0,
                 )
                 trajectory.setdefault((bench, series, key), []).append(point)
     for points in trajectory.values():
@@ -191,7 +205,11 @@ def find_regressions(
     trajectory: "Dict[Tuple[str, str, str], List[TrajectoryPoint]]",
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> "List[Regression]":
-    """Series whose latest value fell beyond ``tolerance`` below the best prior PR."""
+    """Series whose latest value fell below the best prior PR's beyond the noise.
+
+    A drop counts when it exceeds both ``tolerance`` and the relative IQR
+    recorded in either snapshot's row.
+    """
     regressions: "List[Regression]" = []
     for points in trajectory.values():
         latest = points[-1]
@@ -201,8 +219,8 @@ def find_regressions(
         best_prior = max(prior, key=lambda point: point.value)
         if best_prior.value <= 0:
             continue
-        drop = 1.0 - latest.value / best_prior.value
-        if drop > tolerance:
+        if _beyond_noise(latest, best_prior, tolerance):
+            drop = 1.0 - latest.value / best_prior.value
             regressions.append(Regression(latest=latest, best_prior=best_prior, drop=drop))
     regressions.sort(key=lambda reg: -reg.drop)
     return regressions
@@ -248,7 +266,7 @@ def _format_value(value: float) -> str:
 def _delta_cell(
     cells: "Dict[int, TrajectoryPoint]", prs: "List[int]", tolerance: float
 ) -> str:
-    """The "vs best prior" column: signed % change, flagged beyond tolerance."""
+    """The "vs best prior" column: signed % change, flagged as :func:`find_regressions` does."""
     latest_pr = max(cells)
     latest = cells[latest_pr]
     prior = [cells[pr] for pr in cells if pr < latest_pr]
@@ -257,9 +275,8 @@ def _delta_cell(
     best = max(prior, key=lambda point: point.value)
     if best.value <= 0:
         return "—"
-    change = latest.value / best.value - 1.0
-    text = f"{change * 100:+.1f}%"
-    if change < -tolerance:
+    text = f"{(latest.value / best.value - 1.0) * 100:+.1f}%"
+    if _beyond_noise(latest, best, tolerance):
         text = f"⚠ {text} (best PR {best.commit_pr})"
     return text
 
@@ -274,7 +291,7 @@ def render_markdown(
     lines = ["# Perf trajectory", ""]
     lines.append(
         f"{len(trajectory)} series across {len(tables)} benches; "
-        f"{len(regressions)} regression flag(s) beyond {tolerance * 100:.0f}% tolerance."
+        f"{len(regressions)} regression flag(s) beyond {tolerance * 100:.0f}% tolerance and the recorded spread."
     )
     lines.append("")
     for table in tables:
@@ -323,7 +340,7 @@ def render_html(
         f"<style>{_HTML_STYLE}</style></head><body>",
         "<h1>Perf trajectory</h1>",
         f"<p>{len(trajectory)} series across {len(tables)} benches; "
-        f"{len(regressions)} regression flag(s) beyond {tolerance * 100:.0f}% tolerance.</p>",
+        f"{len(regressions)} regression flag(s) beyond {tolerance * 100:.0f}% tolerance and the recorded spread.</p>",
     ]
     for table in tables:
         out.append("<table>")
@@ -361,3 +378,114 @@ def render_dashboard(
     trajectory = build_trajectory(load_bench_files(directory))
     renderer = render_html if fmt == "html" else render_markdown
     return renderer(trajectory, tolerance), find_regressions(trajectory, tolerance)
+
+
+# ---------------------------------------------------------------------------
+# README tables from one BENCH_layers.json snapshot
+
+def _rate_text(value: float) -> str:
+    if value >= 1e6:
+        return f"{value / 1e6:.2f}M/s"
+    if value >= 1e4:
+        return f"{value / 1e3:.0f}k/s"
+    if value >= 1e3:
+        return f"{value / 1e3:.1f}k/s"
+    return f"{value:.3g}/s"
+
+
+def _table(header: "List[str]", rows: "List[List[str]]") -> "List[str]":
+    return [
+        "| " + " | ".join(header) + " |",
+        "|" + "---|" * len(header),
+        *("| " + " | ".join(row) + " |" for row in rows),
+    ]
+
+
+def render_readme_blocks(snapshot: "Dict[str, Any]") -> "Dict[str, str]":
+    """README's perf tables, by block name, from one ``layers`` snapshot.
+
+    Cells are the rows' median rates; the ratio columns are derived from
+    them here and nowhere else.  A grid point the snapshot lacks (a
+    ``--quick`` run has no m = 233) renders as "–".
+    """
+    results = snapshot["results"]
+
+    def find(layer: str, backend: str, where: "Any", route: str, size: "Any" = None) -> "Any":
+        """The median rate of the matching row (any batch size unless given), or None."""
+        for row in results:
+            if ((row["layer"], row["backend"], row.get("curve") or row.get("m"), row["route"])
+                    == (layer, backend, where, route) and size in (None, row.get("batch") or row.get("clients"))):
+                return row["rate"]
+        return None
+
+    def rate(key: tuple) -> str:
+        value = find(*key)
+        return "–" if value is None else _rate_text(value)
+
+    def ratio(high: tuple, low: tuple) -> str:
+        top, bottom = find(*high), find(*low)
+        return "–" if top is None or bottom is None else f"**{top / bottom:.2f}×**"
+
+    def op(m: int, backend: str, route: str = "multiply_batch") -> tuple:
+        return ("field_op", backend, m, route)
+
+    fields = sorted({row["m"] for row in results if row["layer"] == "field_op"})
+    engine = [
+        [f"GF(2^{m})", rate(op(m, "netlist")), rate(op(m, "engine")), ratio(op(m, "engine"), op(m, "netlist"))]
+        for m in fields
+    ]
+    backends = [
+        [f"GF(2^{m})", name, *(rate(op(m, name, route)) for route in ("multiply_batch", "mul", "square", "inverse")),
+         ratio(op(m, name), op(m, "python"))]
+        for m in fields
+        for name in ("python", "engine", "bitslice", "native")
+    ]
+
+    koblitz = []
+    for curve, backend in sorted({(row["curve"], row["backend"]) for row in results if row["layer"] == "scalar_mul"},
+                                 key=lambda pair: (int(pair[0][2:]), pair[1])):
+        keys = {route: (layer, backend, curve, route) for layer, route in (
+            ("scalar_mul", "binary"), ("scalar_mul", "comb"), ("protocol", "ecdh_binary"),
+            ("protocol", "ecdh_tau"), ("protocol", "exchange_binary"), ("protocol", "exchange_tau_comb"),
+        )}
+        koblitz.append([
+            curve, backend, *(rate(keys[route]) for route in ("binary", "comb", "ecdh_binary", "ecdh_tau")),
+            ratio(keys["comb"], keys["binary"]), ratio(keys["ecdh_tau"], keys["ecdh_binary"]),
+            ratio(keys["exchange_tau_comb"], keys["exchange_binary"]),
+        ])
+
+    serving = []
+    for clients, backend in sorted({(row["clients"], row["backend"]) for row in results if row["layer"] == "served"}):
+        served = ("served", backend, "B-163", "ecdh", clients)
+        offline = ("protocol", backend, "B-163", "ecdh_binary", clients)
+        serving.append([backend, str(clients), rate(served), rate(offline), ratio(served, offline)])
+
+    platform = snapshot["config"]["platform"]
+    source = (
+        f"`BENCH_layers.json`, PR {snapshot['commit_pr']} (Python {platform['python']} on "
+        f"{platform['machine']}): medians of interleaved repeats, measured and checked against "
+        "their floors by `benchmarks/bench_layers.py`."
+    )
+    tables = {
+        "engine": _table(["field", "interpreted netlist", "compiled engine", "engine vs netlist"], engine),
+        "backends": _table(
+            ["field", "backend", "int-list `multiply_batch`", "packed mul", "packed square", "packed inverse",
+             "`multiply_batch` vs python"], backends),
+        "koblitz": _table(
+            ["curve", "backend", "ladder keygen", "comb keygen", "binary ECDH", "τ ECDH", "comb vs ladder",
+             "τ vs binary", "exchange vs all-binary"], koblitz),
+        "serving": _table(["backend", "clients", "served", "offline batch", "served vs offline"], serving),
+    }
+    return {name: "\n".join(lines + ["", source]) for name, lines in tables.items()}
+
+
+def splice_readme(text: str, snapshot: "Dict[str, Any]") -> str:
+    """``text`` with every README perf block re-rendered from ``snapshot``."""
+    for name, block in render_readme_blocks(snapshot).items():
+        start, end = f"<!-- BENCH_layers:{name} -->", f"<!-- /BENCH_layers:{name} -->"
+        head, found, rest = text.partition(start)
+        _, closed, tail = rest.partition(end)
+        if not (found and closed):
+            raise ValueError(f"README has no {start} ... {end} block")
+        text = f"{head}{start}\n{block}\n{end}{tail}"
+    return text

@@ -15,6 +15,7 @@ from repro.telemetry.dashboard import (
     render_dashboard,
     render_html,
     render_markdown,
+    splice_readme,
     validate_snapshot,
 )
 
@@ -38,12 +39,15 @@ def _snapshot(bench="ladder", commit_pr=7, rate=1000.0, timestamp="2026-01-01T00
 
 
 class TestMetricKeyConvention:
-    @pytest.mark.parametrize("key", ["rate", "scalar_rate", "ladders_per_s", "speedup", "speedup_vs_python"])
+    @pytest.mark.parametrize("key", ["rate", "scalar_rate", "ladders_per_s"])
     def test_metric_keys(self, key):
         assert is_metric_key(key)
 
-    @pytest.mark.parametrize("key", ["backend", "m", "batch", "elapsed_s", "checked_vs_scalar"])
+    @pytest.mark.parametrize(
+        "key", ["backend", "m", "batch", "elapsed_s", "checked_vs_scalar", "speedup", "speedup_vs_python"]
+    )
     def test_identity_and_misc_keys(self, key):
+        """Identities, timings and ratios: a ratio is derived for display, never tracked."""
         assert not is_metric_key(key)
 
 
@@ -126,6 +130,25 @@ class TestTrajectoryAndRegressions:
         ]
         assert find_regressions(build_trajectory(entries), tolerance=0.10) == []
 
+    def test_drop_inside_the_recorded_spread_is_not_flagged(self):
+        entries = [
+            ("f.json", _snapshot(commit_pr=7, rate=1000.0, iqr=50.0)),
+            ("f.json", _snapshot(commit_pr=8, rate=700.0, iqr=280.0)),
+        ]
+        trajectory = build_trajectory(entries)
+        assert find_regressions(trajectory, tolerance=0.10) == []
+        assert "⚠" not in render_markdown(trajectory, tolerance=0.10)
+
+    def test_drop_beyond_the_recorded_spread_is_flagged(self):
+        entries = [
+            ("f.json", _snapshot(commit_pr=7, rate=1000.0, iqr=50.0)),
+            ("f.json", _snapshot(commit_pr=8, rate=700.0, iqr=140.0)),
+        ]
+        trajectory = build_trajectory(entries)
+        (regression,) = find_regressions(trajectory, tolerance=0.10)
+        assert regression.drop == pytest.approx(0.3)
+        assert "⚠" in render_markdown(trajectory, tolerance=0.10)
+
     def test_improvement_is_not_flagged(self):
         entries = [
             ("f.json", _snapshot(commit_pr=7, rate=1000.0)),
@@ -181,15 +204,29 @@ class TestRendering:
 class TestCommittedBenchFiles:
     """The dashboard must render the repo's actual committed trajectory."""
 
-    def test_renders_all_four_committed_bench_files(self):
+    def test_renders_the_committed_layers_file(self):
         entries = load_bench_files(REPO_ROOT)
-        benches = {snapshot["bench"] for _, snapshot in entries}
-        assert {"backends", "native", "koblitz", "serve"} <= benches
+        assert {snapshot["bench"] for _, snapshot in entries} == {"layers"}
         document, _ = render_dashboard(REPO_ROOT, fmt="markdown")
-        for name in ("BENCH_backends.json", "BENCH_native.json",
-                     "BENCH_koblitz.json", "BENCH_serve.json"):
-            assert name in document
+        assert "BENCH_layers.json" in document
+        for layer in ("field_op", "ladder_step", "scalar_mul", "protocol", "served"):
+            assert f"layer={layer}" in document
 
     def test_renders_committed_files_as_html(self):
         document, _ = render_dashboard(REPO_ROOT, fmt="html")
         assert document.startswith("<!DOCTYPE html>") and "</html>" in document
+
+    def test_readme_tables_match_the_committed_file(self):
+        """README's perf tables are rendered from the latest committed snapshot."""
+        (_, latest) = load_bench_files(REPO_ROOT, "BENCH_layers.json")[-1]
+        with open(os.path.join(REPO_ROOT, "README.md"), encoding="utf-8") as handle:
+            readme = handle.read()
+        assert splice_readme(readme, latest) == readme, (
+            "README's perf tables differ from BENCH_layers.json; re-render them with "
+            "benchmarks/bench_layers.py --json BENCH_layers.json"
+        )
+
+    def test_every_readme_block_must_be_present(self):
+        (_, latest) = load_bench_files(REPO_ROOT, "BENCH_layers.json")[-1]
+        with pytest.raises(ValueError, match="BENCH_layers:backends"):
+            splice_readme("<!-- BENCH_layers:engine --><!-- /BENCH_layers:engine -->", latest)

@@ -12,10 +12,14 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import os
+import signal
+import subprocess
 import sys
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -784,3 +788,56 @@ class TestCryptoService:
             assert "low-order" in payload["error"]
         assert stats["requests"] == 0
         assert "service.requests" not in fresh_registry.snapshot()["counters"]
+
+
+def _proc_state(pid):
+    """``(state, parent pid)`` of ``pid`` from ``/proc``, or ``None`` once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as handle:
+            fields = handle.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+    return fields[0], int(fields[1])
+
+
+def _running(pid):
+    state = _proc_state(pid)
+    return state is not None and state[0] != "Z"
+
+
+def _children(pid):
+    children = []
+    for entry in os.listdir("/proc"):
+        state = _proc_state(entry) if entry.isdigit() else None
+        if state is not None and state[1] == pid:
+            children.append(int(entry))
+    return children
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="finding worker processes reads /proc")
+class TestServeCommand:
+    def test_sigterm_leaves_no_worker_process(self):
+        """SIGTERM shuts ``repro serve`` down as Ctrl-C does, workers included."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        with subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--curves", "T-13", "--workers", "1", "--port", "0"],
+            stderr=subprocess.PIPE, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        ) as server:
+            workers = []
+            try:
+                announced = next((line for line in server.stderr if line.startswith("serving ")), None)
+                assert announced, "the server exited before it announced its port"
+                workers = _children(server.pid)
+                assert workers, "the server runs no worker process"
+                server.send_signal(signal.SIGTERM)
+                server.wait(timeout=60)
+                deadline = time.monotonic() + 5
+                while any(_running(pid) for pid in workers) and time.monotonic() < deadline:
+                    time.sleep(0.05)
+                assert [pid for pid in workers if _running(pid)] == []
+                assert server.returncode == 0
+            finally:
+                server.kill()
+                for pid in workers:
+                    if _running(pid):
+                        os.kill(pid, signal.SIGKILL)
