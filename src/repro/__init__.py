@@ -37,104 +37,63 @@ Quick start
 True
 """
 
-from .analysis import (
-    PAPER_TABLE5,
-    claims_report,
-    compare_to_paper,
-    comparison_table,
-    render_table1,
-    render_table2,
-    render_table3,
-    render_table4,
-    run_comparison,
-)
-from .backends import (
-    BitsliceBackend,
-    EngineBackend,
-    FieldBackend,
-    PythonIntBackend,
-    assert_backend_parity,
-    available_backends,
-    get_backend,
-    register_backend,
-    resolve_backend,
-)
-from .curves import (
-    CURVES,
-    BinaryCurve,
-    CurveSpec,
-    KeyPair,
-    Point,
-    Signature,
-    available_curves,
-    curve_by_name,
-    curve_catalog,
-    ecdh_batch,
-    ecdh_shared,
-    ecdsa_sign,
-    ecdsa_verify,
-    generate_keypair,
-    keygen_batch,
-)
-from .engine import (
-    CompiledNetlist,
-    Engine,
-    MultiplierCache,
-    cached_multiplier,
-    compile_netlist,
-    default_multiplier_cache,
-    engine_for,
-    engine_for_netlist,
-)
-from .galois import (
-    NIST_ECDSA_DEGREES,
-    PAPER_TABLE5_FIELDS,
-    FieldElement,
-    FieldSpec,
-    GF2LinearMap,
-    GF2mField,
-    field_catalog,
-    find_type_ii_pentanomials,
-    is_irreducible,
-    lookup_field,
-    poly_to_string,
-    type_ii_pentanomial,
-)
-from .hdl import multiplier_to_behavioral_vhdl, netlist_to_verilog, netlist_to_vhdl, vhdl_testbench
-from .multipliers import (
-    ALL_GENERATORS,
-    TABLE5_METHODS,
-    GeneratedMultiplier,
-    available_methods,
-    generate_multiplier,
-    get_generator,
-)
-from .netlist import (
-    Netlist,
-    gather_stats,
-    multiply_with_netlist,
-    simulate_words,
-    verify_by_simulation,
-    verify_netlist,
-)
-from .pipeline import (
-    ArtifactStore,
-    SweepJob,
-    SweepResult,
-    build_sweep_jobs,
-    format_sweep,
-    run_sweep,
-)
-from .spec import ProductSpec, parenthesized_coefficients, split_coefficients, st_coefficients
-from .synth import (
-    ARTIX7,
-    DeviceModel,
-    ImplementationResult,
-    SynthesisOptions,
-    format_table,
-    implement,
-    map_to_luts,
-)
+from ._lazy import lazy_attributes
+
+#: Each public name, by the subpackage that defines it.  They load on first
+#: access (:func:`__getattr__`), so ``import repro.curves`` does not import
+#: the synthesis flow, the sweep scheduler or the dashboard.
+_EXPORTS = {
+    "analysis": (
+        "PAPER_TABLE5", "claims_report", "compare_to_paper", "comparison_table",
+        "render_table1", "render_table2", "render_table3", "render_table4",
+        "run_comparison",
+    ),
+    "backends": (
+        "BitsliceBackend", "EngineBackend", "FieldBackend", "PythonIntBackend",
+        "assert_backend_parity", "available_backends", "get_backend",
+        "register_backend", "resolve_backend",
+    ),
+    "curves": (
+        "CURVES", "BinaryCurve", "CurveSpec", "KeyPair", "Point", "Signature",
+        "available_curves", "curve_by_name", "curve_catalog", "ecdh_batch",
+        "ecdh_shared", "ecdsa_sign", "ecdsa_verify", "generate_keypair",
+        "keygen_batch",
+    ),
+    "engine": (
+        "CompiledNetlist", "Engine", "MultiplierCache", "cached_multiplier",
+        "compile_netlist", "default_multiplier_cache", "engine_for",
+        "engine_for_netlist",
+    ),
+    "galois": (
+        "NIST_ECDSA_DEGREES", "PAPER_TABLE5_FIELDS", "FieldElement", "FieldSpec",
+        "GF2LinearMap", "GF2mField", "field_catalog", "find_type_ii_pentanomials",
+        "is_irreducible", "lookup_field", "poly_to_string", "type_ii_pentanomial",
+    ),
+    "hdl": (
+        "multiplier_to_behavioral_vhdl", "netlist_to_verilog", "netlist_to_vhdl",
+        "vhdl_testbench",
+    ),
+    "multipliers": (
+        "ALL_GENERATORS", "TABLE5_METHODS", "GeneratedMultiplier", "available_methods",
+        "generate_multiplier", "get_generator",
+    ),
+    "netlist": (
+        "Netlist", "gather_stats", "multiply_with_netlist", "simulate_words",
+        "verify_by_simulation", "verify_netlist",
+    ),
+    "pipeline": (
+        "ArtifactStore", "SweepJob", "SweepResult", "build_sweep_jobs", "format_sweep",
+        "run_sweep",
+    ),
+    "spec": (
+        "ProductSpec", "parenthesized_coefficients", "split_coefficients",
+        "st_coefficients",
+    ),
+    "synth": (
+        "ARTIX7", "DeviceModel", "ImplementationResult", "SynthesisOptions",
+        "format_table", "implement", "map_to_luts",
+    ),
+}
 
 __version__ = "1.0.0"
 
@@ -227,3 +186,18 @@ __all__ = [
     "map_to_luts",
     "__version__",
 ]
+
+#: Subpackages load on first access too (``repro.synth`` after ``import repro``).
+_SUBPACKAGES = (
+    "analysis", "backends", "cli", "curves", "engine", "galois", "hdl", "multipliers",
+    "netlist", "pipeline", "serve", "spec", "synth", "telemetry",
+)
+
+__getattr__, __dir__ = lazy_attributes(
+    globals(),
+    {
+        **{name: name for name in _SUBPACKAGES},
+        **{name: module for module, names in _EXPORTS.items() for name in names},
+    },
+    __all__,
+)

@@ -53,9 +53,8 @@ backends against the scalar reference is asserted uniformly by
 True
 """
 
+from .._lazy import lazy_attributes
 from .base import FieldBackend, default_method_for
-from .bitslice import BitsliceBackend, BitslicedNetlist, bitsliced_netlist, numpy_available
-from .engine_backend import EngineBackend
 from .native import (
     CompiledNativeIR,
     NativeBackend,
@@ -112,3 +111,16 @@ __all__ = [
     "register_backend",
     "resolve_backend",
 ]
+
+# The engine and bitslice backends load on first access (the registry's
+# factories import them the same way), so importing the package does not
+# import the circuit generators and netlist tools behind them.
+_LAZY = {
+    "BitsliceBackend": "bitslice",
+    "BitslicedNetlist": "bitslice",
+    "bitsliced_netlist": "bitslice",
+    "numpy_available": "bitslice",
+    "EngineBackend": "engine_backend",
+}
+
+__getattr__, __dir__ = lazy_attributes(globals(), _LAZY, __all__)

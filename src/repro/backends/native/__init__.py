@@ -10,9 +10,10 @@ in two fixed steps (other moduli keep a generic sparse-tail loop).
 
 Three layers:
 
-* :mod:`._kernel.c` / :mod:`._build` — the C kernel, compiled through
-  :mod:`cffi` at install time (``pip install .[native]``) or on first use
-  into the shared artifact cache;
+* ``_kernel.c`` and ``_rows.c`` / :mod:`._build` — the C kernel (its
+  register-resident rows a translation unit of their own), compiled
+  through :mod:`cffi` at install time (``pip install .[native]``) or on
+  first use into the shared artifact cache;
 * :class:`NativeBackend` — the full :class:`~repro.backends.base.FieldBackend`
   surface over contiguous word buffers, one C call per batch (inversion
   included: Montgomery's trick around one Itoh-Tsujii chain);
@@ -20,8 +21,9 @@ Three layers:
   :class:`~repro.backends.ir.IRExecutor`: values are contiguous word
   buffers, a scheduled :class:`~repro.backends.ir.FieldProgram` lowers
   once to a flat instruction stream (mul / square / xor / linear-map /
-  lane-masked select) that ``gf2m_run_program`` drives over a C register
-  file, :meth:`NativeIRExecutor.run_steps` runs a whole ladder, comb
+  lane-masked select) over registers reused by liveness, which
+  ``gf2m_run_program`` drives over a C register file allocated per run,
+  :meth:`NativeIRExecutor.run_steps` runs a whole ladder, comb
   or τ loop over a chunk of lanes in one C call with the GIL released,
   and :meth:`NativeIRExecutor.inverse_packed` inverts a word buffer in
   one call (zero lanes stay zero and are reported).
@@ -40,7 +42,7 @@ from __future__ import annotations
 import threading
 from array import array
 from functools import cached_property
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ...telemetry import trace as _trace
 from ..base import FieldBackend
@@ -67,29 +69,101 @@ __all__ = [
     "recode_tau",
 ]
 
-#: Preferred lanes per compiled-program execution; bounds the C register
-#: file (~1 MiB at GF(2^233)) while keeping per-step Python overhead small.
+#: Preferred lanes per compiled-program execution; bounds each run's C
+#: register file while keeping per-step Python overhead small.
 DEFAULT_CHUNK = 2048
 
 _OP_MUL, _OP_XOR, _OP_LINEAR, _OP_SELECT, _OP_SQUARE = 1, 2, 3, 4, 5
 _OP_NAMES = {_OP_MUL: "mul", _OP_XOR: "xor", _OP_LINEAR: "linear",
              _OP_SELECT: "select", _OP_SQUARE: "square"}
+#: Opcodes that read a second register (the y field); the rest read x only.
+_TWO_OPERANDS = (_OP_MUL, _OP_XOR, _OP_SELECT)
+
+
+def _allocate_registers(
+    code: List[int], pinned: Sequence[int], live_out: Sequence[int]
+) -> Tuple[List[int], Dict[int, int], int]:
+    """Map a lowered stream's virtual registers onto physical ones, reused by liveness.
+
+    ``pinned`` registers (inputs and constants) get their own physical
+    registers, numbered first in that order, and are never reused.  Every
+    other register takes a free one when first written and returns it after
+    its last read; ``live_out`` (the outputs) stay live to the end.  A
+    destination never takes a register an operand of its own instruction
+    holds, even one read for the last time there: LINEAR reads its source
+    after writing, so it must not run in place.  (An in-place chain, whose
+    destination is its operand's virtual register, keeps that register.)
+    Returns the rewritten stream, the virtual-to-physical map and the
+    register count.
+    """
+    last: Dict[int, int] = {}
+    for index in range(0, len(code), 5):
+        op, _, x, y, _ = code[index:index + 5]
+        last[x] = index
+        if op in _TWO_OPERANDS:
+            last[y] = index
+    for vid in live_out:
+        last[vid] = len(code)
+    physical = {vid: slot for slot, vid in enumerate(dict.fromkeys(pinned))}
+    retired = set(physical)  # never returned to the free list (again)
+    count = len(physical)
+    free: List[int] = []
+    out: List[int] = []
+    for index in range(0, len(code), 5):
+        op, dst, x, y, z = code[index:index + 5]
+        sources = (x, y) if op in _TWO_OPERANDS else (x,)
+        if dst not in physical:
+            taken = {physical[vid] for vid in sources}
+            slot = next((slot for slot in reversed(free) if slot not in taken), None)
+            if slot is None:
+                slot, count = count, count + 1
+            else:
+                free.remove(slot)
+            physical[dst] = slot
+        out.extend((op, physical[dst], physical[x],
+                    physical[y] if op in _TWO_OPERANDS else 0, z))
+        for vid in {*sources, dst}:
+            if vid not in retired and last.get(vid, index) <= index:
+                retired.add(vid)  # dead from here on: its register is free
+                free.append(physical[vid])
+    for vid in live_out:
+        if vid not in physical:  # never written: reads as zero
+            physical[vid], count = count, count + 1
+    return out, physical, count
+
+
+#: Longest squaring chain lowered to SQUAREs at the word counts whose
+#: catalogue shapes run register-resident rows (see square_chain_limit).
+_RESIDENT_CHAIN_LIMITS = {3: 5, 4: 7, 5: 10, 7: 11, 9: 19}
 
 
 def square_chain_limit(nw: int) -> int:
     """Longest Frobenius power ``v ↦ c·v^(2^k)`` lowered to ``k`` SQUAREs.
 
-    Longer chains keep one per-byte table walk.  Measured on a shared
-    2-core x86-64 host with PCLMULQDQ, 256 lanes, per lane and map: a
-    SQUARE costs ~15–25 ns at m = 163 (the kernel's register-resident
-    3-word rows), ~50–70 ns at m = 283 and ~80 ns at m = 571 (the generic
-    rows); a table walk ~100 ns at m = 163, ~290 ns at m = 283 and
-    ~640 ns at m = 571 (it grows with m²/64, the chain with m).  3-word
-    chains break even near 5 squarings, hence their limit of 5; wider
-    fields keep ``max(2, nw − 2)`` (3 at m = 283, 7 at m = 571) on the
-    generic rows, whose break-evens lie near 4–5 and 7–8 squarings.
+    Longer chains keep one per-byte table walk, so the limit is where ``k``
+    squarings cost one walk.  Measured on a shared 2-core x86-64 host with
+    PCLMULQDQ, 256 lanes, per lane (median of 5 runs, each the 10th
+    percentile of 600 calls of 16 instructions), on the register-resident
+    rows of K-163, K-233, K-283, K-409 and K-571:
+
+    ====  =====  ======  ========  ==========
+    nw    m      SQUARE  walk      break-even
+    ====  =====  ======  ========  ==========
+    3     163    ~19 ns  ~106 ns   5.3
+    4     233    ~23 ns  ~173 ns   7.4
+    5     283    ~25 ns  ~235 ns   10.2
+    7     409    ~28 ns  ~332 ns   11.4
+    9     571    ~34 ns  ~688 ns   19.8
+    ====  =====  ======  ========  ==========
+
+    The walk grows with m²/64 and the square with m, hence the rising
+    limits.  The generic rows' squares cost 2–3× more (46–100 ns), and the
+    limit on them was ``max(2, nw − 2)``, 3 at m = 283: on the resident
+    rows a 256-lane K-283 τ agreement took ~35 ms at that limit and ~27 ms
+    at any limit from 6 to 16.  Word counts without register-resident rows
+    in the catalogue keep ``max(2, nw − 2)``.
     """
-    return 5 if nw == 3 else max(2, nw - 2)
+    return _RESIDENT_CHAIN_LIMITS.get(nw, max(2, nw - 2))
 
 
 _EXT = None
@@ -277,8 +351,12 @@ class CompiledNativeIR(CompiledProgram):
 
     Built by :meth:`NativeIRExecutor.compile`.  The lowering walks the
     scheduled passes once and emits flat ``[op, dst, x, y, z]`` int32
-    instructions over a vid-indexed register file.  A linear map the field
-    built in closed form, ``v ↦ c·v^(2^k)`` (every squaring chain, the
+    instructions over the program's values, then maps those onto a register
+    file whose registers are reused once their value is dead
+    (:func:`_allocate_registers`; inputs and constants keep their own).
+    Every run allocates its own file, so compiled programs hold no
+    per-run state and may run on several threads at once.  A linear map
+    the field built in closed form, ``v ↦ c·v^(2^k)`` (every squaring chain, the
     curve constants, ``mul_b∘square∘square``), becomes ``k`` SQUARE ops
     plus one product by a constant register when ``c ≠ 1`` — nothing at
     all for the identity, a self-XOR for the zero map — as long as ``k``
@@ -362,10 +440,15 @@ class CompiledNativeIR(CompiledProgram):
             pass_ranges.append((label, pass_start, len(code) // 5))
         self._pass_ranges = pass_ranges
         self._ninstr = len(code) // 5
+        const_vids = [vid for vid, _ in program.consts] + list(constants.values())
+        output_vids = [reg(vid) for _, vid in program.ir.outputs]
+        code, physical, self._nreg = _allocate_registers(
+            code, [*self._input_vids, *const_vids], output_vids
+        )
         self._code_list = code
         self._code = ffi.new("int32_t[]", code or [0])
-        self._output_vids = [reg(vid) for _, vid in program.ir.outputs]
-        self._nreg = program.op_count + len(constants)
+        self._input_regs = [physical[vid] for vid in self._input_vids]
+        self._output_regs = [physical[vid] for vid in output_vids]
 
         # The table buffer comes straight from each map's masks; the map
         # itself never builds (or keeps) its Python tables for this.
@@ -378,10 +461,9 @@ class CompiledNativeIR(CompiledProgram):
         # Constant registers are never written, so each register file gets
         # them once, when it is allocated.
         self._consts = [
-            (vid, value.to_bytes(nb, "little")) for vid, value in program.consts
-        ] + [(vid, value.to_bytes(nb, "little")) for value, vid in constants.items()]
+            (physical[vid], value.to_bytes(nb, "little")) for vid, value in program.consts
+        ] + [(physical[vid], value.to_bytes(nb, "little")) for value, vid in constants.items()]
         self._empty_masks = bytes(8)
-        self._regs: Dict[int, object] = {}
 
     def instruction_counts(self) -> Dict[str, int]:
         """Lowered instructions per opcode (``mul``, ``square``, ``linear``, ...)."""
@@ -391,17 +473,17 @@ class CompiledNativeIR(CompiledProgram):
             counts[name] = counts.get(name, 0) + 1
         return counts
 
-    def _regs_for(self, count: int):
-        regs = self._regs.get(count)
-        if regs is None:
-            if len(self._regs) >= 4:
-                self._regs.clear()
-            ffi = self.executor.backend._ffi
-            regs = ffi.new("uint64_t[]", self._nreg * count * self.executor.nw)
-            stride_bytes = count * self.executor.nw * 8
-            for vid, const_bytes in self._consts:
-                ffi.memmove(regs + vid * (stride_bytes // 8), const_bytes * count, stride_bytes)
-            self._regs[count] = regs
+    def _new_regs(self, count: int):
+        """A register file for one run over ``count`` lanes, constants loaded.
+
+        Each run gets its own, so runs on several threads share nothing and
+        no file outlives its run.
+        """
+        ffi = self.executor.backend._ffi
+        stride = count * self.executor.nw
+        regs = ffi.new("uint64_t[]", self._nreg * stride)
+        for slot, const_bytes in self._consts:
+            ffi.memmove(regs + slot * stride, const_bytes * count, stride * 8)
         return regs
 
     def run_arrays(self, input_arrays: Sequence[bytes], mask_arrays: Sequence[bytes],
@@ -434,35 +516,34 @@ class CompiledNativeIR(CompiledProgram):
             masks_buf = mask_arrays[0]
         else:
             masks_buf = b"".join(mask_arrays)
-        with self.executor._lock:
-            regs = self._regs_for(count)
-            for vid, buf in zip(self._input_vids, input_arrays):
-                ffi.memmove(regs + vid * stride, buf, stride_bytes)
-            run = backend._ext.lib.gf2m_run_program
-            masks_c = ffi.from_buffer("uint64_t[]", masks_buf)
-            field_c = backend._field_c
-            tracer = _trace.TRACER
-            if tracer.enabled:
-                # The interpreter keeps no state between instructions, so a
-                # pass range executes identically as its own call.
-                for label, start, end in self._pass_ranges:
-                    if start == end:
-                        continue
-                    with tracer.span(label, lanes=count):
-                        run(
-                            field_c, self._code + start * 5, end - start, regs,
-                            count, self._tables, masks_c, lane_words,
-                        )
-            else:
-                run(
-                    field_c, self._code, self._ninstr, regs, count,
-                    self._tables, masks_c, lane_words,
-                )
-            outputs = []
-            for vid in self._output_vids:
-                buf = bytearray(stride_bytes)
-                ffi.memmove(buf, regs + vid * stride, stride_bytes)
-                outputs.append(buf)
+        regs = self._new_regs(count)
+        for slot, buf in zip(self._input_regs, input_arrays):
+            ffi.memmove(regs + slot * stride, buf, stride_bytes)
+        run = backend._ext.lib.gf2m_run_program
+        masks_c = ffi.from_buffer("uint64_t[]", masks_buf)
+        field_c = backend._field_c
+        tracer = _trace.TRACER
+        if tracer.enabled:
+            # The interpreter keeps no state between instructions, so a
+            # pass range executes identically as its own call.
+            for label, start, end in self._pass_ranges:
+                if start == end:
+                    continue
+                with tracer.span(label, lanes=count):
+                    run(
+                        field_c, self._code + start * 5, end - start, regs,
+                        count, self._tables, masks_c, lane_words,
+                    )
+        else:
+            run(
+                field_c, self._code, self._ninstr, regs, count,
+                self._tables, masks_c, lane_words,
+            )
+        outputs = []
+        for slot in self._output_regs:
+            buf = bytearray(stride_bytes)
+            ffi.memmove(buf, regs + slot * stride, stride_bytes)
+            outputs.append(buf)
         return outputs
 
 
@@ -486,8 +567,8 @@ class _StepLoop:
         mask_names = ["bit"] if schedule.route == ROUTE_LADDER else ["add", "init"]
         for compiled in programs:
             if len(compiled.output_names) != self.nstate or set(
-                compiled._output_vids
-            ) & set(compiled._input_vids[:self.nstate]):
+                compiled._output_regs
+            ) & set(compiled._input_regs[:self.nstate]):
                 raise ValueError(
                     f"{compiled.program.ir.name!r} is not a step program: it must "
                     f"compute {self.nstate} fresh state outputs"
@@ -542,24 +623,25 @@ class _StepLoop:
         state = bytearray(b"".join(input_arrays[:nstate]))
         work = ffi.new("uint64_t[]", 3 * lane_words_for(count))
         progs = ffi.new("gf2m_step_program[]", len(self.programs))
-        with executor._lock:
-            for slot, compiled in zip(progs, self.programs):
-                regs = compiled._regs_for(count)
-                inputs = compiled._input_vids
-                for vid, buf in zip(inputs[nstate:nstate + self.nfixed], input_arrays[nstate:]):
-                    ffi.memmove(regs + vid * stride, buf, stride_bytes)
-                gathered = inputs[nstate + self.nfixed:]
-                slot.code = compiled._code
-                slot.ninstr = compiled._ninstr
-                slot.tables = compiled._tables
-                slot.regs = regs
-                slot.inputs = inputs[:nstate] + gathered + [-1] * (6 - nstate - len(gathered))
-                slot.outputs = compiled._output_vids + [-1] * (4 - nstate)
-            backend._ext.lib.gf2m_run_steps(
-                backend._field_c, progs, self._events, self._nevents, count,
-                self._data, ffi.from_buffer("uint64_t[]", state, require_writable=True),
-                work,
-            )
+        files = []  # keeps this run's register files alive through the call
+        for slot, compiled in zip(progs, self.programs):
+            regs = compiled._new_regs(count)
+            files.append(regs)
+            inputs = compiled._input_regs
+            for reg, buf in zip(inputs[nstate:nstate + self.nfixed], input_arrays[nstate:]):
+                ffi.memmove(regs + reg * stride, buf, stride_bytes)
+            gathered = inputs[nstate + self.nfixed:]
+            slot.code = compiled._code
+            slot.ninstr = compiled._ninstr
+            slot.tables = compiled._tables
+            slot.regs = regs
+            slot.inputs = inputs[:nstate] + gathered + [-1] * (6 - nstate - len(gathered))
+            slot.outputs = compiled._output_regs + [-1] * (4 - nstate)
+        backend._ext.lib.gf2m_run_steps(
+            backend._field_c, progs, self._events, self._nevents, count,
+            self._data, ffi.from_buffer("uint64_t[]", state, require_writable=True),
+            work,
+        )
         return [state[j * stride_bytes:(j + 1) * stride_bytes] for j in range(nstate)]
 
 
@@ -579,9 +661,6 @@ class NativeIRExecutor(IRExecutor):
         super().__init__(backend, backend.chunk_size)
         self.nw = backend._nw
         self._points: Dict[int, tuple] = {}
-        # Compiled programs own their register files; one lock serializes
-        # every run on this executor's programs.
-        self._lock = threading.Lock()
 
     def pack(self, values: Sequence[int]) -> bytes:
         """Validated field elements → one element-major word buffer."""

@@ -7,12 +7,18 @@ Two ways to get the compiled extension:
   ``repro.backends.native._gf2m_native`` into the installed package.
 * **Import time** — when the project runs from a source tree (the test and
   benchmark configuration), :func:`extension_module` has cffi emit the
-  module's C source and builds it with **one** call of the C compiler
-  Python was built with (:func:`_compile_command`), once, into the shared
-  artifact cache (``~/.cache/gf2m-repro/native``, ``$GF2M_REPRO_CACHE_DIR``
-  aware) keyed by a hash of the source and that command, and loads it from
-  there on every later run.  No setuptools or distutils is imported, and
+  module's C source and builds it with the C compiler Python was built
+  with (:func:`_compile_commands`): **two compiler calls in parallel**, one
+  for the cffi wrapper with ``_kernel.c`` and one for ``_rows.c`` (the
+  register-resident rows, whose unrolled bodies are most of the compile
+  time), then **one link**.  That happens once, into the shared artifact
+  cache (``~/.cache/gf2m-repro/native``, ``$GF2M_REPRO_CACHE_DIR`` aware)
+  keyed by a hash of every source and those commands, and every later run
+  loads it from there.  No setuptools or distutils is imported, and
   nothing is printed.
+
+Both paths compile the same three files (:data:`SOURCES`): ``_kernel.h``,
+included by both translation units, ``_kernel.c`` and ``_rows.c``.
 
 Both paths need a C compiler and :mod:`cffi`; every failure is collapsed
 into an :class:`ImportError` whose message says how to fix it, so the
@@ -32,7 +38,7 @@ import sys
 import sysconfig
 import tempfile
 from pathlib import Path
-from typing import List
+from typing import List, Sequence, Tuple
 
 import cffi
 from cffi.recompiler import make_c_source
@@ -93,8 +99,16 @@ long gf2m_tau_recode(const gf2m_tau_recoding *c, const uint32_t *residues,
 """
 
 
+#: The directory of the kernel sources (the include path of both units).
+SOURCE_DIR = Path(__file__).resolve().parent
+#: Every file the extension is compiled from.  The cffi wrapper embeds
+#: ``_kernel.c``; ``_rows.c`` is the second translation unit.
+SOURCES = ("_kernel.h", "_kernel.c", "_rows.c")
+_ROWS = SOURCE_DIR / "_rows.c"
+
+
 def _kernel_source() -> str:
-    return (Path(__file__).with_name("_kernel.c")).read_text(encoding="utf-8")
+    return (SOURCE_DIR / "_kernel.c").read_text(encoding="utf-8")
 
 
 #: Appended to Python's own CFLAGS.  -g0 drops the debug info those ask
@@ -104,10 +118,24 @@ def _kernel_source() -> str:
 _OPT_FLAGS = ["-O2", "-g0"]
 
 
-def _make_ffibuilder() -> cffi.FFI:
+def _make_ffibuilder(
+    module_name: str = _MODULE_NAME, compile_args: Sequence[str] = (), **options
+) -> cffi.FFI:
+    """A cffi builder of the kernel: the wrapper with ``_kernel.c``, plus ``_rows.c``.
+
+    ``compile_args`` replace :data:`_OPT_FLAGS`; ``options`` go on to
+    ``set_source`` (the sanitizer test passes its link flags there).
+    """
     builder = cffi.FFI()
     builder.cdef(_CDEF)
-    builder.set_source(_MODULE_NAME, _kernel_source(), extra_compile_args=_OPT_FLAGS)
+    builder.set_source(
+        module_name,
+        _kernel_source(),
+        sources=[str(_ROWS)],
+        include_dirs=[str(SOURCE_DIR)],
+        extra_compile_args=list(compile_args or _OPT_FLAGS),
+        **options,
+    )
     return builder
 
 
@@ -121,40 +149,51 @@ def _cache_dir() -> Path:
     return default_cache_root() / "native"
 
 
-def _compile_command(source: str, target: str) -> List[str]:
-    """One compiler call that builds the C file ``source`` into ``target``.
+def _compile_commands(
+    sources: Sequence[str], objects: Sequence[str], target: str
+) -> Tuple[List[List[str]], List[str]]:
+    """The compiler calls that build ``sources`` into ``target``.
 
-    The platform's build configuration, read as distutils reads it:
-    ``LDSHARED`` (its compiler replaced by ``$CC`` when that is set) with
-    ``CFLAGS``, ``CCSHARED`` and Python's include directory, then
-    :data:`_OPT_FLAGS`.
+    One ``-c`` call per source, each to its object, which may run in
+    parallel, then one call linking the objects into the shared object.
+    The platform's build configuration, read as distutils reads it: ``CC``
+    with ``CFLAGS``, ``CCSHARED``, Python's include directory, the kernel's
+    directory and :data:`_OPT_FLAGS` to compile; ``LDSHARED`` to link
+    (both with their compiler replaced by ``$CC`` when that is set).
     """
     config = sysconfig.get_config_vars()
     cc, ldshared = config.get("CC") or "", config.get("LDSHARED")
     if not ldshared:
         raise OSError("this Python's build configuration names no shared-object linker")
-    if os.environ.get("CC") and ldshared.startswith(cc):
-        ldshared = os.environ["CC"] + ldshared[len(cc):]
-    return [
-        *shlex.split(ldshared),
+    if os.environ.get("CC"):
+        if ldshared.startswith(cc):
+            ldshared = os.environ["CC"] + ldshared[len(cc):]
+        cc = os.environ["CC"]
+    if not cc:
+        raise OSError("this Python's build configuration names no C compiler")
+    flags = [
         *shlex.split(config.get("CFLAGS") or ""),
         *shlex.split(config.get("CCSHARED") or ""),
         "-I" + sysconfig.get_paths()["include"],
+        "-I" + str(SOURCE_DIR),
         *_OPT_FLAGS,
-        source,
-        "-o",
-        target,
     ]
+    compiles = [
+        [*shlex.split(cc), *flags, "-c", source, "-o", obj]
+        for source, obj in zip(sources, objects)
+    ]
+    return compiles, [*shlex.split(ldshared), *objects, "-o", target]
 
 
 def _source_key() -> str:
+    compiles, link = _compile_commands(["WRAPPER", "ROWS"], ["WRAPPER.o", "ROWS.o"], "TARGET")
     payload = "\n".join(
         [
             _CDEF,
-            _kernel_source(),
+            *((SOURCE_DIR / name).read_text(encoding="utf-8") for name in SOURCES),
             cffi.__version__,
             "cp%d%d" % sys.version_info[:2],
-            *_compile_command("SOURCE", "TARGET"),
+            *(" ".join(command) for command in [*compiles, link]),
         ]
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
@@ -166,22 +205,39 @@ def _artifact_path() -> Path:
     return _cache_dir() / f"_gf2m_native.{_source_key()}{suffix}"
 
 
+def _run_compilers(commands: Sequence[List[str]]) -> None:
+    """Run compiler calls side by side; raise naming each one that failed."""
+    running = [
+        subprocess.Popen(
+            command, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True,
+        )
+        for command in commands
+    ]
+    failures = []
+    for command, process in zip(commands, running):
+        _, stderr = process.communicate()
+        if process.returncode:
+            failures.append(
+                f"{command[0]} exited with status {process.returncode}: "
+                f"{stderr.strip()[-2000:]}"
+            )
+    if failures:
+        raise OSError("; ".join(failures))
+
+
 def _compile_into_cache(target: Path) -> None:
     """Build the extension in a scratch dir, then atomically publish it."""
     target.parent.mkdir(parents=True, exist_ok=True)
     scratch = Path(tempfile.mkdtemp(prefix="build-", dir=str(target.parent)))
     try:
-        source, built = scratch / "_gf2m_native.c", scratch / target.name
-        make_c_source(ffibuilder, _MODULE_NAME, _kernel_source(), str(source))
-        command = _compile_command(str(source), str(built))
-        result = subprocess.run(
-            command, stdin=subprocess.DEVNULL, capture_output=True, text=True
-        )
-        if result.returncode:
-            raise OSError(
-                f"{command[0]} exited with status {result.returncode}: "
-                f"{result.stderr.strip()[-2000:]}"
-            )
+        wrapper, built = scratch / "_gf2m_native.c", scratch / target.name
+        make_c_source(ffibuilder, _MODULE_NAME, _kernel_source(), str(wrapper))
+        sources = [str(wrapper), str(_ROWS)]
+        objects = [str(scratch / "_gf2m_native.o"), str(scratch / "_rows.o")]
+        compiles, link = _compile_commands(sources, objects, str(built))
+        _run_compilers(compiles)
+        _run_compilers([link])
         os.replace(built, target)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)

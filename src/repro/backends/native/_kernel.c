@@ -23,10 +23,14 @@
  *   - generic fold: PCLMULQDQ (x86-64, selected at run time through
  *     __builtin_cpu_supports, so one binary runs everywhere), with the
  *     reductions above at run-time word counts and offsets;
- *   - register-resident fold: PCLMULQDQ on 3 words (129 <= m <= 191) with
- *     a type II fold, where nw and the fold's word offset n >> 6 are
- *     compile-time constants, so product and folds never leave registers.
- *     At B-163 a product costs ~4x less than on the generic rows.
+ *   - register-resident fold: PCLMULQDQ with a type II fold whose word
+ *     count nw and word offset n >> 6 are compile-time constants, so
+ *     product and folds never leave registers (_rows.c, its own
+ *     translation unit).  The shapes of GF2M_FIXED_SHAPES have them: every
+ *     type II field of 3 words (129 <= m <= 191) and the NIST degrees'
+ *     shapes at 4, 5, 7 and 9 words (K-233, K-283, K-409, K-571).  A
+ *     product costs 2-4x less than on the generic rows; every other shape
+ *     keeps the generic rows.
  *
  * gf2m_run_program executes a FieldIR instruction stream (mul / xor /
  * linear-map / lane-masked select / square) over a register file of
@@ -43,17 +47,10 @@
 #include <stdint.h>
 #include <string.h>
 
-#define GF2M_MAX_WORDS 16 /* supports m <= 1024 */
+#include "_kernel.h"
+
 /* product scratch: 2*nw words plus slack for the fold's shifted spill */
 #define PROD_WORDS (2 * GF2M_MAX_WORDS + 2)
-
-typedef struct {
-    int m;
-    int nw;
-    int fold_n; /* >= 0: reduce by two type II folds with this n */
-    int nterms;
-    const int32_t *terms; /* generic reduction: degrees t_k of the tail */
-} gf2m_field;
 
 typedef struct {
     const int32_t *code;
@@ -296,11 +293,7 @@ static void sq_rows_portable(const gf2m_field *f, const uint64_t *x,
 /* PCLMULQDQ variants (runtime-dispatched on x86-64)                   */
 /* ------------------------------------------------------------------ */
 
-/* GF2M_NO_PCLMUL compiles the portable rows only (the sanitizer test's
- * second build, so that CI runs them on PCLMULQDQ hardware). */
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__)) \
-    && !defined(GF2M_NO_PCLMUL)
-#define GF2M_HAVE_PCLMUL_BUILD 1
+#if defined(GF2M_HAVE_PCLMUL_BUILD)
 #include <wmmintrin.h>
 #include <smmintrin.h>
 
@@ -352,139 +345,7 @@ static void sq_rows_pclmul(const gf2m_field *f, const uint64_t *x,
         reduce(f, prod, dst + e * nw);
     }
 }
-
-/* Register-resident rows.  reduce_type2 with nw = NW and the fold's word
- * offset n >> 6 = NWN fixed at compile time: every loop below unrolls, so
- * the product and both folds live in registers, and only the bit shifts
- * hb = m % 64 (never 0 here, so hw = NW - 1) and nb = n % 64 are run-time
- * values.  Only the 3-word shape (129 <= m <= 191, NWN 0 or 1) has them;
- * every other shape keeps the generic rows. */
-#define FOLD_MAX_WORDS 3
-#define SHR_64_MINUS(x, s) (((x) >> 1) >> (63 - (s))) /* x >> (64 - s), 0 at s = 0 */
-
-#if defined(__clang__)
-#define GF2M_UNROLLED
-#else
-#define GF2M_UNROLLED __attribute__((optimize("unroll-loops")))
 #endif
-
-static inline __attribute__((always_inline)) void
-fold_type2_fixed(const uint64_t *p, uint64_t *out, int hb, int nb,
-                 const int NW, const int NWN)
-{
-    uint64_t h[FOLD_MAX_WORDS], t[FOLD_MAX_WORDS], r[2 * FOLD_MAX_WORDS];
-    uint64_t g[FOLD_MAX_WORDS], u[FOLD_MAX_WORDS + 1];
-    int k;
-
-    /* first fold: H = p >> m (m - 1 bits), T = H + H<<1 + H<<2 (m + 1 bits),
-     * r = (p mod y^m) + H + (T << n), which has at most n + 1 bits >= m */
-    for (k = 0; k < NW; k++)
-        h[k] = (p[NW - 1 + k] >> hb) | (p[NW + k] << (64 - hb));
-    for (k = 0; k < NW; k++)
-        t[k] = h[k] ^ (h[k] << 1) ^ (h[k] << 2)
-            ^ (k ? (h[k - 1] >> 63) ^ (h[k - 1] >> 62) : 0);
-    for (k = 0; k <= NW + NWN; k++) {
-        int j = k - NWN; /* word j of T << nb lands in word k */
-        uint64_t v = 0;
-        if (k < NW)
-            v = (k == NW - 1 ? p[k] & ((1ULL << hb) - 1) : p[k]) ^ h[k];
-        if (j >= 0 && j < NW)
-            v ^= t[j] << nb;
-        if (j >= 1 && j <= NW)
-            v ^= SHR_64_MINUS(t[j - 1], nb);
-        r[k] = v;
-    }
-    /* second fold: G = r >> m (n + 1 bits), U = G + G<<1 + G<<2; G + (U << n)
-     * stays below y^m because 2n + 2 < m */
-    for (k = 0; k <= NWN; k++)
-        g[k] = (r[NW - 1 + k] >> hb) | (r[NW + k] << (64 - hb));
-    for (k = 0; k <= NWN + 1; k++) {
-        uint64_t gk = k <= NWN ? g[k] : 0;
-        u[k] = gk ^ (gk << 1) ^ (gk << 2)
-            ^ (k ? (g[k - 1] >> 63) ^ (g[k - 1] >> 62) : 0);
-    }
-    for (k = 0; k < NW; k++) {
-        int j = k - NWN;
-        uint64_t v = k == NW - 1 ? r[k] & ((1ULL << hb) - 1) : r[k];
-        if (k <= NWN)
-            v ^= g[k];
-        if (j >= 0 && j <= NWN + 1)
-            v ^= u[j] << nb;
-        if (j >= 1 && j <= NWN + 2)
-            v ^= SHR_64_MINUS(u[j - 1], nb);
-        out[k] = v;
-    }
-}
-
-__attribute__((target("pclmul,sse4.1"), always_inline)) static inline void
-mul_rows_fixed(const gf2m_field *f, const uint64_t *x, const uint64_t *y,
-               uint64_t *dst, long count, const int NW, const int NWN)
-{
-    int hb = f->m & 63, nb = f->fold_n & 63;
-    uint64_t p[2 * FOLD_MAX_WORDS];
-    __m128i c[2 * FOLD_MAX_WORDS - 1];
-    int i, j;
-    long e;
-    for (e = 0; e < count; e++) {
-        const uint64_t *a = x + e * NW, *b = y + e * NW;
-        for (i = 0; i < 2 * NW - 1; i++)
-            c[i] = _mm_setzero_si128();
-        for (i = 0; i < NW; i++) {
-            __m128i va = _mm_cvtsi64_si128((long long)a[i]);
-            for (j = 0; j < NW; j++)
-                c[i + j] = _mm_xor_si128(c[i + j], _mm_clmulepi64_si128(
-                    va, _mm_cvtsi64_si128((long long)b[j]), 0x00));
-        }
-        p[0] = (uint64_t)_mm_cvtsi128_si64(c[0]);
-        for (i = 1; i < 2 * NW - 1; i++)
-            p[i] = (uint64_t)_mm_extract_epi64(c[i - 1], 1)
-                ^ (uint64_t)_mm_cvtsi128_si64(c[i]);
-        p[2 * NW - 1] = (uint64_t)_mm_extract_epi64(c[2 * NW - 2], 1);
-        fold_type2_fixed(p, dst + e * NW, hb, nb, NW, NWN);
-    }
-}
-
-__attribute__((target("pclmul,sse4.1"), always_inline)) static inline void
-sq_rows_fixed(const gf2m_field *f, const uint64_t *x, uint64_t *dst,
-              long count, const int NW, const int NWN)
-{
-    int hb = f->m & 63, nb = f->fold_n & 63;
-    uint64_t p[2 * FOLD_MAX_WORDS];
-    int i;
-    long e;
-    for (e = 0; e < count; e++) {
-        const uint64_t *a = x + e * NW;
-        for (i = 0; i < NW; i++) {
-            __m128i va = _mm_cvtsi64_si128((long long)a[i]);
-            __m128i sq = _mm_clmulepi64_si128(va, va, 0x00);
-            p[2 * i] = (uint64_t)_mm_cvtsi128_si64(sq);
-            p[2 * i + 1] = (uint64_t)_mm_extract_epi64(sq, 1);
-        }
-        fold_type2_fixed(p, dst + e * NW, hb, nb, NW, NWN);
-    }
-}
-
-#define FIXED_ROWS(NW, NWN)                                                   \
-    __attribute__((target("pclmul,sse4.1"))) GF2M_UNROLLED static void      \
-    mul_rows_##NW##_##NWN(const gf2m_field *f, const uint64_t *x,             \
-                          const uint64_t *y, uint64_t *dst, long count)       \
-    {                                                                         \
-        mul_rows_fixed(f, x, y, dst, count, NW, NWN);                         \
-    }                                                                         \
-    __attribute__((target("pclmul,sse4.1"))) GF2M_UNROLLED static void      \
-    sq_rows_##NW##_##NWN(const gf2m_field *f, const uint64_t *x,              \
-                         uint64_t *dst, long count)                           \
-    {                                                                         \
-        sq_rows_fixed(f, x, dst, count, NW, NWN);                             \
-    }
-
-FIXED_ROWS(3, 0)
-FIXED_ROWS(3, 1)
-#endif
-
-typedef void (*mul_rows_fn)(const gf2m_field *, const uint64_t *,
-                            const uint64_t *, uint64_t *, long);
-typedef void (*sq_rows_fn)(const gf2m_field *, const uint64_t *, uint64_t *, long);
 
 typedef struct {
     const char *name;
@@ -497,10 +358,15 @@ static const row_kind portable_rows = {"portable clmul", mul_rows_portable,
 #if defined(GF2M_HAVE_PCLMUL_BUILD)
 static const row_kind generic_rows = {"PCLMULQDQ generic fold", mul_rows_pclmul,
                                       sq_rows_pclmul};
-static const row_kind fixed_rows_3[2] = {
-    {"PCLMULQDQ register-resident fold", mul_rows_3_0, sq_rows_3_0},
-    {"PCLMULQDQ register-resident fold", mul_rows_3_1, sq_rows_3_1},
-};
+typedef struct {
+    int nw, nwn;
+    row_kind rows;
+} fixed_shape;
+
+#define GF2M_FIXED_SHAPE_ENTRY(NW, NWN)                                       \
+    {NW, NWN, {"PCLMULQDQ register-resident fold", mul_rows_##NW##_##NWN,     \
+               sq_rows_##NW##_##NWN}},
+static const fixed_shape fixed_shapes[] = {GF2M_FIXED_SHAPES(GF2M_FIXED_SHAPE_ENTRY)};
 static int using_clmul = 0;
 #endif
 
@@ -529,8 +395,11 @@ static const row_kind *rows_for(const gf2m_field *f)
 {
 #if defined(GF2M_HAVE_PCLMUL_BUILD)
     if (using_clmul) {
-        if (f->fold_n >= 0 && f->nw == 3 && (f->fold_n >> 6) < 2)
-            return &fixed_rows_3[f->fold_n >> 6];
+        size_t i;
+        if (f->fold_n >= 0)
+            for (i = 0; i < sizeof fixed_shapes / sizeof fixed_shapes[0]; i++)
+                if (fixed_shapes[i].nw == f->nw && fixed_shapes[i].nwn == f->fold_n >> 6)
+                    return &fixed_shapes[i].rows;
         return &generic_rows;
     }
 #endif
@@ -662,12 +531,14 @@ long gf2m_inverse_batch(const gf2m_field *f, const uint64_t *values,
 /* Instructions are 5 int32 words: [op, dst, x, y, z].
  *   op 1 MUL:    dst = x * y
  *   op 2 XOR:    dst = x ^ y
- *   op 3 LINEAR: dst = table[z] applied to register x   (y unused)
+ *   op 3 LINEAR: dst = table[z] applied to register x   (y unused; dst != x,
+ *                because each lane's source is read after its first write)
  *   op 4 SELECT: dst = mask[z] ? x : y  (per lane)
- *   op 5 SQUARE: dst = x^2              (dst may be x)
- * Registers are vid-indexed blocks of count*nw words; linear-map tables
- * are ceil(m/8) * 256 rows of nw words each; select masks are packed
- * lane bitmaps of lane_words words per mask. */
+ *   op 5 SQUARE: dst = x^2              (dst may be x, as for MUL and XOR)
+ * Registers are blocks of count*nw words, which the lowering reuses once
+ * their value is dead; linear-map tables are ceil(m/8) * 256 rows of nw
+ * words each; select masks are packed lane bitmaps of lane_words words
+ * per mask. */
 
 static void run_program(const gf2m_field *f, const int32_t *code, int ninstr,
                         uint64_t *regs, long count, const uint64_t *tables,

@@ -31,8 +31,6 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Union
 
 from ..pipeline.store import LRUCache
 from .base import FieldBackend
-from .bitslice import BitsliceBackend
-from .engine_backend import EngineBackend
 from .native import NativeBackend, native_available
 from .python_int import PythonIntBackend
 
@@ -70,9 +68,26 @@ def register_backend(name: str, factory: Callable[..., FieldBackend]) -> None:
     _INSTANCES.clear()
 
 
+_ENGINE = "engine"
+
+
+def _engine_backend(field: "GF2mField", **options) -> FieldBackend:
+    # Imported on first use, as is the bitslice backend: a process that only
+    # runs native batches never loads the circuit generators behind them.
+    from .engine_backend import EngineBackend
+
+    return EngineBackend(field, **options)
+
+
+def _bitslice_backend(field: "GF2mField", **options) -> FieldBackend:
+    from .bitslice import BitsliceBackend
+
+    return BitsliceBackend(field, **options)
+
+
 register_backend(PythonIntBackend.name, PythonIntBackend)
-register_backend(EngineBackend.name, EngineBackend)
-register_backend(BitsliceBackend.name, BitsliceBackend)
+register_backend(_ENGINE, _engine_backend)
+register_backend("bitslice", _bitslice_backend)
 register_backend(NativeBackend.name, NativeBackend)
 
 
@@ -98,7 +113,7 @@ def default_backend_name(field: Optional["GF2mField"] = None) -> str:
         # The C word-level tier wins on every batch size once it exists;
         # environments without a compiler fall through to the engine.
         return NativeBackend.name
-    return EngineBackend.name
+    return _ENGINE
 
 
 def get_backend(name: Optional[str], field: "GF2mField", **options) -> FieldBackend:
@@ -146,7 +161,7 @@ def resolve_backend(
             )
         return backend
     if backend is None and method is not None:
-        backend = EngineBackend.name
+        backend = _ENGINE
     options = {} if method is None else {"method": method}
     return get_backend(backend, field, **options)
 

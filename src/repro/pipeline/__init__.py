@@ -25,8 +25,11 @@ Quick start
 ['thiswork']
 """
 
-from .scheduler import JobOutcome, SweepJob, artifact_key, execute_job, run_jobs
-from .stages import PIPELINE_STAGES, Stage, StageError, StageTrace, run_stages
+from .._lazy import lazy_attributes
+
+# The store is what the rest of the program imports (the caches, the
+# artifact store); the scheduler (with multiprocessing), the stages and the
+# sweep load on first access, through __getattr__.
 from .store import (
     ArtifactStore,
     CacheInfo,
@@ -35,7 +38,12 @@ from .store import (
     canonical_fingerprint,
     default_cache_root,
 )
-from .sweep import SweepResult, build_sweep_jobs, format_sweep, run_sweep
+
+_LAZY = {
+    "scheduler": ("JobOutcome", "SweepJob", "artifact_key", "execute_job", "run_jobs"),
+    "stages": ("PIPELINE_STAGES", "Stage", "StageError", "StageTrace", "run_stages"),
+    "sweep": ("SweepResult", "build_sweep_jobs", "format_sweep", "run_sweep"),
+}
 
 __all__ = [
     "JobOutcome",
@@ -59,3 +67,8 @@ __all__ = [
     "format_sweep",
     "run_sweep",
 ]
+
+
+__getattr__, __dir__ = lazy_attributes(
+    globals(), {name: module for module, names in _LAZY.items() for name in names}, __all__
+)

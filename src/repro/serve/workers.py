@@ -262,14 +262,15 @@ def _worker_execute(task: "Tuple[str, str, str, Dict[str, List[int]]]"):
 class WorkerPool:
     """Executes compatible request groups on warmed workers.
 
-    ``workers >= 1`` builds a :class:`ProcessPoolExecutor` over an
-    explicit start-method context whose initializer warms every listed
-    curve, then runs a startup barrier so no worker (and therefore no
-    request) pays compile latency later.  ``workers=0`` executes inline
-    on one worker thread in this process (best on single-core machines;
-    used by the tests).  ``backend`` is a registry *name* (or ``None``
-    for the per-field default) — instances do not cross process
-    boundaries.
+    ``workers >= 1`` resolves every listed curve's backend in this process
+    (so a cold cache builds the native kernel once, here), then builds a
+    :class:`ProcessPoolExecutor` over an explicit start-method context
+    whose initializer warms every listed curve, and runs a startup barrier
+    so no worker (and therefore no request) pays compile latency later.
+    ``workers=0`` executes inline on one worker thread in this process
+    (best on single-core machines; used by the tests).  ``backend`` is a
+    registry *name* (or ``None`` for the per-field default) — instances do
+    not cross process boundaries.
     """
 
     def __init__(
@@ -297,6 +298,12 @@ class WorkerPool:
                 max_workers=1, thread_name_prefix="repro-serve-worker"
             )
         else:
+            # Resolve every served curve's backend here, before any worker
+            # starts: on a cold cache that builds the native kernel once, in
+            # this process (forked workers inherit it, spawned ones load it
+            # from the cache), instead of once per worker initializer.
+            for name in self.curve_names:
+                curve_by_name(name).field.resolve_backend(backend)
             self._executor = ProcessPoolExecutor(
                 max_workers=self.workers,
                 mp_context=pool_context(start_method),

@@ -22,12 +22,16 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from . import dashboard, metrics, trace
+from .._lazy import lazy_attributes
+from . import metrics, trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from typing import Any, Dict
 
 __all__ = ["metrics", "trace", "dashboard", "snapshot_all"]
+
+# The dashboard loads on first access: only ``repro dashboard`` needs it.
+__getattr__, __dir__ = lazy_attributes(globals(), {"dashboard": "dashboard"}, __all__)
 
 
 def snapshot_all() -> "Dict[str, Any]":

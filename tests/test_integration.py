@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -58,6 +62,35 @@ class TestSpecToSiliconPipeline:
         multiplier = generate_multiplier("thiswork", gf28_modulus)
         result = implement(multiplier)
         assert result.luts > 0 and result.delay_ns > 0
+
+
+def test_importing_the_curves_leaves_the_synthesis_stack_unloaded():
+    """The package re-exports load on first access: ``import repro.curves``
+    (what a protocol service or benchmark imports) pulls in neither the
+    synthesis flow, the analysis harness, the sweep scheduler, the dashboard
+    nor multiprocessing, while every name of ``repro.__all__`` still
+    resolves."""
+    script = (
+        "import sys\n"
+        "import repro.curves\n"
+        "heavy = ('repro.synth', 'repro.analysis', 'repro.pipeline.scheduler',\n"
+        "         'repro.telemetry.dashboard', 'multiprocessing')\n"
+        "loaded = sorted(name for name in heavy if name in sys.modules)\n"
+        "assert not loaded, loaded\n"
+        "import repro\n"
+        "missing = [name for name in repro.__all__ if getattr(repro, name, None) is None]\n"
+        "assert not missing, missing\n"
+        "assert repro.telemetry.dashboard.render_markdown and repro.pipeline.run_sweep\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])),
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
 
 
 class TestTable5MiniReproduction:

@@ -16,6 +16,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -165,6 +166,18 @@ class TestNativeBuild:
         monkeypatch.setenv("CC", "another-cc")
         assert len({plain, unrolled, build._artifact_path()}) == 3
 
+    def test_the_cache_key_covers_every_source(self, build, monkeypatch, tmp_path):
+        """An edit to the header or either translation unit builds a new artifact."""
+        for name in build.SOURCES:
+            (tmp_path / name).write_text((build.SOURCE_DIR / name).read_text())
+        monkeypatch.setattr(build, "SOURCE_DIR", tmp_path)
+        keys = {build._source_key()}
+        for name in build.SOURCES:
+            with open(tmp_path / name, "a") as source:
+                source.write("\n/* edited */\n")
+            keys.add(build._source_key())
+        assert len(keys) == 1 + len(build.SOURCES)
+
     def test_a_missing_compiler_raises_the_install_hint(self, build, monkeypatch, tmp_path):
         # A loaded build registers itself in sys.modules, where the lookup for
         # an installed extension would find it: start as a fresh process does.
@@ -235,10 +248,11 @@ class TestNativeKernelPaths:
         assert ("type II fold" in description) == (field.m != 64), description
         if "portable clmul rows" in description:
             return  # no PCLMULQDQ: every shape runs the portable rows
-        # On PCLMULQDQ, 3-word type II folds (B-163, m = 137, 170) get the
-        # register-resident rows and every other shape (K-571, m = 64) the
-        # generic ones.
-        resident = "type II fold" in description and (field.m + 63) // 64 == 3
+        # On PCLMULQDQ, the 3-word folds (B-163, m = 137, 170) and the NIST
+        # degrees' wider shapes (K-233 to K-571) get the register-resident
+        # rows; the 1-word folds (T-13, m = 8, 16) the generic fold rows, and
+        # m = 64 the generic reduction on those rows.
+        resident = field.m in (137, 163, 170, 233, 283, 409, 571)
         assert ("PCLMULQDQ register-resident fold rows" in description) == resident, description
         assert ("PCLMULQDQ generic fold rows" in description) == (not resident), description
 
@@ -269,34 +283,26 @@ class TestNativeKernelPaths:
             for n in range(2, m // 2):
                 if 2 * n + 2 >= m:
                     continue
-                field = GF2mField(type_ii_pentanomial(m, n), check_irreducible=False)
-                backend = NativeBackend(field)
-                ffi, lib = backend._ffi, backend._ext.lib
-                generic = ffi.new("gf2m_field *", {
-                    "m": m, "nw": 3, "fold_n": -1,
-                    "nterms": backend._nterms, "terms": backend._terms,
-                })
-                edges = [0, 1, 1 << (m - 1), field.order - 1]
-                a = [x for x in edges for _ in edges] + [rng.getrandbits(m) for _ in range(8)]
-                b = edges * len(edges) + [rng.getrandbits(m) for _ in range(8)]
-                x = ffi.from_buffer("uint64_t[]", backend._pack(a))
-                y = ffi.from_buffer("uint64_t[]", backend._pack(b))
-                products, squares = [], []
-                for record in (backend._field_c, generic):
-                    product = ffi.new("uint64_t[]", 3 * len(a))
-                    square = ffi.new("uint64_t[]", 3 * len(a))
-                    lib.gf2m_mul_batch(record, x, y, product, len(a))
-                    lib.gf2m_square_batch(record, x, square, len(a))
-                    products.append(ffi.buffer(product)[:])
-                    squares.append(ffi.buffer(square)[:])
-                assert products[0] == products[1] and squares[0] == squares[1], (m, n)
-                if n % 16 == 0:
-                    assert backend._unpack(products[0], len(a)) == [
-                        field.multiply(p, q) for p, q in zip(a, b)
-                    ], (m, n)
-                    assert backend._unpack(squares[0], len(a)) == [field.square(p) for p in a]
+                _assert_rows_match_the_generic_rows(m, n, rng, reference=n % 16 == 0)
                 shapes += 1
         assert shapes > 4800
+
+    @pytest.mark.parametrize("nw, nwn", [(4, 0), (5, 0), (7, 2), (9, 1)])
+    def test_wide_register_resident_rows_match_the_generic_rows(self, nw, nwn):
+        """The wider shapes (K-233, K-283, K-409 and K-571's fold word
+        offsets): every m of the width, n at the offset's first and last
+        value plus a seeded sample, against the generic reduction rows and,
+        on a sample, the reference field."""
+        rng = random.Random(64 * nw + nwn)
+        shapes = 0
+        for m in range(64 * (nw - 1) + 1, 64 * nw):
+            first, last = max(2, 64 * nwn), min(64 * nwn + 63, (m - 3) // 2)
+            assert first < last, (m, nwn)
+            for n in sorted({first, last, *rng.sample(range(first + 1, last), 2)}):
+                rows = _assert_rows_match_the_generic_rows(m, n, rng, reference=n == last)
+                assert rows in ("PCLMULQDQ register-resident fold", "portable clmul"), (m, n, rows)
+                shapes += 1
+        assert shapes == 63 * 4
 
     @pytest.mark.parametrize("lanes", [1, 2, 15, 16, 257])
     @pytest.mark.parametrize("name", ["T-13", "163", "283", "64"])
@@ -348,6 +354,84 @@ class TestNativeKernelPaths:
             assert compiled.instruction_counts()["linear"] == 3
             self._assert_matches_interpreter(curve, program, compiled)
 
+    def test_registers_are_reused_once_their_value_is_dead(self):
+        """K-283's table of small multiples computes 161 values in few registers."""
+        from repro.curves.formulas import small_multiples_program
+
+        curve = curve_by_name("K-283")
+        program = small_multiples_program(curve, 8)
+        compiled = NativeBackend(curve.field).ir_executor().compile(program)
+        assert program.op_count == 161
+        assert compiled._nreg <= 40, compiled._nreg
+        code = compiled._code_list
+        for index in range(0, len(code), 5):
+            op, dst, x = code[index:index + 3]
+            if op == 3:  # LINEAR reads its source after writing: never in place
+                assert dst != x, code[index:index + 5]
+        self._assert_matches_interpreter(curve, program, compiled)
+
+    def test_no_step_program_output_shares_a_state_input_register(self):
+        from repro.backends.native import square_chain_limit
+        from repro.curves.formulas import (
+            double_add_program,
+            frobenius_add_program,
+            frobenius_program,
+            ladder_step_program,
+        )
+
+        curve = curve_by_name("K-283")
+        executor = NativeBackend(curve.field).ir_executor()
+        limit = square_chain_limit(executor.nw)
+        programs = [ladder_step_program(curve), double_add_program(curve)] + [
+            build(curve, squarings)
+            for build in (frobenius_program, frobenius_add_program)
+            for squarings in (1, limit, limit + 1)
+        ]
+        for program in programs:
+            compiled = executor.compile(program)
+            nstate = len(compiled.output_names)
+            inputs = compiled._input_regs
+            assert len(set(inputs)) == len(inputs), program.ir.name
+            assert not set(compiled._output_regs) & set(inputs[:nstate]), program.ir.name
+
+    def test_one_compiled_program_runs_on_several_threads_at_once(self):
+        """Register files are per run: concurrent runs match serial ones."""
+        from repro.curves.formulas import small_multiples_program
+
+        curve = curve_by_name("K-283")
+        field = curve.field
+        executor = NativeBackend(curve.field).ir_executor()
+        compiled = executor.compile(small_multiples_program(curve, 8))
+        rng = random.Random(283)
+        jobs = [
+            [executor.pack([rng.randrange(field.order) for _ in range(64)])
+             for _ in compiled.input_names]
+            for _ in range(8)
+        ]
+        serial = [compiled.run_arrays(job, ()) for job in jobs]
+        threads = 4  # more than the cores CI hosts have
+        barrier = threading.Barrier(threads)
+        results = [[] for _ in range(threads)]
+
+        def worker(slot):
+            barrier.wait(timeout=60)
+            for _ in range(5):
+                results[slot].append([compiled.run_arrays(job, ()) for job in jobs])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            running = [threading.Thread(target=worker, args=(slot,)) for slot in range(threads)]
+            for thread in running:
+                thread.start()
+            for thread in running:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in running)
+        for runs in results:
+            assert len(runs) == 5 and all(run == serial for run in runs)
+
     @staticmethod
     def _assert_matches_interpreter(curve, program, compiled):
         from repro.backends.ir import execute_program
@@ -364,6 +448,42 @@ class TestNativeKernelPaths:
         expected = execute_program(program, get_backend("python", field), inputs, masks)
         for name in compiled.output_names:
             assert outputs[name] == expected[name], name
+
+
+def _assert_rows_match_the_generic_rows(m, n, rng, reference):
+    """The rows the kernel picks for (m, n) against the generic reduction,
+    which a field record without a fold (fold_n = -1) runs, on edge and
+    random operands; with ``reference`` also against the field.  Returns
+    the name of the rows it picked."""
+    field = GF2mField(type_ii_pentanomial(m, n), check_irreducible=False)
+    backend = NativeBackend(field)
+    assert backend._fold_n == n, (m, n)
+    ffi, lib = backend._ffi, backend._ext.lib
+    nw = backend._nw
+    generic = ffi.new("gf2m_field *", {
+        "m": m, "nw": nw, "fold_n": -1,
+        "nterms": backend._nterms, "terms": backend._terms,
+    })
+    edges = [0, 1, 1 << (m - 1), field.order - 1]
+    a = [x for x in edges for _ in edges] + [rng.getrandbits(m) for _ in range(8)]
+    b = edges * len(edges) + [rng.getrandbits(m) for _ in range(8)]
+    x = ffi.from_buffer("uint64_t[]", backend._pack(a))
+    y = ffi.from_buffer("uint64_t[]", backend._pack(b))
+    products, squares = [], []
+    for record in (backend._field_c, generic):
+        product = ffi.new("uint64_t[]", nw * len(a))
+        square = ffi.new("uint64_t[]", nw * len(a))
+        lib.gf2m_mul_batch(record, x, y, product, len(a))
+        lib.gf2m_square_batch(record, x, square, len(a))
+        products.append(ffi.buffer(product)[:])
+        squares.append(ffi.buffer(square)[:])
+    assert products[0] == products[1] and squares[0] == squares[1], (m, n)
+    if reference:
+        assert backend._unpack(products[0], len(a)) == [
+            field.multiply(p, q) for p, q in zip(a, b)
+        ], (m, n)
+        assert backend._unpack(squares[0], len(a)) == [field.square(p) for p in a], (m, n)
+    return ffi.string(lib.gf2m_rows(backend._field_c)).decode()
 
 
 def _mixed_scalars(lanes, seed):

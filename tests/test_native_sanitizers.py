@@ -1,7 +1,8 @@
 """The C kernel under AddressSanitizer and UndefinedBehaviorSanitizer.
 
-The kernel source and its cffi declarations are built a second time with
-``-O1 -g -fsanitize=address,undefined`` into a temporary directory, then
+The kernel and its cffi declarations are built a second time, both
+translation units (the wrapper with ``_kernel.c``, and ``_rows.c``) with
+``-O1 -g -fsanitize=address,undefined``, into a temporary directory, then
 a checking subprocess (libasan preloaded, since the Python binary itself
 is not instrumented) swaps that build in for the native backend and runs
 every entry point against the pure-Python reference: the mul, square and
@@ -9,11 +10,13 @@ inverse batches (plus the zero-tolerant packed inverse) on m = 8, 64, 137
 and every catalogue degree, the program runner on every opcode, the step
 loop on each route (binary ladder, comb, τ) on T-13, B-163, K-233 and
 K-283, and the τ recoder against the Python recurrence, bounds reports
-included.  On x86-64 that build runs the register-resident and the
-generic fold rows; a third build with ``-DGF2M_NO_PCLMUL`` runs the
-portable rows through the batches and a binary and a τ ladder on T-13,
-B-163 and K-283.  Any sanitizer report fails the test.  Skipped where
-gcc, cffi or libasan is missing.
+included.  On x86-64 that build runs the generic fold rows and the
+register-resident ones, which B-163 and K-233 to K-571 must have picked;
+a third build with ``-DGF2M_NO_PCLMUL`` (whose ``_rows.c`` defines no
+rows, and which must still link) runs the portable rows through the
+batches and a binary and a τ ladder on T-13, B-163 and K-283.  Any
+sanitizer report fails the test.  Skipped where gcc, cffi or libasan is
+missing.
 """
 
 from __future__ import annotations
@@ -53,10 +56,12 @@ CHECKS = textwrap.dedent(
     rng = random.Random(2018)
     opcodes = set()
     rows = set()
+    rows_by_m = {}
 
     def check_batches(field):
         backend = native.NativeBackend(field)
-        rows.add(backend._ffi.string(module.lib.gf2m_rows(backend._field_c)).decode())
+        rows_by_m[field.m] = backend._ffi.string(module.lib.gf2m_rows(backend._field_c)).decode()
+        rows.add(rows_by_m[field.m])
         a = [0, 1, field.order - 1] + [rng.randrange(field.order) for _ in range(17)]
         b = [field.order - 1, 0, field.order - 1] + [rng.randrange(field.order) for _ in range(17)]
         assert backend.multiply_batch(a, b) == [field.multiply(x, y) for x, y in zip(a, b)]
@@ -187,11 +192,15 @@ CHECKS = textwrap.dedent(
         got = multiply_comb_batch(curve, scalars, backend=backend, teeth=4)
         assert got == multiply_comb_batch(curve, scalars, backend=python, teeth=4), curve_name
     assert opcodes == {"mul", "xor", "square", "linear", "select"}, opcodes
-    # On x86-64 both PCLMULQDQ kinds of rows ran; elsewhere the portable ones.
+    # On x86-64 both PCLMULQDQ kinds of rows ran, the register-resident ones
+    # at every NIST degree; elsewhere the portable ones.
     assert rows in (
         {"PCLMULQDQ register-resident fold", "PCLMULQDQ generic fold"},
         {"portable clmul"},
     ), rows
+    if rows != {"portable clmul"}:
+        resident = {m: rows_by_m[m] for m in (163, 233, 283, 409, 571)}
+        assert set(resident.values()) == {"PCLMULQDQ register-resident fold"}, resident
     print("sanitized kernel ok")
     """
 )
@@ -209,19 +218,14 @@ def _libasan():
 
 def _sanitized_run(tmp_path, name, defines, rows):
     """Build the kernel sanitized as ``name`` and run CHECKS against it."""
-    cffi = pytest.importorskip("cffi")
+    pytest.importorskip("cffi")
     libasan = _libasan()
     if libasan is None:
         pytest.skip("gcc with libasan is needed for the sanitizer build")
     from repro.backends.native import _build
 
-    ffi = cffi.FFI()
-    ffi.cdef(_build._CDEF)
-    ffi.set_source(
-        name,
-        _build._kernel_source(),
-        extra_compile_args=SANITIZE_FLAGS + defines,
-        extra_link_args=["-fsanitize=address,undefined"],
+    ffi = _build._make_ffibuilder(
+        name, SANITIZE_FLAGS + defines, extra_link_args=["-fsanitize=address,undefined"]
     )
     try:
         built = ffi.compile(tmpdir=str(tmp_path), verbose=False)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -376,6 +377,45 @@ class TestWorkerPool:
         finally:
             metrics.set_registry(previous)
         assert sharded == ecdh_batch(toy, privates, peers)
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
+    )
+    def test_a_cold_cache_builds_the_kernel_once_in_the_parent(self, tmp_path):
+        """Two forked workers on an empty cache: one build, before they start."""
+        from repro.backends import native_available
+
+        if not native_available():
+            pytest.skip("native extension not buildable here")
+        script = (
+            "import os, sys\n"
+            "from repro.backends.native import _build\n"
+            "from repro.serve.workers import WorkerPool\n"
+            "build = _build._compile_into_cache\n"
+            "def recorded(target):\n"
+            "    with open(sys.argv[1], 'a') as log:\n"
+            "        log.write(f'{os.getpid()}\\n')\n"
+            "    build(target)\n"
+            "_build._compile_into_cache = recorded\n"
+            "pool = WorkerPool(workers=2, curves=('T-13',), start_method='fork')\n"
+            "pool.close()\n"
+            "print(os.getpid())\n"
+        )
+        log = tmp_path / "builds.log"
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {
+            **os.environ,
+            "GF2M_REPRO_CACHE_DIR": str(tmp_path / "cache"),
+            "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])),
+        }
+        env.pop("GF2M_REPRO_BACKEND", None)
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(log)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr[-2000:]
+        builders = log.read_text().split() if log.exists() else []
+        assert builders == [result.stdout.strip()], builders
 
     def test_backend_must_be_a_name(self):
         with pytest.raises(TypeError):
