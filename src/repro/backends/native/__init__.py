@@ -727,6 +727,8 @@ class NativeIRExecutor(IRExecutor):
             return super().run_steps(programs, state, fixed, schedule)
         compiled = [self.compile(program) for program in programs]
         loop = _StepLoop(self, compiled, schedule, len(fixed))
+        # The loop enters C through run_arrays, not loop.run: perfbench's
+        # trace run times the IR layer by wrapping run_arrays alone.
         return compiled[0].run_arrays([*state, *fixed], (), steps=loop)
 
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import FrozenSet, List, Optional, Sequence, TYPE_CHECKING
+from typing import FrozenSet, Iterable, List, Mapping, Optional, Sequence, TYPE_CHECKING
 
 from ..backends.steps import LadderSteps
 from ..telemetry import trace as _trace
@@ -50,7 +50,33 @@ from .formulas import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..galois.field import GF2mField
 
-__all__ = ["BinaryCurve", "Point"]
+__all__ = ["BinaryCurve", "LaneError", "Point"]
+
+
+class LaneError(ValueError):
+    """A batch refused some of its lanes and returned no result.
+
+    ``lanes`` maps each refused lane's index to its reason, in index
+    order.  The message names the first lane, so a caller that only
+    catches ``ValueError`` reads the reason a one-lane batch would give; a
+    caller that wants the other lanes reruns them without the refused ones.
+    """
+
+    def __init__(self, lanes: Mapping[int, str]) -> None:
+        self.lanes = dict(sorted(lanes.items()))
+        first, reason = next(iter(self.lanes.items()))
+        count = len(self.lanes)
+        super().__init__(f"lane {first}: {reason}" + (f"; {count} lanes refused" if count > 1 else ""))
+
+    def __reduce__(self):
+        return type(self), (self.lanes,)
+
+    @classmethod
+    def check(cls, reasons: Iterable[Optional[str]]) -> None:
+        """Raise for every lane whose reason is not ``None``."""
+        lanes = {lane: reason for lane, reason in enumerate(reasons) if reason is not None}
+        if lanes:
+            raise cls(lanes)
 
 
 @dataclass(frozen=True, slots=True)
@@ -380,13 +406,33 @@ class BinaryCurve:
         demands it (raising when a base or scalar does not qualify), and
         ``False`` pins the ladders.  Results are byte-identical to the
         scalar :meth:`multiply` path for every backend and every route.
+
+        A base point on another curve, or off this one, refuses its lanes
+        before any ladder runs: :class:`LaneError` names every such lane,
+        and the batch returns nothing.
         """
         if len(points) != len(scalars):
             raise ValueError(f"batch size mismatch: {len(points)} points vs {len(scalars)} scalars")
         field = self.field
         rep = self._resolve_scalar_rep(scalar_rep)
         resolved = field.resolve_backend(backend)
-        self._require_batch_bases_on_curve(points, backend=resolved)
+        # Fixed-base batches repeat one point across every lane: the residual
+        # prices each distinct point once, and its verdict covers every repeat.
+        foreign, distinct = set(), set()
+        for index, point in enumerate(points):
+            if point.curve is not self and point.curve != self:
+                foreign.add(index)
+            elif not point.is_infinity:
+                distinct.add((point.x, point.y))
+        coordinates = list(distinct)
+        xs, ys = [x for x, _ in coordinates], [y for _, y in coordinates]
+        off = {coordinates[position] for position in self._off_curve(xs, ys, backend=resolved)}
+        if foreign or off:
+            refusal = f"the base point is not a point of {self.name or 'the curve'}"
+            LaneError.check(
+                refusal if index in foreign or (point.x, point.y) in off else None
+                for index, point in enumerate(points)
+            )
         results: List[Optional[Point]] = [None] * len(points)
         active: List[int] = []          # indices that go through the ladder
         base_x: List[int] = []
@@ -415,7 +461,9 @@ class BinaryCurve:
             )
             for slot, point in zip(active, multiplied):
                 results[slot] = point
-        self._require_batch_on_curve(results, backend=resolved)
+        finite = [point for point in results if not point.is_infinity]
+        if self._off_curve([p.x for p in finite], [p.y for p in finite], backend=resolved):  # pragma: no cover
+            raise ArithmeticError("batched scalar multiplication left the curve")
         return results  # type: ignore[return-value]
 
     def _dispatch_batch(
@@ -462,56 +510,18 @@ class BinaryCurve:
             return scalarmul.multiply_tau_batch(self, base_x, base_y, scalars, backend=backend)
         return self._ladder_ld_batch(base_x, base_y, scalars, backend=backend)
 
-    def _require_batch_bases_on_curve(self, points: Sequence[Point], *, backend) -> None:
-        """Batched membership check of caller-supplied base points.
+    def _off_curve(self, xs: List[int], ys: List[int], *, backend) -> List[int]:
+        """Positions whose ``(x, y)`` misses the curve equation.
 
-        The per-point :meth:`_require_on_curve` loop cost three scalar
-        multiplications per base — as expensive as the result check it
-        mirrors — so the curve-equation residual runs through the same
-        compiled formula.  Curve identity is still checked per point (it
-        is not a field computation), and failures raise the same
-        ``ValueError`` a scalar ladder's base check raises.
+        One compiled residual (:func:`~repro.curves.formulas.on_curve_residual_program`)
+        prices every point, where :meth:`is_on_curve` costs three scalar products each.
         """
-        # Fixed-base batches repeat one point across every lane; dedup so
-        # the residual formula prices distinct coordinates, not lanes.
-        finite = set()
-        for point in points:
-            if point.curve is not self and point.curve != self:
-                raise ValueError(f"a batch base point is not a point of {self.name or self!r}")
-            if not point.is_infinity:
-                finite.add((point.x, point.y))
-        if not finite:
-            return
-        coordinates = sorted(finite)
+        if not xs:
+            return []
         residuals = backend.ir_executor().run(
-            on_curve_residual_program(self),
-            {"x": [x for x, _ in coordinates], "y": [y for _, y in coordinates]},
+            on_curve_residual_program(self), {"x": xs, "y": ys}
         )["residual"]
-        if any(residuals):
-            raise ValueError(f"a batch base point is not a point of {self.name or self!r}")
-
-    def _require_batch_on_curve(self, points: Sequence[Point], *, backend) -> None:
-        """Batched internal-consistency check: every result satisfies the curve.
-
-        The per-point ``contains`` loop cost three scalar multiplications
-        per result — a visible slice of a batched scalar multiplication —
-        so the curve-equation residual runs as one compiled formula
-        (:func:`~repro.curves.formulas.on_curve_residual_program`): a
-        single lane-stacked product gather plus fused linear work, zero on
-        every valid lane.
-        """
-        finite = [(index, point) for index, point in enumerate(points) if not point.is_infinity]
-        if not finite:
-            return
-        residuals = backend.ir_executor().run(
-            on_curve_residual_program(self),
-            {"x": [point.x for _, point in finite], "y": [point.y for _, point in finite]},
-        )["residual"]
-        for (index, _), residual in zip(finite, residuals):
-            if residual:  # pragma: no cover - internal consistency
-                raise ArithmeticError(
-                    f"batched scalar multiplication left the curve (item {index})"
-                )
+        return [position for position, residual in enumerate(residuals) if residual]
 
     def _ladder_ld_batch(
         self, base_x: List[int], base_y: List[int], scalars: List[int], *, backend

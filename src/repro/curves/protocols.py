@@ -24,6 +24,7 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, TYPE_CHECKING
 
+from .point import LaneError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .point import BinaryCurve, Point
@@ -126,20 +127,13 @@ def keygen_batch(
     return [KeyPair(private, public) for private, public in zip(privates, publics)]
 
 
-def _require_peer(curve: BinaryCurve, peer: Point) -> None:
-    """Reject the point at infinity and the low-order points as ECDH peers."""
+def _peer_fault(curve: BinaryCurve, peer: Point) -> Optional[str]:
+    """Why ``peer`` cannot be an ECDH peer (infinity, low order), or ``None``."""
     if peer.is_infinity:
-        raise ValueError("a peer public key is the point at infinity")
+        return "the peer public key is the point at infinity"
     if peer.x in curve.low_order_xs:
-        raise ValueError(
-            f"a peer public key is a low-order point of {curve.name or 'the curve'} (4P = O)"
-        )
-
-
-def _require_finite_shared(points: Sequence[Point]) -> None:
-    """Reject a shared point at infinity (the scalar annihilates the peer)."""
-    if any(point.is_infinity for point in points):
-        raise ValueError("a shared point is the point at infinity")
+        return f"the peer public key is a low-order point of {curve.name or 'the curve'} (4P = O)"
+    return None
 
 
 def ecdh_shared(curve: BinaryCurve, private: int, peer_public: Point) -> Point:
@@ -148,14 +142,12 @@ def ecdh_shared(curve: BinaryCurve, private: int, peer_public: Point) -> Point:
     Validates the peer: it must be a point of the curve, neither infinity
     nor of order dividing 4 (:attr:`~repro.curves.point.BinaryCurve
     .low_order_xs`), and the shared point must not be infinity; each
-    failure raises ``ValueError``.
+    failure raises ``ValueError``.  This is the one-lane scalar reference
+    of :func:`ecdh_batch`.
     """
     if not curve.contains(peer_public):
         raise ValueError("the peer public key is not a point of the curve")
-    _require_peer(curve, peer_public)
-    shared = curve.multiply(peer_public, private)
-    _require_finite_shared([shared])
-    return shared
+    return ecdh_batch(curve, [private], [peer_public], batched=False)[0]
 
 
 def ecdh_batch(
@@ -178,10 +170,12 @@ def ecdh_batch(
     rides the τ-adic Frobenius ladder on Koblitz curves and the binary
     ladder elsewhere; ``"tau"`` demands τ (raising on non-Koblitz
     curves), ``"binary"`` pins the ladder.  ``batched=False`` is the
-    scalar reference.  All paths return byte-identical points, and all
-    validate as :func:`ecdh_shared` does: one peer at infinity or of order
-    dividing 4, or one shared point at infinity, fails the whole batch
-    with ``ValueError``.
+    scalar reference.  All paths return byte-identical points.  A peer at
+    infinity or of order dividing 4, a peer off the curve, or a shared
+    point at infinity refuses its lane: :class:`~repro.curves.point
+    .LaneError` (a ``ValueError``) names every lane the first refusing
+    check refused, and the batch returns nothing.  (The scalar reference
+    refuses an off-curve peer with its ladder's plain ``ValueError``.)
     """
     if len(privates) != len(peer_publics):
         raise ValueError(
@@ -189,8 +183,7 @@ def ecdh_batch(
         )
     # On-curve validation happens once inside the ladder entry points; only
     # the protocol-level screens (infinity, low order) are needed here.
-    for peer in peer_publics:
-        _require_peer(curve, peer)
+    LaneError.check(_peer_fault(curve, peer) for peer in peer_publics)
     if batched:
         shared = curve.multiply_batch(
             list(peer_publics),
@@ -200,7 +193,10 @@ def ecdh_batch(
         )
     else:
         shared = [curve.multiply(peer, private) for private, peer in zip(privates, peer_publics)]
-    _require_finite_shared(shared)
+    # A shared point at infinity: the private scalar annihilates the peer.
+    LaneError.check(
+        "the shared point is the point at infinity" if point.is_infinity else None for point in shared
+    )
     return shared
 
 
@@ -279,16 +275,19 @@ def sign_batch(
     byte-identical to calling :func:`ecdsa_sign` per pair, on every
     backend; ``batched=False`` is that scalar reference.  Retries beyond
     the first round are astronomically rare (``k`` invalid, ``r = 0`` or
-    ``s = 0``), but the loop replicates them faithfully.
+    ``s = 0``), but the loop replicates them faithfully.  A private key
+    outside ``1 <= d < n`` refuses its lane
+    (:class:`~repro.curves.point.LaneError`).
     """
     order = _require_order(curve, "ECDSA signing")
     if len(privates) != len(digests):
         raise ValueError(
             f"batch size mismatch: {len(privates)} privates vs {len(digests)} digests"
         )
-    for private in privates:
-        if not 1 <= private < order:
-            raise ValueError("every private key must satisfy 1 <= d < n")
+    LaneError.check(
+        None if 1 <= private < order else "the private key must satisfy 1 <= d < n"
+        for private in privates
+    )
     if not batched:
         return [
             ecdsa_sign(curve, private, digest)

@@ -20,14 +20,16 @@ returned as lowercase hex):
 * ``POST /sign``   — ``{"curve", "private", "digest"}`` → ``{"r", "s"}``;
 * ``GET /healthz`` — liveness (curves warmed, pool mode);
 * ``GET /stats``   — queue depth, batch-fill histogram, flush-reason
-  counts, queue wait and per-op latency p50/p95/p99 straight from the
-  telemetry registry's bucketed observations.
+  counts, refused lanes, queue wait and per-op latency p50/p95/p99
+  straight from the telemetry registry's bucketed observations.
 
 All three POST bodies take an optional ``"scalar_rep"`` (``"auto"`` /
 ``"binary"`` / ``"tau"``) which is resolved at ingress — so ``"auto"``
 and ``"tau"`` requests on a Koblitz curve land in the *same* batch
 group, and ``"tau"`` on a B-curve is rejected with 400 before it can
 poison a batch, as is a low-order ECDH peer (``BinaryCurve.low_order_xs``).
+An off-curve peer is refused by its batch's on-curve residual: that
+request alone gets a 400, and the rest of its batch reruns without it.
 
 The HTTP layer is deliberately minimal (request line + headers via
 ``readline``, body via ``readexactly(Content-Length)``, keep-alive
@@ -262,6 +264,7 @@ class CryptoService:
             "requests": counters.get("service.requests", 0),
             "batches": counters.get("service.batches", 0),
             "batch_fallbacks": counters.get("service.batch_fallback", 0),
+            "rejected_lanes": counters.get("service.rejected_lanes", 0),
             "flush_reasons": {  # "deadline" stays for existing readers; it reads 0
                 reason: counters.get(f"service.flush.{reason}", 0)
                 for reason in ("idle", "size", "deadline", "close")

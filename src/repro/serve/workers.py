@@ -8,7 +8,8 @@ Two consumers share this module:
   ``multiply_batch`` for keygen, :func:`~repro.curves.protocols
   .sign_batch`) on a worker that resolved its backend **once** and warmed
   every compiled cache at startup — the first request never pays compile
-  latency;
+  latency.  A lane the batch refuses gets an error row, and the other
+  lanes rerun as one batch (:func:`execute_group`);
 * ``repro ecdh --jobs``: :func:`ecdh_sharded` splits one large agreement
   batch across the same kind of pool.
 
@@ -38,13 +39,11 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
-import threading
 import time
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor, wait
 from typing import TYPE_CHECKING
 
-from ..curves import curve_by_name, ecdh_batch, ecdsa_sign, sign_batch
-from ..curves.protocols import ecdh_shared
+from ..curves import LaneError, curve_by_name, ecdh_batch, sign_batch
 from ..telemetry import metrics as _metrics
 from ..telemetry import trace as _trace
 
@@ -141,9 +140,45 @@ def execute_group(
 
     Returns one result row per request: ``{"x", "y"}`` for ecdh/keygen
     (``None`` coordinates for the point at infinity), ``{"r", "s"}`` for
-    sign.  Raises when the *batch* fails — callers wanting per-request
-    isolation use :func:`execute_group_isolated`.
+    sign.  A batch that refuses some lanes (:class:`~repro.curves.point
+    .LaneError`: an off-curve or low-order peer, a shared point at
+    infinity, a private key out of range) answers each of them with
+    ``{"error": reason}`` and reruns the others as one batch; the group
+    counts one
+    ``service.batch_fallback`` and its ``service.rejected_lanes``.  Any
+    other exception fails the whole group.
     """
+    count = len(columns["private"])
+    rows: "List[Any]" = [None] * count
+    lanes: "Sequence[int]" = range(count)
+    subset = columns
+    while True:
+        try:
+            results = _execute_batch(curve, backend, op, scalar_rep, subset)
+        except LaneError as refused:
+            for position, reason in refused.lanes.items():
+                rows[lanes[position]] = {"error": reason}
+            lanes = [lane for position, lane in enumerate(lanes) if position not in refused.lanes]
+            subset = {name: [values[lane] for lane in lanes] for name, values in columns.items()}
+            continue
+        for lane, row in zip(lanes, results):
+            rows[lane] = row
+        rejected = count - len(lanes)
+        registry = _metrics.REGISTRY
+        if rejected and registry.enabled:
+            registry.inc("service.batch_fallback")
+            registry.inc("service.rejected_lanes", rejected)
+        return rows
+
+
+def _execute_batch(
+    curve: "BinaryCurve",
+    backend: "FieldBackend | str | None",
+    op: str,
+    scalar_rep: str,
+    columns: "Dict[str, List[int]]",
+) -> "List[Dict[str, Any]]":
+    """One batched protocol call over every lane of ``columns``."""
     if op == "ecdh":
         peers = [
             curve.point(x, y, check=False)
@@ -174,54 +209,8 @@ def execute_group(
     raise ValueError(f"unknown op {op!r}; known: {', '.join(OP_FIELDS)}")
 
 
-def execute_group_isolated(
-    curve: "BinaryCurve",
-    backend: "FieldBackend | str | None",
-    op: str,
-    scalar_rep: str,
-    columns: "Dict[str, List[int]]",
-) -> "List[Dict[str, Any]]":
-    """Like :func:`execute_group`, but one bad request cannot poison its batch.
-
-    The batched entry points validate collectively (an off-curve peer
-    fails the whole compiled on-curve check), so on batch failure every
-    request is retried individually on the scalar reference path and only
-    the offenders come back as ``{"error": ...}`` rows.
-    """
-    try:
-        return execute_group(curve, backend, op, scalar_rep, columns)
-    except Exception:
-        registry = _metrics.REGISTRY
-        if registry.enabled:
-            registry.inc("service.batch_fallback")
-        rows: "List[Dict[str, Any]]" = []
-        count = len(columns["private"])
-        for index in range(count):
-            try:
-                if op == "ecdh":
-                    peer = curve.point(
-                        columns["peer_x"][index], columns["peer_y"][index], check=False
-                    )
-                    point = ecdh_shared(curve, columns["private"][index], peer)
-                    rows.append({"x": point.x, "y": point.y})
-                elif op == "keygen":
-                    point = curve.multiply(
-                        curve.generator, columns["private"][index], scalar_rep=scalar_rep
-                    )
-                    rows.append({"x": point.x, "y": point.y})
-                else:
-                    signature = ecdsa_sign(
-                        curve, columns["private"][index], columns["digest"][index]
-                    )
-                    rows.append({"r": signature.r, "s": signature.s})
-            except Exception as error:
-                rows.append({"error": str(error)})
-        return rows
-
-
 #: Per-worker-process state installed by :func:`_worker_init`.
 _WORKER_CURVES: "Dict[str, Tuple[BinaryCurve, FieldBackend]]" = {}
-_WORKER_BACKEND: "List[Optional[str]]" = [None]
 
 
 def _worker_init(backend_name: "Optional[str]", curve_names: "Tuple[str, ...]") -> None:
@@ -230,7 +219,6 @@ def _worker_init(backend_name: "Optional[str]", curve_names: "Tuple[str, ...]") 
     # group; shutdown is the parent's job, so workers must not die (or
     # spray tracebacks) on the shared SIGINT.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    _WORKER_BACKEND[0] = backend_name
     for name in curve_names:
         curve = curve_by_name(name)
         _WORKER_CURVES[name] = (curve, warm_curve(curve, backend_name))
@@ -250,13 +238,8 @@ def _worker_execute(task: "Tuple[str, str, str, Dict[str, List[int]]]"):
     registry contents must never be re-reported).
     """
     op, curve_name, scalar_rep, columns = task
-    state = _WORKER_CURVES.get(curve_name)
-    if state is None:  # cold path: a curve the initializer was not told about
-        curve = curve_by_name(curve_name)
-        state = (curve, curve.field.resolve_backend(_WORKER_BACKEND[0]))
-        _WORKER_CURVES[curve_name] = state
-    curve, backend = state
-    return _metrics.run_isolated(execute_group_isolated, curve, backend, op, scalar_rep, columns)
+    curve, backend = _WORKER_CURVES[curve_name]
+    return _metrics.run_isolated(execute_group, curve, backend, op, scalar_rep, columns)
 
 
 class WorkerPool:
@@ -270,7 +253,8 @@ class WorkerPool:
     ``workers=0`` executes inline on one worker thread in this process
     (best on single-core machines; used by the tests).  ``backend`` is a
     registry *name* (or ``None`` for the per-field default) — instances do
-    not cross process boundaries.
+    not cross process boundaries.  The pool serves only the listed curves:
+    a group on any other fails its future with ``KeyError``.
     """
 
     def __init__(
@@ -288,7 +272,6 @@ class WorkerPool:
         if self.workers < 0:
             raise ValueError("workers must be non-negative")
         self.curve_names = tuple(curves)
-        self._lock = threading.Lock()
         if self.workers == 0:
             self._inline_curves: "Dict[str, Tuple[BinaryCurve, FieldBackend]]" = {}
             for name in self.curve_names:
@@ -352,14 +335,8 @@ class WorkerPool:
     def _execute_inline(self, key: "GroupKey", columns: "Dict[str, List[int]]"):
         """Inline-mode task: same-process execution, no snapshot to fold."""
         op, curve_name, scalar_rep = key
-        with self._lock:
-            state = self._inline_curves.get(curve_name)
-            if state is None:
-                curve = curve_by_name(curve_name)
-                state = (curve, curve.field.resolve_backend(self.backend_name))
-                self._inline_curves[curve_name] = state
-        curve, backend = state
-        return execute_group_isolated(curve, backend, op, scalar_rep, columns), None
+        curve, backend = self._inline_curves[curve_name]
+        return execute_group(curve, backend, op, scalar_rep, columns), None
 
     def close(self) -> None:
         self._executor.shutdown(wait=True)
@@ -377,16 +354,21 @@ def _ecdh_shard(payload) -> tuple:
     """One shard of a large agreement batch (module-level: spawn-safe).
 
     Takes plain picklable data (curve name, backend name, scalar
-    recoding, scalars, peer coordinates) and returns coordinate tuples so
-    shards compose deterministically.  Runs against a fresh local metrics
-    registry and ships its snapshot back with the coordinates.
+    recoding, the shard's first lane, scalars, peer coordinates) and
+    returns coordinate tuples so shards compose deterministically.  Runs
+    against a fresh local metrics registry and ships its snapshot back
+    with the coordinates.  Refused lanes are named by their index in the
+    whole batch.
     """
-    curve_name, backend, scalar_rep, privates, peer_coords = payload
+    curve_name, backend, scalar_rep, start, privates, peer_coords = payload
     curve = curve_by_name(curve_name)
     peers = [curve.point(x, y, check=False) for x, y in peer_coords]
-    points, snapshot = _metrics.run_isolated(
-        ecdh_batch, curve, privates, peers, backend=backend, scalar_rep=scalar_rep
-    )
+    try:
+        points, snapshot = _metrics.run_isolated(
+            ecdh_batch, curve, privates, peers, backend=backend, scalar_rep=scalar_rep
+        )
+    except LaneError as refused:
+        raise LaneError({start + lane: reason for lane, reason in refused.lanes.items()}) from None
     return [(point.x, point.y) for point in points], snapshot
 
 
@@ -421,6 +403,7 @@ def ecdh_sharded(
             curve.name,
             backend,
             scalar_rep,
+            start,
             list(privates[start:start + chunk]),
             [(point.x, point.y) for point in peers[start:start + chunk]],
         )

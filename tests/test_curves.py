@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.curves import CURVES, BinaryCurve, available_curves, curve_by_name, curve_catalog
+from repro.curves import CURVES, BinaryCurve, LaneError, available_curves, curve_by_name, curve_catalog
 from repro.galois.field import GF2mField
 from repro.galois.pentanomials import smallest_type_ii_pentanomial, type_ii_parameters
 
@@ -175,6 +175,18 @@ class TestBatchedLadder:
     def test_batch_size_mismatch_rejected(self, toy):
         with pytest.raises(ValueError, match="mismatch"):
             toy.multiply_batch([toy.generator], [1, 2])
+
+    def test_refused_bases_are_named_by_lane(self, toy):
+        rng = random.Random(12)
+        good = toy.random_point(rng)
+        off = toy.point(good.x, good.y ^ 1, check=False)
+        other = BinaryCurve(toy.field, toy.a, toy.b ^ 2)
+        foreign = other.random_point(rng)
+        # A repeated off-curve base is priced once and refuses every lane it sits in.
+        with pytest.raises(LaneError) as refused:
+            toy.multiply_batch([off, good, off, foreign, toy.infinity()], [3] * 5)
+        assert list(refused.value.lanes) == [0, 2, 3]
+        assert all("not a point of T-13" in reason for reason in refused.value.lanes.values())
 
     def test_empty_batch(self, toy):
         assert toy.multiply_batch([], []) == []

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro.curves import (
+    LaneError,
     curve_by_name,
     ecdh_batch,
     ecdh_shared,
@@ -94,6 +95,16 @@ class TestEcdh:
     def test_rejects_size_mismatch(self, toy):
         with pytest.raises(ValueError, match="mismatch"):
             ecdh_batch(toy, [1, 2], [toy.generator])
+
+    def test_batch_names_every_off_curve_peer(self, toy):
+        privates = [pair.private for pair in keygen_batch(toy, 5, seed=6)]
+        peers = [pair.public for pair in keygen_batch(toy, 5, seed=7)]
+        for lane in (1, 3):
+            peers[lane] = toy.point(peers[lane].x, peers[lane].y ^ 1, check=False)
+        with pytest.raises(LaneError, match="^lane 1: .*not a point of T-13; 2 lanes refused$") as refused:
+            ecdh_batch(toy, privates, peers)
+        assert list(refused.value.lanes) == [1, 3]
+        assert isinstance(refused.value, ValueError)
 
     def test_works_on_unknown_order_curve(self):
         b163 = curve_by_name("B-163")

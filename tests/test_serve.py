@@ -24,7 +24,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.curves import curve_by_name, ecdsa_sign, ecdsa_verify
+from repro.backends import native_available
+from repro.curves import BinaryCurve, LaneError, curve_by_name, ecdsa_sign, ecdsa_verify, keygen_batch
+from repro.curves import protocols
 from repro.curves.protocols import ecdh_shared
 from repro.serve.batcher import DynamicBatcher
 from repro.serve.loadgen import http_get, run_load
@@ -32,7 +34,7 @@ from repro.serve.server import CryptoService
 from repro.serve.workers import (
     WorkerPool,
     ecdh_sharded,
-    execute_group_isolated,
+    execute_group,
     preferred_start_method,
 )
 from repro.telemetry import metrics
@@ -314,7 +316,7 @@ class TestWorkerPool:
         xs = [point.x for point in peers]
         ys = [point.y for point in peers]
         ys[1] ^= 1  # knock the middle peer off the curve
-        rows = execute_group_isolated(
+        rows = execute_group(
             toy, None, "ecdh", "tau",
             {"private": privates, "peer_x": xs, "peer_y": ys},
         )
@@ -323,10 +325,49 @@ class TestWorkerPool:
             reference = ecdh_shared(toy, privates[index], peers[index])
             assert (rows[index]["x"], rows[index]["y"]) == (reference.x, reference.y)
 
+    @pytest.mark.parametrize("name", ["T-13", "B-163"])
+    def test_an_off_curve_peer_refuses_only_its_lane(self, name, monkeypatch, fresh_registry):
+        if name == "B-163" and not native_available():
+            pytest.skip("native extension not buildable here")
+        curve = curve_by_name(name)
+        backend = "native" if name == "B-163" else None
+        privates = [pair.private for pair in keygen_batch(curve, 6, seed=12)]
+        peers = [pair.public for pair in keygen_batch(curve, 6, seed=13)]
+        expected = [ecdh_shared(curve, d, q) for d, q in zip(privates, peers)]
+        ys = [peer.y for peer in peers]
+        ys[3] ^= 1
+        # No scalar path may answer a lane: the other five ride one batch.
+        monkeypatch.setattr(protocols, "ecdh_shared", _no_scalar_path)
+        if name == "B-163":
+            monkeypatch.setattr(BinaryCurve, "multiply", _no_scalar_path)
+        rows = execute_group(
+            curve, backend, "ecdh", curve._resolve_scalar_rep("auto"),
+            {"private": privates, "peer_x": [peer.x for peer in peers], "peer_y": ys},
+        )
+        assert list(rows[3]) == ["error"] and "not a point of" in rows[3]["error"]
+        for lane in (0, 1, 2, 4, 5):
+            assert rows[lane] == {"x": expected[lane].x, "y": expected[lane].y}
+        counters = fresh_registry.snapshot()["counters"]
+        assert counters["service.batch_fallback"] == 1
+        assert counters["service.rejected_lanes"] == 1
+
+    def test_an_annihilating_scalar_refuses_only_its_lane(self, toy, monkeypatch):
+        privates, _ = _keypairs(toy, 4, seed=14)
+        _, peers = _keypairs(toy, 4, seed=15)
+        privates[1] = toy.order  # 2003 annihilates every peer: d·Q = O
+        expected = [ecdh_shared(toy, d, q) for d, q in zip(privates, peers) if d != toy.order]
+        monkeypatch.setattr(protocols, "ecdh_shared", _no_scalar_path)
+        rows = execute_group(
+            toy, None, "ecdh", "tau",
+            {"private": privates, "peer_x": [q.x for q in peers], "peer_y": [q.y for q in peers]},
+        )
+        assert rows[1] == {"error": "the shared point is the point at infinity"}
+        assert rows[:1] + rows[2:] == [{"x": point.x, "y": point.y} for point in expected]
+
     def test_sign_group_produces_valid_scalar_identical_signatures(self, toy):
         privates, publics = _keypairs(toy, 4, seed=4)
         digests = [97, 0xDEADBEEF, 1, 2 ** 40 + 5]
-        rows = execute_group_isolated(
+        rows = execute_group(
             toy, None, "sign", "tau", {"private": privates, "digest": digests}
         )
         for private, public, digest, row in zip(privates, publics, digests, rows):
@@ -365,6 +406,33 @@ class TestWorkerPool:
         assert sharded == expected
         counters = fresh_registry.snapshot()["counters"]
         assert counters["ladder.tau.digits"] == serial["counters"]["ladder.tau.digits"]
+
+    def test_sharded_ecdh_names_refused_lanes_in_the_whole_batch(self, toy):
+        privates, _ = _keypairs(toy, 6, seed=16)
+        _, peers = _keypairs(toy, 6, seed=17)
+        peers[4] = toy.point(peers[4].x, peers[4].y ^ 1, check=False)  # second shard
+        with pytest.raises(LaneError) as refused:
+            ecdh_sharded(toy, privates, peers, 2)
+        assert list(refused.value.lanes) == [4]
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_an_unlisted_curve_fails_its_future_and_the_pool_keeps_serving(self, toy, workers):
+        privates, peers = _keypairs(toy, 3, seed=18)
+        columns = {
+            "private": privates,
+            "peer_x": [point.x for point in peers],
+            "peer_y": [point.y for point in peers],
+        }
+        pool = WorkerPool(workers=workers, curves=("T-13",))
+        try:
+            with pytest.raises(KeyError):
+                pool.submit(("ecdh", "K-163", "tau"), columns).result(timeout=60)
+            rows = pool.submit(("ecdh", "T-13", "tau"), columns).result(timeout=60)
+        finally:
+            pool.close()
+        for private, peer, row in zip(privates, peers, rows):
+            reference = ecdh_shared(toy, private, peer)
+            assert (row["x"], row["y"]) == (reference.x, reference.y)
 
     def test_sharded_ecdh_with_telemetry_off_is_byte_identical(self, toy):
         from repro.curves.protocols import ecdh_batch
@@ -425,6 +493,10 @@ class TestWorkerPool:
         assert preferred_start_method() in ("fork", "spawn")
         with pytest.raises(ValueError):
             preferred_start_method("not-a-start-method")
+
+
+def _no_scalar_path(*args, **kwargs):
+    raise AssertionError("a scalar path answered a lane of a batch")
 
 
 def _with_service(async_fn, **service_kwargs):
@@ -652,18 +724,20 @@ class TestCryptoService:
                 **_ecdh_body(toy, privates[1], peers[1]),
                 "peer_y": format(peers[1].y ^ 1, "x"),
             })
-            return await asyncio.gather(good, bad)
+            responses = await asyncio.gather(good, bad)
+            return (*responses, await http_get("127.0.0.1", port, "/stats"))
 
-        good_response, bad_response = _with_service(scenario, max_lanes=8)
+        good_response, bad_response, (_, stats) = _with_service(scenario, max_lanes=8)
         assert bad_response[0] == 400
         assert "error" in bad_response[1]
         assert good_response[0] == 200
         reference = ecdh_shared(toy, privates[0], peers[0])
         assert int(good_response[1]["x"], 16) == reference.x
-        # Both rode one batch, whose failure fell back to per-request retries.
+        # Both rode one batch, which refused the bad lane and reran the good one.
         counters = fresh_registry.snapshot()["counters"]
         assert counters["service.batches"] == 1 + 1  # + the blocker
         assert counters["service.batch_fallback"] == 1
+        assert (stats["batch_fallbacks"], stats["rejected_lanes"]) == (1, 1)
 
     def test_ingress_validation_and_routing(self):
         async def scenario(service, port):
