@@ -27,7 +27,7 @@ Contract
 * :meth:`FieldBackend.ir_executor` returns the backend's
   :class:`~repro.backends.ir.IRExecutor`: the C lowering on ``native``,
   the interpreting executor everywhere else.  Every batched formula —
-  curve ladders, combs, recoveries — runs through it, so callers never
+  curve ladders, combs, their affine finish — runs through it, so callers never
   branch on the backend.
 """
 

@@ -4,8 +4,9 @@ Driven op by op, one Montgomery ladder step is ~10 separate batched
 passes — two lane-stacked multiplies, six squaring programs, XORs and
 masked selects — each paying dispatch, scratch traffic and Python call
 overhead.  This module is a small straight-line **IR over batched field
-ops**, so a whole formula (the entire López-Dahab step, the y-recovery,
-the curve-equation residual) is expressed *once* and compiled *once*:
+ops**, so a whole formula (the entire López-Dahab step, the ladder's
+projective finish, the curve-equation residual) is expressed *once* and
+compiled *once*:
 
 * :class:`IRBuilder` traces a formula into a :class:`FieldIR` — SSA ops
   ``mul`` / ``square`` / ``apply_linear`` / ``xor`` / ``select`` /
@@ -672,6 +673,14 @@ class IRExecutor(ABC):
     def broadcast_bits(self, bits: Sequence[int]):
         """One control bit per lane → the mask ``run_arrays`` takes."""
 
+    @abstractmethod
+    def repeat(self, value: int, lanes: int):
+        """The packed value holding the field element ``value`` on every one of ``lanes`` lanes."""
+
+    def nonzero_lanes(self, array, lanes: int) -> List[int]:
+        """The lanes, ascending, where a packed value of ``lanes`` lanes is nonzero."""
+        return [lane for lane, value in enumerate(self.unpack(array, lanes)) if value]
+
     # ------------------------------------------------------------- programs
     def compile(self, program: FieldProgram) -> CompiledProgram:
         """The memoized lowering of a scheduled ``FieldProgram``."""
@@ -782,3 +791,6 @@ class InterpretedExecutor(IRExecutor):
 
     def broadcast_bits(self, bits: Sequence[int]) -> List[int]:
         return list(bits)
+
+    def repeat(self, value: int, lanes: int) -> List[int]:
+        return [value] * lanes

@@ -28,9 +28,9 @@ Three layers:
   and :meth:`NativeIRExecutor.inverse_packed` inverts a word buffer in
   one call (zero lanes stay zero and are reported).
 
-Outside any backend, :func:`recode_tau` is the C τ-adic window recoder:
-the batched τ route calls it whenever the extension loads, whatever its
-backend, because recoding is integer arithmetic.
+Outside any backend, :func:`recode_tau` is the C τ-adic scalar reduction
+and window recoder: the batched τ route calls it whenever the extension
+loads, whatever its backend, because both are integer arithmetic.
 
 Everything degrades cleanly: without cffi or a C compiler the backend
 raises a clear :class:`ImportError` and the registry default falls back to
@@ -67,6 +67,7 @@ __all__ = [
     "NativeIRExecutor",
     "native_available",
     "recode_tau",
+    "reduce_tau",
 ]
 
 #: Preferred lanes per compiled-program execution; bounds each run's C
@@ -674,6 +675,17 @@ class NativeIRExecutor(IRExecutor):
         """Per-lane control bits → the packed lane mask the kernel reads."""
         return lane_mask_bytes(bits)
 
+    def repeat(self, value: int, lanes: int) -> bytes:
+        """One element's words, repeated: no per-lane conversion."""
+        return value.to_bytes(self.nw * 8, "little") * lanes
+
+    def nonzero_lanes(self, array, lanes: int) -> List[int]:
+        """An all-zero buffer answers with one comparison; any other is unpacked."""
+        size = lanes * self.nw * 8
+        if array[:size] == bytes(size):
+            return []
+        return super().nonzero_lanes(array, lanes)
+
     def _packed_points(self, points: Sequence[tuple]):
         """``(x, y)`` pairs as one word buffer, memoized per table object."""
         entry = self._points.get(id(points))
@@ -732,33 +744,63 @@ class NativeIRExecutor(IRExecutor):
         return compiled[0].run_arrays([*state, *fixed], (), steps=loop)
 
 
-def recode_tau(constants: Dict[str, int], residues: Sequence[tuple], positions: int):
-    """τ-adic window digit rows of reduced residues, in one C call.
+def reduce_tau(reduction: Dict[str, object], scalars: Sequence[int], limbs: int):
+    """The ℤ[τ] residues of ``scalars`` modulo ``τ^m − 1``, in one C call.
+
+    ``reduction`` carries the norm ``N`` of ``τ^m − 1``, the estimate's
+    ``shift`` and the ``constants`` of ``gf2m_tau_reduction``
+    (``scalarmul._TauContext.reduction``).  The scalars enter as
+    ``k mod N``, which reduces to the same residue as ``k``.  Returns the
+    residues as ``gf2m_tau_recode`` reads them — ``(r0, r1)`` per lane,
+    ``limbs`` little-endian two's complement 32-bit limbs each — or
+    ``None`` when one does not fit.  Raises ImportError without the kernel.
+    """
+    ext = _load_extension()
+    ffi = ext.ffi
+    norm = reduction["norm"]
+    work = (norm.bit_length() + 34) // 32  # 2kc + N − q·2N lies in [0, 4N)
+    size = 4 * work
+    words = ffi.from_buffer("uint32_t[]", b"".join(
+        value.to_bytes(size, "little", signed=True) for value in reduction["constants"]
+    ))
+    packed = b"".join((scalar % norm).to_bytes(size, "little") for scalar in scalars)
+    residues = bytearray(8 * limbs * len(scalars))
+    status = ext.lib.gf2m_tau_reduce(
+        ffi.new("gf2m_tau_reduction *", {"limbs": work, "shift": reduction["shift"], "constants": words}),
+        ffi.from_buffer("uint32_t[]", packed or bytes(4)),
+        len(scalars),
+        ffi.from_buffer("uint32_t[]", residues or bytearray(4), require_writable=True),
+        limbs,
+    )
+    return None if status < 0 else residues
+
+
+def recode_tau(
+    constants: Dict[str, int], reduction: Dict[str, object], scalars: Sequence[int], positions: int
+):
+    """τ-adic window digit rows of scalars, reduced and recoded in C.
 
     ``constants`` fills ``gf2m_tau_recoding`` (window width, μ, the
     ``t_w``/``t_2`` roots, the division constants ``e0 e1 f``, the tail
-    ``threshold`` and ``gate``); ``residues`` are the ``(r0, r1)`` of each
-    lane.  Returns ``(digits, occupied, span)`` as
+    ``threshold`` and ``gate``); the residues come from :func:`reduce_tau`
+    and stay in C.  Returns ``(digits, occupied, span)`` as
     :class:`~repro.backends.steps.TauSteps` reads them — ``positions`` rows
     of one int8 digit per lane, one flag per row — or ``None`` when the
     kernel reports a width it does not take, a residue outgrowing its limbs
     or a digit past the last row.  Raises ImportError without the kernel.
     """
+    limbs = reduction["residue_limbs"]
+    residues = reduce_tau(reduction, scalars, limbs)
+    if residues is None:
+        return None
     ext = _load_extension()
     ffi = ext.ffi
-    lanes = len(residues)
-    bits = max((abs(value).bit_length() for pair in residues for value in pair), default=0)
-    limbs = (bits + 24) // 32 + 1  # sign, 8 bits of headroom, room to grow
-    size = 4 * limbs
-    packed = b"".join(
-        r0.to_bytes(size, "little", signed=True) + r1.to_bytes(size, "little", signed=True)
-        for r0, r1 in residues
-    )
+    lanes = len(scalars)
     digits = bytearray(positions * lanes)
     occupied = bytearray(positions)
     span = ext.lib.gf2m_tau_recode(
         ffi.new("gf2m_tau_recoding *", constants),
-        ffi.from_buffer("uint32_t[]", packed or bytes(4)),
+        ffi.from_buffer("uint32_t[]", residues or bytes(4)),
         limbs,
         lanes,
         ffi.from_buffer("int8_t[]", digits or bytearray(1), require_writable=True),

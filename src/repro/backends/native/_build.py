@@ -80,6 +80,11 @@ typedef struct {
     int64_t threshold;
     int64_t gate;
 } gf2m_tau_recoding;
+typedef struct {
+    int limbs;
+    int shift;
+    const uint32_t *constants;
+} gf2m_tau_reduction;
 const char *gf2m_rows(const gf2m_field *f);
 void gf2m_mul_batch(const gf2m_field *f, const uint64_t *a, const uint64_t *b,
                     uint64_t *out, long count);
@@ -93,6 +98,8 @@ void gf2m_run_program(const gf2m_field *f, const int32_t *code, int ninstr,
 void gf2m_run_steps(const gf2m_field *f, const gf2m_step_program *progs,
                     const int32_t *events, int nevents, long count,
                     const gf2m_step_data *data, uint64_t *state, uint64_t *work);
+long gf2m_tau_reduce(const gf2m_tau_reduction *r, const uint32_t *scalars,
+                     long count, uint32_t *residues, int limbs);
 long gf2m_tau_recode(const gf2m_tau_recoding *c, const uint32_t *residues,
                      int limbs, long count, int8_t *digits, uint8_t *occupied,
                      long positions);

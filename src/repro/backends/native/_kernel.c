@@ -39,9 +39,9 @@
  * select masks and table-point gathers from data packed once per batch.
  * gf2m_inverse_batch is Montgomery's simultaneous inversion around one
  * Itoh-Tsujii chain; zero lanes map to zero and are reported.
- * gf2m_tau_recode is the tau-adic window recoding of a whole chunk of
- * scalars (already reduced in Z[tau]) into the digit rows the tau step
- * loop reads.
+ * gf2m_tau_reduce reduces a whole chunk of scalars modulo tau^m - 1 in
+ * Z[tau], and gf2m_tau_recode recodes the residues into the digit rows the
+ * tau step loop reads.
  */
 
 #include <stdint.h>
@@ -81,6 +81,15 @@ typedef struct {
     int64_t threshold; /* tail hand-over: |r0|, |r1| <= gate and norm <= threshold */
     int64_t gate;
 } gf2m_tau_recoding;
+
+/* tau^m - 1 = d0 + d1*tau with norm N and conjugate c0 + c1*tau.  constants
+ * holds ten values of `limbs` limbs each (two's complement):
+ * g0 g1 (g = floor(c * 2^shift / N)), 2c0 2c1, N, 2N, d0, 2d1, d1, c0. */
+typedef struct {
+    int limbs;
+    int shift;
+    const uint32_t *constants;
+} gf2m_tau_reduction;
 
 /* ------------------------------------------------------------------ */
 /* portable carry-less multiply                                        */
@@ -803,6 +812,143 @@ static int64_t limbs_small(const uint32_t *r, int limbs, int64_t bound, int *sma
     return value;
 }
 
+/* Multi-limb arithmetic modulo 2^(32 n) on little-endian 32-bit limbs:
+ * two's complement values add, subtract and multiply unchanged. */
+#define TAU_RED_MAX_LIMBS 40 /* N < 2^1246: m <= 1024 with room */
+
+/* out = a * b mod 2^(32 n); out aliases neither operand. */
+static void mp_mul(uint32_t *out, const uint32_t *a, const uint32_t *b, int n)
+{
+    int i, j;
+    memset(out, 0, (size_t)n * 4);
+    for (i = 0; i < n; i++) {
+        uint64_t carry = 0;
+        if (!a[i])
+            continue;
+        for (j = 0; i + j < n; j++) {
+            /* at most (2^32 - 1)^2 + 2 (2^32 - 1) = 2^64 - 1: no overflow */
+            uint64_t t = (uint64_t)a[i] * b[j] + out[i + j] + carry;
+            out[i + j] = (uint32_t)t;
+            carry = t >> 32;
+        }
+    }
+}
+
+/* out = a + sign * b mod 2^(32 n), sign = +1 or -1; out may alias a or b. */
+static void mp_add(uint32_t *out, const uint32_t *a, const uint32_t *b, int sign, int n)
+{
+    int64_t carry = 0;
+    int k;
+    for (k = 0; k < n; k++) {
+        carry += (int64_t)a[k] + sign * (int64_t)b[k];
+        out[k] = (uint32_t)carry;
+        carry = carry_of(carry);
+    }
+}
+
+/* out (n_out limbs) = a (n_in limbs) sign-extended, or truncated. */
+static void mp_extend(uint32_t *out, int n_out, const uint32_t *a, int n_in)
+{
+    uint32_t fill = sign_limb(a[n_in - 1]);
+    int k;
+    for (k = 0; k < n_out; k++)
+        out[k] = k < n_in ? a[k] : fill;
+}
+
+/* out (n_out limbs) = a >> s (arithmetic, 0 < s < 32 n). */
+static void mp_shift_right(uint32_t *out, int n_out, const uint32_t *a, int n, int s)
+{
+    uint32_t fill = sign_limb(a[n - 1]);
+    int word = s >> 5, bit = s & 31, k;
+    for (k = 0; k < n_out; k++) {
+        uint32_t lo = word + k < n ? a[word + k] : fill;
+        uint32_t hi = word + k + 1 < n ? a[word + k + 1] : fill;
+        out[k] = bit ? (lo >> bit) | (hi << (32 - bit)) : lo;
+    }
+}
+
+/* a >= b for non-negative n-limb values. */
+static int mp_at_least(const uint32_t *a, const uint32_t *b, int n)
+{
+    int k;
+    for (k = n - 1; k >= 0; k--)
+        if (a[k] != b[k])
+            return a[k] > b[k];
+    return 1;
+}
+
+/* Writes r (n limbs) as `limbs` limbs at out, sign-extended or narrowed;
+ * 0 when it does not fit them. */
+static int mp_store(uint32_t *out, int limbs, const uint32_t *r, int n)
+{
+    int k;
+    mp_extend(out, limbs, r, n);
+    for (k = limbs; k < n; k++)
+        if (r[k] != sign_limb(out[limbs - 1]))
+            return 0;
+    return limbs_fit(out, limbs);
+}
+
+/* The reduction of scalarmul._TauContext.reduce over count scalars:
+ * r = k - q*d with q = (round(k*c0/N), round(k*c1/N)) componentwise.
+ * scalars holds count values 0 <= k < N of r->limbs limbs each; residues
+ * gets (r0, r1) per lane, `limbs` limbs each, as gf2m_tau_recode reads
+ * them.  For 0 <= k < N the estimate (k*g + 2^(shift-1)) >> shift is the
+ * rounded quotient or one short (shift >= bits(N) + 2), and the low limbs
+ * of 2kc + N - q*2N, which lie in [0, 4N), settle it.  Returns 0, -1 for
+ * bad parameters, -2 when a residue does not fit `limbs` limbs. */
+long gf2m_tau_reduce(const gf2m_tau_reduction *r, const uint32_t *scalars,
+                     long count, uint32_t *residues, int limbs)
+{
+    int n = r->limbs, i;
+    const uint32_t *c = r->constants;
+    const uint32_t *norm = c + 4 * n, *twice = c + 5 * n;
+    uint32_t wide_k[2 * TAU_RED_MAX_LIMBS], wide_g[2 * TAU_RED_MAX_LIMBS];
+    uint32_t product[2 * TAU_RED_MAX_LIMBS];
+    uint32_t q[2][TAU_RED_MAX_LIMBS], t[TAU_RED_MAX_LIMBS], u[TAU_RED_MAX_LIMBS];
+    uint32_t r0[TAU_RED_MAX_LIMBS], r1[TAU_RED_MAX_LIMBS];
+    static const uint32_t one[TAU_RED_MAX_LIMBS] = {1};
+    long lane;
+
+    if (n < 1 || n > TAU_RED_MAX_LIMBS || r->shift < 1 || r->shift >= 64 * n
+        || limbs < 1 || limbs > TAU_MAX_LIMBS || count < 0)
+        return -1;
+    for (lane = 0; lane < count; lane++) {
+        const uint32_t *k = scalars + lane * n;
+        mp_extend(wide_k, 2 * n, k, n);
+        for (i = 0; i < 2; i++) {
+            /* q = (k*g + 2^(shift-1)) >> shift */
+            mp_extend(wide_g, 2 * n, c + i * n, n);
+            mp_mul(product, wide_k, wide_g, 2 * n);
+            memset(wide_g, 0, (size_t)n * 8);
+            wide_g[(r->shift - 1) >> 5] = (uint32_t)1 << ((r->shift - 1) & 31);
+            mp_add(product, product, wide_g, 1, 2 * n);
+            mp_shift_right(q[i], n, product, 2 * n, r->shift);
+            /* t = 2kc + N - q*2N; one short when t >= 2N */
+            mp_mul(t, k, c + (2 + i) * n, n);
+            mp_add(t, t, norm, 1, n);
+            mp_mul(u, q[i], twice, n);
+            mp_add(t, t, u, -1, n);
+            if (mp_at_least(t, twice, n))
+                mp_add(q[i], q[i], one, 1, n);
+        }
+        /* r0 = k - q0*d0 + q1*2d1, r1 = -(q0*d1 + q1*c0) */
+        mp_mul(t, q[0], c + 6 * n, n);
+        mp_add(r0, k, t, -1, n);
+        mp_mul(t, q[1], c + 7 * n, n);
+        mp_add(r0, r0, t, 1, n);
+        mp_mul(t, q[0], c + 8 * n, n);
+        mp_mul(u, q[1], c + 9 * n, n);
+        mp_add(t, t, u, 1, n);
+        memset(u, 0, (size_t)n * 4);
+        mp_add(r1, u, t, -1, n);
+        if (!mp_store(residues + lane * 2 * limbs, limbs, r0, n)
+            || !mp_store(residues + lane * 2 * limbs + limbs, limbs, r1, n))
+            return -2;
+    }
+    return 0;
+}
+
 /* Records one digit at a position below the row count. */
 static void tau_emit(int8_t *digits, uint8_t *occupied, long count, long lane,
                      long position, int64_t u, long *last)
@@ -844,14 +990,21 @@ long gf2m_tau_recode(const gf2m_tau_recoding *c, const uint32_t *residues,
     for (lane = 0; lane < count; lane++) {
         long position = 0, last = 0;
         int64_t a, b, u;
+        int n = limbs; /* the limbs in use: the residue shrinks as it divides */
         memcpy(r0, residues + lane * 2 * limbs, (size_t)limbs * 4);
         memcpy(r1, residues + lane * 2 * limbs + limbs, (size_t)limbs * 4);
         if (!limbs_fit(r0, limbs) || !limbs_fit(r1, limbs))
             return -2;
         for (;;) {
             int small0, small1;
-            a = limbs_small(r0, limbs, c->gate, &small0);
-            b = limbs_small(r1, limbs, c->gate, &small1);
+            /* Drop a top limb that is only sign while the rest keeps its 8
+             * bits of headroom: a window step grows neither component by
+             * more than 2 bits. */
+            while (n > 1 && r0[n - 1] == sign_limb(r0[n - 2]) && r1[n - 1] == sign_limb(r1[n - 2])
+                   && limbs_fit(r0, n - 1) && limbs_fit(r1, n - 1))
+                n--;
+            a = limbs_small(r0, n, c->gate, &small0);
+            b = limbs_small(r1, n, c->gate, &small1);
             if (small0 && small1 && a * a + c->mu * a * b + 2 * b * b <= c->threshold)
                 break;
             if (position >= positions)
@@ -864,10 +1017,10 @@ long gf2m_tau_recode(const gf2m_tau_recoding *c, const uint32_t *residues,
                 u -= power;
             if (u) {
                 tau_emit(digits, occupied, count, lane, position, u, &last);
-                limbs_sub_small(r0, limbs, u);
+                limbs_sub_small(r0, n, u);
             }
             /* (r0, r1) <- (r0*e0 - 2*r1*e1, r0*e1 + r1*f) >> w, exactly */
-            if (!limbs_divide_window(r0, r1, limbs, c->e0, -2 * c->e1, c->e1, c->f, w))
+            if (!limbs_divide_window(r0, r1, n, c->e0, -2 * c->e1, c->e1, c->f, w))
                 return -2;
             position += w;
         }

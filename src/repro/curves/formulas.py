@@ -5,8 +5,8 @@ its own copy of the formula: the scalar ladder in
 :meth:`~repro.curves.point.BinaryCurve._ladder_ld`, a hand-written
 gather/batch version in ``_ladder_ld_batch``, and a hand-scheduled plane
 version in ``_ladder_ld_planes`` — three schedules to keep in sync.  This
-module replaces the latter two: the **step**, the **y-recovery** and the
-**curve-equation residual** are traced once as straight-line
+module replaces the latter two: the **step**, the **ladder-to-projective
+conversion** and the **curve-equation residual** are traced once as straight-line
 :class:`~repro.backends.ir.FieldIR` and scheduled once per curve through
 the level-scheduling fusion pass (:func:`~repro.backends.ir
 .schedule_program`).  Every backend's executor
@@ -46,8 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "ladder_step_ir",
     "ladder_step_program",
-    "recover_denominator_program",
-    "recover_affine_program",
+    "ladder_projective_program",
     "on_curve_residual_program",
     "frobenius_ir",
     "frobenius_program",
@@ -117,60 +116,43 @@ def ladder_step_program(curve: "BinaryCurve") -> FieldProgram:
     )
 
 
-def recover_denominator_program(curve: "BinaryCurve") -> FieldProgram:
-    """Stage one of batched y-recovery: the shared inversion's denominator.
+def ladder_projective_program(curve: "BinaryCurve") -> FieldProgram:
+    """The ladder's final registers as an LD projective point ``(X : Y : Z)``.
 
-    ``z1z2 = z1·z2`` and ``denom = x·z1·z2`` for every live lane; the
-    caller feeds ``denom`` through the backend's Montgomery batch inverse
-    (inversion is not a straight-line field op, so it stays outside the
-    IR) and hands ``inv`` to :func:`recover_affine_program`.
+    The scalar :meth:`~repro.curves.point.BinaryCurve._ladder_recover`
+    without its inversion: with ``R0 = (x1 : z1)``, ``R1 = (x2 : z2)`` and
+    base ``(x, y)``, the result ``(x3, y3) = (X/Z, Y/Z²)`` has
+    ``Z = x·z1·z2``, ``X = x·x1·z2`` and ``Y = (x·Z + X)·N + y·Z²`` with
+    ``N = (x1 + x·z1)(x2 + x·z2) + (x² + y)·z1·z2`` — ten products in four
+    levels, so the binary ladder ends in the same packed conversion
+    (:func:`projective_to_affine_program`) as the τ and comb routes.
+    ``Z = 0`` exactly when ``z1 = 0`` (the result is infinity) or
+    ``z2 = 0`` (it is ``−P``); the caller resolves those lanes.
     """
     field = curve.field
-    key = ("ld-recover-denom", field.modulus)
+    key = ("ld-ladder-projective", field.modulus)
 
     def build() -> FieldProgram:
-        builder = IRBuilder("ld_recover_denominator")
-        base = builder.input("x")
-        z1, z2 = builder.input("z1"), builder.input("z2")
-        z1z2 = builder.mul(z1, z2)
-        builder.output("z1z2", z1z2)
-        builder.output("denom", builder.mul(base, z1z2))
-        return schedule_program(builder.build(), field.m, {}, key=key)
-
-    return cached_program(key, build)
-
-
-def recover_affine_program(curve: "BinaryCurve") -> FieldProgram:
-    """Stage two of batched y-recovery: affine ``(x3, y3)`` from the inverse.
-
-    Same algebra as the scalar :meth:`~repro.curves.point.BinaryCurve
-    ._ladder_recover`, rearranged by the scheduler into four product
-    levels (``mul×4 → mul×3 → mul → mul``) with the XOR work fused
-    between them.  ``y3`` already includes the final ``⊕ y``.
-    """
-    field = curve.field
-    key = ("ld-recover-affine", field.modulus)
-
-    def build() -> FieldProgram:
-        builder = IRBuilder("ld_recover_affine")
+        builder = IRBuilder("ld_ladder_projective")
         base, base_y = builder.input("x"), builder.input("y")
-        x1, x2 = builder.input("x1"), builder.input("x2")
-        z1, z2 = builder.input("z1"), builder.input("z2")
-        z1z2, inv = builder.input("z1z2"), builder.input("inv")
-        x1z2 = builder.mul(x1, z2)
+        x1, z1 = builder.input("x1"), builder.input("z1")
+        x2, z2 = builder.input("x2"), builder.input("z2")
+        z1z2 = builder.mul(z1, z2)
         xz1 = builder.mul(base, z1)
         xz2 = builder.mul(base, z2)
-        xinv = builder.mul(base, inv)
-        left_in = builder.xor(x1, xz1)
-        right_in = builder.xor(x2, xz2)
-        trace_in = builder.xor(builder.square(base), base_y)
-        x3 = builder.mul(x1z2, xinv)
-        left = builder.mul(left_in, right_in)
-        right = builder.mul(trace_in, z1z2)
-        numerator = builder.mul(builder.xor(base, x3), builder.xor(left, right))
-        y3 = builder.xor(builder.mul(numerator, inv), base_y)
-        builder.output("x3", x3)
-        builder.output("y3", y3)
+        z = builder.mul(base, z1z2)
+        x = builder.mul(x1, xz2)
+        n = builder.xor(
+            builder.mul(builder.xor(x1, xz1), builder.xor(x2, xz2)),
+            builder.mul(builder.xor(builder.square(base), base_y), z1z2),
+        )
+        y = builder.xor(
+            builder.mul(builder.xor(builder.mul(base, z), x), n),
+            builder.mul(base_y, builder.square(z)),
+        )
+        builder.output("X", x)
+        builder.output("Y", y)
+        builder.output("Z", z)
         return schedule_program(builder.build(), field.m, {"square": field.square_map}, key=key)
 
     return cached_program(key, build)
@@ -433,22 +415,50 @@ def double_add_program(curve: "BinaryCurve") -> FieldProgram:
     )
 
 
+def _curve_residual(builder: IRBuilder, x, y, b: int):
+    """``y² + xy + x³ + a·x² + b``: zero exactly when ``(x, y)`` is on the curve.
+
+    One lane-stacked product pass (``x·y`` and ``x²·x``) and one fused
+    linear stage (``y²``, ``a·x²`` through the ``mul_a`` map, the XOR tree
+    and the hoisted constant ``b``).
+    """
+    x_squared = builder.square(x)
+    return builder.xor(
+        builder.square(y),
+        builder.mul(x, y),
+        builder.mul(x_squared, x),
+        builder.apply_linear("mul_a", x_squared),
+        builder.const(b),
+    )
+
+
 def projective_to_affine_program(curve: "BinaryCurve") -> FieldProgram:
-    """Affine ``(x3, y3)`` from LD ``(X : Y : Z)`` given ``zi = Z⁻¹``.
+    """Affine ``(x3, y3)`` and their curve residual from LD ``(X : Y : Z)`` given ``zi = Z⁻¹``.
 
     The inversion itself stays outside the IR (the callers invert every
     lane's ``Z`` in one packed batch inverse first, zero lanes staying
-    zero); this program is the two products and one squaring that remain.
+    zero); this program is the two products and one squaring that remain,
+    plus the result check: ``residual`` is zero on every lane whose point
+    lies on the curve (a lane with ``zi = 0`` reads ``(0, 0)``, residual
+    ``b``).
     """
     field = curve.field
-    key = ("ld-proj-affine", field.modulus)
+    key = ("ld-proj-affine", field.modulus, curve.a, curve.b)
 
     def build() -> FieldProgram:
         builder = IRBuilder("ld_projective_to_affine")
         x_p, y_p, zi = builder.input("X"), builder.input("Y"), builder.input("zi")
-        builder.output("x3", builder.mul(x_p, zi))
-        builder.output("y3", builder.mul(y_p, builder.square(zi)))
-        return schedule_program(builder.build(), field.m, {"square": field.square_map}, key=key)
+        x3 = builder.mul(x_p, zi)
+        y3 = builder.mul(y_p, builder.square(zi))
+        builder.output("x3", x3)
+        builder.output("y3", y3)
+        builder.output("residual", _curve_residual(builder, x3, y3, curve.b))
+        return schedule_program(
+            builder.build(),
+            field.m,
+            {"square": field.square_map, "mul_a": field.constant_multiplier(curve.a)},
+            key=key,
+        )
 
     return cached_program(key, build)
 
@@ -456,11 +466,8 @@ def projective_to_affine_program(curve: "BinaryCurve") -> FieldProgram:
 def on_curve_residual_program(curve: "BinaryCurve") -> FieldProgram:
     """The curve-equation residual ``y² + xy + x³ + a·x² + b`` per lane.
 
-    Zero exactly when ``(x, y)`` satisfies the equation — the batched
-    internal-consistency check evaluates this with one lane-stacked
-    product pass (``x·y`` and ``x²·x``) and one fused linear stage
-    (``y²``, ``a·x²`` as a constant-multiplier map, the XOR tree, and the
-    hoisted constant ``b``).
+    Zero exactly when ``(x, y)`` satisfies the equation: the batch screens
+    its packed base points with it before any ladder runs.
     """
     field = curve.field
     key = ("on-curve", field.modulus, curve.a, curve.b)
@@ -468,17 +475,7 @@ def on_curve_residual_program(curve: "BinaryCurve") -> FieldProgram:
     def build() -> FieldProgram:
         builder = IRBuilder("on_curve_residual")
         x, y = builder.input("x"), builder.input("y")
-        x_squared = builder.square(x)
-        xy = builder.mul(x, y)
-        x_cubed = builder.mul(x_squared, x)
-        residual = builder.xor(
-            builder.square(y),
-            xy,
-            x_cubed,
-            builder.apply_linear("mul_a", x_squared),
-            builder.const(curve.b),
-        )
-        builder.output("residual", residual)
+        builder.output("residual", _curve_residual(builder, x, y, curve.b))
         return schedule_program(
             builder.build(),
             field.m,

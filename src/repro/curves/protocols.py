@@ -174,8 +174,10 @@ def ecdh_batch(
     infinity or of order dividing 4, a peer off the curve, or a shared
     point at infinity refuses its lane: :class:`~repro.curves.point
     .LaneError` (a ``ValueError``) names every lane the first refusing
-    check refused, and the batch returns nothing.  (The scalar reference
-    refuses an off-curve peer with its ladder's plain ``ValueError``.)
+    check refused.  The peer checks refuse before any lane runs; the
+    shared-point check runs last, so its error carries every lane's
+    shared point in ``results``.  (The scalar reference refuses an
+    off-curve peer with its ladder's plain ``ValueError``.)
     """
     if len(privates) != len(peer_publics):
         raise ValueError(
@@ -194,8 +196,10 @@ def ecdh_batch(
     else:
         shared = [curve.multiply(peer, private) for private, peer in zip(privates, peer_publics)]
     # A shared point at infinity: the private scalar annihilates the peer.
+    # Every lane has run, so the error carries the others' shared points.
     LaneError.check(
-        "the shared point is the point at infinity" if point.is_infinity else None for point in shared
+        ("the shared point is the point at infinity" if point.is_infinity else None for point in shared),
+        shared,
     )
     return shared
 

@@ -49,14 +49,15 @@ Two recodings are provided:
   whole batch shares one masked-add step, everywhere else the step is a
   pure squaring pass.
 
-The batched route recodes a whole chunk of lanes at once into
-position-major digit rows: in C (``gf2m_tau_recode``) whenever the native
-extension loads, whatever the batch's backend, and through the Python
-recurrence (:func:`_tau_sparse_digits`, the reference) otherwise.  From
-the packed bases to the affine results every value stays in the
-executor's packed form — chain, table inversion, step loop and final
-conversion hand packed values to each other — so int lists appear only
-at entry and exit.
+The batched route reduces and recodes a whole chunk of lanes at once
+into position-major digit rows: in C (``gf2m_tau_reduce`` then
+``gf2m_tau_recode``) whenever the native extension loads, whatever the
+batch's backend, and through the Python reduction and recurrence
+(:func:`reduce_scalar`, :func:`_tau_sparse_digits`, the reference)
+otherwise.  From the packed bases to the affine results every value stays
+in the executor's packed form — chain, table inversion, step loop and
+final conversion hand packed values to each other — so int lists appear
+only at entry and exit.
 
 Degenerate lanes
 ----------------
@@ -101,6 +102,7 @@ __all__ = [
     "DEFAULT_TAU_WIDTH",
     "DEFAULT_COMB_TEETH",
     "CombTable",
+    "PackedBases",
     "comb_table",
     "multiply_tau",
     "multiply_tau_batch",
@@ -219,15 +221,31 @@ def _t_width(mu: int, width: int) -> int:
 class _TauContext:
     """Per-curve τ-adic constants: μ, ``τ^m − 1``, its norm, and t_w memos."""
 
-    __slots__ = ("mu", "m", "d", "conj", "norm", "_t_widths", "_div_consts")
+    __slots__ = ("mu", "m", "d", "conj", "norm", "reduction", "_t_widths", "_div_consts")
 
     def __init__(self, curve: "BinaryCurve") -> None:
         self.mu = tau_mu(curve)
         self.m = curve.field.m
         self.d = _tau_power_minus_one(self.mu, self.m)
         d0, d1 = self.d
-        self.conj = (d0 + self.mu * d1, -d1)
-        self.norm = _zt_norm(self.mu, d0, d1)
+        c0, c1 = self.conj = (d0 + self.mu * d1, -d1)
+        norm = self.norm = _zt_norm(self.mu, d0, d1)
+        # The C reduction (native.reduce_tau) estimates each rounded
+        # quotient round(k·c/N) as (k·g + 2^(shift−1)) >> shift with
+        # g = floor(c·2^shift / N), which is exact or one short for every
+        # 0 <= k < N, and settles it on the low words of 2kc + N − q·2N.
+        shift = norm.bit_length() + 2
+        self.reduction = {
+            "norm": norm,
+            "shift": shift,
+            "constants": [
+                (c0 << shift) // norm, (c1 << shift) // norm, 2 * c0, 2 * c1,
+                norm, 2 * norm, d0, 2 * d1, d1, c0,
+            ],
+            # N(r) <= N bounds both residue components by 2^(bits(N)/2 + 2):
+            # 32-bit limbs for that, a sign, 8 bits of headroom, room to grow.
+            "residue_limbs": (norm.bit_length() // 2 + 2 + 24) // 32 + 1,
+        }
         self._t_widths: "Dict[int, int]" = {}
         self._div_consts: "Dict[int, Tuple[int, int, int]]" = {}
 
@@ -430,21 +448,51 @@ def tau_digits_value(curve: "BinaryCurve", digits: "Sequence[int]") -> "Tuple[in
 
 
 # ----------------------------------------------------------- shared plumbing
-def _finalize_projective(curve, executor, x_acc, y_acc, z_acc, lanes, prefix):
-    """Affine points from packed LD accumulators; ``None`` marks fallback lanes.
+class PackedBases:
+    """A batch's affine base points, as int columns and packed per executor chunk.
+
+    ``chunks`` holds ``(start, stop, xs, ys)`` for every chunk of the
+    executor's lanes: ``xs``/``ys`` are the packed coordinates of lanes
+    ``start:stop``.  :meth:`~repro.curves.point.BinaryCurve.multiply_batch`
+    packs its bases once, screens them on these buffers and hands them to
+    the τ or binary route, which run on them without another conversion;
+    ``x``/``y`` serve the scalar fallback of degenerate lanes.
+    """
+
+    __slots__ = ("executor", "x", "y", "chunks")
+
+    def __init__(self, executor, x: "List[int]", y: "List[int]") -> None:
+        self.executor = executor
+        self.x = x
+        self.y = y
+        size = executor.chunk_size
+        self.chunks = [
+            (start, min(start + size, len(x)),
+             executor.pack(x[start:start + size]), executor.pack(y[start:start + size]))
+            for start in range(0, len(x), size)
+        ]
+
+
+def _finalize_projective(curve, executor, state, lanes, prefix):
+    """Affine points from packed LD ``(X, Y, Z)``; ``None`` marks the dead lanes.
 
     A zero ``Z`` is the sticky degenerate/never-started flag.  Every lane
     shares one packed batch inversion, which leaves those lanes zero and
-    names them, and one compiled conversion formula; the named lanes come
-    back as ``None`` for the per-lane scalar-ladder fallback.  The results
-    unpack here, the batch's only int-list exit.
+    names them, and one compiled conversion that also checks every live
+    result against the curve equation on the packed coordinates (one
+    comparison when all of them hold).  The results unpack here, the
+    batch's only int-list exit; the named lanes come back as ``None`` for
+    the caller to resolve.
     """
     from .point import Point
 
-    with _trace.span("scalarmul.inverse_batch", count=lanes):
+    x_acc, y_acc, z_acc = state
+    with _trace.span(f"{prefix}.inverse_batch", count=lanes):
         inverses, dead = executor.inverse_packed(z_acc, lanes)
     affine = executor.compile(projective_to_affine_program(curve))
-    x3, y3 = affine.run_arrays((x_acc, y_acc, inverses), ())
+    x3, y3, residual = affine.run_arrays((x_acc, y_acc, inverses), ())
+    if set(executor.nonzero_lanes(residual, lanes)).difference(dead):  # pragma: no cover
+        raise ArithmeticError("batched scalar multiplication left the curve")
     with _trace.span(f"{prefix}.unpack", lanes=lanes):
         points = [
             Point(curve, x, y)
@@ -461,15 +509,14 @@ def _run_masked_steps(curve, executor, lanes, programs, schedule):
     ``programs`` are the step programs a
     :class:`~repro.backends.steps.CombSteps` /
     :class:`~repro.backends.steps.TauSteps` schedule's events index.  Every
-    lane starts from the not-yet-started LD sentinel ``(1, 1, 0)``; the
-    accumulators stay packed through :meth:`~repro.backends.ir.IRExecutor
-    .run_steps` and :func:`_finalize_projective`.
+    lane starts from the not-yet-started LD sentinel ``(1, 1, 0)``, built
+    by repetition; the accumulators stay packed through
+    :meth:`~repro.backends.ir.IRExecutor.run_steps` and
+    :func:`_finalize_projective`.
     """
-    prefix = schedule.span_prefix
-    with _trace.span(f"{prefix}.pack", lanes=lanes):
-        state = [executor.pack(values) for values in ([1] * lanes, [1] * lanes, [0] * lanes)]
-    x_acc, y_acc, z_acc = executor.run_steps(programs, state, (), schedule)
-    return _finalize_projective(curve, executor, x_acc, y_acc, z_acc, lanes, prefix)
+    one = executor.repeat(1, lanes)
+    state = executor.run_steps(programs, [one, one, executor.repeat(0, lanes)], (), schedule)
+    return _finalize_projective(curve, executor, state, lanes, schedule.span_prefix)
 
 
 def _tau_digit_rows(curve, scalars, width):
@@ -479,17 +526,15 @@ def _tau_digit_rows(curve, scalars, width):
     per lane (the :class:`~repro.backends.steps.TauSteps` layout),
     ``occupied[position]`` is 1 where some lane's digit is nonzero, and
     ``span`` sums the lanes' :func:`_tau_sparse_digits` spans.  The C
-    recoder fills them whenever the native extension loads, whatever
-    backend runs the batch (recoding is integer arithmetic); without it,
-    or if it reports an overflow, the reference recurrence fills the same
-    rows.
+    kernel reduces and recodes the scalars whenever the native extension
+    loads, whatever backend runs the batch (both are integer arithmetic);
+    without it, or if it reports an overflow, the reference recurrence
+    fills the same rows.
     """
     ctx = _tau_context(curve)
     try:
         rows = native.recode_tau(
-            ctx.recoding(width),
-            [ctx.reduce(scalar) for scalar in scalars],
-            curve.field.m + width + 32,
+            ctx.recoding(width), ctx.reduction, scalars, curve.field.m + width + 32
         )
     except ImportError:
         rows = None
@@ -614,18 +659,16 @@ def multiply_tau(
 
 def multiply_tau_batch(
     curve: "BinaryCurve",
-    base_x: "List[int]",
-    base_y: "List[int]",
+    bases: PackedBases,
     scalars: "List[int]",
-    *,
-    backend,
 ) -> "List[Point]":
     """Batched τ-adic ladder over independent ``(point, scalar)`` lanes.
 
-    Per chunk of the executor's lanes: the scalars are recoded into
-    window-aligned digit rows (:func:`_tau_digit_rows`; their nonzeros
-    share one masked-add schedule), the per-lane small-multiple tables
-    come from one fused
+    ``bases`` are the lanes' affine base points, packed for the executor
+    that runs the batch (:class:`PackedBases`).  Per chunk: the scalars are
+    recoded into window-aligned digit rows (:func:`_tau_digit_rows`; their
+    nonzeros share one masked-add schedule), the per-lane small-multiple
+    tables come from one fused
     :func:`~repro.curves.formulas.small_multiples_program` chain plus one
     packed batch inversion, and every scheduled event runs the compiled
     :func:`~repro.curves.formulas.frobenius_program` (squarings only) or
@@ -639,19 +682,14 @@ def multiply_tau_batch(
 
     width = DEFAULT_TAU_WIDTH
     top = 1 << (width - 1)
-    executor = backend.ir_executor()
+    executor = bases.executor
     registry = _metrics.REGISTRY
-    count = len(base_x)
     points: "List[Optional[Point]]" = []
-    for start in range(0, count, executor.chunk_size):
-        stop = min(start + executor.chunk_size, count)
+    for start, stop, xs, ys in bases.chunks:
         lanes = stop - start
         digits, occupied, span = _tau_digit_rows(curve, scalars[start:stop], width)
         if registry.enabled:
             registry.inc("ladder.tau.digits", span)
-        with _trace.span("ladder.tau.pack", lanes=lanes):
-            xs = executor.pack(base_x[start:stop])
-            ys = executor.pack(base_y[start:stop])
         tables, degenerate = _small_multiples_batch(curve, executor, xs, ys, lanes, top)
         for lane in degenerate:
             # A degenerate lane never adds, so its Z stays the sentinel's 0.
@@ -660,10 +698,10 @@ def multiply_tau_batch(
         points += _run_masked_steps(
             curve, executor, lanes, programs, TauSteps(events, digits, tables, lanes)
         )
-    for index in range(count):
-        if points[index] is None:
+    for index, point in enumerate(points):
+        if point is None:
             points[index] = curve.multiply(
-                Point(curve, base_x[index], base_y[index]), scalars[index]
+                Point(curve, bases.x[index], bases.y[index]), scalars[index]
             )
             if registry.enabled:
                 registry.inc("ladder.tau.fallbacks")

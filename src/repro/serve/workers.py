@@ -9,7 +9,8 @@ Two consumers share this module:
   .sign_batch`) on a worker that resolved its backend **once** and warmed
   every compiled cache at startup — the first request never pays compile
   latency.  A lane the batch refuses gets an error row, and the other
-  lanes rerun as one batch (:func:`execute_group`);
+  lanes keep the results the batch computed, or rerun as one batch when
+  it refused before computing any (:func:`execute_group`);
 * ``repro ecdh --jobs``: :func:`ecdh_sharded` splits one large agreement
   batch across the same kind of pool.
 
@@ -143,8 +144,9 @@ def execute_group(
     sign.  A batch that refuses some lanes (:class:`~repro.curves.point
     .LaneError`: an off-curve or low-order peer, a shared point at
     infinity, a private key out of range) answers each of them with
-    ``{"error": reason}`` and reruns the others as one batch; the group
-    counts one
+    ``{"error": reason}``; the others take the results the error carries
+    when the batch had computed them (a shared point at infinity), and
+    rerun as one batch otherwise.  The group counts one
     ``service.batch_fallback`` and its ``service.rejected_lanes``.  Any
     other exception fails the whole group.
     """
@@ -158,9 +160,12 @@ def execute_group(
         except LaneError as refused:
             for position, reason in refused.lanes.items():
                 rows[lanes[position]] = {"error": reason}
-            lanes = [lane for position, lane in enumerate(lanes) if position not in refused.lanes]
-            subset = {name: [values[lane] for lane in lanes] for name, values in columns.items()}
-            continue
+            kept = [position for position in range(len(lanes)) if position not in refused.lanes]
+            lanes = [lanes[position] for position in kept]
+            if refused.results is None:
+                subset = {name: [values[lane] for lane in lanes] for name, values in columns.items()}
+                continue
+            results = [_row(refused.results[position]) for position in kept]
         for lane, row in zip(lanes, results):
             rows[lane] = row
         rejected = count - len(lanes)
@@ -187,7 +192,7 @@ def _execute_batch(
         points = ecdh_batch(
             curve, columns["private"], peers, backend=backend, scalar_rep=scalar_rep
         )
-        return [{"x": point.x, "y": point.y} for point in points]
+        return [_row(point) for point in points]
     if op == "keygen":
         privates = columns["private"]
         points = curve.multiply_batch(
@@ -196,7 +201,7 @@ def _execute_batch(
             backend=backend,
             scalar_rep=scalar_rep,
         )
-        return [{"x": point.x, "y": point.y} for point in points]
+        return [_row(point) for point in points]
     if op == "sign":
         signatures = sign_batch(
             curve,
@@ -207,6 +212,11 @@ def _execute_batch(
         )
         return [{"r": signature.r, "s": signature.s} for signature in signatures]
     raise ValueError(f"unknown op {op!r}; known: {', '.join(OP_FIELDS)}")
+
+
+def _row(point: "Point") -> "Dict[str, Any]":
+    """The result row of an ecdh or keygen lane."""
+    return {"x": point.x, "y": point.y}
 
 
 #: Per-worker-process state installed by :func:`_worker_init`.

@@ -556,3 +556,60 @@ class TestNativeStepLoop:
         assert any(name.endswith(".step") for name in names), names
         assert any(name.startswith("ir.pass.") for name in names), names
         assert traced == untraced
+
+
+@requires_native
+class TestConversionBudget:
+    """A clean batch converts only its bases in and its results out.
+
+    Every field value that crosses between Python ints and the kernel's
+    word buffers goes through ``NativeBackend._pack`` or ``_unpack``; a
+    256-lane call may move at most x and y in and x and y out per lane.
+    Scalars, digit rows and comb tables are not field values and pack
+    elsewhere.
+    """
+
+    LANES = 256
+
+    def _values_per_lane(self, monkeypatch, call):
+        moved = []
+        for name in ("_pack", "_unpack"):
+            original = getattr(NativeBackend, name)
+
+            def counting(self, values, *rest, original=original, name=name):
+                result = original(self, values, *rest)
+                moved.append(len(result) if name == "_unpack" else len(values))
+                return result
+
+            monkeypatch.setattr(NativeBackend, name, counting)
+        call()
+        return sum(moved) / self.LANES
+
+    @pytest.mark.parametrize("name, scalar_rep", [("B-163", "binary"), ("K-163", "binary"), ("K-163", "tau")])
+    def test_ecdh_batch(self, monkeypatch, name, scalar_rep):
+        from repro.curves import ecdh_batch, keygen_batch
+
+        curve = curve_by_name(name)
+        privates = [pair.private for pair in keygen_batch(curve, self.LANES, seed=1)]
+        peers = [pair.public for pair in keygen_batch(curve, self.LANES, seed=2)]
+        ecdh_batch(curve, privates[:2], peers[:2], backend="native", scalar_rep=scalar_rep)  # compile
+
+        def call():
+            ecdh_batch(curve, privates, peers, backend="native", scalar_rep=scalar_rep)
+
+        assert self._values_per_lane(monkeypatch, call) <= 4
+
+    @pytest.mark.parametrize("op", ["keygen", "sign"])
+    def test_generator_multiplies(self, monkeypatch, op):
+        from repro.curves import keygen_batch, sign_batch
+
+        curve = curve_by_name("K-163")
+        privates = [pair.private for pair in keygen_batch(curve, self.LANES, seed=3, backend="native")]
+
+        def call():
+            if op == "keygen":
+                keygen_batch(curve, self.LANES, seed=4, backend="native")
+            else:
+                sign_batch(curve, privates, list(range(self.LANES)), backend="native")
+
+        assert self._values_per_lane(monkeypatch, call) <= 4

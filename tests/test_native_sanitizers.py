@@ -9,8 +9,8 @@ every entry point against the pure-Python reference: the mul, square and
 inverse batches (plus the zero-tolerant packed inverse) on m = 8, 64, 137
 and every catalogue degree, the program runner on every opcode, the step
 loop on each route (binary ladder, comb, τ) on T-13, B-163, K-233 and
-K-283, and the τ recoder against the Python recurrence, bounds reports
-included.  On x86-64 that build runs the generic fold rows and the
+K-283, and the τ scalar reduction and recoder against the Python
+reduction and recurrence, bounds reports included.  On x86-64 that build runs the generic fold rows and the
 register-resident ones, which B-163 and K-233 to K-571 must have picked;
 a third build with ``-DGF2M_NO_PCLMUL`` (whose ``_rows.c`` defines no
 rows, and which must still link) runs the portable rows through the
@@ -82,17 +82,31 @@ CHECKS = textwrap.dedent(
             ]
 
     def check_recoder(curve):
-        # The C recoder against the Python recurrence directly: the batch
-        # comparison below runs the same C recoder on both backends.
+        # The C reduction and recoder against the Python reduction and
+        # recurrence directly: the batch comparison below runs the same C
+        # code on both backends.
         ctx = scalarmul._tau_context(curve)
         m, n = curve.field.m, curve.order
-        scalars = [0, 1, 2, n - 1, n, n + 1, 1 << m, 3 * n] + [
-            rng.randrange(1 << (2 * m)) for _ in range(6)
+        scalars = [0, 1, 2, n - 1, n, n + 1, 1 << m, 3 * n, ctx.norm + 1] + [
+            rng.getrandbits(rng.randrange(1, 2 * m + 9)) for _ in range(6)
         ]
-        residues = [scalarmul.reduce_scalar(curve, scalar) for scalar in scalars]
+        limbs = ctx.reduction["residue_limbs"]
+        packed = native.reduce_tau(ctx.reduction, scalars, limbs)
+        values = [
+            int.from_bytes(packed[start:start + 4 * limbs], "little", signed=True)
+            for start in range(0, len(packed), 4 * limbs)
+        ]
+        assert list(zip(values[0::2], values[1::2])) == [
+            scalarmul.reduce_scalar(curve, scalar) for scalar in scalars
+        ], curve.name
+        # A residue wider than its limbs is reported, not written past.
+        if m > 64:
+            assert native.reduce_tau(ctx.reduction, [n - 1], 1) is None
         lanes = len(scalars)
         for width in range(2, 8):
-            digits, occupied, span = native.recode_tau(ctx.recoding(width), residues, m + width + 32)
+            digits, occupied, span = native.recode_tau(
+                ctx.recoding(width), ctx.reduction, scalars, m + width + 32
+            )
             signed = memoryview(digits).cast("b")
             total = 0
             for lane, scalar in enumerate(scalars):
@@ -105,8 +119,8 @@ CHECKS = textwrap.dedent(
                 ], (curve.name, width, scalar)
             assert span == total
         # Bounds: too few rows and a width past int8 digits are reported.
-        assert native.recode_tau(ctx.recoding(4), residues, 8) is None
-        assert native.recode_tau(ctx.recoding(8), residues, m + 64) is None
+        assert native.recode_tau(ctx.recoding(4), ctx.reduction, scalars, 8) is None
+        assert native.recode_tau(ctx.recoding(8), ctx.reduction, scalars, m + 64) is None
         # A residue wider than its limbs is reported, not written past.
         ext = native._load_extension()
         ffi = ext.ffi

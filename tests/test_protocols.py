@@ -105,6 +105,22 @@ class TestEcdh:
             ecdh_batch(toy, privates, peers)
         assert list(refused.value.lanes) == [1, 3]
         assert isinstance(refused.value, ValueError)
+        assert refused.value.results is None  # refused before any lane ran
+
+    def test_a_shared_point_at_infinity_carries_the_other_lanes(self, toy):
+        import pickle
+
+        privates = [pair.private for pair in keygen_batch(toy, 4, seed=8)]
+        peers = [pair.public for pair in keygen_batch(toy, 4, seed=9)]
+        privates[2] = toy.order  # annihilates its peer
+        with pytest.raises(LaneError, match="^lane 2: the shared point is the point at infinity$") as refused:
+            ecdh_batch(toy, privates, peers)
+        results = refused.value.results
+        assert results[2].is_infinity
+        for lane in (0, 1, 3):
+            assert results[lane] == ecdh_shared(toy, privates[lane], peers[lane])
+        copy = pickle.loads(pickle.dumps(refused.value))
+        assert (copy.lanes, copy.results, str(copy)) == (refused.value.lanes, results, str(refused.value))
 
     def test_works_on_unknown_order_curve(self):
         b163 = curve_by_name("B-163")

@@ -184,7 +184,8 @@ class TestTauMultiply:
         base_x = [p.x for p in points]
         base_y = [p.y for p in points]
         for backend in backends_under_test(T13.field):
-            got = multiply_tau_batch(T13, base_x, base_y, scalars, backend=backend)
+            bases = scalarmul.PackedBases(backend.ir_executor(), base_x, base_y)
+            got = multiply_tau_batch(T13, bases, scalars)
             assert got == expected, f"τ batch diverged on backend {backend.name!r}"
 
     def test_batched_tau_k163_matches_binary(self):
@@ -325,3 +326,29 @@ class TestDispatch:
         expected = T13.multiply_reference(point, -11)
         assert T13.multiply(point, -11, scalar_rep="tau") == expected
         assert T13.multiply_batch([point], [-11], scalar_rep="tau") == [expected]
+
+    def test_binary_dead_lanes_resolve_in_the_batch(self, monkeypatch):
+        """k ≡ 0 and k ≡ −1 modulo each base's order, mixed with ordinary lanes.
+
+        The binary ladder ends with ``z1 = 0`` (``kP = O``) or ``z2 = 0``
+        (``kP = −P``) on those lanes; the packed finalize names them and the
+        batch resolves them itself, byte-identical to :meth:`multiply`, with
+        the scalar ladder never called.
+        """
+        group = T13.order * T13.cofactor
+        rng = random.Random(31)
+        bases, scalars = [], []
+        for _ in range(12):
+            base = T13.random_point(rng)
+            order = min(d for d in range(1, group + 1) if group % d == 0 and T13.multiply(base, d).is_infinity)
+            for scalar in (order, order - 1, 3 * order, 3 * order - 1, rng.randrange(1, group)):
+                if scalar > 0:
+                    bases.append(base)
+                    scalars.append(scalar)
+        expected = [T13.multiply(base, scalar) for base, scalar in zip(bases, scalars)]
+        assert any(point.is_infinity for point in expected)
+        assert any(point == T13.negate(base) for point, base in zip(expected, bases))
+        monkeypatch.setattr(type(T13), "multiply", lambda *args, **kwargs: pytest.fail("scalar ladder ran"))
+        for backend in backends_under_test(T13.field):
+            got = T13.multiply_batch(bases, scalars, backend=backend, scalar_rep="binary", fixed_base=False)
+            assert got == expected, backend.name

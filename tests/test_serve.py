@@ -30,6 +30,7 @@ from repro.curves import protocols
 from repro.curves.protocols import ecdh_shared
 from repro.serve.batcher import DynamicBatcher
 from repro.serve.loadgen import http_get, run_load
+from repro.serve import workers
 from repro.serve.server import CryptoService
 from repro.serve.workers import (
     WorkerPool,
@@ -357,12 +358,22 @@ class TestWorkerPool:
         privates[1] = toy.order  # 2003 annihilates every peer: d·Q = O
         expected = [ecdh_shared(toy, d, q) for d, q in zip(privates, peers) if d != toy.order]
         monkeypatch.setattr(protocols, "ecdh_shared", _no_scalar_path)
+        calls = []
+        batch = workers.ecdh_batch
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[1]))
+            return batch(*args, **kwargs)
+
+        monkeypatch.setattr(workers, "ecdh_batch", counted)
         rows = execute_group(
             toy, None, "ecdh", "tau",
             {"private": privates, "peer_x": [q.x for q in peers], "peer_y": [q.y for q in peers]},
         )
         assert rows[1] == {"error": "the shared point is the point at infinity"}
         assert rows[:1] + rows[2:] == [{"x": point.x, "y": point.y} for point in expected]
+        # The refused lane's batch already computed the other lanes: no rerun.
+        assert calls == [4]
 
     def test_sign_group_produces_valid_scalar_identical_signatures(self, toy):
         privates, publics = _keypairs(toy, 4, seed=4)

@@ -37,13 +37,32 @@ RECODER_CURVES = ["T-13", "K-163", "K-233", "K-283", "K-409", "K-571"]
 
 
 def _recode(curve, scalars, width):
-    """The C recoder's rows for ``scalars`` (as the batch route calls it)."""
+    """The C reduction and recoder's rows for ``scalars`` (as the batch route calls them)."""
     ctx = scalarmul._tau_context(curve)
     return native.recode_tau(
-        ctx.recoding(width),
-        [reduce_scalar(curve, scalar) for scalar in scalars],
-        curve.field.m + width + 32,
+        ctx.recoding(width), ctx.reduction, scalars, curve.field.m + width + 32
     )
+
+
+def _residues(curve, scalars, limbs=None):
+    """The C reduction's residues of ``scalars`` as ``(r0, r1)`` pairs, or ``None``."""
+    reduction = scalarmul._tau_context(curve).reduction
+    limbs = limbs or reduction["residue_limbs"]
+    packed = native.reduce_tau(reduction, scalars, limbs)
+    if packed is None:
+        return None
+    size = 4 * limbs
+    values = [
+        int.from_bytes(packed[start:start + size], "little", signed=True)
+        for start in range(0, len(packed), size)
+    ]
+    return list(zip(values[0::2], values[1::2]))
+
+
+def _tau_batch(curve, points_x, points_y, scalars, backend):
+    """The τ route over int coordinates, packed for ``backend``'s executor."""
+    bases = scalarmul.PackedBases(backend.ir_executor(), points_x, points_y)
+    return multiply_tau_batch(curve, bases, scalars)
 
 
 def _assert_rows_match_reference(curve, scalars, width):
@@ -117,10 +136,40 @@ class TestRecoderParity:
     def test_reports_instead_of_overflowing(self):
         """Too few rows, or a width whose digits leave int8, come back as ``None``."""
         ctx = scalarmul._tau_context(K163)
-        residues = [reduce_scalar(K163, 2**160 + 12345)]
-        assert native.recode_tau(ctx.recoding(4), residues, 40) is None
-        assert native.recode_tau(ctx.recoding(8), residues, 300) is None
-        assert native.recode_tau(ctx.recoding(4), residues, 300) is not None
+        scalars = [2**160 + 12345]
+        assert native.recode_tau(ctx.recoding(4), ctx.reduction, scalars, 40) is None
+        assert native.recode_tau(ctx.recoding(8), ctx.reduction, scalars, 300) is None
+        assert native.recode_tau(ctx.recoding(4), ctx.reduction, scalars, 300) is not None
+
+
+@requires_native
+class TestReductionParity:
+    """The C reduction (``gf2m_tau_reduce``) against :func:`reduce_scalar`, residue by residue."""
+
+    @pytest.mark.parametrize("name", RECODER_CURVES)
+    def test_edges_and_random_widths(self, name):
+        curve = curve_by_name(name)
+        n, h, m = curve.order, curve.cofactor, curve.field.m
+        norm = scalarmul._tau_context(curve).norm
+        rng = random.Random(m)
+        scalars = [0, 1, 2, n - 1, n, n + 1, h * n - 1, h * n, norm + 1, 1 << m] + [
+            rng.getrandbits(width) for width in range(1, 2 * m + 9)
+        ]
+        assert _residues(curve, scalars) == [reduce_scalar(curve, scalar) for scalar in scalars]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(RECODER_CURVES), st.data())
+    def test_any_scalar(self, name, data):
+        curve = curve_by_name(name)
+        scalars = data.draw(st.lists(
+            st.integers(min_value=0, max_value=(1 << (2 * curve.field.m + 8)) - 1),
+            min_size=1, max_size=8,
+        ))
+        assert _residues(curve, scalars) == [reduce_scalar(curve, scalar) for scalar in scalars]
+
+    def test_reports_a_residue_outgrowing_its_limbs(self):
+        assert _residues(K163, [K163.order - 1], limbs=1) is None
+        assert _residues(K163, [1], limbs=1) == [(1, 0)]
 
 
 def _backend_names():
@@ -141,7 +190,7 @@ class TestTauBatch:
         backends = [K163.field.resolve_backend("engine")]
         if native_available():
             backends.append(K163.field.resolve_backend("native"))
-        expected = multiply_tau_batch(K163, base_x, base_y, scalars, backend=backends[0])
+        expected = _tau_batch(K163, base_x, base_y, scalars, backends[0])
         assert expected[:2] == [K163.multiply_reference(p, k) for p, k in zip(bases[:2], scalars[:2])]
 
         recoded = []
@@ -158,7 +207,7 @@ class TestTauBatch:
         monkeypatch.setattr(native, "_load_extension", unavailable)
         for backend in backends:
             recoded.clear()
-            got = multiply_tau_batch(K163, base_x, base_y, scalars, backend=backend)
+            got = _tau_batch(K163, base_x, base_y, scalars, backend)
             assert got == expected, backend.name
             assert recoded == scalars
 
@@ -191,9 +240,9 @@ class TestTauBatch:
             for backend, lanes in passes:
                 for start in range(0, lanes, 2048):
                     part = slice(start, min(start + 2048, lanes))
-                    got = multiply_tau_batch(
+                    got = _tau_batch(
                         T13, [p.x for p in bases[part]], [p.y for p in bases[part]],
-                        scalars[part], backend=backend,
+                        scalars[part], backend,
                     )
                     assert got == expected[part], (backend.describe(), start)
         finally:
@@ -207,8 +256,8 @@ class TestTauBatch:
         annihilating = T13.order * T13.cofactor
         bases = [T13.generator, T13.multiply(T13.generator, 5)]
         backend = T13.field.resolve_backend(name)
-        got = multiply_tau_batch(
-            T13, [p.x for p in bases], [p.y for p in bases], [annihilating] * 2, backend=backend
+        got = _tau_batch(
+            T13, [p.x for p in bases], [p.y for p in bases], [annihilating] * 2, backend
         )
         assert all(point.is_infinity for point in got)
         assert T13.multiply_batch(bases, [annihilating] * 2, scalar_rep="tau", backend=backend) == got
@@ -221,18 +270,18 @@ class TestTauBatch:
         bases = [K163.multiply(K163.generator, rng.randrange(2, 1000)) for _ in range(8)]
         scalars = [rng.randrange(1, K163.order) for _ in bases]
         backend = K163.field.resolve_backend(name)
-        args = (K163, [p.x for p in bases], [p.y for p in bases], scalars)
-        untraced = multiply_tau_batch(*args, backend=backend)
+        options = {"backend": backend, "scalar_rep": "tau", "fixed_base": False}
+        untraced = K163.multiply_batch(bases, scalars, **options)
         previous = trace.set_tracer(trace.Tracer())
         try:
-            traced = multiply_tau_batch(*args, backend=backend)
+            traced = K163.multiply_batch(bases, scalars, **options)
             names = {event["name"] for event in trace.TRACER.events()}
         finally:
             trace.set_tracer(previous)
         assert traced == untraced
         assert {
             "ladder.tau.pack", "ladder.tau.step", "ladder.tau.unpack",
-            "scalarmul.table_inverse", "scalarmul.inverse_batch",
+            "scalarmul.table_inverse", "ladder.tau.inverse_batch",
         } <= names
         assert any(span.startswith("ir.pass.") for span in names)
 
@@ -291,9 +340,7 @@ def test_lowered_tau_maps_hold_no_python_tables():
     rng = random.Random(71)
     bases = [K163.multiply(K163.generator, rng.randrange(2, 1000)) for _ in range(16)]
     scalars = [rng.randrange(1, K163.order) for _ in bases]
-    got = multiply_tau_batch(
-        K163, [p.x for p in bases], [p.y for p in bases], scalars, backend=backend
-    )
+    got = _tau_batch(K163, [p.x for p in bases], [p.y for p in bases], scalars, backend)
     assert got[:2] == [K163.multiply_reference(p, k) for p, k in zip(bases[:2], scalars[:2])]
     maps = [
         op[2]
