@@ -2,8 +2,8 @@
 
 Measures the full ``repro.pipeline`` sweep path over a small grid:
 
-* **cold serial** — empty artifact store, one process: every job runs the
-  whole ``generate → restructure → map → pack → time → report`` graph;
+* **cold serial** — empty artifact store, one process: every job generates
+  its multiplier and runs the whole implementation flow (``implement()``);
 * **warm serial** — identical grid, now every job is one JSON read from the
   content-addressed store.  The acceptance figure of the pipeline PR —
   **warm ≥ 10× faster than cold** — is asserted, not just reported;

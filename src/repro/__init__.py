@@ -17,11 +17,13 @@ J. L. Imaña builds or depends on:
 * VHDL/Verilog emission (:mod:`repro.hdl`) and the Table V comparison
   harness (:mod:`repro.analysis`);
 * pluggable execution backends for batch field arithmetic — the scalar
-  reference, the compiled circuit engine and numpy bitslicing behind one
-  interface, selectable per call, per field, per CLI flag or via
+  reference, the compiled circuit engine, numpy bitslicing (a test
+  reference) and the native C kernel (the default where it builds) behind
+  one interface, selectable per call, per field, per CLI flag or via
   ``$GF2M_REPRO_BACKEND`` (:mod:`repro.backends`);
-* the parallel sweep pipeline — staged job graph, process-pool scheduler
-  and persistent content-addressed artifact store (:mod:`repro.pipeline`);
+* the parallel sweep pipeline — a process-pool scheduler that runs
+  :func:`implement` per (field, method, device, options) job, and a
+  persistent content-addressed artifact store (:mod:`repro.pipeline`);
 * binary elliptic curves over the paper's pentanomial fields — NIST-degree
   K/B catalog, Montgomery-ladder scalar multiplication (scalar and batched
   through the engine), ECDH and ECDSA-style protocols

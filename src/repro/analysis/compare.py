@@ -6,11 +6,12 @@ collects the LUT / slice / delay / Area×Time metrics.  ``compare_to_paper``
 then lines our measurements up with the published numbers and evaluates the
 qualitative claims the reproduction cares about (see EXPERIMENTS.md).
 
-Since the pipeline refactor the harness is a thin consumer of
-:mod:`repro.pipeline`: it expands the (field, method) grid into sweep jobs
-and runs them through the staged scheduler, so it inherits process-pool
-parallelism (``jobs=N``) and warm artifact-store re-runs (``store=...``)
-for free while producing exactly the rows the serial flow always did.
+The harness is a thin consumer of :mod:`repro.pipeline`: it expands the
+(field, method) grid into sweep jobs and runs them through the scheduler,
+each job one :func:`~repro.synth.flow.implement` call, so it inherits
+process-pool parallelism (``jobs=N``) and warm artifact-store re-runs
+(``store=...``) while producing exactly the rows a serial loop over
+``implement()`` would.
 """
 
 from __future__ import annotations

@@ -68,7 +68,8 @@ class FieldBackend(ABC):
     ``(name, modulus, options)`` so repeated resolution costs nothing.
     """
 
-    #: Short registry identifier (``"python"``, ``"engine"``, ``"bitslice"``).
+    #: Short registry identifier (``"python"``, ``"engine"``, ``"bitslice"``,
+    #: ``"native"``).
     name: str = "abstract"
 
     def __init__(self, field: "GF2mField") -> None:

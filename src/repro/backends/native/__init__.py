@@ -42,6 +42,7 @@ from __future__ import annotations
 import threading
 from array import array
 from functools import cached_property
+from itertools import chain
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ...telemetry import trace as _trace
@@ -607,9 +608,7 @@ class _StepLoop:
             data.update(digits=keep[-3], points=keep[-2], points_y=keep[-1])
         self._keep = keep
         self._data = ffi.new("gf2m_step_data *", data)
-        events = array("i")
-        for index, row in schedule.events:
-            events.extend((index, row))
+        events = array("i", chain.from_iterable(schedule.events))
         self._events = ffi.from_buffer("int32_t[]", events or array("i", [0, 0]))
         self._nevents = len(schedule.events)
 
@@ -729,19 +728,22 @@ class NativeIRExecutor(IRExecutor):
 
         Same contract as :meth:`IRExecutor.run_steps`, but the masks and
         table-point gathers of every step are built in C from the
-        schedule's packed data (:mod:`repro.backends.steps`).  While a
-        tracer records spans the inherited Python loop runs instead, one
-        ``run_arrays`` per step, so the trace keeps its per-step and
-        per-pass spans; so does a schedule with no steps at all (a τ chunk
-        whose every scalar reduces to zero), which returns ``state``.
+        schedule's packed data (:mod:`repro.backends.steps`).  A tracer
+        sees the call as one ``{prefix}.steps`` span (``steps``,
+        ``lanes``), not as per-step spans: traced and untraced runs execute
+        the same loop.  A schedule with no steps at all (a τ chunk whose
+        every scalar reduces to zero) returns ``state`` through the
+        inherited Python loop.
         """
-        if _trace.TRACER.enabled or not schedule.events:
+        if not schedule.events:
             return super().run_steps(programs, state, fixed, schedule)
         compiled = [self.compile(program) for program in programs]
         loop = _StepLoop(self, compiled, schedule, len(fixed))
-        # The loop enters C through run_arrays, not loop.run: perfbench's
-        # trace run times the IR layer by wrapping run_arrays alone.
-        return compiled[0].run_arrays([*state, *fixed], (), steps=loop)
+        lanes = len(state[0]) // (self.nw * 8)
+        with _trace.span(f"{schedule.span_prefix}.steps", steps=len(schedule.events), lanes=lanes):
+            # The loop enters C through run_arrays, not loop.run: perfbench's
+            # trace run times the IR layer by wrapping run_arrays alone.
+            return compiled[0].run_arrays([*state, *fixed], (), steps=loop)
 
 
 def reduce_tau(reduction: Dict[str, object], scalars: Sequence[int], limbs: int):

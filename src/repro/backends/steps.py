@@ -8,9 +8,11 @@ in two forms:
 
 * per step, as plain per-lane lists (:meth:`step`) — what
   :func:`run_steps_python` feeds ``run_arrays`` one step at a time (every
-  executor but native, and native too while a tracer records spans);
+  executor but native, and ``repro bench --profile`` on native too, for
+  its per-pass table), under one ``{prefix}.step`` span per step;
 * packed once, as the scalars, digit rows and point tables the native step
-  loop reads in C (``route`` plus the attributes of each class).
+  loop reads in C (``route`` plus the attributes of each class), traced
+  or not, under one ``{prefix}.steps`` span per chunk.
 
 ``events`` lists ``(program index, row)`` per step, in execution order.
 The three routes:

@@ -55,7 +55,7 @@ from typing import Callable, List, Optional
 from .analysis.compare import claims_report, comparison_table, compare_to_paper, run_comparison
 from .analysis.tables import render_table1, render_table2, render_table3, render_table4
 from .backends import BACKEND_ENV_VAR, available_backends, default_backend_name, get_backend
-from .backends.steps import LadderSteps
+from .backends.steps import LadderSteps, run_steps_python
 from .curves import CURVES, curve_by_name, keygen_batch
 from .engine import default_multiplier_cache, engine_for
 from .galois.field import GF2mField
@@ -776,9 +776,11 @@ def _run_bench_profile(args) -> int:
     """``repro bench --profile``: per-fused-pass timings of the ladder step.
 
     Runs ``m`` ladder steps (:func:`_bench_ladder_step`) over a random
-    batch through the executor's ``run_steps`` under a temporary tracer,
-    and prints where each step's time goes — the per-pass breakdown behind
-    the one ``ladder.step`` number.
+    batch through the Python step loop (``run_steps_python``, one
+    ``run_arrays`` per step, on every backend: native's one-call loop has
+    no pass boundaries to time) under a temporary tracer, and prints where
+    each step's time goes — the per-pass breakdown behind the one
+    ``ladder.step`` number.
     """
     field, backend, program = _bench_ladder_step(args)
     executor = backend.ir_executor()
@@ -789,11 +791,12 @@ def _run_bench_profile(args) -> int:
     scalars = [rng.getrandbits(steps) | 1 << (steps - 1) for _ in range(lanes)]
     state = [executor.pack(values) for values in ([1] * lanes, [0] * lanes, base, [1] * lanes)]
     fixed = (executor.pack(base),)
-    executor.run_steps([program], state, fixed, LadderSteps([1] * lanes))  # warm
+    compiled = [executor.compile(program)]
+    run_steps_python(executor, compiled, state, fixed, LadderSteps([1] * lanes))  # warm
     previous = telemetry_trace.set_tracer(telemetry_trace.Tracer())
     try:
         with telemetry_metrics.timed("cli.bench.profile") as timer:
-            executor.run_steps([program], state, fixed, LadderSteps(scalars))
+            run_steps_python(executor, compiled, state, fixed, LadderSteps(scalars))
         summary = telemetry_trace.aggregate_spans(
             telemetry_trace.TRACER.events(), prefix="ir.pass."
         )

@@ -8,12 +8,10 @@ to production-size grids (ROADMAP: sharding, batching, caching):
   and the backend registry) and
   the content-addressed on-disk :class:`ArtifactStore` under
   ``~/.cache/gf2m-repro`` (or ``--cache-dir`` / ``$GF2M_REPRO_CACHE_DIR``);
-* :mod:`repro.pipeline.stages` — the typed staged-job graph
-  ``generate → restructure → map → pack → time → report`` over the stage
-  functions of :mod:`repro.synth.flow` (the same functions ``implement()``
-  drives serially);
-* :mod:`repro.pipeline.scheduler` — :class:`SweepJob` execution, store-first,
-  serially or on a process pool, with deterministic result ordering;
+* :mod:`repro.pipeline.scheduler` — :class:`SweepJob` execution, store-first
+  (a miss generates the multiplier and runs
+  :func:`~repro.synth.flow.implement` on it), serially or on a process
+  pool, with deterministic result ordering;
 * :mod:`repro.pipeline.sweep` — the ``repro sweep`` grid API
   (field × method × device × effort) and its table/JSON/CSV renderers.
 
@@ -28,8 +26,8 @@ Quick start
 from .._lazy import lazy_attributes
 
 # The store is what the rest of the program imports (the caches, the
-# artifact store); the scheduler (with multiprocessing), the stages and the
-# sweep load on first access, through __getattr__.
+# artifact store); the scheduler and the sweep load on first access,
+# through __getattr__.
 from .store import (
     ArtifactStore,
     CacheInfo,
@@ -41,7 +39,6 @@ from .store import (
 
 _LAZY = {
     "scheduler": ("JobOutcome", "SweepJob", "artifact_key", "execute_job", "run_jobs"),
-    "stages": ("PIPELINE_STAGES", "Stage", "StageError", "StageTrace", "run_stages"),
     "sweep": ("SweepResult", "build_sweep_jobs", "format_sweep", "run_sweep"),
 }
 
@@ -51,11 +48,6 @@ __all__ = [
     "artifact_key",
     "execute_job",
     "run_jobs",
-    "PIPELINE_STAGES",
-    "Stage",
-    "StageError",
-    "StageTrace",
-    "run_stages",
     "ArtifactStore",
     "CacheInfo",
     "LRUCache",

@@ -4,7 +4,8 @@ A :class:`SweepJob` freezes everything that determines one implementation
 run: ``(method, field, device, options)``.  :func:`execute_job` runs one job
 — first consulting the content-addressed :class:`~repro.pipeline.store.ArtifactStore`
 (a warm hit costs one JSON read instead of seconds of synthesis) — and
-:func:`run_jobs` fans a job list out over a ``ProcessPoolExecutor``.
+:func:`run_jobs` fans a job list out over a process pool
+(:func:`~repro.telemetry.metrics.map_isolated`).
 
 Determinism: results are collected *in submission order* regardless of
 worker completion order, and the flow itself is deterministic (no RNG), so
@@ -19,17 +20,17 @@ pool works under both the ``fork`` and ``spawn`` start methods.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, TYPE_CHECKING
 
 from ..galois.pentanomials import type_ii_pentanomial
+from ..multipliers.registry import generate_multiplier
+from ..netlist.verify import verify_by_simulation
 from ..synth.device import ARTIX7
-from ..synth.flow import SynthesisOptions
+from ..synth.flow import SynthesisOptions, implement
 from ..synth.report import ImplementationResult
 from ..telemetry import metrics as _metrics
 from ..telemetry import trace as _trace
-from .stages import run_stages
 from .store import ArtifactStore, canonical_fingerprint
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -80,10 +81,6 @@ class JobOutcome:
     result: ImplementationResult
     cache_hit: bool
     elapsed_s: float
-    #: Metrics snapshot recorded by a pool worker's local registry; the
-    #: parent folds it into the process registry in :func:`run_jobs` (stays
-    #: ``None`` for in-process execution, which records directly).
-    telemetry: Optional[Dict[str, Any]] = None
 
 
 def artifact_key(job: SweepJob) -> str:
@@ -110,12 +107,14 @@ def artifact_key(job: SweepJob) -> str:
 
 
 def execute_job(job: SweepJob, store: Optional[ArtifactStore] = None) -> JobOutcome:
-    """Run one job through the staged pipeline, store-first.
+    """Run one job, store-first.
 
     On a store hit the result is rehydrated from JSON without touching the
-    synthesis flow; on a miss the full ``generate → … → report`` graph runs
-    and the result is persisted for every later sweep (including ones in
-    other processes).
+    synthesis flow.  On a miss the job generates its multiplier (through
+    the process-wide multiplier cache), cross-checks it through its
+    backend when it verifies and names one, runs
+    :func:`~repro.synth.flow.implement` on it, and persists the result
+    for every later sweep (including ones in other processes).
     """
     started = time.perf_counter()
     key = artifact_key(job)
@@ -126,15 +125,17 @@ def execute_job(job: SweepJob, store: Optional[ArtifactStore] = None) -> JobOutc
                 result = ImplementationResult.from_json_dict(payload["result"])
                 _record_job(True, time.perf_counter() - started)
                 return JobOutcome(job=job, result=result, cache_hit=True, elapsed_s=time.perf_counter() - started)
-        stage_trace = run_stages(
-            job.method,
-            job.modulus,
-            device=job.device,
-            options=job.options,
-            verify=job.verify,
-            backend=job.backend,
-        )
-        result = stage_trace.artifacts.result
+        multiplier = generate_multiplier(job.method, job.modulus, verify=job.verify)
+        if job.verify and job.backend is not None:
+            # Verifying jobs that name an execution backend also assert parity
+            # of the generated circuit through that substrate — the sweep-level
+            # twin of the formal product-spec check.
+            if not verify_by_simulation(multiplier.netlist, job.modulus, trials=64, backend=job.backend):
+                raise RuntimeError(
+                    f"{job.method} multiplier for modulus 0x{job.modulus:x} failed the "
+                    f"{job.backend!r}-backend simulation cross-check"
+                )
+        result = implement(multiplier, job.device, job.options)
         if store is not None:
             store.put_json(
                 key,
@@ -148,7 +149,6 @@ def execute_job(job: SweepJob, store: Optional[ArtifactStore] = None) -> JobOutc
                         "effort": job.options.effort,
                         "backend": job.backend,
                     },
-                    "stage_seconds": {name: round(seconds, 6) for name, seconds in stage_trace.stage_seconds.items()},
                 },
             )
     _record_job(False, time.perf_counter() - started)
@@ -164,17 +164,9 @@ def _record_job(cache_hit: bool, elapsed_s: float) -> None:
 
 
 def _execute_job_in_worker(payload) -> JobOutcome:
-    """Top-level worker entry point (must be picklable by the pool).
-
-    Each job runs against a fresh local registry (so forked counter state
-    is never double-reported) and ships its snapshot back on the outcome;
-    with telemetry disabled the job runs bare and ships nothing.
-    """
+    """Top-level worker entry point (must be picklable by the pool)."""
     job, store_root = payload
-    store = ArtifactStore(store_root) if store_root is not None else None
-    outcome, snapshot = _metrics.run_isolated(execute_job, job, store=store)
-    outcome.telemetry = snapshot
-    return outcome
+    return execute_job(job, store=ArtifactStore(store_root) if store_root is not None else None)
 
 
 def run_jobs(
@@ -194,18 +186,14 @@ def run_jobs(
     if parallelism <= 1 or len(jobs) == 1:
         return [execute_job(job, store=store) for job in jobs]
     store_root = str(store.root) if store is not None else None
-    workers = min(parallelism, len(jobs))
-    payloads = [(job, store_root) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        outcomes = list(pool.map(_execute_job_in_worker, payloads, chunksize=1))
-    # Fold each worker's snapshot into this process's registry, so `repro
+    # Each worker's counters fold into this process's registry, so `repro
     # stats` after a parallel sweep reads the same aggregate a serial run
     # would have recorded.
-    registry = _metrics.REGISTRY
-    if registry.enabled:
-        for outcome in outcomes:
-            registry.merge(outcome.telemetry)
-    return outcomes
+    return _metrics.map_isolated(
+        _execute_job_in_worker,
+        [(job, store_root) for job in jobs],
+        min(parallelism, len(jobs)),
+    )
 
 
 def outcome_rows(outcomes: Sequence[JobOutcome]) -> List[Dict[str, Any]]:

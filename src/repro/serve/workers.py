@@ -360,26 +360,22 @@ class WorkerPool:
 # -- CLI sharding (repro ecdh --jobs) ---------------------------------
 
 
-def _ecdh_shard(payload) -> tuple:
+def _ecdh_shard(payload) -> list:
     """One shard of a large agreement batch (module-level: spawn-safe).
 
     Takes plain picklable data (curve name, backend name, scalar
     recoding, the shard's first lane, scalars, peer coordinates) and
-    returns coordinate tuples so shards compose deterministically.  Runs
-    against a fresh local metrics registry and ships its snapshot back
-    with the coordinates.  Refused lanes are named by their index in the
-    whole batch.
+    returns coordinate tuples so shards compose deterministically.
+    Refused lanes are named by their index in the whole batch.
     """
     curve_name, backend, scalar_rep, start, privates, peer_coords = payload
     curve = curve_by_name(curve_name)
     peers = [curve.point(x, y, check=False) for x, y in peer_coords]
     try:
-        points, snapshot = _metrics.run_isolated(
-            ecdh_batch, curve, privates, peers, backend=backend, scalar_rep=scalar_rep
-        )
+        points = ecdh_batch(curve, privates, peers, backend=backend, scalar_rep=scalar_rep)
     except LaneError as refused:
         raise LaneError({start + lane: reason for lane, reason in refused.lanes.items()}) from None
-    return [(point.x, point.y) for point in points], snapshot
+    return [(point.x, point.y) for point in points]
 
 
 def ecdh_sharded(
@@ -419,12 +415,5 @@ def ecdh_sharded(
         )
         for start in range(0, len(privates), chunk)
     ]
-    with ProcessPoolExecutor(
-        max_workers=jobs, mp_context=pool_context(start_method)
-    ) as pool:
-        shard_results = list(pool.map(_ecdh_shard, payloads))
-    registry = _metrics.REGISTRY
-    if registry.enabled:
-        for _, snapshot in shard_results:
-            registry.merge(snapshot)
-    return [curve.point(x, y, check=False) for coords, _ in shard_results for x, y in coords]
+    shards = _metrics.map_isolated(_ecdh_shard, payloads, jobs, pool_context(start_method))
+    return [curve.point(x, y, check=False) for coords in shards for x, y in coords]

@@ -2,22 +2,7 @@
 
 from .balance import collect_xor_leaves, rebuild_netlist, restructure
 from .device import ARTIX7, DEVICES, GENERIC_4LUT, VIRTEX5_LIKE, DeviceModel, device_by_name
-from .flow import (
-    FlowArtifacts,
-    MappingCandidate,
-    PackedCandidate,
-    RestructureOutcome,
-    SynthesisOptions,
-    TimedCandidate,
-    implement,
-    implement_netlist,
-    stage_generate,
-    stage_map,
-    stage_pack,
-    stage_report,
-    stage_restructure,
-    stage_time,
-)
+from .flow import FlowArtifacts, SynthesisOptions, implement
 from .lutmap import MappedLUT, MappedNetwork, map_to_luts
 from .report import ImplementationResult, format_table
 from .slices import Slice, SlicePacking, pack_slices
@@ -35,19 +20,8 @@ __all__ = [
     "DeviceModel",
     "device_by_name",
     "FlowArtifacts",
-    "MappingCandidate",
-    "PackedCandidate",
-    "RestructureOutcome",
     "SynthesisOptions",
-    "TimedCandidate",
     "implement",
-    "implement_netlist",
-    "stage_generate",
-    "stage_map",
-    "stage_pack",
-    "stage_report",
-    "stage_restructure",
-    "stage_time",
     "MappedLUT",
     "MappedNetwork",
     "map_to_luts",

@@ -1,4 +1,4 @@
-"""The end-to-end FPGA implementation flow, decomposed into pipeline stages.
+"""The end-to-end FPGA implementation flow.
 
 ``implement()`` takes a generated multiplier and produces the metrics the
 paper reports (LUTs, slices, delay, Area×Time), running the same steps a
@@ -16,27 +16,17 @@ vendor flow would:
 
 The flow optionally re-verifies the (possibly restructured) netlist against
 the multiplier's :class:`~repro.spec.product_spec.ProductSpec` so that no
-optimisation can silently change the function.
-
-Every step lives in its own ``stage_*`` function (``stage_generate``,
-``stage_restructure``, ``stage_map``, ``stage_pack``, ``stage_time``,
-``stage_report``) — the single source of truth shared by ``implement()``
-(which chains them serially, preserving the historical behaviour exactly)
-and by :mod:`repro.pipeline`, whose staged-job graph runs the same functions
-per sweep job under a process pool with on-disk artifact caching.
-
-Memory note: the stage boundaries keep every explored mapping candidate
-alive until ``stage_report`` selects the winner (the pre-pipeline loop kept
-only a running best).  The effort search caps the grid at ≤ 3 netlists × 5
-configurations, tens of MB at the paper's largest field (m = 163) — a
-deliberate trade for stage-level caching, scheduling and introspection.
+optimisation can silently change the function.  At higher efforts steps 2–4
+run once per explored candidate and configuration, and only the best one
+found so far (by Area×Time) is kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
+from ..galois.pentanomials import type_ii_parameters
 from ..netlist.stats import gather_stats
 from ..netlist.verify import verify_netlist
 from .balance import restructure
@@ -54,22 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .slices import SlicePacking
     from .timing import TimingResult
 
-__all__ = [
-    "SynthesisOptions",
-    "FlowArtifacts",
-    "RestructureOutcome",
-    "MappingCandidate",
-    "PackedCandidate",
-    "TimedCandidate",
-    "stage_generate",
-    "stage_restructure",
-    "stage_map",
-    "stage_pack",
-    "stage_time",
-    "stage_report",
-    "implement",
-    "implement_netlist",
-]
+__all__ = ["SynthesisOptions", "FlowArtifacts", "implement"]
 
 
 @dataclass(frozen=True)
@@ -113,62 +88,15 @@ class FlowArtifacts:
 
     Besides the report and the winning netlist/mapping, the bundle carries
     the slice-packing and timing results of the chosen implementation, so
-    callers never have to re-run those stages to inspect them.
+    callers never have to re-run those steps to inspect them.
     """
 
     result: ImplementationResult
     netlist: Netlist
     mapped: MappedNetwork
     restructured: bool
-    packing: Optional[SlicePacking] = None
-    timing: Optional[TimingResult] = None
-
-
-@dataclass
-class RestructureOutcome:
-    """Output of the restructure stage: candidate netlists to map.
-
-    ``candidates`` preserves exploration order (the order the legacy
-    monolithic loop used), so downstream best-candidate selection is
-    deterministic and byte-identical to the serial flow.
-    """
-
-    candidates: List[Netlist]
-    restructured: bool
-
-
-@dataclass
-class MappingCandidate:
-    """One (netlist, mapping-configuration) point of the effort search."""
-
-    netlist: Netlist
-    mapped: MappedNetwork
-    cut_limit: int
-    depth_slack: int
-
-
-@dataclass
-class PackedCandidate:
-    """A mapping candidate with its slice packing attached."""
-
-    netlist: Netlist
-    mapped: MappedNetwork
-    packing: SlicePacking
-
-
-@dataclass
-class TimedCandidate:
-    """A packed candidate with timing and its Area×Time selection score."""
-
-    netlist: Netlist
-    mapped: MappedNetwork
     packing: SlicePacking
     timing: TimingResult
-
-    @property
-    def score(self) -> float:
-        """The flow's selection metric: LUT count × critical path."""
-        return self.mapped.lut_count * self.timing.critical_path_ns
 
 
 def _mapping_configurations(options: SynthesisOptions):
@@ -186,37 +114,28 @@ def _mapping_configurations(options: SynthesisOptions):
     return configurations
 
 
-# ------------------------------------------------------------------- stages
-def stage_generate(
-    method: str, modulus: int, verify: bool = True, use_cache: bool = True
-) -> GeneratedMultiplier:
-    """Pipeline stage 1: obtain the generated multiplier circuit.
+def implement(
+    multiplier: GeneratedMultiplier,
+    device: DeviceModel = ARTIX7,
+    options: SynthesisOptions = SynthesisOptions(),
+    keep_artifacts: bool = False,
+):
+    """Run the full implementation flow on a generated multiplier.
 
-    Routes through the process-wide multiplier LRU by default, so a sweep
-    visiting the same ``(method, modulus)`` with several devices or efforts
-    derives the SiTi splitting exactly once per process.
-    """
-    from ..multipliers.registry import generate_multiplier
-
-    return generate_multiplier(method, modulus, verify=verify, use_cache=use_cache)
-
-
-def stage_restructure(
-    multiplier: GeneratedMultiplier, options: SynthesisOptions = SynthesisOptions()
-) -> RestructureOutcome:
-    """Pipeline stage 2: build the candidate netlists the mapper will explore.
-
-    Fixed-structure baselines pass through unchanged; restructurable
-    netlists yield one re-associated variant per explored sharing depth.
-    When ``options.verify`` is set every rebuilt netlist is formally checked
-    against the multiplier's spec before it may proceed down the flow.
+    Restructures the netlist if allowed, then maps, packs and times every
+    candidate at every mapping configuration of ``options.effort`` and
+    reports the best implementation by Area×Time (a strict minimum in
+    exploration order: the first candidate wins ties) — mirroring the
+    strategy search of a vendor flow.  Returns an
+    :class:`ImplementationResult`, or the full :class:`FlowArtifacts` bundle
+    when ``keep_artifacts`` is true.
     """
     source = multiplier.netlist
     allowed = source.attributes.get("restructure_allowed", False)
-    do_restructure = allowed if options.restructure is None else options.restructure
+    restructured = allowed if options.restructure is None else options.restructure
 
     candidates = [source]
-    if do_restructure:
+    if restructured:
         candidates = [restructure(source, share_rounds=options.share_rounds)]
         if options.effort > 1:
             # A sharing-free, purely re-balanced variant: sometimes the extra
@@ -232,156 +151,27 @@ def stage_restructure(
                     raise RuntimeError(
                         f"restructuring changed the function of {multiplier.method}: {report.summary()}"
                     )
-    return RestructureOutcome(candidates=candidates, restructured=do_restructure)
 
-
-def stage_map(
-    outcome: RestructureOutcome,
-    device: DeviceModel = ARTIX7,
-    options: SynthesisOptions = SynthesisOptions(),
-) -> List[MappingCandidate]:
-    """Pipeline stage 3: technology-map every candidate at every effort point.
-
-    The candidate-major, configuration-minor order mirrors the legacy
-    nested loop, keeping best-candidate tie-breaking identical.
-    """
-    mappings: List[MappingCandidate] = []
-    for netlist in outcome.candidates:
+    best = None
+    for netlist in candidates:
         for cut_limit, depth_slack in _mapping_configurations(options):
             mapped = map_to_luts(
                 netlist, lut_inputs=device.lut_inputs, cut_limit=cut_limit, depth_slack=depth_slack
             )
-            mappings.append(
-                MappingCandidate(netlist=netlist, mapped=mapped, cut_limit=cut_limit, depth_slack=depth_slack)
-            )
-    return mappings
+            packing = pack_slices(mapped, device, min_fill=options.min_slice_fill)
+            timing = analyze_timing(mapped, device)
+            score = mapped.lut_count * timing.critical_path_ns
+            if best is None or score < best[0]:
+                best = (score, netlist, mapped, packing, timing)
+    _, netlist, mapped, packing, timing = best
 
-
-def stage_pack(
-    mappings: Sequence[MappingCandidate],
-    device: DeviceModel = ARTIX7,
-    options: SynthesisOptions = SynthesisOptions(),
-) -> List[PackedCandidate]:
-    """Pipeline stage 4: pack every mapped candidate into device slices."""
-    return [
-        PackedCandidate(
-            netlist=candidate.netlist,
-            mapped=candidate.mapped,
-            packing=pack_slices(candidate.mapped, device, min_fill=options.min_slice_fill),
-        )
-        for candidate in mappings
-    ]
-
-
-def stage_time(
-    packed: Sequence[PackedCandidate], device: DeviceModel = ARTIX7
-) -> List[TimedCandidate]:
-    """Pipeline stage 5: static timing analysis of every packed candidate."""
-    return [
-        TimedCandidate(
-            netlist=candidate.netlist,
-            mapped=candidate.mapped,
-            packing=candidate.packing,
-            timing=analyze_timing(candidate.mapped, device),
-        )
-        for candidate in packed
-    ]
-
-
-def stage_report(
-    timed: Sequence[TimedCandidate],
-    multiplier: GeneratedMultiplier,
-    device: DeviceModel = ARTIX7,
-    restructured: bool = False,
-) -> FlowArtifacts:
-    """Pipeline stage 6: pick the best candidate and build the report.
-
-    Selection is a strict minimum over the Area×Time score in exploration
-    order — the first candidate wins ties, exactly as the monolithic loop
-    did before the decomposition.
-    """
-    if not timed:
-        raise ValueError("stage_report needs at least one timed candidate")
-    best = timed[0]
-    for candidate in timed[1:]:
-        if candidate.score < best.score:
-            best = candidate
-    stats = gather_stats(best.netlist)
-
-    field_params = None
-    from ..galois.pentanomials import type_ii_parameters
-
+    stats = gather_stats(netlist)
     parameters = type_ii_parameters(multiplier.modulus)
-    if parameters is not None:
-        field_params = parameters[1]
-
     result = ImplementationResult(
         method=multiplier.method,
         reference=multiplier.reference,
         m=multiplier.m,
-        n=field_params,
-        luts=best.mapped.lut_count,
-        slices=best.packing.slice_count,
-        delay_ns=best.timing.critical_path_ns,
-        and_gates=stats.and_gates,
-        xor_gates=stats.xor_gates,
-        lut_levels=best.mapped.depth,
-        average_slice_fill=best.packing.average_fill(),
-        restructured=restructured,
-        device=device.name,
-    )
-    return FlowArtifacts(
-        result=result,
-        netlist=best.netlist,
-        mapped=best.mapped,
-        restructured=restructured,
-        packing=best.packing,
-        timing=best.timing,
-    )
-
-
-# ------------------------------------------------------------------ drivers
-def implement(
-    multiplier: GeneratedMultiplier,
-    device: DeviceModel = ARTIX7,
-    options: SynthesisOptions = SynthesisOptions(),
-    keep_artifacts: bool = False,
-):
-    """Run the full implementation flow on a generated multiplier.
-
-    A thin serial driver over the pipeline stages: restructure → map → pack
-    → time → report.  At ``options.effort`` > 1 several mapping strategies
-    (and, for restructurable netlists, several sharing depths) are explored
-    and the best implementation by Area×Time is reported — mirroring the
-    strategy search of a vendor flow.  Returns an
-    :class:`ImplementationResult`, or the full :class:`FlowArtifacts` bundle
-    when ``keep_artifacts`` is true.
-    """
-    outcome = stage_restructure(multiplier, options)
-    mappings = stage_map(outcome, device, options)
-    packed = stage_pack(mappings, device, options)
-    timed = stage_time(packed, device)
-    artifacts = stage_report(timed, multiplier, device, restructured=outcome.restructured)
-    if keep_artifacts:
-        return artifacts
-    return artifacts.result
-
-
-def implement_netlist(
-    netlist: Netlist,
-    device: DeviceModel = ARTIX7,
-    options: SynthesisOptions = SynthesisOptions(restructure=False, verify=False),
-) -> ImplementationResult:
-    """Implement a bare netlist (no spec available — used for generic circuits)."""
-    mapped = map_to_luts(netlist, lut_inputs=device.lut_inputs, cut_limit=options.cut_limit)
-    packing = pack_slices(mapped, device, min_fill=options.min_slice_fill)
-    timing = analyze_timing(mapped, device)
-    stats = gather_stats(netlist)
-    return ImplementationResult(
-        method=netlist.attributes.get("method", netlist.name or "netlist"),
-        reference=netlist.attributes.get("reference", ""),
-        m=netlist.attributes.get("m", len(netlist.outputs)),
-        n=None,
+        n=parameters[1] if parameters is not None else None,
         luts=mapped.lut_count,
         slices=packing.slice_count,
         delay_ns=timing.critical_path_ns,
@@ -389,6 +179,16 @@ def implement_netlist(
         xor_gates=stats.xor_gates,
         lut_levels=mapped.depth,
         average_slice_fill=packing.average_fill(),
-        restructured=False,
+        restructured=restructured,
         device=device.name,
+    )
+    if not keep_artifacts:
+        return result
+    return FlowArtifacts(
+        result=result,
+        netlist=netlist,
+        mapped=mapped,
+        restructured=restructured,
+        packing=packing,
+        timing=timing,
     )

@@ -10,7 +10,8 @@ of the way of the benchmarks:
   :class:`NullRegistry` installed that is a single class-attribute load
   and the hot path performs no dict lookups at all;
 * **snapshots are mergeable** — process-pool sweep workers and ``repro
-  ecdh --jobs`` shards run with their own local registry, return
+  ecdh --jobs`` shards (both through :func:`map_isolated`) run with
+  their own local registry, return
   :meth:`MetricsRegistry.snapshot` next to their results, and the parent
   folds them in with :meth:`MetricsRegistry.merge`.  Counters and
   observation summaries add; gauges are last-write-wins.
@@ -40,7 +41,7 @@ from bisect import bisect_left
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from typing import Any, Dict, Optional, Sequence
+    from typing import Any, Dict, List, Optional, Sequence
 
 __all__ = [
     "MetricsRegistry",
@@ -54,6 +55,7 @@ __all__ = [
     "disable",
     "timed",
     "run_isolated",
+    "map_isolated",
     "summary_quantile",
     "summary_quantiles",
 ]
@@ -297,6 +299,32 @@ def run_isolated(function, *args, **kwargs) -> "tuple":
     finally:
         set_registry(previous)
     return result, local.snapshot()
+
+
+def _run_isolated_task(task: "tuple") -> "tuple":
+    function, payload = task
+    return run_isolated(function, payload)
+
+
+def map_isolated(function, payloads: "Sequence[Any]", workers: int, mp_context=None) -> "List[Any]":
+    """``[function(payload) for payload in payloads]`` on a process pool.
+
+    Each task runs in :func:`run_isolated` in its worker, its snapshot
+    comes back beside its result, and every snapshot folds into this
+    process's :data:`REGISTRY`, so the aggregate matches a serial run.
+    Results keep payload order.  ``function`` must be picklable (a
+    module-level function), and so must the payloads.  The pool is imported
+    here, so importing this module never loads :mod:`multiprocessing`.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers, mp_context=mp_context) as pool:
+        pairs = list(pool.map(_run_isolated_task, [(function, payload) for payload in payloads]))
+    registry = REGISTRY
+    if registry.enabled:
+        for _, snapshot in pairs:
+            registry.merge(snapshot)
+    return [result for result, _ in pairs]
 
 
 def summary_quantile(summary: "Dict[str, Any]", q: float) -> "Optional[float]":

@@ -668,10 +668,13 @@ class TestTraceOut:
         assert document["displayTimeUnit"] == "ms"
         events = document["traceEvents"]
         names = {event["name"] for event in events}
-        # The acceptance span set: pack, per-step fused passes, unpack,
-        # and the final batched inversion.
+        # The acceptance span set: pack, the step loop (native runs it in C,
+        # traced or not, under one span per chunk; the other backends under
+        # one span per step), the fused passes, unpack, and the final
+        # batched inversion.
+        steps, absent = ("ladder.steps", "ladder.step") if native_available() else ("ladder.step", "ladder.steps")
         assert "ladder.pack" in names
-        assert "ladder.step" in names
+        assert steps in names and absent not in names
         assert "ladder.unpack" in names
         assert "ladder.inverse_batch" in names
         assert any(name.startswith("ir.pass.") for name in names)
@@ -705,6 +708,14 @@ class TestBenchProfile:
         assert "ir.pass.00" in out
         assert "(outside passes)" in out
         assert "ladder-step-lanes/s" in out
+
+    def test_profile_times_native_passes_through_the_python_step_loop(self, capsys):
+        if not native_available():
+            pytest.skip("native extension not buildable here")
+        assert main(["bench", "-m", "163", "-n", "66", "--backend", "native",
+                     "--profile", "--quick"]) == 0
+        out = capsys.readouterr().out
+        assert "ir.pass.00" in out and "(outside passes)" in out
 
     def test_profile_runs_on_the_interpreting_executor(self, capsys):
         assert main(["bench", "-m", "8", "-n", "2", "--backend", "python",

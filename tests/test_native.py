@@ -532,10 +532,10 @@ class TestNativeStepLoop:
         batched = curve.multiply_batch([base] * len(scalars), scalars, backend=backend)
         assert batched == [curve.multiply(base, k) for k in scalars]
 
-    @pytest.mark.parametrize("route", ["binary", "tau", "comb"])
-    def test_traced_and_untraced_runs_are_byte_identical(self, route):
-        from repro.telemetry import trace
+    STEP_SPANS = {"binary": "ladder.steps", "tau": "ladder.tau.steps", "comb": "comb.steps"}
 
+    def _route_batch(self, route):
+        """A call running a 9-lane K-163 batch of ``route`` in 4-lane chunks."""
         curve = curve_by_name("K-163")
         backend = NativeBackend(curve.field, chunk_size=4)
         scalars = [k % curve.order or 1 for k in _mixed_scalars(9, 5)]
@@ -545,17 +545,47 @@ class TestNativeStepLoop:
             rng = random.Random(3)
             bases = [curve.random_point(rng) for _ in scalars]
             options = {"scalar_rep": route, "fixed_base": False}
-        untraced = curve.multiply_batch(bases, scalars, backend=backend, **options)
+        return lambda: curve.multiply_batch(bases, scalars, backend=backend, **options)
+
+    @staticmethod
+    def _traced(call):
+        from repro.telemetry import trace
+
         previous = trace.TRACER
         tracer = trace.enable()
         try:
-            traced = curve.multiply_batch(bases, scalars, backend=backend, **options)
+            return call(), tracer.events()
         finally:
             trace.set_tracer(previous)
-        names = {event["name"] for event in tracer.events()}
-        assert any(name.endswith(".step") for name in names), names
+
+    @pytest.mark.parametrize("route", ["binary", "tau", "comb"])
+    def test_traced_and_untraced_runs_are_byte_identical(self, route):
+        call = self._route_batch(route)
+        untraced = call()
+        traced, events = self._traced(call)
+        names = {event["name"] for event in events}
+        assert self.STEP_SPANS[route] in names, names
+        assert not any(name.endswith(".step") for name in names), names
         assert any(name.startswith("ir.pass.") for name in names), names
         assert traced == untraced
+        spans = [event for event in events if event["name"] == self.STEP_SPANS[route]]
+        assert sorted(event["args"]["lanes"] for event in spans) == [1, 4, 4]
+        assert all(event["args"]["steps"] > 0 for event in spans)
+
+    @pytest.mark.parametrize("route", ["binary", "tau", "comb"])
+    def test_a_traced_batch_runs_the_c_step_loop_once_per_chunk(self, route, monkeypatch):
+        from repro.backends.native import _StepLoop
+
+        runs = []
+        original = _StepLoop.run
+
+        def counting(loop, input_arrays, count):
+            runs.append(count)
+            return original(loop, input_arrays, count)
+
+        monkeypatch.setattr(_StepLoop, "run", counting)
+        self._traced(self._route_batch(route))
+        assert sorted(runs) == [1, 4, 4]
 
 
 @requires_native

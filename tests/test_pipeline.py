@@ -8,10 +8,9 @@ import json
 import pytest
 
 from repro.analysis.compare import run_comparison
+from repro.multipliers import generate_multiplier
 from repro.pipeline import (
     ArtifactStore,
-    PIPELINE_STAGES,
-    StageError,
     SweepJob,
     artifact_key,
     build_sweep_jobs,
@@ -19,12 +18,10 @@ from repro.pipeline import (
     execute_job,
     format_sweep,
     run_jobs,
-    run_stages,
     run_sweep,
 )
-from repro.pipeline.stages import Stage
 from repro.synth.device import ARTIX7, GENERIC_4LUT
-from repro.synth.flow import SynthesisOptions, implement, stage_generate
+from repro.synth.flow import SynthesisOptions, implement
 from repro.synth.report import ImplementationResult
 from repro.telemetry import metrics
 
@@ -100,22 +97,16 @@ class TestArtifactKey:
 
 
 class TestStageGraph:
-    def test_run_stages_matches_implement(self, gf28_modulus):
-        trace = run_stages("thiswork", gf28_modulus, options=FAST)
-        direct = implement(stage_generate("thiswork", gf28_modulus), options=FAST)
-        assert trace.artifacts.result == direct
-        assert set(trace.stage_seconds) == {stage.name for stage in PIPELINE_STAGES}
+    """A job's chain: generate the multiplier, then implement() it."""
 
-    def test_artifacts_carry_packing_and_timing(self, gf28_modulus):
-        artifacts = run_stages("thiswork", gf28_modulus, options=FAST).artifacts
+    def test_artifacts_carry_packing_and_timing(self):
+        job = SweepJob(method="thiswork", m=8, n=2, options=FAST)
+        multiplier = generate_multiplier(job.method, job.modulus)
+        artifacts = implement(multiplier, job.device, job.options, keep_artifacts=True)
+        assert execute_job(job).result == artifacts.result
         assert artifacts.packing is not None and artifacts.packing.slice_count == artifacts.result.slices
         assert artifacts.timing is not None
         assert artifacts.timing.critical_path_ns == pytest.approx(artifacts.result.delay_ns)
-
-    def test_misordered_graph_fails_loudly(self, gf28_modulus):
-        broken = (Stage("report", requires=("timed",), produces="artifacts", run=lambda *a, **k: None),)
-        with pytest.raises(StageError, match="missing inputs"):
-            run_stages("thiswork", gf28_modulus, options=FAST, stages=broken)
 
 
 class TestScheduler:

@@ -2,22 +2,15 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.galois.pentanomials import type_ii_pentanomial
 from repro.multipliers import generate_multiplier
 from repro.synth.device import ARTIX7, GENERIC_4LUT
-from repro.synth.flow import (
-    FlowArtifacts,
-    SynthesisOptions,
-    implement,
-    implement_netlist,
-    stage_map,
-    stage_pack,
-    stage_report,
-    stage_restructure,
-    stage_time,
-)
+from repro.synth import flow
+from repro.synth.flow import FlowArtifacts, SynthesisOptions, implement
 from repro.synth.report import ImplementationResult, format_table
 
 
@@ -60,6 +53,22 @@ class TestImplement:
         assert artifacts.timing is not None
         assert artifacts.timing.critical_path_ns == pytest.approx(artifacts.result.delay_ns)
 
+    def test_effort_controls_explored_candidates(self, gf28_modulus, monkeypatch):
+        """Effort 3 maps more (candidate, configuration) points than effort 1."""
+        mapped = []
+        original = flow.map_to_luts
+
+        def counting(*args, **kwargs):
+            mapped.append(kwargs)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(flow, "map_to_luts", counting)
+        multiplier = generate_multiplier("thiswork", gf28_modulus)
+        implement(multiplier, options=SynthesisOptions(effort=1))
+        low = len(mapped)
+        implement(multiplier, options=SynthesisOptions(effort=3))
+        assert len(mapped) - low > low == 1
+
     def test_effort_levels_never_hurt(self, gf28_modulus):
         multiplier = generate_multiplier("thiswork", gf28_modulus)
         low = implement(multiplier, options=SynthesisOptions(effort=1))
@@ -78,12 +87,6 @@ class TestImplement:
         assert result.field_label == "(8,2)"
         as_dict = result.as_dict()
         assert as_dict["method"] == "paar" and as_dict["luts"] == result.luts
-
-    def test_implement_netlist_without_spec(self, gf28_modulus):
-        multiplier = generate_multiplier("imana2012", gf28_modulus)
-        result = implement_netlist(multiplier.netlist)
-        assert isinstance(result, ImplementationResult)
-        assert result.luts > 0 and result.n is None
 
 
 class TestPaperShapeGF28:
@@ -140,34 +143,164 @@ class TestMediumFieldShape:
 
 
 class TestStageDecomposition:
-    """implement() is a thin driver over the stage functions — same results."""
+    """What implement()'s restructure step hands on to mapping."""
 
-    def test_manual_stage_chain_matches_implement(self, gf28_modulus):
-        multiplier = generate_multiplier("thiswork", gf28_modulus)
-        options = SynthesisOptions(effort=2)
-        outcome = stage_restructure(multiplier, options)
-        mappings = stage_map(outcome, ARTIX7, options)
-        packed = stage_pack(mappings, ARTIX7, options)
-        timed = stage_time(packed, ARTIX7)
-        artifacts = stage_report(timed, multiplier, ARTIX7, restructured=outcome.restructured)
-        assert artifacts.result == implement(multiplier, options=options)
+    def test_restructure_stage_respects_fixed_structure(self, gf28_modulus, monkeypatch):
+        mapped = []
+        original = flow.map_to_luts
 
-    def test_restructure_stage_respects_fixed_structure(self, gf28_modulus):
+        def recording(netlist, *args, **kwargs):
+            mapped.append(netlist)
+            return original(netlist, *args, **kwargs)
+
+        monkeypatch.setattr(flow, "map_to_luts", recording)
         multiplier = generate_multiplier("imana2016", gf28_modulus)
-        outcome = stage_restructure(multiplier, SynthesisOptions())
-        assert outcome.restructured is False
-        assert outcome.candidates == [multiplier.netlist]
+        artifacts = implement(multiplier, options=SynthesisOptions(), keep_artifacts=True)
+        assert artifacts.restructured is False
+        # The written netlist is the only candidate: every mapping starts from it.
+        assert mapped and all(netlist is multiplier.netlist for netlist in mapped)
+        assert artifacts.netlist is multiplier.netlist
 
-    def test_effort_controls_explored_candidates(self, gf28_modulus):
-        multiplier = generate_multiplier("thiswork", gf28_modulus)
-        low = stage_map(stage_restructure(multiplier, SynthesisOptions(effort=1)), ARTIX7, SynthesisOptions(effort=1))
-        high = stage_map(stage_restructure(multiplier, SynthesisOptions(effort=3)), ARTIX7, SynthesisOptions(effort=3))
-        assert len(high) > len(low)
 
-    def test_report_stage_needs_candidates(self, gf28_modulus):
-        multiplier = generate_multiplier("thiswork", gf28_modulus)
-        with pytest.raises(ValueError, match="at least one timed candidate"):
-            stage_report([], multiplier, ARTIX7)
+#: ``(luts, slices, delay_ns, lut_levels, average_slice_fill, restructured)``
+#: of ``implement()``: the flow's exact output, so any change to what it
+#: reports shows here.  Artix-7 at efforts 1, 2 and 3, by field and method.
+PINNED_ARTIX7 = {
+    (8, 2): {
+        "paar": (
+            (44, 13, 10.792656758459366, 4, 3.3846153846153846, False),
+            (45, 14, 9.493754551575954, 3, 3.2142857142857144, False),
+            (45, 14, 9.493754551575954, 3, 3.2142857142857144, False),
+        ),
+        "rashidi": (
+            (44, 14, 10.792656758459366, 4, 3.142857142857143, False),
+            (44, 12, 9.5202768410866, 3, 3.6666666666666665, False),
+            (44, 12, 9.5202768410866, 3, 3.6666666666666665, False),
+        ),
+        "reyhani_hasan": (
+            (46, 14, 10.881687670832264, 4, 3.2857142857142856, False),
+            (45, 16, 9.516350110351048, 3, 2.8125, False),
+            (45, 16, 9.516350110351048, 3, 2.8125, False),
+        ),
+        "imana2012": (
+            (42, 13, 10.7963787242014, 4, 3.230769230769231, False),
+            (42, 13, 9.464591560104573, 3, 3.230769230769231, False),
+            (42, 13, 9.464591560104573, 3, 3.230769230769231, False),
+        ),
+        "imana2016": (
+            (54, 22, 11.069210433745598, 4, 2.4545454545454546, False),
+            (53, 21, 9.729555197927734, 3, 2.5238095238095237, False),
+            (53, 21, 9.729555197927734, 3, 2.5238095238095237, False),
+        ),
+        "thiswork": (
+            (41, 13, 10.827702053131564, 4, 3.1538461538461537, True),
+            (45, 14, 9.469003917300965, 3, 3.2142857142857144, True),
+            (45, 14, 9.469003917300965, 3, 3.2142857142857144, True),
+        ),
+    },
+    (16, 3): {
+        "paar": (
+            (184, 81, 14.024457474989868, 5, 2.271604938271605, False),
+            (176, 78, 12.362871704204506, 4, 2.2564102564102564, False),
+            (176, 78, 12.362871704204506, 4, 2.2564102564102564, False),
+        ),
+        "rashidi": (
+            (175, 72, 13.94314830358901, 5, 2.4305555555555554, False),
+            (176, 79, 12.49875145459393, 4, 2.2278481012658227, False),
+            (176, 79, 12.49875145459393, 4, 2.2278481012658227, False),
+        ),
+        "reyhani_hasan": (
+            (176, 73, 13.889544026826352, 5, 2.410958904109589, False),
+            (176, 77, 12.404510302503668, 4, 2.2857142857142856, False),
+            (176, 77, 12.404510302503668, 4, 2.2857142857142856, False),
+        ),
+        "imana2012": (
+            (166, 69, 13.802065158670672, 5, 2.4057971014492754, False),
+            (169, 67, 12.324812785673684, 4, 2.5223880597014925, False),
+            (169, 67, 12.324812785673684, 4, 2.5223880597014925, False),
+        ),
+        "imana2016": (
+            (205, 93, 14.335874228003677, 5, 2.204301075268817, False),
+            (217, 100, 12.650031380471495, 4, 2.17, False),
+            (217, 100, 12.650031380471495, 4, 2.17, False),
+        ),
+        "thiswork": (
+            (172, 69, 13.896176877172424, 5, 2.4927536231884058, True),
+            (179, 77, 12.338337698531479, 4, 2.324675324675325, True),
+            (179, 77, 12.338337698531479, 4, 2.324675324675325, True),
+        ),
+    },
+}
+if sys.version_info >= (3, 12):
+    # Python 3.12 sums floats with compensated summation, so the LUT mapper's
+    # area flows (``sum`` over a cut's leaves) round differently and this
+    # grid point maps to another cover.
+    PINNED_ARTIX7[(16, 3)]["imana2016"] = (
+        (209, 94, 14.357619873412515, 5, 2.223404255319149, False),
+        (219, 102, 12.658634668123343, 4, 2.1470588235294117, False),
+        (219, 102, 12.658634668123343, 4, 2.1470588235294117, False),
+    )
+
+#: GF(2^8) at the default effort with restructuring off, then on the 4-LUT
+#: device.
+PINNED_GF28_UNRESTRUCTURED = {
+    "paar": (45, 14, 9.493754551575954, 3, 3.2142857142857144, False),
+    "rashidi": (44, 12, 9.5202768410866, 3, 3.6666666666666665, False),
+    "reyhani_hasan": (45, 16, 9.516350110351048, 3, 2.8125, False),
+    "imana2012": (42, 13, 9.464591560104573, 3, 3.230769230769231, False),
+    "imana2016": (53, 21, 9.729555197927734, 3, 2.5238095238095237, False),
+    "thiswork": (55, 21, 11.068500949891208, 4, 2.619047619047619, False),
+}
+PINNED_GF28_4LUT = {
+    "paar": (59, 30, 13.450200348552613, 4, 1.9666666666666666, False),
+    "rashidi": (57, 29, 11.84754162464337, 3, 1.9655172413793103, False),
+    "reyhani_hasan": (59, 30, 13.475306524969383, 4, 1.9666666666666666, False),
+    "imana2012": (59, 30, 13.450200348552613, 4, 1.9666666666666666, False),
+    "imana2016": (71, 36, 13.608858560040801, 4, 1.9722222222222223, False),
+    "thiswork": (57, 29, 11.85642044851506, 3, 1.9655172413793103, True),
+}
+
+
+def _pinned_row(result):
+    return (
+        result.luts,
+        result.slices,
+        result.delay_ns,
+        result.lut_levels,
+        result.average_slice_fill,
+        result.restructured,
+    )
+
+
+class TestPinnedResults:
+    """The six Table V methods give exactly the pinned figures."""
+
+    @pytest.mark.parametrize("m, n", sorted(PINNED_ARTIX7))
+    def test_artix7_at_every_effort(self, m, n):
+        results = {}
+        for method in PINNED_ARTIX7[(m, n)]:
+            multiplier = generate_multiplier(method, type_ii_pentanomial(m, n))
+            results[method] = tuple(
+                _pinned_row(implement(multiplier, ARTIX7, SynthesisOptions(effort=effort)))
+                for effort in (1, 2, 3)
+            )
+        assert results == PINNED_ARTIX7[(m, n)]
+
+    def test_gf28_without_restructuring(self, gf28_modulus):
+        results = {
+            method: _pinned_row(
+                implement(generate_multiplier(method, gf28_modulus), options=SynthesisOptions(restructure=False))
+            )
+            for method in PINNED_GF28_UNRESTRUCTURED
+        }
+        assert results == PINNED_GF28_UNRESTRUCTURED
+
+    def test_gf28_on_the_4lut_device(self, gf28_modulus):
+        results = {
+            method: _pinned_row(implement(generate_multiplier(method, gf28_modulus), device=GENERIC_4LUT))
+            for method in PINNED_GF28_4LUT
+        }
+        assert results == PINNED_GF28_4LUT
 
 
 def test_result_json_roundtrip(gf28_modulus):
