@@ -17,10 +17,10 @@ J. L. Imaña builds or depends on:
 * VHDL/Verilog emission (:mod:`repro.hdl`) and the Table V comparison
   harness (:mod:`repro.analysis`);
 * pluggable execution backends for batch field arithmetic — the scalar
-  reference, the compiled circuit engine, numpy bitslicing (a test
-  reference) and the native C kernel (the default where it builds) behind
-  one interface, selectable per call, per field, per CLI flag or via
-  ``$GF2M_REPRO_BACKEND`` (:mod:`repro.backends`);
+  reference, the compiled circuit engine (the paper's netlist, and the
+  default without a C compiler) and the native C kernel (the default where
+  it builds) behind one interface, selectable per call, per field, per CLI
+  flag or via ``$GF2M_REPRO_BACKEND`` (:mod:`repro.backends`);
 * the parallel sweep pipeline — a process-pool scheduler that runs
   :func:`implement` per (field, method, device, options) job, and a
   persistent content-addressed artifact store (:mod:`repro.pipeline`);
@@ -51,7 +51,7 @@ _EXPORTS = {
         "run_comparison",
     ),
     "backends": (
-        "BitsliceBackend", "EngineBackend", "FieldBackend", "PythonIntBackend",
+        "EngineBackend", "FieldBackend", "PythonIntBackend",
         "assert_backend_parity", "available_backends", "get_backend",
         "register_backend", "resolve_backend",
     ),
@@ -100,7 +100,6 @@ _EXPORTS = {
 __version__ = "1.0.0"
 
 __all__ = [
-    "BitsliceBackend",
     "EngineBackend",
     "FieldBackend",
     "PythonIntBackend",

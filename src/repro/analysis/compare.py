@@ -3,8 +3,11 @@
 ``run_comparison`` regenerates the paper's Table V: for each requested field
 it generates every Table V construction, runs the implementation flow and
 collects the LUT / slice / delay / Area×Time metrics.  ``compare_to_paper``
-then lines our measurements up with the published numbers and evaluates the
-qualitative claims the reproduction cares about (see EXPERIMENTS.md).
+then lines our measurements up with the published numbers and
+``claims_report`` evaluates the qualitative claims the reproduction cares
+about; ``repro compare --paper/--claims`` prints both, and
+``benchmarks/bench_table5_comparison.py`` runs them as the Table V
+benchmark.
 
 The harness is a thin consumer of :mod:`repro.pipeline`: it expands the
 (field, method) grid into sweep jobs and runs them through the scheduler,
@@ -131,7 +134,7 @@ def run_comparison(
 
 
 def compare_to_paper(comparisons: List[FieldComparison]) -> str:
-    """Render a side-by-side paper-vs-measured table (used by EXPERIMENTS.md)."""
+    """Render a side-by-side paper-vs-measured table (``repro compare --paper``)."""
     lines: List[str] = []
     header = (
         f"{'field':<10s} {'method':<15s} "

@@ -1,9 +1,9 @@
 """The paper's published Table V numbers (post-place-and-route, ISE 14.7 / Artix-7).
 
-These values are the reference against which EXPERIMENTS.md and the Table V
-benchmark compare our Python-flow measurements.  They are transcribed
-verbatim from the paper; the method keys match the generator names of
-:mod:`repro.multipliers.registry`.
+These values are the reference against which ``repro compare --paper/--claims``
+and the Table V benchmark (``benchmarks/bench_table5_comparison.py``) compare
+our Python-flow measurements.  They are transcribed verbatim from the paper;
+the method keys match the generator names of :mod:`repro.multipliers.registry`.
 """
 
 from __future__ import annotations

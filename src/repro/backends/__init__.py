@@ -11,16 +11,11 @@ the CLI — select a substrate by name instead of hard-coding a call path:
   byte for byte.
 * ``engine`` (:class:`EngineBackend`) — the compiled netlist engine of
   :mod:`repro.engine`: one straight-line Python function evaluating the
-  multiplier circuit on big-integer bit planes.  The default only where
-  the ``native`` extension cannot be built (no C toolchain).
-* ``bitslice`` (:class:`BitsliceBackend`) — the same generated circuit
-  lowered to numpy ``uint64`` plane arrays with level-segmented
-  gather/scatter evaluation (:class:`BitslicedNetlist`): 64+ batch lanes
-  per word op, ~9× the scalar reference at GF(2^163)/batch-2048.
-  Requires the optional numpy dependency (``gf2m-repro[bitslice]``).
-  Never a default: it is the test reference that runs the paper's
-  circuit under every batched formula, each fused product pass one
-  :meth:`BitslicedNetlist.multiply_batch` call.
+  paper's multiplier circuit on big-integer bit planes.  The default only
+  where the ``native`` extension cannot be built (no C toolchain), and the
+  test reference that runs the paper's circuit under every batched
+  formula, each fused product pass one
+  :meth:`~repro.engine.engine.Engine.multiply_batch` call.
 * ``native`` (:class:`NativeBackend`) — the compiled word-level tier
   (:mod:`repro.backends.native`): a C kernel doing 64-bit carry-less
   multiplication (PCLMULQDQ when the CPU has it) plus sparse tail
@@ -33,7 +28,7 @@ the CLI — select a substrate by name instead of hard-coding a call path:
   when no C compiler is available.
 
 Every backend's :meth:`FieldBackend.ir_executor` returns an
-:class:`IRExecutor` — ``python``, ``engine`` and ``bitslice`` the
+:class:`IRExecutor` — ``python`` and ``engine`` the
 :class:`InterpretedExecutor`, which runs the same programs through
 :func:`execute_program` — so every batched formula takes one path on
 every substrate.
@@ -85,10 +80,6 @@ from .registry import (
 __all__ = [
     "FieldBackend",
     "default_method_for",
-    "BitsliceBackend",
-    "BitslicedNetlist",
-    "bitsliced_netlist",
-    "numpy_available",
     "EngineBackend",
     "CompiledNativeIR",
     "NativeBackend",
@@ -112,15 +103,9 @@ __all__ = [
     "resolve_backend",
 ]
 
-# The engine and bitslice backends load on first access (the registry's
-# factories import them the same way), so importing the package does not
-# import the circuit generators and netlist tools behind them.
-_LAZY = {
-    "BitsliceBackend": "bitslice",
-    "BitslicedNetlist": "bitslice",
-    "bitsliced_netlist": "bitslice",
-    "numpy_available": "bitslice",
-    "EngineBackend": "engine_backend",
-}
+# The engine backend loads on first access (the registry's factory imports
+# it the same way), so importing the package does not import the circuit
+# generators and netlist tools behind it.
+_LAZY = {"EngineBackend": "engine_backend"}
 
 __getattr__, __dir__ = lazy_attributes(globals(), _LAZY, __all__)

@@ -7,7 +7,7 @@ engine of :mod:`repro.engine`, and ad-hoc batched paths inside the curve
 ladders — each wired up differently.  This module gives them one interface
 so that every layer above (the field, the curve ladders, the protocol
 batch APIs, the CLI) routes through a backend object and new substrates
-(SIMD bitslicing, GPU kernels, C extensions) drop in without touching the
+(SIMD kernels, GPU kernels, C extensions) drop in without touching the
 callers.
 
 Contract
@@ -68,8 +68,7 @@ class FieldBackend(ABC):
     ``(name, modulus, options)`` so repeated resolution costs nothing.
     """
 
-    #: Short registry identifier (``"python"``, ``"engine"``, ``"bitslice"``,
-    #: ``"native"``).
+    #: Short registry identifier (``"python"``, ``"engine"``, ``"native"``).
     name: str = "abstract"
 
     def __init__(self, field: "GF2mField") -> None:
@@ -142,8 +141,8 @@ class FieldBackend(ABC):
         executor, and run it over int lists or a step loop — one contract
         on every backend.  ``native`` keeps whole formulas resident in C
         word buffers (:class:`~repro.backends.native.NativeIRExecutor`);
-        the scalar, big-integer engine and bitslice backends interpret the
-        same program through :func:`repro.backends.ir.execute_program`
+        the scalar and big-integer engine backends interpret the same
+        program through :func:`repro.backends.ir.execute_program`
         (:class:`~repro.backends.ir.InterpretedExecutor`), one
         ``multiply_batch`` call per fused product pass.
         """

@@ -25,8 +25,8 @@ compiled *once*:
 * The scheduled :class:`FieldProgram` is backend-neutral.  Every backend's
   :meth:`~repro.backends.base.FieldBackend.ir_executor` returns an
   :class:`IRExecutor`, one contract over two executors:
-  :class:`InterpretedExecutor` (``python``, ``engine``, ``bitslice``)
-  keeps values as ``int`` lists and runs each compiled program through
+  :class:`InterpretedExecutor` (``python``, ``engine``) keeps values as
+  ``int`` lists and runs each compiled program through
   :func:`execute_program`, which gathers each MulPass into a single
   ``multiply_batch`` call, and ``native`` lowers to C instruction streams
   (:class:`~repro.backends.native.NativeIRExecutor`).  A new substrate
@@ -351,7 +351,7 @@ class FieldProgram:
         """Structural summary: op counts, fused-pass schedule, stage shapes.
 
         This is the introspection surface the CLI exposes
-        (``repro bench --backend bitslice --describe``).
+        (``repro bench --backend engine --describe``).
         """
         counts = self.ir.op_counts()
         ops = ", ".join(f"{counts[kind]} {kind}" for kind in sorted(counts))
@@ -504,9 +504,9 @@ _PROGRAM_CACHE = LRUCache(maxsize=64, name="ir.programs")
 def cached_program(key: tuple, factory) -> FieldProgram:
     """The memoized :class:`FieldProgram` for ``key`` (built by ``factory``).
 
-    The process-wide analogue of :func:`repro.backends.bitslice
-    .bitsliced_netlist`: formulas are scheduled once per (formula, field,
-    constants) fingerprint and shared by every consumer.
+    The process-wide analogue of :func:`repro.engine.engine.engine_for`:
+    formulas are scheduled once per (formula, field, constants) fingerprint
+    and shared by every consumer.
     """
     return _PROGRAM_CACHE.get_or_create(key, factory)
 
@@ -636,7 +636,7 @@ class CompiledProgram(ABC):
 
 
 class IRExecutor(ABC):
-    """The FieldIR executor of one backend: the contract all four backends meet.
+    """The FieldIR executor of one backend: the contract every backend meets.
 
     :meth:`compile` lowers a scheduled :class:`FieldProgram` once, memoized
     per executor by the program's ``key``.  Consumers then run it over int
@@ -770,7 +770,7 @@ class InterpretedProgram(CompiledProgram):
 
 
 class InterpretedExecutor(IRExecutor):
-    """The executor of the backends with no packed form (``python``, ``engine``, ``bitslice``).
+    """The executor of the backends with no packed form (``python``, ``engine``).
 
     Values stay ``int`` lists and masks 0/1 lists; a compiled program is
     the scheduled program handed to :func:`execute_program`, so every

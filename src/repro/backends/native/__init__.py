@@ -219,7 +219,7 @@ class NativeBackend(FieldBackend):
             raise ValueError(
                 "the native backend evaluates no circuit: it computes "
                 "word-level clmul+reduction directly, so method= applies "
-                "only to the engine and bitslice backends"
+                "only to the engine backend"
             )
         if chunk_size < 1:
             raise ValueError("chunk_size must be at least 1")

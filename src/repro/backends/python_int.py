@@ -39,7 +39,7 @@ class PythonIntBackend(FieldBackend):
         if method is not None:
             raise ValueError(
                 f"the python backend evaluates no circuit, so method={method!r} selects nothing; "
-                "pick the 'engine' or 'bitslice' backend to choose a multiplier construction"
+                "pick the 'engine' backend to choose a multiplier construction"
             )
 
     def multiply(self, a: int, b: int) -> int:

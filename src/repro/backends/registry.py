@@ -72,22 +72,15 @@ _ENGINE = "engine"
 
 
 def _engine_backend(field: "GF2mField", **options) -> FieldBackend:
-    # Imported on first use, as is the bitslice backend: a process that only
-    # runs native batches never loads the circuit generators behind them.
+    # Imported on first use: a process that only runs native batches never
+    # loads the circuit generators behind the engine.
     from .engine_backend import EngineBackend
 
     return EngineBackend(field, **options)
 
 
-def _bitslice_backend(field: "GF2mField", **options) -> FieldBackend:
-    from .bitslice import BitsliceBackend
-
-    return BitsliceBackend(field, **options)
-
-
 register_backend(PythonIntBackend.name, PythonIntBackend)
 register_backend(_ENGINE, _engine_backend)
-register_backend("bitslice", _bitslice_backend)
 register_backend(NativeBackend.name, NativeBackend)
 
 

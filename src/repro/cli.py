@@ -31,7 +31,7 @@ its handler (``set_defaults(run=...)``); :func:`main` calls
 subcommand that needs another default sets it with ``set_defaults``.
 
 ``batch``, ``bench``, ``ecdh``, ``keygen``, ``serve`` and ``sweep`` accept
-``--backend`` (``python`` | ``engine`` | ``bitslice`` | ``native``, see
+``--backend`` (``python`` | ``engine`` | ``native``, see
 :mod:`repro.backends`); the ``GF2M_REPRO_BACKEND`` environment variable
 sets the process default.  Every subcommand resolves it at a single site,
 :func:`_resolve_cli_backend`, so none can drift apart in error behavior.
@@ -421,12 +421,11 @@ def _resolve_cli_backend(field: GF2mField, name, method=None, chunk_size=None, v
     ``name=None`` resolves through the registry default, so the
     ``$GF2M_REPRO_BACKEND`` override applies to every subcommand.
     Registry failures (unknown names, a bad env override), contradictory
-    options (``--method`` with the scalar or native backend), a missing
-    numpy for ``bitslice`` and a missing C toolchain for ``native`` all
-    surface as actionable messages instead of tracebacks.  ``verify=False``
-    skips formal circuit verification (the large-field fast path of
-    ``repro batch``/``bench``); it does not apply to ``native``, which
-    evaluates no generated circuit.
+    options (``--method`` with the scalar or native backend) and a missing
+    C toolchain for ``native`` all surface as actionable messages instead
+    of tracebacks.  ``verify=False`` skips formal circuit verification (the
+    large-field fast path of ``repro batch``/``bench``); it does not apply
+    to ``native``, which evaluates no generated circuit.
     """
     with _clean_exit((KeyError, ValueError, ImportError)):
         if name is None:
@@ -434,7 +433,7 @@ def _resolve_cli_backend(field: GF2mField, name, method=None, chunk_size=None, v
         options = {}
         if method is not None:
             options["method"] = method
-        if name in ("engine", "bitslice", "native"):
+        if name in ("engine", "native"):
             if chunk_size is not None:
                 options["chunk_size"] = chunk_size
             if name != "native" and not verify:
@@ -478,7 +477,7 @@ def _workload_curve(args):
         raise SystemExit("--batch must be at least 1")
     if args.check < 0:
         raise SystemExit("--check must be non-negative")
-    # Resolve eagerly so a bad backend (or missing numpy) fails before work.
+    # Resolve eagerly so a bad backend (or missing C toolchain) fails before work.
     return curve, _resolve_cli_backend(curve.field, args.backend)
 
 
@@ -780,7 +779,9 @@ def _run_bench_profile(args) -> int:
     ``run_arrays`` per step, on every backend: native's one-call loop has
     no pass boundaries to time) under a temporary tracer, and prints where
     each step's time goes — the per-pass breakdown behind the one
-    ``ladder.step`` number.
+    ``ladder.step`` number.  The header and the total say which loop they
+    time; on native they also say that batches run that loop in C, so the
+    total is not the rate of a native batch.
     """
     field, backend, program = _bench_ladder_step(args)
     executor = backend.ir_executor()
@@ -802,7 +803,7 @@ def _run_bench_profile(args) -> int:
         )
     finally:
         telemetry_trace.set_tracer(previous)
-    print(f"{steps} fused steps x {lanes} lanes, traced per pass:")
+    print(f"{steps} fused steps x {lanes} lanes through the Python step loop, traced per pass:")
     total_s = sum(entry["total_s"] for entry in summary.values())
     header = f"  {'pass':<24s} {'count':>7s} {'total ms':>10s} {'share':>7s} {'per-step µs':>12s}"
     print(header)
@@ -821,9 +822,12 @@ def _run_bench_profile(args) -> int:
         f"{(overhead_s / timer.seconds * 100 if timer.seconds > 0 else 0.0):>6.1f}%"
     )
     print(
-        f"total {timer.seconds * 1000:.2f} ms "
+        f"total {timer.seconds * 1000:.2f} ms in the Python step loop "
         f"({_rate(steps * lanes, timer.seconds):,.0f} ladder-step-lanes/s)"
     )
+    if executor.kind == "native":
+        print("native batches run this step loop in C, one call per chunk: "
+              "the total above is not their rate")
     return 0
 
 

@@ -26,8 +26,8 @@ multiplication paths:
   stage, masked selects), one packed batch inversion and one conversion
   (with the result's curve residual) finish every route, and the affine
   results are unpacked **once**.  Packed means C word buffers on
-  ``native``; ``python``, ``engine`` and ``bitslice`` keep int lists and
-  interpret the *same* programs
+  ``native``; ``python`` and ``engine`` keep int lists and interpret the
+  *same* programs
   (:func:`~repro.backends.ir.execute_program`), which derive the gathered
   ``multiply_batch`` calls from the schedule.
 
@@ -396,9 +396,9 @@ class BinaryCurve:
         fixed point of the leading-zero steps (the scalar-bit swaps are
         masked lane selects, so mixed-length scalars share one batch).
 
-        ``backend`` names the substrate (``"engine"``, ``"bitslice"``,
-        ``"native"``, ``"python"`` or an instance; an instance also fixes
-        the multiplier construction).
+        ``backend`` names the substrate (``"engine"``, ``"native"``,
+        ``"python"`` or an instance; an instance also fixes the multiplier
+        construction).
 
         ``scalar_rep`` selects the recoding (see :meth:`multiply`):
         ``"tau"``/``"auto"`` route Koblitz batches through the τ-adic

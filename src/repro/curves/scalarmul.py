@@ -2,12 +2,12 @@
 fixed-base combs, compiled through FieldIR.
 
 Every speedup before this module came from the execution substrate — the
-compiled engine, the bitsliced netlist, the native C tier — while the scalar
+compiled circuit engine, the native C tier — while the scalar
 multiplication *algorithm* stayed a generic Montgomery ladder.  This module
 closes the algorithmic gap with two compiled paths, both traced once in
 :mod:`repro.curves.formulas` and lowered through the same
 :class:`~repro.backends.ir.FieldIR` machinery, so they run unchanged on
-every backend (python/engine/bitslice/native):
+every backend (python/engine/native):
 
 * **τ-adic ladders** — on a Koblitz curve (``y² + xy = x³ + ax² + 1`` with
   ``a`` in GF(2)) the Frobenius map ``τ(x, y) = (x², y²)`` is a curve

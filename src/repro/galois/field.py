@@ -8,9 +8,8 @@ canonical basis ``{1, x, ..., x^(m-1)}`` and stored as integers whose bit
 General multiplication stays deliberately straightforward (carry-less
 multiply then reduce); its job is correctness — batch operand streams are
 delegated to a pluggable execution *backend* (:mod:`repro.backends`: the
-scalar reference, the compiled circuit engine, numpy bitslicing or the
-native C kernel; see
-:meth:`GF2mField.multiply_batch` and the ``backend`` constructor
+scalar reference, the compiled circuit engine or the native C kernel;
+see :meth:`GF2mField.multiply_batch` and the ``backend`` constructor
 parameter).  The GF(2)-**linear** operations that dominate elliptic-curve
 point arithmetic do get native fast paths, because no batching can hide
 their latency inside a scalar-multiplication ladder:
@@ -143,7 +142,7 @@ class GF2mField:
         The default execution backend for the batch operations
         (:meth:`multiply_batch`, :meth:`square_batch`,
         :meth:`inverse_batch`): a registered name (``"python"``,
-        ``"engine"``, ``"bitslice"``, ``"native"``), a
+        ``"engine"``, ``"native"``), a
         :class:`~repro.backends.base.FieldBackend` instance, or ``None``
         for the registry default (``$GF2M_REPRO_BACKEND`` override, else
         per-field resolution).  Resolution is lazy, so constructing a

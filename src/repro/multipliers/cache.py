@@ -3,8 +3,8 @@
 Generating a multiplier re-derives the S_i/T_i splitting of the field and
 formally re-verifies the circuit — ~100 ms for GF(2^163) and growing
 quadratically with m.  Every path that repeatedly asks for the same
-``(method, modulus)`` pair (the registry, the engine and bitslice backends,
-the CLI, the comparison harness, batch services) therefore goes through
+``(method, modulus)`` pair (the registry, the engine backend, the CLI,
+the comparison harness, batch services) therefore goes through
 :class:`MultiplierCache` instead of calling the generators directly.
 
 The generic LRU building block lives in :mod:`repro.pipeline.store`

@@ -160,16 +160,16 @@ def _netlist_evaluator(netlist: Netlist, modulus: int, backend: str, vector_coun
 
     ``backend`` mirrors the execution-backend names of
     :mod:`repro.backends`: ``"engine"`` compiles the netlist to the
-    big-integer straight-line evaluator, ``"bitslice"`` lowers it to numpy
-    plane arrays, ``"python"`` (or ``"interpreter"``) walks it with the
-    interpreted simulator.  ``"native"`` evaluates no circuit — the C
-    word-level tier multiplies directly — so its evaluator runs the
-    netlist on the engine substrate and cross-checks the native backend's
-    word arithmetic against it on the very same vectors, keeping both the
-    circuit and the backend under one parity assertion.  Raises
+    big-integer straight-line evaluator, ``"python"`` (or
+    ``"interpreter"``) walks it with the interpreted simulator.
+    ``"native"`` evaluates no circuit — the C word-level tier multiplies
+    directly — so its evaluator runs the netlist on the engine substrate
+    and cross-checks the native backend's word arithmetic against it on
+    the very same vectors, keeping both the circuit and the backend under
+    one parity assertion.  Raises
     ``KeyError`` for unknown names and whatever the substrate itself
-    raises (e.g. ``ImportError`` from ``bitslice`` without numpy) — an
-    explicitly requested substrate must not silently degrade, or the
+    raises (e.g. ``ImportError`` from ``native`` without a C compiler) —
+    an explicitly requested substrate must not silently degrade, or the
     parity assertion would be meaningless.
     """
     m = degree(modulus)
@@ -181,10 +181,6 @@ def _netlist_evaluator(netlist: Netlist, modulus: int, backend: str, vector_coun
         # of large netlists use the instantly-compiled flat schedule instead.
         mode = "exec" if vector_count >= 2048 else "arrays"
         return engine_for_netlist(netlist, m, mode=mode).multiply_batch
-    if backend == "bitslice":
-        from ..backends.bitslice import BitslicedNetlist
-
-        return BitslicedNetlist(netlist, m).multiply_batch
     if backend in ("python", "interpreter"):
         def multiply_batch(a_chunk, b_chunk):
             return simulate_words(netlist, m, a_chunk, b_chunk)
@@ -210,7 +206,7 @@ def _netlist_evaluator(netlist: Netlist, modulus: int, backend: str, vector_coun
         return multiply_batch
     raise KeyError(
         f"unknown simulation backend {backend!r}; "
-        "expected 'engine', 'bitslice', 'native' or 'python'"
+        "expected 'engine', 'native' or 'python'"
     )
 
 
@@ -229,7 +225,7 @@ def verify_by_simulation(
     ``trials`` random pairs plus a few structured corner cases.
 
     ``backend`` selects the simulation substrate (``"engine"``,
-    ``"bitslice"``, ``"native"`` or ``"python"``), so parity with the
+    ``"native"`` or ``"python"``), so parity with the
     reference scalar arithmetic is asserted uniformly for every execution
     backend on the very same vectors.  Without it, the compiled engine
     simulates, falling back to the interpreted

@@ -77,8 +77,8 @@ class LRUCache:
 
     A ``name`` registers the instance in the process-wide named-cache view
     (see :func:`named_caches`), which is how ``repro stats`` surfaces every
-    long-lived memo — multipliers, compiled engines, bitsliced netlists,
-    FieldIR programs, backend instances — in one table.
+    long-lived memo — multipliers, compiled engines, FieldIR programs,
+    backend instances — in one table.
     """
 
     def __init__(self, maxsize: int = 32, name: Optional[str] = None) -> None:

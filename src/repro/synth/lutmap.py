@@ -96,7 +96,13 @@ def _cut_depth(cut: FrozenSet[int], arrival: List[int]) -> int:
 
 
 def _cut_flow(cut: FrozenSet[int], area_flow: List[float]) -> float:
-    return 1.0 + sum(area_flow[leaf] for leaf in cut)
+    # An explicit left-to-right sum: Python 3.12 made ``sum()`` of floats
+    # compensated, which rounds some flows differently and changes which cut
+    # wins, so the mapped netlist would depend on the interpreter version.
+    flow = 0.0
+    for leaf in cut:
+        flow += area_flow[leaf]
+    return flow + 1.0
 
 
 def map_to_luts(

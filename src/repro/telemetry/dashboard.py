@@ -438,7 +438,7 @@ def render_readme_blocks(snapshot: "Dict[str, Any]") -> "Dict[str, str]":
         [f"GF(2^{m})", name, *(rate(op(m, name, route)) for route in ("multiply_batch", "mul", "square", "inverse")),
          ratio(op(m, name), op(m, "python"))]
         for m in fields
-        for name in ("python", "engine", "bitslice", "native")
+        for name in ("python", "engine", "native")
     ]
 
     koblitz = []

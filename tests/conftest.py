@@ -32,10 +32,10 @@ def compiled_backends():
 @pytest.fixture(scope="session")
 def ladder_backends(compiled_backends):
     """``ladder_backends(field, **options)``: the backends the ladder parity
-    tests check against the references — bitslice (the paper's netlist on
+    tests check against the references — engine (the paper's netlist on
     the interpreting executor) plus :func:`compiled_backends`."""
     return lambda field, **options: (
-        [get_backend("bitslice", field, **options)] + compiled_backends(field, **options)
+        [get_backend("engine", field, **options)] + compiled_backends(field, **options)
     )
 
 

@@ -1,4 +1,4 @@
-"""The pluggable backend layer: registry resolution, parity, bitslicing.
+"""The pluggable backend layer: registry resolution, parity, delegation.
 
 The acceptance contract of the backend abstraction is byte-parity: every
 registered backend must reproduce the scalar reference arithmetic exactly,
@@ -8,40 +8,29 @@ NIST-size fields the paper targets (GF(2^163), GF(2^233)).
 
 from __future__ import annotations
 
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 from repro.backends import (
     BACKEND_ENV_VAR,
-    BitslicedNetlist,
     FieldBackend,
     assert_backend_parity,
     available_backends,
-    bitsliced_netlist,
     default_backend_name,
     default_method_for,
     get_backend,
     native_available,
-    numpy_available,
     register_backend,
     resolve_backend,
 )
-from repro.backends import bitslice as bitslice_module
 from repro.curves import curve_by_name, ecdh_batch, keygen_batch
 from repro.galois.field import GF2mField
 from repro.galois.pentanomials import (
     smallest_type_ii_pentanomial,
     type_ii_pentanomial,
 )
-from repro.multipliers.cache import cached_multiplier
-from repro.netlist.netlist import Netlist
 
-requires_numpy = pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 requires_native = pytest.mark.skipif(
     not native_available(), reason="native extension not buildable here"
 )
@@ -50,18 +39,15 @@ GF2_16 = GF2mField(type_ii_pentanomial(16, 3), check_irreducible=False)
 GF2_163 = GF2mField(smallest_type_ii_pentanomial(163), check_irreducible=False)
 GF2_233 = GF2mField(smallest_type_ii_pentanomial(233), check_irreducible=False)
 
-ALL_BACKENDS = ["python", "engine", "bitslice", "native"]
-
-_OPTIONAL = {"bitslice": numpy_available, "native": native_available}
+ALL_BACKENDS = ["python", "engine", "native"]
 
 
 def _available(name):
-    predicate = _OPTIONAL.get(name)
-    return predicate is None or predicate()
+    return name != "native" or native_available()
 
 
 def _backends():
-    marks = {"bitslice": requires_numpy, "native": requires_native}
+    marks = {"native": requires_native}
     return [pytest.param(name, marks=marks.get(name, ())) for name in ALL_BACKENDS]
 
 
@@ -269,135 +255,6 @@ class TestFieldDelegation:
         assert GF2_16.multiply_batch([], []) == []
         assert GF2_16.square_batch([]) == []
         assert GF2_16.inverse_batch([]) == []
-
-
-@requires_numpy
-class TestBitslicedNetlist:
-    def test_matches_reference_with_chunking(self):
-        multiplier = cached_multiplier("thiswork", GF2_16.modulus)
-        sliced = BitslicedNetlist(multiplier.netlist, 16)
-        rng = random.Random(9)
-        a_values = [rng.getrandbits(16) for _ in range(70)]
-        b_values = [rng.getrandbits(16) for _ in range(70)]
-        expected = [GF2_16.multiply(a, b) for a, b in zip(a_values, b_values)]
-        assert sliced.multiply_batch(a_values, b_values) == expected
-        # Odd chunk sizes exercise the tail-width buffer path.
-        assert sliced.multiply_batch(a_values, b_values, chunk_size=17) == expected
-        assert sliced.multiply_batch([], []) == []
-
-    def test_masks_high_bits_like_the_engine(self):
-        multiplier = cached_multiplier("thiswork", GF2_16.modulus)
-        sliced = BitslicedNetlist(multiplier.netlist, 16)
-        assert sliced.multiply_batch([(1 << 16) | 3], [1]) == [GF2_16.multiply(3, 1)]
-
-    def test_rejects_bad_arguments(self):
-        multiplier = cached_multiplier("thiswork", GF2_16.modulus)
-        sliced = BitslicedNetlist(multiplier.netlist, 16)
-        with pytest.raises(ValueError, match="differ in length"):
-            sliced.multiply_batch([1, 2], [3])
-        with pytest.raises(ValueError, match="chunk_size"):
-            sliced.multiply_batch([1], [1], chunk_size=0)
-        with pytest.raises(ValueError, match="chunk_size"):
-            BitslicedNetlist(multiplier.netlist, 16, chunk_size=0)
-
-    def test_rejects_netlists_outside_the_multiplier_convention(self):
-        netlist = Netlist(name="odd-io")
-        x = netlist.add_input("x0")
-        netlist.add_output("c0", x)
-        with pytest.raises(ValueError, match="convention"):
-            BitslicedNetlist(netlist, 1)
-        multiplier = cached_multiplier("thiswork", type_ii_pentanomial(8, 2))
-        with pytest.raises(ValueError, match="missing output c8"):
-            BitslicedNetlist(multiplier.netlist, 9)
-
-    def test_describe_mentions_the_structure(self):
-        multiplier = cached_multiplier("thiswork", GF2_16.modulus)
-        sliced = BitslicedNetlist(multiplier.netlist, 16)
-        description = sliced.describe()
-        assert "bitslice" in description and "segments" in description
-
-    def test_concurrent_batches_do_not_corrupt_each_other(self):
-        """Registry-shared instances must be safe under concurrent callers."""
-        import threading
-
-        multiplier = cached_multiplier("thiswork", GF2_16.modulus)
-        sliced = BitslicedNetlist(multiplier.netlist, 16)
-        rng = random.Random(23)
-        streams = []
-        for _ in range(8):
-            a_values = [rng.getrandbits(16) for _ in range(96)]
-            b_values = [rng.getrandbits(16) for _ in range(96)]
-            expected = [GF2_16.multiply(a, b) for a, b in zip(a_values, b_values)]
-            streams.append((a_values, b_values, expected))
-        failures = []
-
-        def worker(stream):
-            a_values, b_values, expected = stream
-            for _ in range(20):
-                if sliced.multiply_batch(a_values, b_values) != expected:
-                    failures.append(stream)
-                    return
-
-        threads = [threading.Thread(target=worker, args=(stream,)) for stream in streams]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert not failures
-
-
-@requires_numpy
-class TestNetlistMemoization:
-    def test_lowering_is_shared_across_equal_fields(self):
-        modulus = GF2_163.modulus
-        multiplier = cached_multiplier("thiswork", modulus, verify=False)
-        first = bitsliced_netlist(multiplier.netlist, multiplier.m, modulus=modulus)
-        second = bitsliced_netlist(multiplier.netlist, multiplier.m, modulus=modulus)
-        assert first is second
-        # Backend instances for equal fields reuse the same lowering.
-        backend = get_backend("bitslice", GF2mField(modulus, check_irreducible=False))
-        assert backend.sliced is first
-
-    def test_no_modulus_means_no_cache_entry(self):
-        multiplier = cached_multiplier("thiswork", GF2_163.modulus, verify=False)
-        first = bitsliced_netlist(multiplier.netlist, multiplier.m)
-        second = bitsliced_netlist(multiplier.netlist, multiplier.m)
-        assert first is not second
-
-    def test_chunk_size_is_part_of_the_key(self):
-        modulus = GF2_163.modulus
-        multiplier = cached_multiplier("thiswork", modulus, verify=False)
-        default = bitsliced_netlist(multiplier.netlist, multiplier.m, modulus=modulus)
-        narrow = bitsliced_netlist(multiplier.netlist, multiplier.m, chunk_size=64, modulus=modulus)
-        assert default is not narrow and narrow.chunk_size == 64
-
-
-class TestNumpyDegradation:
-    def test_clear_import_error_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(bitslice_module, "_np", None)
-        assert not bitslice_module.numpy_available()
-        with pytest.raises(ImportError, match="pip install numpy"):
-            bitslice_module.BitsliceBackend(GF2_16)
-        with pytest.raises(ImportError, match="bitslice"):
-            bitslice_module._require_numpy()
-
-    def test_word_level_protocols_never_import_numpy(self):
-        """numpy (~12 MB resident) loads with the first bitsliced evaluation only."""
-        script = (
-            "import sys\n"
-            "from repro.curves import curve_by_name, ecdh_batch, keygen_batch\n"
-            "curve = curve_by_name('T-13')\n"
-            "pairs = keygen_batch(curve, 4)\n"
-            "ecdh_batch(curve, [p.private for p in pairs], [p.public for p in pairs])\n"
-            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
-        )
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = {key: value for key, value in os.environ.items() if key != BACKEND_ENV_VAR}
-        result = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True,
-            env={**env, "PYTHONPATH": str(src)}, timeout=120,
-        )
-        assert result.returncode == 0, result.stderr[-2000:]
 
 
 class TestCapabilities:

@@ -10,7 +10,7 @@ from repro.backends import get_backend, native_available
 from repro.cli import _parse_fields, build_parser, main
 from repro.curves import curve_by_name
 
-BACKENDS = ("python", "engine", "bitslice", "native")
+BACKENDS = ("python", "engine", "native")
 SCALAR_REPS = ("auto", "binary", "tau")
 TABLE5 = "paar,rashidi,reyhani_hasan,imana2012,imana2016,thiswork"
 FIELD = {"m": (("-m",), 8, None), "n": (("-n",), 2, None)}
@@ -276,10 +276,8 @@ class TestBatchCommand:
         assert main(["batch", "-m", "8", "-n", "2", "--count", "0"]) == 0
         assert capsys.readouterr().out == ""
 
-    @pytest.mark.parametrize("backend", ["python", "engine", "bitslice"])
+    @pytest.mark.parametrize("backend", ["python", "engine"])
     def test_batch_backends_agree_with_reference(self, backend, capsys):
-        if backend == "bitslice":
-            pytest.importorskip("numpy")
         assert main(
             ["batch", "-m", "16", "-n", "3", "--count", "32", "--check",
              "--backend", backend, "--stats"]
@@ -298,10 +296,8 @@ class TestBenchCommand:
         out = capsys.readouterr().out
         assert "interpreted" in out and "compiled" in out and "speedup" in out
 
-    @pytest.mark.parametrize("backend", ["python", "engine", "bitslice"])
+    @pytest.mark.parametrize("backend", ["python", "engine"])
     def test_bench_backend_cross_check(self, backend, capsys):
-        if backend == "bitslice":
-            pytest.importorskip("numpy")
         assert main(
             ["bench", "-m", "16", "-n", "3", "--quick", "--backend", backend, "--check"]
         ) == 0
@@ -505,10 +501,8 @@ class TestEcdhCommand:
         with pytest.raises(SystemExit, match="--batch"):
             main(["ecdh", "--curve", "T-13", "--batch", "0"])
 
-    @pytest.mark.parametrize("backend", ["python", "bitslice"])
+    @pytest.mark.parametrize("backend", ["python", "engine"])
     def test_ecdh_backend_selection(self, backend, capsys):
-        if backend == "bitslice":
-            pytest.importorskip("numpy")
         assert main(
             ["ecdh", "--curve", "T-13", "--batch", "4", "--check", "2", "--backend", backend]
         ) == 0
@@ -518,7 +512,6 @@ class TestEcdhCommand:
     @pytest.mark.parametrize(
         "backend, label",
         [
-            ("bitslice", "interpreted"),
             ("native", "native"),
             ("engine", "interpreted"),
             ("python", "interpreted"),
@@ -526,8 +519,6 @@ class TestEcdhCommand:
     )
     def test_ecdh_ladder_follows_the_backend(self, backend, label, capsys):
         # The label names the executor the backend's ladder runs on.
-        if backend == "bitslice":
-            pytest.importorskip("numpy")
         if backend == "native" and not native_available():
             pytest.skip("native extension not buildable here")
         assert main(
@@ -658,7 +649,6 @@ class TestTraceOut:
     def test_ecdh_trace_out_writes_parseable_chrome_trace(self, tmp_path, capsys):
         import json
 
-        pytest.importorskip("numpy")
         path = tmp_path / "trace.json"
         assert main(["--trace-out", str(path), "ecdh", "--curve", "B-163",
                      "--batch", "64"]) == 0
@@ -700,14 +690,14 @@ class TestTraceOut:
 
 class TestBenchProfile:
     def test_profile_prints_per_pass_breakdown(self, capsys):
-        pytest.importorskip("numpy")
-        assert main(["bench", "-m", "163", "-n", "66", "--backend", "bitslice",
+        assert main(["bench", "-m", "163", "-n", "66", "--backend", "engine",
                      "--profile", "--quick"]) == 0
         out = capsys.readouterr().out
-        assert "traced per pass" in out
+        assert "through the Python step loop, traced per pass" in out
         assert "ir.pass.00" in out
         assert "(outside passes)" in out
-        assert "ladder-step-lanes/s" in out
+        assert "ms in the Python step loop" in out and "ladder-step-lanes/s" in out
+        assert "native batches" not in out
 
     def test_profile_times_native_passes_through_the_python_step_loop(self, capsys):
         if not native_available():
@@ -716,6 +706,10 @@ class TestBenchProfile:
                      "--profile", "--quick"]) == 0
         out = capsys.readouterr().out
         assert "ir.pass.00" in out and "(outside passes)" in out
+        # The total times a loop native batches never run: the output says so.
+        assert "through the Python step loop, traced per pass" in out
+        assert "ms in the Python step loop" in out
+        assert "native batches run this step loop in C" in out
 
     def test_profile_runs_on_the_interpreting_executor(self, capsys):
         assert main(["bench", "-m", "8", "-n", "2", "--backend", "python",

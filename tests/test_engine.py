@@ -1,6 +1,8 @@
 """The batch engine: compiled-vs-interpreted equivalence and the batch API."""
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -8,6 +10,7 @@ from repro.engine import Engine, compile_netlist, engine_for, engine_for_netlist
 from repro.galois.field import GF2mField
 from repro.galois.pentanomials import type_ii_pentanomial
 from repro.multipliers.registry import ALL_GENERATORS, generate_multiplier
+from repro.netlist.netlist import Netlist
 from repro.netlist.simulate import multiply_with_netlist, multiply_words, simulate_words
 
 MODULUS = type_ii_pentanomial(13, 5)
@@ -115,6 +118,36 @@ class TestBatchAPI:
         text = engine.describe()
         assert "exec" in text and "GF(2^13)" in text
 
+    def test_concurrent_batches_do_not_corrupt_each_other(self, engine):
+        """The registry shares one compiled instance between concurrent callers."""
+        rng = random.Random(23)
+        streams = []
+        for _ in range(8):
+            a_values, b_values = random_pairs(13, 96, seed=rng.getrandbits(32))
+            expected = [FIELD.multiply(a, b) for a, b in zip(a_values, b_values)]
+            streams.append((a_values, b_values, expected))
+        failures = []
+
+        def worker(stream):
+            a_values, b_values, expected = stream
+            for _ in range(20):
+                if engine.multiply_batch(a_values, b_values) != expected:
+                    failures.append(stream)
+                    return
+
+        threads = [threading.Thread(target=worker, args=(stream,)) for stream in streams]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the callers inside one batch
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures
+
 
 class TestEngineConstruction:
     def test_needs_circuit(self):
@@ -130,6 +163,15 @@ class TestEngineConstruction:
         multiplier = generate_multiplier("thiswork", MODULUS, verify=False)
         engine = Engine(netlist=multiplier.netlist, m=13)
         assert engine.multiply(3, 5) == FIELD.multiply(3, 5)
+
+    def test_rejects_netlists_outside_the_multiplier_convention(self):
+        netlist = Netlist(name="odd-io")
+        netlist.add_output("c0", netlist.add_input("x0"))
+        with pytest.raises(ValueError, match="convention"):
+            Engine(netlist=netlist, m=1)
+        multiplier = generate_multiplier("thiswork", type_ii_pentanomial(8, 2), verify=False)
+        with pytest.raises(ValueError, match="missing output c8"):
+            Engine(netlist=multiplier.netlist, m=9)
 
     def test_engine_for_is_cached(self):
         assert engine_for("thiswork", MODULUS) is engine_for("thiswork", MODULUS)

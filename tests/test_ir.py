@@ -4,7 +4,7 @@ Acceptance contract of the PR 6 tentpole: the entire López-Dahab ladder
 step is traced **once** (:mod:`repro.curves.formulas`), scheduled once per
 curve into fused passes, and runs byte-identically on every substrate —
 the compiled ``native`` executor (when built), the paper's netlist on
-``bitslice`` through the interpreting executor, the per-step batch
+``engine`` through the interpreting executor, the per-step batch
 interpreter on ``python`` and the affine double-and-add reference must
 agree lane for lane on the parity grid, including edge scalars (0, 1,
 n−1, mixed widths) and batch sizes straddling an executor's chunk
@@ -28,7 +28,6 @@ from repro.backends import (
     execute_program,
     get_backend,
     native_available,
-    numpy_available,
     schedule_program,
 )
 from repro.curves import curve_by_name, ecdh_batch, keygen_batch
@@ -36,13 +35,10 @@ from repro.curves.formulas import ladder_step_ir, ladder_step_program
 from repro.galois.field import GF2mField
 from repro.galois.pentanomials import smallest_type_ii_pentanomial
 
-requires_numpy = pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-
-#: Every registered backend this machine can build: bitslice needs numpy,
-#: native a working C toolchain.
+#: Every registered backend this machine can build: native needs a working
+#: C toolchain.
 BUILDABLE_BACKENDS = [
-    name for name in available_backends()
-    if (name != "bitslice" or numpy_available()) and (name != "native" or native_available())
+    name for name in available_backends() if name != "native" or native_available()
 ]
 
 GF2_13 = GF2mField(smallest_type_ii_pentanomial(13), check_irreducible=False)
@@ -237,9 +233,7 @@ class TestExecutorContract:
         with pytest.raises(KeyError, match="needs mask 'bit'"):
             executor.run(program, {"a": wide, "b": wide})
 
-    @pytest.mark.parametrize(
-        "name", ["python", "engine", pytest.param("bitslice", marks=requires_numpy)]
-    )
+    @pytest.mark.parametrize("name", ["python", "engine"])
     def test_interpreting_backends_run_the_same_program(self, name):
         backend = get_backend(name, GF2_163)
         executor = backend.ir_executor()
@@ -258,17 +252,15 @@ class TestExecutorContract:
             expected[name] for name in compiled.output_names
         ]
 
-    @requires_numpy
-    def test_bitslice_runs_on_the_interpreted_executor(self):
-        backend = get_backend("bitslice", GF2_163)
+    def test_engine_runs_on_the_interpreted_executor(self):
+        backend = get_backend("engine", GF2_163)
         executor = backend.ir_executor()
         assert executor.kind == "interpreted"
         assert executor.m == 163
         assert backend.ir_executor() is executor  # cached per backend instance
 
-    @requires_numpy
     def test_describe_mentions_the_substrate(self):
-        backend = get_backend("bitslice", GF2_163)
+        backend = get_backend("engine", GF2_163)
         description = backend.ir_executor().describe()
         assert "interpreted executor" in description
         assert backend.describe() in description
@@ -278,9 +270,8 @@ class TestExecutorContract:
             import repro.backends.planes  # noqa: F401
 
 
-@requires_numpy
 class TestFusedLadderParity:
-    """Fused IR ladder (bitslice, native) == per-step interpreter == affine reference."""
+    """Fused IR ladder (engine, native) == per-step interpreter == affine reference."""
 
     @pytest.mark.parametrize("name", PARITY_CURVES)
     def test_fused_ladder_matches_both_paths_on_edge_scalars(
@@ -297,19 +288,19 @@ class TestFusedLadderParity:
             assert curve.multiply_batch(points, scalars, backend=backend) == reference
 
     @pytest.mark.parametrize("name", PARITY_CURVES)
-    def test_bitslice_ladder_matches_scalar_reference(self, name, reference_multiply):
+    def test_engine_ladder_matches_scalar_reference(self, name, reference_multiply):
         # The same 16 edge scalars through the paper's netlist.
         curve = curve_by_name(name)
         rng = random.Random(2018)
         scalars = _edge_scalars(curve, 16, rng)
         points = [curve.generator] * len(scalars)
         reference = [reference_multiply(curve.generator, scalar) for scalar in scalars]
-        assert curve.multiply_batch(points, scalars, backend="bitslice") == reference
+        assert curve.multiply_batch(points, scalars, backend="engine") == reference
 
     @pytest.mark.parametrize("batch", [7, 8, 9, 17])
     def test_chunk_boundary_batches(self, batch, ladder_backends, compiled_backends):
         # chunk_size=8 puts 7/8/9/17 below, at, and across the chunk edges
-        # of a packed executor (and of bitslice's netlist passes).
+        # of a packed executor (and of the engine's netlist passes).
         curve = curve_by_name("T-13")
         rng = random.Random(batch)
         scalars = _edge_scalars(curve, batch, rng)
@@ -351,27 +342,16 @@ class TestFusedLadderParity:
         for backend in ladder_backends(curve.field):
             assert curve.multiply_batch(points, scalars, backend=backend) == reference
 
-    @pytest.mark.parametrize("name", ["T-13", "K-163"])
-    def test_bitslice_and_engine_ladders_are_byte_identical(self, name):
-        # The paper's netlist against the compiled big-integer engine.
-        curve = curve_by_name(name)
-        rng = random.Random(99)
-        scalars = _edge_scalars(curve, 12, rng)
-        points = [curve.generator] * len(scalars)
-        sliced = curve.multiply_batch(points, scalars, backend="bitslice")
-        engine = curve.multiply_batch(points, scalars, backend="engine")
-        assert sliced == engine
-
-    def test_protocols_are_byte_identical_on_bitslice(self):
+    def test_protocols_are_byte_identical_on_engine(self):
         curve = curve_by_name("K-163")
-        pairs = keygen_batch(curve, 6, seed=4, backend="bitslice")
+        pairs = keygen_batch(curve, 6, seed=4, backend="engine")
         reference = keygen_batch(curve, 6, seed=4, batched=False)
         assert [p.public for p in pairs] == [p.public for p in reference]
         shared = ecdh_batch(
             curve,
             [p.private for p in pairs],
             [p.public for p in reversed(pairs)],
-            backend="bitslice",
+            backend="engine",
         )
         assert shared == [
             curve.multiply(q.public, p.private) for p, q in zip(pairs, reversed(pairs))
@@ -399,23 +379,21 @@ class TestProgramMemoization:
         assert cached_program(key, factory) is first
         assert len(calls) == 1
 
-    @requires_numpy
     def test_compiled_lowering_is_memoized_per_executor(self):
         curve = curve_by_name("K-163")
         program = ladder_step_program(curve)
-        executor = get_backend("bitslice", curve.field).ir_executor()
+        executor = get_backend("engine", curve.field).ir_executor()
         assert executor.compile(program) is executor.compile(program)
         # A different chunk size is a different backend instance and executor.
-        narrow = get_backend("bitslice", curve.field, chunk_size=64).ir_executor()
+        narrow = get_backend("engine", curve.field, chunk_size=64).ir_executor()
         assert narrow is not executor
         assert narrow.compile(program) is not executor.compile(program)
 
 
-@requires_numpy
 class TestDescribeSurface:
     def test_cli_bench_describe_prints_the_schedule(self, capsys):
         from repro.cli import main
 
-        assert main(["bench", "--backend", "bitslice", "-m", "163", "-n", "66", "--describe"]) == 0
+        assert main(["bench", "--backend", "engine", "-m", "163", "-n", "66", "--describe"]) == 0
         out = capsys.readouterr().out
         assert "ld_step" in out and "6 fused passes" in out and "compiled:" in out

@@ -125,11 +125,8 @@ class TestVerification:
 
     def test_simulation_is_backend_parameterized(self, gf28_modulus):
         """Parity is asserted through every execution substrate uniformly."""
-        from repro.backends import numpy_available
-
         netlist = tiny_correct_netlist(gf28_modulus)
-        backends = ["engine", "python"] + (["bitslice"] if numpy_available() else [])
-        for backend in backends:
+        for backend in ("engine", "python"):
             assert verify_by_simulation(
                 netlist, gf28_modulus, trials=16, exhaustive_limit=4, backend=backend
             ), backend
@@ -137,8 +134,6 @@ class TestVerification:
             verify_by_simulation(netlist, gf28_modulus, backend="no_such_backend")
 
     def test_backend_parameterized_simulation_catches_bugs(self):
-        from repro.backends import numpy_available
-
         modulus = 0b1011
         spec = ProductSpec.from_modulus(modulus)
         netlist = Netlist(name="buggy")
@@ -148,8 +143,7 @@ class TestVerification:
             pairs = sorted(spec.pairs(k))[:-1] if k == 2 else sorted(spec.pairs(k))
             products = [netlist.and2(a[i], b[j]) for i, j in pairs]
             netlist.add_output(f"c{k}", netlist.xor_reduce(products))
-        backends = ["engine", "python"] + (["bitslice"] if numpy_available() else [])
-        for backend in backends:
+        for backend in ("engine", "python"):
             assert not verify_by_simulation(
                 netlist, modulus, exhaustive_limit=4, backend=backend
             ), backend

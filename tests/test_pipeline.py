@@ -91,8 +91,8 @@ class TestArtifactKey:
     def test_backend_changes_the_key(self):
         job = SweepJob(method="thiswork", m=8, n=2, options=FAST)
         engine = dataclasses.replace(job, backend="engine")
-        bitslice = dataclasses.replace(job, backend="bitslice")
-        keys = {artifact_key(job), artifact_key(engine), artifact_key(bitslice)}
+        native = dataclasses.replace(job, backend="native")
+        keys = {artifact_key(job), artifact_key(engine), artifact_key(native)}
         assert len(keys) == 3
 
 

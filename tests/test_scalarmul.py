@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backends import native_available, numpy_available
+from repro.backends import native_available
 from repro.curves import (
     comb_table,
     curve_by_name,
@@ -38,8 +38,6 @@ B163 = curve_by_name("B-163")
 def backends_under_test(field):
     """Every distinct installed backend, the interpreter baseline included."""
     names = ["engine"]
-    if numpy_available():
-        names.append("bitslice")
     if native_available():
         names.append("native")
     return [field.resolve_backend(name) for name in names]

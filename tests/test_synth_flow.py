@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import sys
-
 import pytest
 
 from repro.galois.pentanomials import type_ii_pentanomial
@@ -231,15 +229,6 @@ PINNED_ARTIX7 = {
         ),
     },
 }
-if sys.version_info >= (3, 12):
-    # Python 3.12 sums floats with compensated summation, so the LUT mapper's
-    # area flows (``sum`` over a cut's leaves) round differently and this
-    # grid point maps to another cover.
-    PINNED_ARTIX7[(16, 3)]["imana2016"] = (
-        (209, 94, 14.357619873412515, 5, 2.223404255319149, False),
-        (219, 102, 12.658634668123343, 4, 2.1470588235294117, False),
-        (219, 102, 12.658634668123343, 4, 2.1470588235294117, False),
-    )
 
 #: GF(2^8) at the default effort with restructuring off, then on the 4-LUT
 #: device.

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backends import get_backend, native, native_available, numpy_available
+from repro.backends import get_backend, native, native_available
 from repro.backends.ir import _PROGRAM_CACHE
 from repro.backends.steps import TauSteps
 from repro.curves import curve_by_name, multiply_tau_batch, reduce_scalar
@@ -174,8 +174,6 @@ class TestReductionParity:
 
 def _backend_names():
     names = ["python", "engine"]
-    if numpy_available():
-        names.append("bitslice")
     if native_available():
         names.append("native")
     return names
