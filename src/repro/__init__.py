@@ -61,11 +61,7 @@ _EXPORTS = {
         "ecdh_shared", "ecdsa_sign", "ecdsa_verify", "generate_keypair",
         "keygen_batch",
     ),
-    "engine": (
-        "CompiledNetlist", "Engine", "MultiplierCache", "cached_multiplier",
-        "compile_netlist", "default_multiplier_cache", "engine_for",
-        "engine_for_netlist",
-    ),
+    "engine": ("CompiledNetlist", "Engine", "compile_netlist", "engine_for"),
     "galois": (
         "NIST_ECDSA_DEGREES", "PAPER_TABLE5_FIELDS", "FieldElement", "FieldSpec",
         "GF2LinearMap", "GF2mField", "field_catalog", "find_type_ii_pentanomials",
@@ -76,7 +72,8 @@ _EXPORTS = {
         "vhdl_testbench",
     ),
     "multipliers": (
-        "ALL_GENERATORS", "TABLE5_METHODS", "GeneratedMultiplier", "available_methods",
+        "ALL_GENERATORS", "TABLE5_METHODS", "GeneratedMultiplier", "MultiplierCache",
+        "available_methods", "cached_multiplier", "default_multiplier_cache",
         "generate_multiplier", "get_generator",
     ),
     "netlist": (
@@ -99,94 +96,7 @@ _EXPORTS = {
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "EngineBackend",
-    "FieldBackend",
-    "PythonIntBackend",
-    "assert_backend_parity",
-    "available_backends",
-    "get_backend",
-    "register_backend",
-    "resolve_backend",
-    "PAPER_TABLE5",
-    "claims_report",
-    "compare_to_paper",
-    "comparison_table",
-    "render_table1",
-    "render_table2",
-    "render_table3",
-    "render_table4",
-    "run_comparison",
-    "CompiledNetlist",
-    "Engine",
-    "MultiplierCache",
-    "cached_multiplier",
-    "compile_netlist",
-    "default_multiplier_cache",
-    "engine_for",
-    "engine_for_netlist",
-    "CURVES",
-    "BinaryCurve",
-    "CurveSpec",
-    "KeyPair",
-    "Point",
-    "Signature",
-    "available_curves",
-    "curve_by_name",
-    "curve_catalog",
-    "ecdh_batch",
-    "ecdh_shared",
-    "ecdsa_sign",
-    "ecdsa_verify",
-    "generate_keypair",
-    "keygen_batch",
-    "NIST_ECDSA_DEGREES",
-    "PAPER_TABLE5_FIELDS",
-    "FieldElement",
-    "FieldSpec",
-    "GF2LinearMap",
-    "GF2mField",
-    "field_catalog",
-    "find_type_ii_pentanomials",
-    "is_irreducible",
-    "lookup_field",
-    "poly_to_string",
-    "type_ii_pentanomial",
-    "multiplier_to_behavioral_vhdl",
-    "netlist_to_verilog",
-    "netlist_to_vhdl",
-    "vhdl_testbench",
-    "ALL_GENERATORS",
-    "TABLE5_METHODS",
-    "GeneratedMultiplier",
-    "available_methods",
-    "generate_multiplier",
-    "get_generator",
-    "Netlist",
-    "gather_stats",
-    "multiply_with_netlist",
-    "simulate_words",
-    "verify_by_simulation",
-    "verify_netlist",
-    "ArtifactStore",
-    "SweepJob",
-    "SweepResult",
-    "build_sweep_jobs",
-    "format_sweep",
-    "run_sweep",
-    "ProductSpec",
-    "parenthesized_coefficients",
-    "split_coefficients",
-    "st_coefficients",
-    "ARTIX7",
-    "DeviceModel",
-    "ImplementationResult",
-    "SynthesisOptions",
-    "format_table",
-    "implement",
-    "map_to_luts",
-    "__version__",
-]
+__all__ = [name for names in _EXPORTS.values() for name in names] + ["__version__"]
 
 #: Subpackages load on first access too (``repro.synth`` after ``import repro``).
 _SUBPACKAGES = (

@@ -2,8 +2,8 @@
 
 One abstraction (:class:`FieldBackend`) behind which every way of
 physically evaluating field arithmetic lives, so the layers above — the
-field, the curve ladders, the protocol batch APIs, the sweep pipeline and
-the CLI — select a substrate by name instead of hard-coding a call path:
+field, the curve ladders, the protocol batch APIs, the service and the
+CLI — select a substrate by name instead of hard-coding a call path:
 
 * ``python`` (:class:`PythonIntBackend`) — the scalar big-integer
   reference: carry-less multiply + reduce per pair.  No one-time costs;
@@ -38,8 +38,7 @@ anywhere batch APIs are exposed, the ``--backend`` CLI flag, or the
 ``GF2M_REPRO_BACKEND`` environment variable for a process-wide default;
 otherwise :func:`default_backend_name` resolves per field.  Parity of all
 backends against the scalar reference is asserted uniformly by
-:func:`assert_backend_parity` and the backend-parameterized
-:func:`repro.netlist.verify.verify_by_simulation`.
+:func:`assert_backend_parity`.
 
 >>> from repro.backends import get_backend
 >>> from repro.galois import GF2mField, type_ii_pentanomial

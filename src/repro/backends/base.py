@@ -20,10 +20,8 @@ Contract
   and the curve ladders feed backends internally-produced values only.
 * Every backend must be **byte-identical** to the scalar reference
   (``GF2mField.multiply`` / ``square`` / ``inverse``) on all inputs; the
-  parity harness (:func:`repro.backends.registry.assert_backend_parity`
-  and the backend-parameterized
-  :func:`repro.netlist.verify.verify_by_simulation`) asserts this
-  uniformly for every registered implementation.
+  parity harness (:func:`repro.backends.registry.assert_backend_parity`)
+  asserts this uniformly for every registered implementation.
 * :meth:`FieldBackend.ir_executor` returns the backend's
   :class:`~repro.backends.ir.IRExecutor`: the C lowering on ``native``,
   the interpreting executor everywhere else.  Every batched formula —

@@ -15,6 +15,9 @@ Backend instances are cached per ``(name, modulus, options)`` in a
 process-wide LRU, so resolving a backend on a hot path costs a dictionary
 hit; the expensive state behind it (generated circuits, compiled
 evaluators) is additionally shared through the engine/multiplier caches.
+Options such as the engine's circuit construction (``method=``) are given
+to :func:`get_backend`; :func:`resolve_backend`, behind every
+``backend=`` argument of the batch APIs, takes a name or an instance.
 
 :func:`assert_backend_parity` is the uniform cross-check harness: every
 backend must reproduce the scalar reference (``GF2mField.multiply`` /
@@ -126,37 +129,22 @@ def get_backend(name: Optional[str], field: "GF2mField", **options) -> FieldBack
 
 
 def resolve_backend(
-    field: "GF2mField",
-    backend: Union[FieldBackend, str, None] = None,
-    method: Optional[str] = None,
+    field: "GF2mField", backend: Union[FieldBackend, str, None] = None
 ) -> FieldBackend:
     """Resolve a caller-supplied backend spec into an instance for ``field``.
 
     ``backend`` may be an instance (must belong to an equal field), a
-    registered name, or ``None`` for the default.  ``method`` selects the
-    multiplier construction of circuit-backed backends; passing it without
-    a backend picks the engine, preserving the historical meaning of
-    ``GF2mField.multiply_batch(..., method=...)``.  Combining ``method``
-    with a backend *instance* is only accepted when the instance already
-    uses that construction — an instance fixes its circuit at creation, so
-    silently ignoring a different ``method`` would run the wrong one.
+    registered name, or ``None`` for the default.  A circuit backend's
+    construction is chosen where it is built:
+    ``get_backend("engine", field, method=...)``.
     """
     if isinstance(backend, FieldBackend):
         if backend.field != field:
             raise ValueError(
                 f"backend {backend.name!r} is bound to {backend.field!r}, not {field!r}"
             )
-        if method is not None and getattr(backend, "method", None) != method:
-            raise ValueError(
-                f"backend instance {backend.name!r} already fixes its construction "
-                f"({getattr(backend, 'method', None)!r}); cannot re-select method={method!r} — "
-                "resolve a backend by name instead"
-            )
         return backend
-    if backend is None and method is not None:
-        backend = _ENGINE
-    options = {} if method is None else {"method": method}
-    return get_backend(backend, field, **options)
+    return get_backend(backend, field)
 
 
 def assert_backend_parity(

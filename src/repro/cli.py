@@ -30,16 +30,17 @@ its handler (``set_defaults(run=...)``); :func:`main` calls
 ``--check``, ``--seed``, ...) is declared once (:func:`_option`); a
 subcommand that needs another default sets it with ``set_defaults``.
 
-``batch``, ``bench``, ``ecdh``, ``keygen``, ``serve`` and ``sweep`` accept
+``batch``, ``bench``, ``ecdh``, ``keygen`` and ``serve`` accept
 ``--backend`` (``python`` | ``engine`` | ``native``, see
 :mod:`repro.backends`); the ``GF2M_REPRO_BACKEND`` environment variable
 sets the process default.  Every subcommand resolves it at a single site,
 :func:`_resolve_cli_backend`, so none can drift apart in error behavior.
 
-``--trace-out FILE`` (top level or after any ``--backend`` subcommand)
-records a span trace of the run and writes it as Chrome trace-event JSON —
-open it in Perfetto (https://ui.perfetto.dev) to see pack / per-fused-pass
-/ unpack / inversion timings nested under each ladder.
+``--trace-out FILE`` (top level, or after ``sweep`` or any ``--backend``
+subcommand) records a span trace of the run and writes it as Chrome
+trace-event JSON — open it in Perfetto (https://ui.perfetto.dev) to see
+pack / per-fused-pass / unpack / inversion timings nested under each
+ladder.
 """
 
 from __future__ import annotations
@@ -57,13 +58,14 @@ from .analysis.tables import render_table1, render_table2, render_table3, render
 from .backends import BACKEND_ENV_VAR, available_backends, default_backend_name, get_backend
 from .backends.steps import LadderSteps, run_steps_python
 from .curves import CURVES, curve_by_name, keygen_batch
-from .engine import default_multiplier_cache, engine_for
+from .engine import engine_for
 from .galois.field import GF2mField
 from .galois.gf2poly import poly_to_string
 from .galois.pentanomials import PAPER_TABLE5_FIELDS, type_ii_pentanomial
 from .hdl.testbench import vhdl_testbench
 from .hdl.verilog import netlist_to_verilog
 from .hdl.vhdl import multiplier_to_behavioral_vhdl, netlist_to_vhdl
+from .multipliers.cache import default_multiplier_cache
 from .multipliers.registry import TABLE5_METHODS, describe_methods, generate_multiplier
 from .netlist.simulate import simulate_words
 from .pipeline.store import ArtifactStore
@@ -127,8 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         default=None,
         choices=available_backends(),
-        help="execution backend (default: $GF2M_REPRO_BACKEND or per-field resolution); "
-        "for 'sweep' it is also part of the artifact cache key",
+        help="execution backend (default: $GF2M_REPRO_BACKEND or per-field resolution)",
     )
     # The top-level --trace-out, also accepted after the subcommand.
     # SUPPRESS keeps a subcommand that was not given the flag from
@@ -196,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = command(
         "sweep", _run_sweep, "run a field x method x device x effort grid through the parallel pipeline",
-        backend, trace, fields, methods, *cache, jobs,
+        trace, fields, methods, *cache, jobs,
     )
     sweep.add_argument(
         "--devices",
@@ -618,7 +619,6 @@ def _run_sweep(args) -> int:
             efforts=efforts,
             jobs=args.jobs,
             store=_artifact_store(args),
-            backend=args.backend,
         )
     print(format_sweep(result, fmt=args.format))
     if args.stats:

@@ -41,11 +41,9 @@ from .scalarmul import (
     comb_table,
     is_koblitz,
     multiply_comb_batch,
-    multiply_tau,
     multiply_tau_batch,
     reduce_scalar,
     tau_mu,
-    tau_naf,
     tau_window_digits,
 )
 from .protocols import (
@@ -74,11 +72,9 @@ __all__ = [
     "comb_table",
     "is_koblitz",
     "multiply_comb_batch",
-    "multiply_tau",
     "multiply_tau_batch",
     "reduce_scalar",
     "tau_mu",
-    "tau_naf",
     "tau_window_digits",
     "KeyPair",
     "Signature",

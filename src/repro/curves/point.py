@@ -10,7 +10,8 @@ multiplication paths:
 * :meth:`BinaryCurve.multiply` — a Montgomery ladder in López-Dahab
   ``(X : Z)`` projective coordinates: six multiplications and a handful of
   fast squarings per step, with a single inversion for the final
-  ``y``-recovery;
+  ``y``-recovery (binary scalars only: the τ-adic recoding is a batch
+  route);
 * :meth:`BinaryCurve.multiply_batch` — the same ladder (or the τ-adic or
   comb route) over many independent ``(point, scalar)`` pairs at once,
   driven by the **formula compiler**: the whole López-Dahab step, the
@@ -294,18 +295,14 @@ class BinaryCurve:
             scalarmul.tau_mu(self)  # raises with the helpful message
         return scalar_rep
 
-    def multiply(self, point: Point, scalar: int, *, scalar_rep: str = "binary") -> Point:
+    def multiply(self, point: Point, scalar: int) -> Point:
         """Scalar multiplication with on-curve validation.
 
         The x-only López-Dahab projective Montgomery ladder with
-        ``y``-recovery — one field inversion total.  ``scalar_rep``
-        selects the scalar recoding: ``"binary"`` is the ladder, ``"tau"``
-        the τ-adic NAF expansion (Koblitz curves only — doublings become
-        Frobenius squarings), and ``"auto"`` picks τ exactly when the
-        curve supports it.  Every recoding returns byte-identical points.
+        ``y``-recovery — one field inversion total.  It is the reference
+        every batched route (binary, τ-adic, comb) is byte-identical to.
         """
         self._require_on_curve(point, "the base point")
-        rep = self._resolve_scalar_rep(scalar_rep)
         if scalar < 0:
             point, scalar = self.negate(point), -scalar
         if scalar == 0 or point.is_infinity:
@@ -313,12 +310,7 @@ class BinaryCurve:
         if point.x == 0:
             # Order-two point: the ladder's difference invariant needs x != 0.
             return point if scalar & 1 else self.infinity()
-        if rep == "tau":
-            from . import scalarmul
-
-            result = scalarmul.multiply_tau(self, point, scalar)
-        else:
-            result = self._ladder_ld(point, scalar)
+        result = self._ladder_ld(point, scalar)
         if not self.contains(result):  # pragma: no cover - internal consistency
             raise ArithmeticError("scalar multiplication left the curve")
         return result
@@ -400,10 +392,11 @@ class BinaryCurve:
         ``"python"`` or an instance; an instance also fixes the multiplier
         construction).
 
-        ``scalar_rep`` selects the recoding (see :meth:`multiply`):
-        ``"tau"``/``"auto"`` route Koblitz batches through the τ-adic
-        Frobenius ladder (:func:`repro.curves.scalarmul
-        .multiply_tau_batch`).  ``fixed_base`` routes generator multiplies
+        ``scalar_rep`` selects the recoding: ``"binary"`` is the ladder,
+        ``"tau"`` the τ-adic Frobenius ladder (:func:`repro.curves.scalarmul
+        .multiply_tau_batch`; Koblitz curves only — doublings become
+        squarings), and ``"auto"`` picks τ exactly when the curve supports
+        it.  ``fixed_base`` routes generator multiplies
         through the precomputed comb table (:func:`repro.curves.scalarmul
         .multiply_comb_batch`): ``None`` (default) uses the comb exactly
         when **every** ladder-bound base is the curve generator and every

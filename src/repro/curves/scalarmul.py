@@ -37,17 +37,12 @@ the τ path byte-identical to :meth:`~repro.curves.point.BinaryCurve
 .multiply_reference` on arbitrary inputs, cofactor components included, at
 the cost of ~2 extra digits (``N(τ^m − 1) = h·n`` vs ``N(δ) = n``).
 
-Two recodings are provided:
-
-* :func:`tau_naf` — width-w τ-NAF (Solinas): odd digits ``|u| < 2^(w−1)``,
-  at most one nonzero in any ``w`` consecutive positions, average density
-  ``1/(w+1)``.  The scalar evaluation path uses it directly.
-* :func:`tau_window_digits` — the batched ladder's recoding: digits are
-  extracted ``w`` τ-positions at a time, so every lane of a batch has its
-  nonzero digits at positions ``≡ 0 (mod w)`` (plus a short unaligned
-  tail).  Alignment is what makes batching pay: at aligned positions the
-  whole batch shares one masked-add step, everywhere else the step is a
-  pure squaring pass.
+The recoding, :func:`tau_window_digits`, extracts digits ``w``
+τ-positions at a time, so every lane of a batch has its nonzero digits at
+positions ``≡ 0 (mod w)`` (plus a short unaligned tail of plain τ-NAF ±1
+digits).  Alignment is what makes batching pay: at aligned positions the
+whole batch shares one masked-add step, everywhere else the step is a pure
+squaring pass.
 
 The batched route reduces and recodes a whole chunk of lanes at once
 into position-major digit rows: in C (``gf2m_tau_reduce`` then
@@ -96,7 +91,6 @@ __all__ = [
     "is_koblitz",
     "tau_mu",
     "reduce_scalar",
-    "tau_naf",
     "tau_window_digits",
     "tau_digits_value",
     "DEFAULT_TAU_WIDTH",
@@ -104,12 +98,11 @@ __all__ = [
     "CombTable",
     "PackedBases",
     "comb_table",
-    "multiply_tau",
     "multiply_tau_batch",
     "multiply_comb_batch",
 ]
 
-#: Default τ-NAF / window width: 2^(w−1) precomputed multiples per base,
+#: Default τ-adic window width: 2^(w−1) precomputed multiples per base,
 #: one masked add per w ladder positions.
 DEFAULT_TAU_WIDTH = 4
 
@@ -311,48 +304,6 @@ def reduce_scalar(curve: "BinaryCurve", scalar: int) -> "Tuple[int, int]":
     ``δ = (τ^m − 1)/(τ − 1)``).
     """
     return _tau_context(curve).reduce(scalar)
-
-
-def tau_naf(curve: "BinaryCurve", scalar: int, width: int = DEFAULT_TAU_WIDTH) -> "List[int]":
-    """The width-w τ-NAF digits of ``scalar`` on ``curve``, lowest first.
-
-    Digits are zero or odd with ``|u| < 2^(width−1)``, with at most one
-    nonzero in any ``width`` consecutive positions — average density
-    ``1/(width+1)`` — except in the constant-size tail, which drops to
-    the plain width-2 τ-NAF once the residue norm falls under
-    :func:`_tail_threshold` (wider windows stop contracting there).
-    Evaluating ``Σ uᵢ τ^i`` on any rational point yields exactly
-    ``scalar · P`` (the expansion encodes the :func:`reduce_scalar`
-    residue).
-    """
-    if width < 2 or width > 16:
-        raise ValueError(f"τ-NAF width must be in [2, 16], got {width}")
-    ctx = _tau_context(curve)
-    mu = ctx.mu
-    t_w = ctx.t_width(width)
-    power = 1 << width
-    threshold = _tail_threshold(width)
-    gate = math.isqrt(2 * threshold) + 1
-    r0, r1 = reduce_scalar(curve, scalar)
-    digits: "List[int]" = []
-    while r0 or r1:
-        # Wide windows stall (or cycle) once the residue norm drops under
-        # the width's threshold — finish with the plain τ-NAF there.
-        if (
-            power > 4
-            and -gate <= r0 <= gate
-            and -gate <= r1 <= gate
-            and r0 * r0 + mu * r0 * r1 + 2 * r1 * r1 <= threshold
-        ):
-            t_w, power = ctx.t_width(2), 4
-        if r0 & 1:
-            u = _mods(r0 + r1 * t_w, power)
-            digits.append(u)
-            r0 -= u
-        else:
-            digits.append(0)
-        r0, r1 = _div_tau(mu, r0, r1)
-    return digits
 
 
 def tau_window_digits(
@@ -620,43 +571,6 @@ def _small_multiples_batch(curve, executor, xs, ys, lanes, top):
 
 
 # ------------------------------------------------------------- τ-adic ladder
-def multiply_tau(
-    curve: "BinaryCurve",
-    point: "Point",
-    scalar: int,
-    width: int = DEFAULT_TAU_WIDTH,
-) -> "Point":
-    """Scalar τ-NAF multiplication on affine points (the unbatched path).
-
-    The caller (``BinaryCurve.multiply``) has already screened negatives,
-    zero scalars, infinity and the order-two point.  Evaluation is the
-    plain Horner scheme over :func:`tau_naf` digits with the field's
-    squaring map as τ — byte-identical to the binary ladder by group
-    arithmetic.
-    """
-    from .point import Point
-
-    field = curve.field
-    digits = tau_naf(curve, scalar, width)
-    registry = _metrics.REGISTRY
-    if registry.enabled:
-        registry.inc("ladder.tau.digits", len(digits))
-    table: "Dict[int, Point]" = {1: point}
-    if any(abs(digit) > 1 for digit in digits):
-        double = curve.double(point)
-        for u in range(3, 1 << (width - 1), 2):
-            table[u] = curve.add(table[u - 2], double)
-    result = curve.infinity()
-    square = field.square
-    for digit in reversed(digits):
-        if not result.is_infinity:
-            result = Point(curve, square(result.x), square(result.y))
-        if digit:
-            entry = table[abs(digit)]
-            result = curve.add(result, entry if digit > 0 else curve.negate(entry))
-    return result
-
-
 def multiply_tau_batch(
     curve: "BinaryCurve",
     bases: PackedBases,

@@ -1,23 +1,19 @@
-"""Compiled batch-multiplication engine with multiplier caching.
+"""Compiled batch-multiplication engine.
 
-This package is the production execution layer on top of the paper
+This package is the batch execution layer on top of the paper
 reproduction: where :mod:`repro.netlist.simulate` interprets a netlist node
-by node (the readable reference), :mod:`repro.engine` compiles the circuit
-once and pushes bit-packed operand batches through it at word speed.
+by node (the readable reference every check runs), :mod:`repro.engine`
+compiles the circuit once and pushes bit-packed operand batches through it
+at word speed.
 
 Layers, bottom up:
 
 * :mod:`repro.engine.bitpack` — word-level bit-matrix transposition between
   operand row words and per-input-bit plane words;
-* :mod:`repro.engine.compiler` — levelization of a netlist into flat
-  op/fanin schedules and generated straight-line Python evaluators;
+* :mod:`repro.engine.compiler` — levelization of a netlist and its
+  generated straight-line Python evaluator;
 * :mod:`repro.engine.engine` — the :class:`Engine` batch API
-  (``multiply_batch``) and the cached :func:`engine_for` /
-  :func:`engine_for_netlist` factories.
-
-Multiplier caching lives in :mod:`repro.multipliers.cache` and the generic
-LRU in :mod:`repro.pipeline.store`; both are re-exported here for
-convenience.
+  (``multiply_batch``) and the cached :func:`engine_for` factory.
 
 Quick start
 -----------
@@ -28,29 +24,17 @@ Quick start
 [49, 42]
 """
 
-from ..multipliers.cache import (
-    MultiplierCache,
-    cached_multiplier,
-    default_multiplier_cache,
-)
-from ..pipeline.store import CacheInfo, LRUCache
 from .bitpack import block_size_for, pack_rows, transpose_square, unpack_planes
 from .compiler import CompiledNetlist, compile_netlist
-from .engine import Engine, engine_for, engine_for_netlist
+from .engine import Engine, engine_for
 
 __all__ = [
     "block_size_for",
     "pack_rows",
     "transpose_square",
     "unpack_planes",
-    "CacheInfo",
-    "LRUCache",
-    "MultiplierCache",
-    "cached_multiplier",
-    "default_multiplier_cache",
     "CompiledNetlist",
     "compile_netlist",
     "Engine",
     "engine_for",
-    "engine_for_netlist",
 ]

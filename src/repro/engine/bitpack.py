@@ -4,8 +4,7 @@ Feeding K operand pairs through a bit-parallel multiplier netlist requires a
 *transpose*: the caller holds K row words (one per operand, ``m`` bits each)
 while the simulator wants ``m`` plane words (one per input bit, K bits each).
 The obvious double loop costs O(K·m) Python-level bit operations and easily
-dominates the whole batch — in the interpreted simulator it is ~97% of the
-runtime for GF(2^163).
+dominates the whole batch.
 
 This module transposes through whole machine words instead.  The K×m bit
 matrix is carved into square power-of-two blocks, each block is transposed

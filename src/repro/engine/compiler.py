@@ -1,28 +1,17 @@
-"""Netlist compiler: levelized flat schedules and generated Python evaluators.
+"""Netlist compiler: levelized, generated straight-line Python evaluators.
 
 The interpreted simulator (:func:`repro.netlist.simulate.simulate`) walks the
 :class:`~repro.netlist.netlist.Netlist` node by node, paying a method call,
 a bounds check and a tuple construction per gate.  For the 55k-gate GF(2^163)
 multiplier that dispatch overhead is an order of magnitude more expensive
-than the bitwise work itself.  This module removes it in two stages:
+than the bitwise work itself.  This module removes it: the live cone of the
+netlist is *levelized* (sorted by logic level) and emitted as the source of
+a straight-line Python function (one ``v123 = v45 ^ v67`` statement per
+gate), compiled once with :func:`compile`/``exec``.  Each gate then costs
+exactly one bytecode binary operation on the packed words.  Compilation
+takes ~1 s per 50k gates, which the engine cache amortizes away.
 
-``mode="arrays"``
-    The live cone of the netlist is *levelized* — nodes are renumbered
-    densely in level order — and flattened into one schedule list of
-    ``(node, fanin0, fanin1, is_and)`` tuples.  Evaluation is a single tight
-    Python loop with list indexing only: no method calls, no per-node dict
-    lookups.  Compiles in microseconds; evaluates ~3× faster than the
-    interpreted walk.
-
-``mode="exec"``
-    The schedule is further emitted as the source of a straight-line Python
-    function (one ``v123 = v45 ^ v67`` statement per gate), compiled once
-    with :func:`compile`/``exec``.  Each gate then costs exactly one bytecode
-    binary operation on the packed words — another ~5-10× over the flat
-    loop.  Compilation takes ~1 s per 50k gates, which the engine-level
-    caches amortize away.
-
-Both modes evaluate *packed* words: every value is an arbitrary-precision
+The evaluator works on *packed* words: every value is an arbitrary-precision
 integer whose bit ``p`` belongs to test vector ``p``, so one call evaluates
 as many operand pairs as the words are wide.
 """
@@ -30,7 +19,7 @@ as many operand pairs as the words are wide.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, TYPE_CHECKING, Tuple
+from typing import Callable, Dict, List, Sequence, TYPE_CHECKING, Tuple
 
 from ..netlist.netlist import OP_AND, OP_CONST0, OP_INPUT, OP_XOR
 
@@ -39,23 +28,20 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["CompiledNetlist", "compile_netlist"]
 
-#: Supported compilation modes.
-MODES = ("exec", "arrays")
-
 
 @dataclass
 class CompiledNetlist:
-    """A netlist lowered to a flat, dispatch-free evaluator.
+    """A netlist lowered to a generated, dispatch-free evaluator.
 
     Instances are produced by :func:`compile_netlist`.  ``input_names`` fixes
     the positional order of :meth:`evaluate`'s argument; ``output_names`` the
-    order of its result.  The original netlist is not referenced after
-    compilation, so compiled objects are safe to share across threads (they
-    are immutable after construction).
+    order of its result; ``source`` is the generated Python function, for
+    inspection.  The original netlist is not referenced after compilation,
+    so compiled objects are safe to share across threads (they are immutable
+    after construction).
     """
 
     name: str
-    mode: str
     input_names: Tuple[str, ...]
     output_names: Tuple[str, ...]
     node_count: int
@@ -63,16 +49,8 @@ class CompiledNetlist:
     and_count: int
     xor_count: int
     level_count: int
-    _input_slots: List[int] = field(repr=False, default_factory=list)
-    _schedule: List[Tuple[int, int, int, bool]] = field(repr=False, default_factory=list)
-    _output_nodes: List[int] = field(repr=False, default_factory=list)
-    _function: Optional[Callable] = field(repr=False, default=None)
-    _source: Optional[str] = field(repr=False, default=None)
-
-    @property
-    def source(self) -> Optional[str]:
-        """Generated Python source (``exec`` mode only, for inspection)."""
-        return self._source
+    source: str = field(repr=False)
+    _function: Callable = field(repr=False)
 
     def evaluate(self, input_words: Sequence[int]) -> List[int]:
         """Run the circuit on packed words, one per entry of ``input_names``.
@@ -84,22 +62,11 @@ class CompiledNetlist:
             raise ValueError(
                 f"expected {len(self.input_names)} input words, got {len(input_words)}"
             )
-        if self._function is not None:
-            return list(self._function(input_words))
-        values = [0] * self.node_count
-        for slot, node in enumerate(self._input_slots):
-            if node >= 0:
-                values[node] = input_words[slot]
-        for node, fanin0, fanin1, is_and in self._schedule:
-            if is_and:
-                values[node] = values[fanin0] & values[fanin1]
-            else:
-                values[node] = values[fanin0] ^ values[fanin1]
-        return [values[node] for node in self._output_nodes]
+        return list(self._function(input_words))
 
 
-def _levelize(netlist: Netlist) -> Tuple[List[int], Dict[int, int], int]:
-    """Live nodes sorted by logic level, their dense renumbering, and #levels."""
+def _levelize(netlist: Netlist) -> Tuple[List[int], int]:
+    """Live nodes sorted by logic level, and the number of levels."""
     live = netlist.live_nodes()
     level: Dict[int, int] = {}
     for node in live:
@@ -109,15 +76,14 @@ def _levelize(netlist: Netlist) -> Tuple[List[int], Dict[int, int], int]:
         else:
             level[node] = 0
     ordered = sorted(live, key=lambda node: level[node])
-    renumber = {node: index for index, node in enumerate(ordered)}
     level_count = (max(level.values()) + 1) if level else 0
-    return ordered, renumber, level_count
+    return ordered, level_count
 
 
 def _generate_source(
     netlist: Netlist, ordered: Sequence[int], input_slot_of: Dict[int, int]
 ) -> str:
-    """Emit the straight-line evaluator function for ``exec`` mode."""
+    """Emit the straight-line evaluator function."""
     lines = ["def _netlist_eval(inputs):"]
     for node in ordered:
         op = netlist.op(node)
@@ -134,30 +100,24 @@ def _generate_source(
     return "\n".join(lines)
 
 
-def compile_netlist(netlist: Netlist, mode: str = "exec") -> CompiledNetlist:
+def compile_netlist(netlist: Netlist) -> CompiledNetlist:
     """Compile a netlist into a :class:`CompiledNetlist` evaluator.
 
-    ``mode`` selects ``"exec"`` (generated straight-line Python function,
-    fastest, ~1 s compile per 50k gates) or ``"arrays"`` (flat levelized
-    schedule, instant compile).  Only the live cone of the circuit — nodes
-    reaching at least one output — is compiled.
+    Only the live cone of the circuit — nodes reaching at least one output —
+    is compiled.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown compile mode {mode!r}; expected one of {MODES}")
     if not netlist.outputs:
         raise ValueError("cannot compile a netlist without outputs")
-    ordered, renumber, level_count = _levelize(netlist)
+    ordered, level_count = _levelize(netlist)
     input_names = tuple(netlist.inputs)
-    input_slot_of = {
-        netlist.input_node(name): slot
-        for slot, name in enumerate(input_names)
-        if netlist.input_node(name) in renumber
-    }
+    input_slot_of = {netlist.input_node(name): slot for slot, name in enumerate(input_names)}
+    source = _generate_source(netlist, ordered, input_slot_of)
+    namespace: Dict[str, object] = {}
+    exec(compile(source, f"<compiled netlist {netlist.name or 'anonymous'}>", "exec"), namespace)
     and_count = sum(1 for node in ordered if netlist.op(node) == OP_AND)
     xor_count = sum(1 for node in ordered if netlist.op(node) == OP_XOR)
-    compiled = CompiledNetlist(
+    return CompiledNetlist(
         name=netlist.name,
-        mode=mode,
         input_names=input_names,
         output_names=tuple(name for name, _ in netlist.outputs),
         node_count=len(ordered),
@@ -165,25 +125,6 @@ def compile_netlist(netlist: Netlist, mode: str = "exec") -> CompiledNetlist:
         and_count=and_count,
         xor_count=xor_count,
         level_count=level_count,
+        source=source,
+        _function=namespace["_netlist_eval"],
     )
-    if mode == "exec":
-        source = _generate_source(netlist, ordered, input_slot_of)
-        namespace: Dict[str, object] = {}
-        exec(compile(source, f"<compiled netlist {netlist.name or 'anonymous'}>", "exec"), namespace)
-        compiled._function = namespace["_netlist_eval"]
-        compiled._source = source
-        return compiled
-    # arrays mode: dense renumbered schedule.
-    input_slots = [-1] * len(input_names)
-    for node, slot in input_slot_of.items():
-        input_slots[slot] = renumber[node]
-    schedule: List[Tuple[int, int, int, bool]] = []
-    for node in ordered:
-        op = netlist.op(node)
-        if op in (OP_AND, OP_XOR):
-            fanin0, fanin1 = netlist.fanins(node)
-            schedule.append((renumber[node], renumber[fanin0], renumber[fanin1], op == OP_AND))
-    compiled._input_slots = input_slots
-    compiled._schedule = schedule
-    compiled._output_nodes = [renumber[node] for _, node in netlist.outputs]
-    return compiled

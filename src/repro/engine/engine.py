@@ -17,21 +17,17 @@ batches through the compiled function in bit-packed chunks
 least 10× the interpreted :func:`repro.netlist.simulate.simulate_words`
 path.
 
-Module-level factories cache engines so that repeated callers — the CLI,
-:meth:`repro.galois.field.GF2mField.multiply_batch`, the verification
-helpers — never recompile:
-
-* :func:`engine_for` keys on ``(method, modulus, mode)`` and obtains the
-  circuit through the process-wide multiplier cache;
-* :func:`engine_for_netlist` weakly keys on an existing netlist object, for
-  callers that already hold a circuit (restructured variants, tests).
+:func:`engine_for` caches engines on ``(method, modulus)`` and obtains the
+circuit through the process-wide multiplier cache, so repeated callers —
+the ``engine`` backend, ``repro bench`` — never recompile.  Checks of one
+netlist (:func:`repro.netlist.verify.verify_by_simulation`) run the
+interpreted simulator instead: compiling costs more than a few hundred
+vectors take to interpret.
 """
 
 from __future__ import annotations
 
-import threading
-import weakref
-from typing import Dict, List, Optional, Sequence, TYPE_CHECKING, Tuple
+from typing import List, Optional, Sequence, TYPE_CHECKING, Tuple
 
 from ..multipliers.cache import cached_multiplier
 from ..pipeline.store import LRUCache
@@ -42,7 +38,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..netlist.netlist import Netlist
     from .compiler import CompiledNetlist
 
-__all__ = ["Engine", "engine_for", "engine_for_netlist"]
+__all__ = ["Engine", "engine_for"]
 
 #: Default number of operand pairs evaluated per compiled call.
 DEFAULT_CHUNK_SIZE = 4096
@@ -59,9 +55,6 @@ class Engine:
     netlist, m:
         A raw multiplier netlist following the ``a<i>``/``b<j>`` → ``c<k>``
         I/O convention, and its field degree.
-    mode:
-        ``"exec"`` (generated straight-line function, fastest) or
-        ``"arrays"`` (flat schedule, no codegen; instant construction).
     chunk_size:
         Operand pairs per compiled call.  Larger chunks amortize per-call
         overhead against bigger intermediate words; 4096 is a good default.
@@ -76,7 +69,6 @@ class Engine:
         *,
         netlist: Optional[Netlist] = None,
         m: Optional[int] = None,
-        mode: str = "exec",
         chunk_size: int = DEFAULT_CHUNK_SIZE,
     ) -> None:
         if multiplier is not None:
@@ -95,7 +87,7 @@ class Engine:
             raise ValueError("chunk_size must be at least 1")
         self.m = m
         self.chunk_size = chunk_size
-        self.compiled: CompiledNetlist = compile_netlist(netlist, mode=mode)
+        self.compiled: CompiledNetlist = compile_netlist(netlist)
         self._input_sources = self._map_inputs(self.compiled.input_names, m)
         self._output_order = self._map_outputs(self.compiled.output_names, m)
 
@@ -122,11 +114,6 @@ class Engine:
                 raise ValueError(f"netlist is missing output c{k}")
             order.append(index)
         return order
-
-    @property
-    def mode(self) -> str:
-        """The compilation mode of the underlying evaluator."""
-        return self.compiled.mode
 
     # --------------------------------------------------------------- multiply
     def multiply(self, a: int, b: int) -> int:
@@ -172,53 +159,26 @@ class Engine:
         compiled = self.compiled
         label = self.method or compiled.name or "netlist"
         return (
-            f"engine[{compiled.mode}] {label} GF(2^{self.m}): "
+            f"engine {label} GF(2^{self.m}): "
             f"{compiled.and_count} AND, {compiled.xor_count} XOR, "
             f"{compiled.level_count} levels, chunk {self.chunk_size}"
         )
 
 
-#: Engines keyed by (method, modulus, mode) — the hot path of `engine_for`.
+#: Engines keyed by (method, modulus) — the hot path of `engine_for`.
 _ENGINE_CACHE = LRUCache(maxsize=16, name="engine.compiled")
 
-#: Engines for caller-owned netlists, dropped when the netlist is collected.
-_NETLIST_ENGINES: "weakref.WeakKeyDictionary[Netlist, Dict[Tuple[int, str], Engine]]" = (
-    weakref.WeakKeyDictionary()
-)
-_NETLIST_LOCK = threading.RLock()
 
-
-def engine_for(method: str, modulus: int, *, mode: str = "exec", verify: bool = True) -> Engine:
+def engine_for(method: str, modulus: int, *, verify: bool = True) -> Engine:
     """A cached :class:`Engine` for the given construction and modulus.
 
     The multiplier circuit is obtained through the process-wide
     :func:`repro.multipliers.cache.cached_multiplier`, so neither the SiTi
     splitting derivation nor the formal verification nor the compilation is
-    repeated for the same ``(method, modulus, mode)`` triple.
+    repeated for the same ``(method, modulus)`` pair.
     """
     # Resolve the multiplier before consulting the engine cache: a cached
     # engine must not short-circuit the verify upgrade a verify=True caller
     # is entitled to when the circuit was first generated unverified.
     multiplier = cached_multiplier(method, modulus, verify=verify)
-    return _ENGINE_CACHE.get_or_create(
-        (method, modulus, mode), lambda: Engine(multiplier, mode=mode)
-    )
-
-
-def engine_for_netlist(netlist: Netlist, m: int, mode: str = "exec") -> Engine:
-    """A cached :class:`Engine` wrapping an existing netlist object.
-
-    Entries are held weakly: once the caller drops the netlist, the engine
-    is collected with it.  Used by the simulation convenience helpers and
-    :func:`repro.netlist.verify.verify_by_simulation`.
-    """
-    with _NETLIST_LOCK:
-        per_netlist = _NETLIST_ENGINES.get(netlist)
-        if per_netlist is None:
-            per_netlist = {}
-            _NETLIST_ENGINES[netlist] = per_netlist
-        engine = per_netlist.get((m, mode))
-        if engine is None:
-            engine = Engine(netlist=netlist, m=m, mode=mode)
-            per_netlist[(m, mode)] = engine
-        return engine
+    return _ENGINE_CACHE.get_or_create((method, modulus), lambda: Engine(multiplier))

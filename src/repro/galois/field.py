@@ -235,19 +235,16 @@ class GF2mField:
             self._backend = resolve_backend(self, self._backend_spec)
         return self._backend
 
-    def resolve_backend(self, backend=None, method: Optional[str] = None):
+    def resolve_backend(self, backend=None):
         """Resolve a per-call backend spec (name, instance or ``None``).
 
-        ``method`` picks the multiplier construction of circuit-backed
-        backends; passing only ``method`` selects the engine, preserving
-        the historical ``multiply_batch(..., method=...)`` meaning.  With
-        neither argument the field's default :attr:`backend` is returned.
+        ``None`` returns the field's default :attr:`backend`.
         """
-        if backend is None and method is None:
+        if backend is None:
             return self.backend
         from ..backends.registry import resolve_backend
 
-        return resolve_backend(self, backend, method=method)
+        return resolve_backend(self, backend)
 
     # ------------------------------------------------------------- arithmetic
     def _check(self, value: int) -> int:
@@ -282,7 +279,6 @@ class GF2mField:
         self,
         a_values: List[int],
         b_values: List[int],
-        method: Optional[str] = None,
         backend=None,
     ) -> List[int]:
         """Elementwise products of two operand streams, at batch speed.
@@ -295,13 +291,14 @@ class GF2mField:
         backends instead bit-pack the streams and evaluate a generated
         multiplier netlist on all pairs at once.
 
-        ``backend`` names the substrate (or passes an instance); ``method``
-        selects the circuit construction of circuit-backed backends (by
-        default the paper's ``thiswork`` multiplier for type II pentanomial
-        moduli, generic ``schoolbook`` otherwise).  Backends and their
-        compiled circuits are cached, so only the first call pays one-time
-        costs.  The scalar :meth:`multiply` remains the independent
-        reference implementation every backend is verified against.
+        ``backend`` names the substrate (or passes an instance; a circuit
+        backend built with ``get_backend("engine", field, method=...)``
+        picks its construction, by default the paper's ``thiswork``
+        multiplier for type II pentanomial moduli, generic ``schoolbook``
+        otherwise).  Backends and their compiled circuits are cached, so
+        only the first call pays one-time costs.  The scalar
+        :meth:`multiply` remains the independent reference implementation
+        every backend is verified against.
         """
         if len(a_values) != len(b_values):
             raise ValueError(
@@ -309,7 +306,7 @@ class GF2mField:
             )
         self._check_batch(a_values)
         self._check_batch(b_values)
-        return self.resolve_backend(backend, method=method).multiply_batch(a_values, b_values)
+        return self.resolve_backend(backend).multiply_batch(a_values, b_values)
 
     def square_batch(self, values: Sequence[int], backend=None) -> List[int]:
         """Elementwise squares of an operand stream (backend-delegated)."""

@@ -75,25 +75,6 @@ class GeneratedMultiplier:
         """Structural statistics (AND/XOR counts, depth) of the circuit."""
         return gather_stats(self.netlist)
 
-    def engine(self, mode: str = "exec"):
-        """The cached batch :class:`~repro.engine.engine.Engine` for this circuit.
-
-        The engine is compiled on first use and cached per netlist, so
-        repeated calls (and the :meth:`multiply` / :meth:`multiply_batch`
-        conveniences below) share one compilation.
-        """
-        from ..engine.engine import engine_for_netlist
-
-        return engine_for_netlist(self.netlist, self.m, mode=mode)
-
-    def multiply(self, a: int, b: int) -> int:
-        """Multiply one pair of field elements through the circuit."""
-        return self.engine(mode="arrays").multiply(a, b)
-
-    def multiply_batch(self, a_words: Sequence[int], b_words: Sequence[int]) -> List[int]:
-        """Multiply parallel operand streams through the compiled engine."""
-        return self.engine(mode="exec").multiply_batch(a_words, b_words)
-
     def describe(self) -> str:
         """Human-readable one-liner used by the CLI and examples."""
         stats = self.stats()

@@ -2,7 +2,7 @@
 
 from .dot import to_dot
 from .netlist import OP_AND, OP_CONST0, OP_INPUT, OP_XOR, OP_NAMES, Netlist
-from .simulate import multiply_with_netlist, multiply_words, simulate, simulate_words
+from .simulate import multiply_with_netlist, simulate, simulate_words
 from .stats import NetlistStats, gather_stats
 from .verify import (
     UnsupportedStructureError,
@@ -21,7 +21,6 @@ __all__ = [
     "OP_NAMES",
     "Netlist",
     "multiply_with_netlist",
-    "multiply_words",
     "simulate",
     "simulate_words",
     "NetlistStats",

@@ -8,12 +8,15 @@ operand ``B`` drives ``b0 .. b(m-1)`` and the product appears on outputs
 ``c0 .. c(m-1)``.
 
 :func:`simulate` and :func:`simulate_words` are the *interpreted reference
-path*: a readable per-node walk with per-bit packing loops, kept deliberately
-simple because every faster path is validated against it.  Production batch
-traffic should go through :mod:`repro.engine`, which compiles the netlist
-once and replaces the O(pairs×bits) packing loops with word-level
-transposes; the :func:`multiply_words` and :func:`multiply_with_netlist`
-conveniences below already route through a cached engine.
+path*: a readable per-node walk, kept deliberately simple because every
+faster path is validated against it.  Operands move in and out of the
+packed words through a string-level bit-matrix transpose of their own,
+independent of the engine's word-level transposes.  Every check of
+one netlist runs here (:func:`multiply_with_netlist`,
+:func:`repro.netlist.verify.verify_by_simulation`): a few hundred vectors
+interpret faster than the netlist compiles.  Batch traffic goes through
+:mod:`repro.engine`, which compiles the netlist once and moves operands
+with word-level transposes.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .netlist import OP_AND, OP_CONST0, OP_INPUT, OP_XOR
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .netlist import Netlist
 
-__all__ = ["simulate", "simulate_words", "multiply_with_netlist", "multiply_words"]
+__all__ = ["simulate", "simulate_words", "multiply_with_netlist"]
 
 
 def simulate(netlist: Netlist, assignments: Dict[str, int], width: int = 1) -> Dict[str, int]:
@@ -64,13 +67,19 @@ def simulate(netlist: Netlist, assignments: Dict[str, int], width: int = 1) -> D
     return {name: values[node] & mask for name, node in netlist.outputs}
 
 
-def _pack_operand(values: Sequence[int], bit_index: int) -> int:
-    """Pack bit ``bit_index`` of every operand word into one simulation word."""
-    packed = 0
-    for position, value in enumerate(values):
-        if (value >> bit_index) & 1:
-            packed |= 1 << position
-    return packed
+def _bit_columns(words: Sequence[int], width: int) -> List[int]:
+    """Transpose a bit matrix of ``len(words)`` rows by ``width`` columns.
+
+    Bit ``p`` of result ``i`` is bit ``i`` of ``words[p]``, so the same
+    call packs operand words into per-bit simulation words and unpacks
+    output words back into products.  The matrix is spelled out as one
+    string of ``'0'``/``'1'`` digits, row after row, and each column is one
+    stepped slice of it.
+    """
+    spec = f"0{width}b"
+    mask = (1 << width) - 1
+    digits = "".join([format(word & mask, spec) for word in words])
+    return [int(digits[width - 1 - i::width][::-1] or "0", 2) for i in range(width)]
 
 
 def simulate_words(netlist: Netlist, m: int, a_values: Sequence[int], b_values: Sequence[int]) -> List[int]:
@@ -81,55 +90,17 @@ def simulate_words(netlist: Netlist, m: int, a_values: Sequence[int], b_values: 
     """
     if len(a_values) != len(b_values):
         raise ValueError("a_values and b_values must have the same length")
-    width = max(1, len(a_values))
     assignments: Dict[str, int] = {}
-    for i in range(m):
-        assignments[f"a{i}"] = _pack_operand(a_values, i)
-        assignments[f"b{i}"] = _pack_operand(b_values, i)
+    for operand, values in (("a", a_values), ("b", b_values)):
+        for i, word in enumerate(_bit_columns(values, m)):
+            assignments[f"{operand}{i}"] = word
     # Some optimized netlists may not reference every input bit; feed them anyway.
     for name in netlist.inputs:
         assignments.setdefault(name, 0)
-    outputs = simulate(netlist, assignments, width)
-    results = [0] * len(a_values)
-    for k in range(m):
-        word = outputs.get(f"c{k}", 0)
-        for position in range(len(a_values)):
-            if (word >> position) & 1:
-                results[position] |= 1 << k
-    return results
-
-
-def multiply_words(netlist: Netlist, m: int, a_values: Sequence[int], b_values: Sequence[int]) -> List[int]:
-    """Batch multiplication through the compiled engine (cached per netlist).
-
-    Functionally identical to :func:`simulate_words` but routed through
-    :func:`repro.engine.engine.engine_for_netlist`, which compiles the
-    netlist on first use and amortizes that cost over subsequent calls.
-    """
-    if len(a_values) != len(b_values):
-        raise ValueError("a_values and b_values must have the same length")
-    from ..engine.engine import engine_for_netlist
-
-    try:
-        engine = engine_for_netlist(netlist, m, mode="exec")
-    except ValueError:
-        # Netlists outside the strict a<i>/b<j> → c<k> convention (extra
-        # inputs, missing outputs) keep the tolerant interpreted semantics.
-        return simulate_words(netlist, m, a_values, b_values)
-    return engine.multiply_batch(a_values, b_values)
+    outputs = simulate(netlist, assignments, max(1, len(a_values)))
+    return _bit_columns([outputs.get(f"c{k}", 0) for k in range(m)], len(a_values))
 
 
 def multiply_with_netlist(netlist: Netlist, m: int, a: int, b: int) -> int:
-    """Multiply a single pair of field elements with the netlist.
-
-    Uses the flat ``arrays`` engine (no code generation), so one-off calls
-    never pay the straight-line compilation cost while repeated calls still
-    skip the per-node dispatch of :func:`simulate`.
-    """
-    from ..engine.engine import engine_for_netlist
-
-    try:
-        engine = engine_for_netlist(netlist, m, mode="arrays")
-    except ValueError:
-        return simulate_words(netlist, m, [a], [b])[0]
-    return engine.multiply(a, b)
+    """Multiply a single pair of field elements with the netlist."""
+    return simulate_words(netlist, m, [a], [b])[0]

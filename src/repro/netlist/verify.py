@@ -12,8 +12,12 @@ Two complementary checks are provided:
 
 * :func:`verify_by_simulation` — bit-parallel simulation against the
   reference field arithmetic, exhaustive for small fields and randomized for
-  large ones.  This guards against errors in the symbolic extractor itself
-  and covers netlists that fall outside the AND-of-inputs circuit class.
+  large ones, through the interpreted
+  :func:`~repro.netlist.simulate.simulate_words`.  This guards against
+  errors in the symbolic extractor itself and covers netlists that fall
+  outside the AND-of-inputs circuit class.  Backend parity is a separate
+  check: :func:`repro.backends.assert_backend_parity` holds every execution
+  backend to the scalar reference.
 """
 
 from __future__ import annotations
@@ -155,82 +159,18 @@ def verify_netlist(netlist: Netlist, spec: ProductSpec) -> VerificationReport:
     )
 
 
-def _netlist_evaluator(netlist: Netlist, modulus: int, backend: str, vector_count: int):
-    """The batch evaluator of the requested simulation substrate.
-
-    ``backend`` mirrors the execution-backend names of
-    :mod:`repro.backends`: ``"engine"`` compiles the netlist to the
-    big-integer straight-line evaluator, ``"python"`` (or
-    ``"interpreter"``) walks it with the interpreted simulator.
-    ``"native"`` evaluates no circuit — the C word-level tier multiplies
-    directly — so its evaluator runs the netlist on the engine substrate
-    and cross-checks the native backend's word arithmetic against it on
-    the very same vectors, keeping both the circuit and the backend under
-    one parity assertion.  Raises
-    ``KeyError`` for unknown names and whatever the substrate itself
-    raises (e.g. ``ImportError`` from ``native`` without a C compiler) —
-    an explicitly requested substrate must not silently degrade, or the
-    parity assertion would be meaningless.
-    """
-    m = degree(modulus)
-    if backend == "engine":
-        from ..engine.engine import engine_for_netlist
-
-        # Straight-line code generation costs ~1 s per 50k gates; it only pays
-        # off for big vector sets (exhaustive small-field sweeps).  Spot checks
-        # of large netlists use the instantly-compiled flat schedule instead.
-        mode = "exec" if vector_count >= 2048 else "arrays"
-        return engine_for_netlist(netlist, m, mode=mode).multiply_batch
-    if backend in ("python", "interpreter"):
-        def multiply_batch(a_chunk, b_chunk):
-            return simulate_words(netlist, m, a_chunk, b_chunk)
-
-        return multiply_batch
-    if backend == "native":
-        from ..backends.native import NativeBackend
-        from ..engine.engine import engine_for_netlist
-
-        circuit = engine_for_netlist(netlist, m, mode="arrays").multiply_batch
-        native = NativeBackend(GF2mField(modulus, check_irreducible=False))
-
-        def multiply_batch(a_chunk, b_chunk):
-            products = circuit(a_chunk, b_chunk)
-            word_products = native.multiply_batch(a_chunk, b_chunk)
-            if list(word_products) != list(products):
-                raise AssertionError(
-                    "native word arithmetic disagrees with the netlist on "
-                    f"GF(2^{m}) simulation vectors"
-                )
-            return products
-
-        return multiply_batch
-    raise KeyError(
-        f"unknown simulation backend {backend!r}; "
-        "expected 'engine', 'native' or 'python'"
-    )
-
-
 def verify_by_simulation(
     netlist: Netlist,
     modulus: int,
     trials: int = 256,
     seed: int = 2018,
     exhaustive_limit: int = 8,
-    backend: Optional[str] = None,
 ) -> bool:
     """Check the netlist against reference field arithmetic by simulation.
 
     Fields with ``m <= exhaustive_limit`` are verified exhaustively (all
     ``2^m × 2^m`` operand pairs in bit-parallel batches); larger fields use
     ``trials`` random pairs plus a few structured corner cases.
-
-    ``backend`` selects the simulation substrate (``"engine"``,
-    ``"native"`` or ``"python"``), so parity with the
-    reference scalar arithmetic is asserted uniformly for every execution
-    backend on the very same vectors.  Without it, the compiled engine
-    simulates, falling back to the interpreted
-    :func:`~repro.netlist.simulate.simulate_words` path for netlists
-    outside the multiplier I/O convention.
     """
     m = degree(modulus)
     reference = GF2mField(modulus, check_irreducible=False)
@@ -248,20 +188,11 @@ def verify_by_simulation(
         for _ in range(trials):
             a_values.append(rng.getrandbits(m))
             b_values.append(rng.getrandbits(m))
-    if backend is not None:
-        multiply_batch = _netlist_evaluator(netlist, modulus, backend, len(a_values))
-    else:
-        try:
-            multiply_batch = _netlist_evaluator(netlist, modulus, "engine", len(a_values))
-        except ValueError:
-            # Netlists outside the multiplier I/O convention (odd input names,
-            # missing outputs) still verify through the tolerant interpreter.
-            multiply_batch = _netlist_evaluator(netlist, modulus, "python", len(a_values))
     batch = 4096
     for start in range(0, len(a_values), batch):
         a_chunk = a_values[start:start + batch]
         b_chunk = b_values[start:start + batch]
-        products = multiply_batch(a_chunk, b_chunk)
+        products = simulate_words(netlist, m, a_chunk, b_chunk)
         for a, b, product in zip(a_chunk, b_chunk, products):
             if product != reference.multiply(a, b):
                 return False

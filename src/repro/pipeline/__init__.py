@@ -32,7 +32,6 @@ from .store import (
     ArtifactStore,
     CacheInfo,
     LRUCache,
-    StoreInfo,
     canonical_fingerprint,
     default_cache_root,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "ArtifactStore",
     "CacheInfo",
     "LRUCache",
-    "StoreInfo",
     "canonical_fingerprint",
     "default_cache_root",
     "SweepResult",

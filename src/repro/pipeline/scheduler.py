@@ -25,7 +25,6 @@ from typing import Any, Dict, List, Optional, Sequence, TYPE_CHECKING
 
 from ..galois.pentanomials import type_ii_pentanomial
 from ..multipliers.registry import generate_multiplier
-from ..netlist.verify import verify_by_simulation
 from ..synth.device import ARTIX7
 from ..synth.flow import SynthesisOptions, implement
 from ..synth.report import ImplementationResult
@@ -51,12 +50,6 @@ class SweepJob:
     #: Formally verify the generated circuit (the sweep enables this for
     #: small fields only; it does not change the produced metrics).
     verify: bool = False
-    #: Execution backend the job runs under (:mod:`repro.backends` name, or
-    #: ``None`` for the default).  Verifying jobs additionally cross-check
-    #: the generated circuit through this substrate, and the artifact key
-    #: includes it, so sweeps under different backends never share cache
-    #: entries.
-    backend: Optional[str] = None
 
     @property
     def modulus(self) -> int:
@@ -86,13 +79,13 @@ class JobOutcome:
 def artifact_key(job: SweepJob) -> str:
     """The content-addressed store key of a job's implementation result.
 
-    Covers the method, the exact modulus, every ``SynthesisOptions`` field,
-    every ``DeviceModel`` field and the execution backend — change any of
-    them and the key (hence the cache entry) changes, so artifacts produced
-    under different backends are never conflated.  The ``verify`` flag is
-    deliberately excluded: verification cannot alter the produced metrics,
-    exactly like the in-memory
-    :class:`~repro.multipliers.cache.MultiplierCache` key.
+    Covers the method, the exact modulus, every ``SynthesisOptions`` field
+    and every ``DeviceModel`` field — change any of them and the key (hence
+    the cache entry) changes.  The ``verify`` flag is deliberately excluded:
+    verification cannot alter the produced metrics, exactly like the
+    in-memory :class:`~repro.multipliers.cache.MultiplierCache` key.  No
+    execution backend enters the key either: the flow's results depend on
+    none.
     """
     return canonical_fingerprint(
         {
@@ -101,7 +94,6 @@ def artifact_key(job: SweepJob) -> str:
             "modulus": job.modulus,
             "device": job.device,
             "options": job.options,
-            "backend": job.backend,
         }
     )
 
@@ -111,10 +103,10 @@ def execute_job(job: SweepJob, store: Optional[ArtifactStore] = None) -> JobOutc
 
     On a store hit the result is rehydrated from JSON without touching the
     synthesis flow.  On a miss the job generates its multiplier (through
-    the process-wide multiplier cache), cross-checks it through its
-    backend when it verifies and names one, runs
-    :func:`~repro.synth.flow.implement` on it, and persists the result
-    for every later sweep (including ones in other processes).
+    the process-wide multiplier cache, formally verified when the job
+    verifies), runs :func:`~repro.synth.flow.implement` on it, and
+    persists the result for every later sweep (including ones in other
+    processes).
     """
     started = time.perf_counter()
     key = artifact_key(job)
@@ -126,15 +118,6 @@ def execute_job(job: SweepJob, store: Optional[ArtifactStore] = None) -> JobOutc
                 _record_job(True, time.perf_counter() - started)
                 return JobOutcome(job=job, result=result, cache_hit=True, elapsed_s=time.perf_counter() - started)
         multiplier = generate_multiplier(job.method, job.modulus, verify=job.verify)
-        if job.verify and job.backend is not None:
-            # Verifying jobs that name an execution backend also assert parity
-            # of the generated circuit through that substrate — the sweep-level
-            # twin of the formal product-spec check.
-            if not verify_by_simulation(multiplier.netlist, job.modulus, trials=64, backend=job.backend):
-                raise RuntimeError(
-                    f"{job.method} multiplier for modulus 0x{job.modulus:x} failed the "
-                    f"{job.backend!r}-backend simulation cross-check"
-                )
         result = implement(multiplier, job.device, job.options)
         if store is not None:
             store.put_json(
@@ -147,7 +130,6 @@ def execute_job(job: SweepJob, store: Optional[ArtifactStore] = None) -> JobOutc
                         "n": job.n,
                         "device": job.device.name,
                         "effort": job.options.effort,
-                        "backend": job.backend,
                     },
                 },
             )

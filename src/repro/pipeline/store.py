@@ -12,11 +12,10 @@ Two storage primitives back every cache in the library:
   everything that determines the artifact (method, modulus,
   :class:`~repro.synth.flow.SynthesisOptions`, device model, flow schema
   version), so any change to the inputs automatically misses the cache and
-  stale entries are simply never addressed again.  Values are JSON (results,
-  reports) or pickle (netlists, mapped networks) files laid out as::
+  stale entries are simply never addressed again.  Values are JSON files
+  (implementation results, comb tables) laid out as::
 
       <root>/v1/<key[:2]>/<key>.json      # put_json / get_json
-      <root>/v1/<key[:2]>/<key>.pkl       # put_pickle / get_pickle
 
   The default root is ``~/.cache/gf2m-repro`` (``$XDG_CACHE_HOME`` aware),
   overridable per call site (the CLI's ``--cache-dir``) or globally with the
@@ -31,7 +30,6 @@ import dataclasses
 import hashlib
 import json
 import os
-import pickle
 import tempfile
 import threading
 import weakref
@@ -45,7 +43,6 @@ __all__ = [
     "CacheInfo",
     "LRUCache",
     "ArtifactStore",
-    "StoreInfo",
     "canonical_fingerprint",
     "default_cache_root",
     "named_caches",
@@ -147,15 +144,6 @@ def named_caches() -> Dict[str, LRUCache]:
 # --------------------------------------------------------------------- disk
 
 
-class StoreInfo(NamedTuple):
-    """Effectiveness counters of one :class:`ArtifactStore` instance."""
-
-    hits: int
-    misses: int
-    writes: int
-    root: str
-
-
 def default_cache_root() -> Path:
     """The default on-disk store location.
 
@@ -198,81 +186,41 @@ def canonical_fingerprint(payload: Any) -> str:
 
 
 class ArtifactStore:
-    """Content-addressed JSON/pickle artifact files under one root directory.
+    """Content-addressed JSON artifact files under one root directory.
 
     The store never interprets keys — callers derive them with
     :func:`canonical_fingerprint` from everything that determines the
-    artifact.  Hit/miss/write counters are process-local (each sweep worker
-    reports its own and the scheduler aggregates per-job flags).
+    artifact.  Hits, misses and writes count in the process metrics
+    registry (``artifact_store.*``, printed by ``repro stats``).
     """
 
     def __init__(self, root: Optional[os.PathLike] = None) -> None:
         self.root = Path(root).expanduser() if root is not None else default_cache_root()
-        self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._writes = 0
 
-    # ------------------------------------------------------------- layout
-    def path_for(self, key: str, kind: str = "json") -> Path:
-        """The file a given key/kind pair lives at (existing or not)."""
-        if kind not in ("json", "pkl"):
-            raise ValueError(f"unknown artifact kind {kind!r} (expected 'json' or 'pkl')")
-        return self.root / f"v{ARTIFACT_SCHEMA_VERSION}" / key[:2] / f"{key}.{kind}"
-
-    def __contains__(self, key: str) -> bool:
-        return self.path_for(key, "json").exists() or self.path_for(key, "pkl").exists()
-
-    # -------------------------------------------------------------- access
-    def _record(self, hit: bool) -> None:
-        with self._lock:
-            if hit:
-                self._hits += 1
-            else:
-                self._misses += 1
-        registry = _metrics.REGISTRY
-        if registry.enabled:
-            registry.inc("artifact_store.hits" if hit else "artifact_store.misses")
+    def path_for(self, key: str) -> Path:
+        """The file a given key lives at (existing or not)."""
+        return self.root / f"v{ARTIFACT_SCHEMA_VERSION}" / key[:2] / f"{key}.json"
 
     def get_json(self, key: str) -> Optional[Dict[str, Any]]:
         """The stored JSON payload for ``key``, or ``None`` on a miss."""
-        path = self.path_for(key, "json")
         try:
-            with open(path, "r", encoding="utf-8") as handle:
+            with open(self.path_for(key), "r", encoding="utf-8") as handle:
                 payload = json.load(handle)
         except (OSError, ValueError):
             # Missing, truncated by a crashed writer, or corrupt: a miss.
-            self._record(hit=False)
+            _count("artifact_store.misses")
             return None
-        self._record(hit=True)
+        _count("artifact_store.hits")
         return payload
 
     def put_json(self, key: str, payload: Dict[str, Any]) -> Path:
         """Atomically persist a JSON payload under ``key``; returns its path."""
-        return self._write(self.path_for(key, "json"), json.dumps(payload, sort_keys=True, indent=1).encode("utf-8"))
-
-    def get_pickle(self, key: str) -> Optional[Any]:
-        """The stored pickled object for ``key``, or ``None`` on a miss."""
-        path = self.path_for(key, "pkl")
-        try:
-            with open(path, "rb") as handle:
-                value = pickle.load(handle)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
-            self._record(hit=False)
-            return None
-        self._record(hit=True)
-        return value
-
-    def put_pickle(self, key: str, value: Any) -> Path:
-        """Atomically persist a pickled object under ``key``; returns its path."""
-        return self._write(self.path_for(key, "pkl"), pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
-
-    def _write(self, path: Path, data: bytes) -> Path:
+        path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
+                handle.write(json.dumps(payload, sort_keys=True, indent=1).encode("utf-8"))
             os.replace(tmp_name, path)
         except BaseException:
             try:
@@ -280,35 +228,11 @@ class ArtifactStore:
             except OSError:
                 pass
             raise
-        with self._lock:
-            self._writes += 1
-        registry = _metrics.REGISTRY
-        if registry.enabled:
-            registry.inc("artifact_store.writes")
+        _count("artifact_store.writes")
         return path
 
-    # ---------------------------------------------------------- maintenance
-    def clear(self) -> int:
-        """Delete every artifact of the current schema version; returns the count."""
-        removed = 0
-        version_dir = self.root / f"v{ARTIFACT_SCHEMA_VERSION}"
-        if version_dir.exists():
-            for path in sorted(version_dir.rglob("*")):
-                if path.is_file():
-                    path.unlink()
-                    removed += 1
-        with self._lock:
-            self._hits = self._misses = self._writes = 0
-        return removed
 
-    def artifact_count(self) -> int:
-        """Number of artifact files currently on disk (all kinds)."""
-        version_dir = self.root / f"v{ARTIFACT_SCHEMA_VERSION}"
-        if not version_dir.exists():
-            return 0
-        return sum(1 for path in version_dir.rglob("*") if path.is_file() and not path.name.endswith(".tmp"))
-
-    def info(self) -> StoreInfo:
-        """Hit/miss/write counters of this store instance."""
-        with self._lock:
-            return StoreInfo(self._hits, self._misses, self._writes, str(self.root))
+def _count(name: str) -> None:
+    registry = _metrics.REGISTRY
+    if registry.enabled:
+        registry.inc(name)

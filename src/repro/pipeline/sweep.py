@@ -96,15 +96,13 @@ def build_sweep_jobs(
     efforts: Optional[Sequence[int]] = None,
     options: SynthesisOptions = SynthesisOptions(),
     verify_up_to: int = DEFAULT_VERIFY_UP_TO,
-    backend: Optional[str] = None,
 ) -> List[SweepJob]:
     """Expand the grid into jobs, field-major in the paper's Table V order.
 
     ``fields`` defaults to the paper's nine Table V fields, ``methods`` to
     its six rows, ``devices`` to Artix-7 and ``efforts`` to the effort baked
     into ``options`` — so a bare ``build_sweep_jobs()`` reproduces exactly
-    the grid of the serial comparison harness.  ``backend`` stamps every
-    job with an execution backend (part of the artifact cache key).
+    the grid of the serial comparison harness.
     """
     selected_fields = (
         [lookup_field(m, n) for m, n in fields] if fields is not None else list(PAPER_TABLE5_FIELDS)
@@ -125,7 +123,6 @@ def build_sweep_jobs(
                             device=device,
                             options=replace(options, effort=effort),
                             verify=spec.m <= verify_up_to,
-                            backend=backend,
                         )
                     )
     return jobs
@@ -140,15 +137,12 @@ def run_sweep(
     jobs: int = 1,
     store: Optional[ArtifactStore] = None,
     verify_up_to: int = DEFAULT_VERIFY_UP_TO,
-    backend: Optional[str] = None,
 ) -> SweepResult:
     """Run a full sweep grid and return its deterministic result set.
 
     ``jobs`` is the scheduler parallelism (1 = serial, in-process).  Pass an
     :class:`ArtifactStore` to make the sweep incremental: a warm re-run of
-    the same grid reads every row from disk and touches no synthesis code
-    (``backend`` is part of the cache key, so runs under different
-    execution backends never serve each other's artifacts).
+    the same grid reads every row from disk and touches no synthesis code.
     """
     job_list = build_sweep_jobs(
         fields=fields,
@@ -157,7 +151,6 @@ def run_sweep(
         efforts=efforts,
         options=options,
         verify_up_to=verify_up_to,
-        backend=backend,
     )
     started = time.perf_counter()
     outcomes = run_jobs(job_list, parallelism=jobs, store=store)

@@ -42,7 +42,7 @@ SURFACE = {
         **CACHE,
     },
     "sweep": {
-        **BACKEND, **TRACE,
+        **TRACE,
         "fields": (("--fields",), "paper", None),
         "methods": (("--methods",), TABLE5, None),
         "devices": (("--devices",), "artix7", None),
@@ -389,18 +389,12 @@ class TestSweepCommand:
         assert main(self.ARGS + ["--no-cache", "--stats"]) == 0
         assert "[miss]" in capsys.readouterr().err
 
-    def test_sweep_backend_isolates_cache_entries(self, tmp_path, capsys):
-        cache_dir = str(tmp_path / "sweep-cache")
-        base = ["sweep", "--fields", "8:2", "--methods", "thiswork", "--efforts", "1",
-                "--cache-dir", cache_dir]
-        assert main(base + ["--backend", "engine"]) == 0
-        assert main(base + ["--backend", "engine"]) == 0
-        assert main(base + ["--backend", "python"]) == 0
-        captured = capsys.readouterr().err
-        # engine cold, engine warm, python cold: no cross-backend hits.
-        assert "cache: 0 hits, 1 misses" in captured
-        assert "cache: 1 hits, 0 misses" in captured
-        assert captured.count("cache: 0 hits, 1 misses") == 2
+    def test_sweep_refuses_backend(self, capsys):
+        # The flow's rows depend on no execution backend, so sweep takes none.
+        with pytest.raises(SystemExit) as exit_info:
+            main(self.ARGS + ["--backend", "engine", "--no-cache"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --backend engine" in capsys.readouterr().err
 
     def test_sweep_rejects_unknown_device(self):
         with pytest.raises(SystemExit, match="unknown device"):

@@ -6,12 +6,15 @@ import threading
 
 import pytest
 
-from repro.engine import Engine, compile_netlist, engine_for, engine_for_netlist
+import repro.engine.engine as engine_module
+from repro.backends import get_backend
+from repro.engine import Engine, compile_netlist, engine_for
 from repro.galois.field import GF2mField
 from repro.galois.pentanomials import type_ii_pentanomial
 from repro.multipliers.registry import ALL_GENERATORS, generate_multiplier
 from repro.netlist.netlist import Netlist
-from repro.netlist.simulate import multiply_with_netlist, multiply_words, simulate_words
+from repro.netlist.simulate import multiply_with_netlist, simulate_words
+from repro.netlist.verify import verify_by_simulation
 
 MODULUS = type_ii_pentanomial(13, 5)
 FIELD = GF2mField(MODULUS)
@@ -25,16 +28,14 @@ def random_pairs(m, count, seed):
 
 
 class TestCompiledNetlist:
-    @pytest.mark.parametrize("mode", ["exec", "arrays"])
-    def test_compiled_matches_interpreter(self, mode):
+    def test_compiled_matches_interpreter(self):
         multiplier = generate_multiplier("thiswork", MODULUS, verify=False)
-        compiled = compile_netlist(multiplier.netlist, mode=mode)
+        compiled = compile_netlist(multiplier.netlist)
         a_values, b_values = random_pairs(13, 200, seed=7)
-        engine = Engine(multiplier, mode=mode)
+        engine = Engine(multiplier)
         assert engine.multiply_batch(a_values, b_values) == simulate_words(
             multiplier.netlist, 13, a_values, b_values
         )
-        assert compiled.mode == mode
         assert compiled.gate_count == compiled.and_count + compiled.xor_count
         assert compiled.level_count > 1
 
@@ -45,13 +46,7 @@ class TestCompiledNetlist:
 
     def test_source_is_inspectable_in_exec_mode(self):
         multiplier = generate_multiplier("thiswork", MODULUS, verify=False)
-        assert "def _netlist_eval" in compile_netlist(multiplier.netlist, mode="exec").source
-        assert compile_netlist(multiplier.netlist, mode="arrays").source is None
-
-    def test_unknown_mode_rejected(self):
-        multiplier = generate_multiplier("thiswork", MODULUS, verify=False)
-        with pytest.raises(ValueError):
-            compile_netlist(multiplier.netlist, mode="jit")
+        assert "def _netlist_eval" in compile_netlist(multiplier.netlist).source
 
     def test_input_word_count_validated(self):
         multiplier = generate_multiplier("thiswork", MODULUS, verify=False)
@@ -68,13 +63,6 @@ class TestEngineEquivalence:
         products = engine.multiply_batch(a_values, b_values)
         for a, b, product in zip(a_values, b_values, products):
             assert product == FIELD.multiply(a, b), (method, a, b)
-
-    @pytest.mark.parametrize("method", ["thiswork", "schoolbook"])
-    def test_exec_and_arrays_modes_agree(self, method):
-        a_values, b_values = random_pairs(13, 128, seed=3)
-        compiled = engine_for(method, MODULUS, mode="exec").multiply_batch(a_values, b_values)
-        flat = engine_for(method, MODULUS, mode="arrays").multiply_batch(a_values, b_values)
-        assert compiled == flat
 
 
 class TestBatchAPI:
@@ -114,9 +102,9 @@ class TestBatchAPI:
         with pytest.raises(ValueError):
             Engine(generate_multiplier("thiswork", MODULUS, verify=False), chunk_size=0)
 
-    def test_describe_mentions_mode_and_field(self, engine):
+    def test_describe_mentions_method_and_field(self, engine):
         text = engine.describe()
-        assert "exec" in text and "GF(2^13)" in text
+        assert "thiswork" in text and "GF(2^13)" in text
 
     def test_concurrent_batches_do_not_corrupt_each_other(self, engine):
         """The registry shares one compiled instance between concurrent callers."""
@@ -175,10 +163,10 @@ class TestEngineConstruction:
 
     def test_engine_for_is_cached(self):
         assert engine_for("thiswork", MODULUS) is engine_for("thiswork", MODULUS)
-        assert engine_for("thiswork", MODULUS) is not engine_for("thiswork", MODULUS, mode="arrays")
+        assert engine_for("thiswork", MODULUS) is not engine_for("schoolbook", MODULUS)
 
     def test_engine_for_verify_upgrade_survives_engine_cache(self):
-        from repro.engine import default_multiplier_cache
+        from repro.multipliers import default_multiplier_cache
 
         modulus = type_ii_pentanomial(11, 4)
         engine_for("paar", modulus, verify=False)
@@ -191,11 +179,6 @@ class TestEngineConstruction:
         high = 1 << 300
         assert engine.multiply(high | 0x3, 0x5) == engine.multiply(0x3, 0x5)
         assert engine.multiply_batch([high], [1]) == [0]
-
-    def test_engine_for_netlist_is_cached_per_netlist(self):
-        multiplier = generate_multiplier("thiswork", MODULUS, verify=False)
-        first = engine_for_netlist(multiplier.netlist, 13)
-        assert engine_for_netlist(multiplier.netlist, 13) is first
 
 
 class TestRoutedEntryPoints:
@@ -213,28 +196,26 @@ class TestRoutedEntryPoints:
     def test_field_multiply_batch_explicit_method(self):
         a_values, b_values = random_pairs(13, 50, seed=29)
         expected = FIELD.multiply_batch(a_values, b_values)
-        assert FIELD.multiply_batch(a_values, b_values, method="schoolbook") == expected
-
-    def test_generated_multiplier_conveniences(self):
-        multiplier = generate_multiplier("thiswork", MODULUS)
-        assert multiplier.multiply(0x1a, 0x2b) == FIELD.multiply(0x1a, 0x2b)
-        a_values, b_values = random_pairs(13, 64, seed=31)
-        expected = [FIELD.multiply(a, b) for a, b in zip(a_values, b_values)]
-        assert multiplier.multiply_batch(a_values, b_values) == expected
-        assert multiplier.engine().m == 13
-
-    def test_multiply_words_routes_through_engine(self):
-        multiplier = generate_multiplier("thiswork", MODULUS, verify=False)
-        a_values, b_values = random_pairs(13, 80, seed=37)
-        assert multiply_words(multiplier.netlist, 13, a_values, b_values) == simulate_words(
-            multiplier.netlist, 13, a_values, b_values
-        )
-        with pytest.raises(ValueError):
-            multiply_words(multiplier.netlist, 13, [1], [])
+        schoolbook = get_backend("engine", FIELD, method="schoolbook")
+        assert FIELD.multiply_batch(a_values, b_values, backend=schoolbook) == expected
 
     def test_multiply_with_netlist_still_scalar(self):
         multiplier = generate_multiplier("thiswork", MODULUS, verify=False)
         assert multiply_with_netlist(multiplier.netlist, 13, 9, 12) == FIELD.multiply(9, 12)
+
+    def test_netlist_checks_never_compile(self, monkeypatch):
+        """Checks of one netlist interpret it: the engine's compiler is never called."""
+
+        def refuse(*args, **kwargs):
+            raise RuntimeError("a netlist check compiled its netlist")
+
+        monkeypatch.setattr(engine_module, "compile_netlist", refuse)
+        modulus = type_ii_pentanomial(163, 66)
+        field = GF2mField(modulus, check_irreducible=False)
+        netlist = generate_multiplier("thiswork", modulus, verify=False, use_cache=False).netlist
+        assert verify_by_simulation(netlist, modulus)
+        a, b = (1 << 162) | 0x1234567, (1 << 150) | 0x89abcdef
+        assert multiply_with_netlist(netlist, 163, a, b) == field.multiply(a, b)
 
 
 class TestRegistryCaching:

@@ -123,31 +123,6 @@ class TestVerification:
         # Random mode (force by lowering the exhaustive limit).
         assert verify_by_simulation(netlist, gf28_modulus, trials=32, exhaustive_limit=4)
 
-    def test_simulation_is_backend_parameterized(self, gf28_modulus):
-        """Parity is asserted through every execution substrate uniformly."""
-        netlist = tiny_correct_netlist(gf28_modulus)
-        for backend in ("engine", "python"):
-            assert verify_by_simulation(
-                netlist, gf28_modulus, trials=16, exhaustive_limit=4, backend=backend
-            ), backend
-        with pytest.raises(KeyError, match="unknown simulation backend"):
-            verify_by_simulation(netlist, gf28_modulus, backend="no_such_backend")
-
-    def test_backend_parameterized_simulation_catches_bugs(self):
-        modulus = 0b1011
-        spec = ProductSpec.from_modulus(modulus)
-        netlist = Netlist(name="buggy")
-        a = [netlist.add_input(f"a{i}") for i in range(3)]
-        b = [netlist.add_input(f"b{i}") for i in range(3)]
-        for k in range(3):
-            pairs = sorted(spec.pairs(k))[:-1] if k == 2 else sorted(spec.pairs(k))
-            products = [netlist.and2(a[i], b[j]) for i, j in pairs]
-            netlist.add_output(f"c{k}", netlist.xor_reduce(products))
-        for backend in ("engine", "python"):
-            assert not verify_by_simulation(
-                netlist, modulus, exhaustive_limit=4, backend=backend
-            ), backend
-
     def test_simulation_catches_bug(self):
         modulus = 0b1011
         spec = ProductSpec.from_modulus(modulus)

@@ -38,29 +38,23 @@ def store(tmp_path) -> ArtifactStore:
 class TestArtifactStore:
     def test_json_roundtrip_and_counters(self, store):
         key = canonical_fingerprint({"demo": 1})
-        assert store.get_json(key) is None
-        store.put_json(key, {"value": [1, 2, 3]})
-        assert store.get_json(key) == {"value": [1, 2, 3]}
-        info = store.info()
-        assert info.hits == 1 and info.misses == 1 and info.writes == 1
-
-    def test_pickle_roundtrip(self, store):
-        key = canonical_fingerprint({"demo": "pickle"})
-        store.put_pickle(key, {"nested": (1, 2)})
-        assert store.get_pickle(key) == {"nested": (1, 2)}
+        previous = metrics.set_registry(metrics.MetricsRegistry())
+        try:
+            assert store.get_json(key) is None
+            store.put_json(key, {"value": [1, 2, 3]})
+            assert store.get_json(key) == {"value": [1, 2, 3]}
+            counters = metrics.REGISTRY.snapshot()["counters"]
+        finally:
+            metrics.set_registry(previous)
+        assert counters["artifact_store.hits"] == 1
+        assert counters["artifact_store.misses"] == 1
+        assert counters["artifact_store.writes"] == 1
 
     def test_corrupt_json_is_a_miss(self, store):
         key = canonical_fingerprint({"demo": "corrupt"})
         path = store.put_json(key, {"ok": True})
         path.write_text("{truncated", encoding="utf-8")
         assert store.get_json(key) is None
-
-    def test_clear_and_count(self, store):
-        for index in range(3):
-            store.put_json(canonical_fingerprint({"entry": index}), {"index": index})
-        assert store.artifact_count() == 3
-        assert store.clear() == 3
-        assert store.artifact_count() == 0
 
     def test_fingerprint_stability_and_sensitivity(self):
         base = {"options": SynthesisOptions(), "device": ARTIX7}
@@ -87,13 +81,6 @@ class TestArtifactKey:
     def test_verify_flag_does_not_change_the_key(self):
         job = SweepJob(method="thiswork", m=8, n=2, options=FAST, verify=False)
         assert artifact_key(job) == artifact_key(dataclasses.replace(job, verify=True))
-
-    def test_backend_changes_the_key(self):
-        job = SweepJob(method="thiswork", m=8, n=2, options=FAST)
-        engine = dataclasses.replace(job, backend="engine")
-        native = dataclasses.replace(job, backend="native")
-        keys = {artifact_key(job), artifact_key(engine), artifact_key(native)}
-        assert len(keys) == 3
 
 
 class TestStageGraph:
@@ -139,30 +126,6 @@ class TestScheduler:
         finally:
             metrics.set_registry(previous)
         assert counters["sweep.jobs.executed"] == len(jobs)
-
-    def test_no_cross_backend_cache_hits(self, store):
-        """Warm runs under one backend must never serve another backend's rows."""
-        grid = dict(fields=[(8, 2)], methods=["thiswork"], options=FAST, store=store)
-        engine_cold = run_sweep(backend="engine", **grid)
-        assert (engine_cold.cache_hits, engine_cold.cache_misses) == (0, 1)
-        engine_warm = run_sweep(backend="engine", **grid)
-        assert (engine_warm.cache_hits, engine_warm.cache_misses) == (1, 0)
-        python_cold = run_sweep(backend="python", **grid)
-        assert (python_cold.cache_hits, python_cold.cache_misses) == (0, 1)
-        # The metrics themselves are backend-independent — only the cache
-        # entries are distinct.
-        assert [o.result for o in python_cold.outcomes] == [o.result for o in engine_cold.outcomes]
-
-    def test_verifying_jobs_cross_check_through_the_backend(self, store):
-        job = SweepJob(method="thiswork", m=8, n=2, options=FAST, verify=True, backend="python")
-        outcome = execute_job(job, store=store)
-        assert outcome.cache_hit is False
-        payload = store.get_json(artifact_key(job))
-        assert payload["job"]["backend"] == "python"
-        with pytest.raises(KeyError, match="unknown simulation backend"):
-            # An unknown backend must fail the verifying job loudly, not skip
-            # the cross-check.
-            execute_job(dataclasses.replace(job, backend="no_such_backend"), store=store)
 
     def test_stored_payload_is_lossless(self, store):
         job = SweepJob(method="thiswork", m=8, n=2, options=FAST)
@@ -246,8 +209,13 @@ class TestComparisonThroughPipeline:
         ]
 
     def test_comparison_uses_store_when_given(self, store):
-        run_comparison(fields=[(8, 2)], methods=["thiswork"], options=FAST, store=store)
-        assert store.artifact_count() == 1
-        again = run_comparison(fields=[(8, 2)], methods=["thiswork"], options=FAST, store=store)
+        previous = metrics.set_registry(metrics.MetricsRegistry())
+        try:
+            run_comparison(fields=[(8, 2)], methods=["thiswork"], options=FAST, store=store)
+            assert sum(1 for path in store.root.rglob("*") if path.is_file()) == 1
+            again = run_comparison(fields=[(8, 2)], methods=["thiswork"], options=FAST, store=store)
+            hits = metrics.REGISTRY.snapshot()["counters"].get("artifact_store.hits", 0)
+        finally:
+            metrics.set_registry(previous)
         assert again[0].rows[0].result.luts > 0
-        assert store.info().hits >= 1
+        assert hits >= 1

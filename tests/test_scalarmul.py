@@ -1,6 +1,6 @@
 """Tests for :mod:`repro.curves.scalarmul`: τ-adic recoding round trips,
 batched τ/comb evaluators, comb-table persistence, and the dispatch knobs
-on ``multiply``/``multiply_batch``/the protocol layer."""
+on ``multiply_batch`` and the protocol layer."""
 
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ from repro.curves import (
     multiply_tau_batch,
     reduce_scalar,
     tau_mu,
-    tau_naf,
     tau_window_digits,
 )
 from repro.curves import scalarmul
@@ -67,44 +66,11 @@ class TestTauRecoding:
             residue = reduce_scalar(curve, scalar)
             assert zt_congruent(curve, residue, (scalar, 0))
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(min_value=0, max_value=(1 << 40) - 1), st.integers(min_value=2, max_value=8))
-    def test_tau_naf_round_trip_t13(self, scalar, width):
-        digits = tau_naf(T13, scalar, width)
-        assert zt_congruent(T13, tau_digits_value(T13, digits), (scalar, 0))
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.integers(min_value=0, max_value=(1 << 192) - 1))
-    def test_tau_naf_round_trip_k163(self, scalar):
-        digits = tau_naf(K163, scalar)
-        assert zt_congruent(K163, tau_digits_value(K163, digits), (scalar, 0))
-
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=(1 << 240) - 1))
     def test_window_digits_round_trip_k233(self, scalar):
         digits = tau_window_digits(K233, scalar)
         assert zt_congruent(K233, tau_digits_value(K233, digits), (scalar, 0))
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        st.integers(min_value=0, max_value=(1 << 180) - 1),
-        st.integers(min_value=2, max_value=6),
-    )
-    def test_tau_naf_digit_shape(self, scalar, width):
-        digits = tau_naf(K163, scalar, width)
-        # The recoder drops to the plain width-2 τ-NAF once the residue
-        # norm falls under the width's tail threshold (wider windows stop
-        # contracting there); that tail is a bounded constant-size suffix.
-        tail_start = max(len(digits) - 32, 0)
-        for position, digit in enumerate(digits):
-            if digit:
-                assert digit % 2 == 1 or digit % 2 == -1
-                assert abs(digit) < 1 << (width - 1)
-                # τ-NAF: at most one nonzero per 2 consecutive digits
-                # everywhere, per `width` outside the tail.
-                assert all(d == 0 for d in digits[position + 1 : position + 2])
-                if position + width <= tail_start:
-                    assert all(d == 0 for d in digits[position + 1 : position + width])
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=(1 << 180) - 1))
@@ -119,22 +85,9 @@ class TestTauRecoding:
         assert all(abs(d) == 1 for _, d in unaligned)
         assert span <= K163.field.m + width + 32
 
-    def test_tau_naf_density(self):
-        """Average nonzero density of the width-w τ-NAF is ~1/(w+1)."""
-        rng = random.Random(163)
-        width = scalarmul.DEFAULT_TAU_WIDTH
-        nonzeros = total = 0
-        for _ in range(60):
-            digits = tau_naf(K163, rng.randrange(1, K163.order), width)
-            nonzeros += sum(1 for d in digits if d)
-            total += len(digits)
-        density = nonzeros / total
-        expected = 1 / (width + 1)
-        assert expected * 0.8 < density < expected * 1.25
-
     def test_width_validation(self):
         with pytest.raises(ValueError):
-            tau_naf(K163, 5, width=1)
+            tau_window_digits(K163, 5, width=1)
         with pytest.raises(ValueError):
             tau_window_digits(K163, 5, width=17)
 
@@ -148,26 +101,29 @@ class TestTauMultiply:
     def test_t13_exhaustive_small_scalars(self):
         """Every scalar in [0, 128) on a non-generator point, vs the reference."""
         point = T13.multiply_reference(T13.generator, 5)
-        for scalar in range(128):
-            expected = T13.multiply_reference(point, scalar)
-            assert T13.multiply(point, scalar, scalar_rep="tau") == expected
+        scalars = list(range(128))
+        expected = [T13.multiply_reference(point, scalar) for scalar in scalars]
+        assert T13.multiply_batch([point] * len(scalars), scalars, scalar_rep="tau") == expected
 
     def test_t13_order_edges(self):
         n, h = T13.order, T13.cofactor
         point = T13.generator
-        for scalar in [n - 1, n, n + 1, h * n - 1, h * n, h * n + 1, -7]:
-            expected = T13.multiply_reference(point, scalar)
-            assert T13.multiply(point, scalar, scalar_rep="tau") == expected
+        scalars = [n - 1, n, n + 1, h * n - 1, h * n, h * n + 1, -7]
+        expected = [T13.multiply_reference(point, scalar) for scalar in scalars]
+        got = T13.multiply_batch(
+            [point] * len(scalars), scalars, scalar_rep="tau", fixed_base=False
+        )
+        assert got == expected
 
     @pytest.mark.parametrize("curve", [K163, K233], ids=lambda c: c.name)
     def test_random_scalars_match_reference(self, curve):
         rng = random.Random(41)
         point = curve.generator
-        for _ in range(3):
-            scalar = rng.randrange(1, curve.order * curve.cofactor)
-            expected = curve.multiply_reference(point, scalar)
-            assert curve.multiply(point, scalar, scalar_rep="tau") == expected
-            assert curve.multiply(point, scalar, scalar_rep="auto") == expected
+        scalars = [rng.randrange(1, curve.order * curve.cofactor) for _ in range(3)]
+        expected = [curve.multiply_reference(point, scalar) for scalar in scalars]
+        for rep in ("tau", "auto"):
+            got = curve.multiply_batch([point] * 3, scalars, scalar_rep=rep, fixed_base=False)
+            assert got == expected, rep
 
     def test_batched_tau_matches_reference_all_backends(self):
         rng = random.Random(23)
@@ -284,19 +240,19 @@ class TestCombTable:
 class TestDispatch:
     def test_tau_rejected_off_koblitz(self):
         with pytest.raises(ValueError, match="Koblitz"):
-            B163.multiply(B163.generator, 5, scalar_rep="tau")
-        with pytest.raises(ValueError, match="Koblitz"):
             B163.multiply_batch([B163.generator], [5], scalar_rep="tau")
 
     def test_unknown_rep_rejected(self):
         with pytest.raises(ValueError, match="scalar_rep"):
-            K163.multiply(K163.generator, 5, scalar_rep="naf")
+            K163.multiply_batch([K163.generator], [5], scalar_rep="naf")
 
     def test_auto_is_binary_off_koblitz(self):
         rng = random.Random(53)
         scalar = rng.randrange(1, 1 << 160)
         point = B163.multiply(B163.generator, 9)
-        assert B163.multiply(point, scalar, scalar_rep="auto") == B163.multiply(point, scalar)
+        auto = B163.multiply_batch([point], [scalar], scalar_rep="auto")
+        assert auto == B163.multiply_batch([point], [scalar], scalar_rep="binary")
+        assert auto == [B163.multiply(point, scalar)]
 
     def test_protocols_agree_across_paths(self):
         alice = keygen_batch(T13, 6, seed=1)
@@ -322,7 +278,6 @@ class TestDispatch:
     def test_negative_scalars(self):
         point = Point(T13, T13.generator.x, T13.generator.y)
         expected = T13.multiply_reference(point, -11)
-        assert T13.multiply(point, -11, scalar_rep="tau") == expected
         assert T13.multiply_batch([point], [-11], scalar_rep="tau") == [expected]
 
     def test_binary_dead_lanes_resolve_in_the_batch(self, monkeypatch):
