@@ -8,8 +8,9 @@ against its reference before its rate counts:
                  mul / square / inverse through each ``ir_executor()``;
 ``ladder_step``  the compiled B-163 López-Dahab step, metrics on and off;
 ``scalar_mul``   generator multiplies: binary ladder and comb;
-``protocol``     ``ecdh_batch`` per route (binary, τ) and one ECDH exchange
-                 (two keygens, one agreement): all-binary vs τ + comb;
+``protocol``     ``ecdh_batch`` per route (binary, τ), ``sign_batch`` and
+                 one ECDH exchange (two keygens, one agreement): all-binary
+                 vs τ + comb;
 ``served``       single-request ECDH traffic through ``CryptoService``
                  (inline worker thread) next to the offline batch.
 
@@ -49,7 +50,7 @@ import time
 
 from repro.backends import get_backend
 from repro.backends.ir import IRBuilder, schedule_program
-from repro.curves import curve_by_name, ecdh_batch
+from repro.curves import curve_by_name, ecdh_batch, ecdsa_sign, sign_batch
 from repro.curves.formulas import ladder_step_program
 from repro.galois.field import GF2mField
 from repro.galois.pentanomials import smallest_type_ii_pentanomial
@@ -91,11 +92,13 @@ LADDER_STEPS = {"engine": 4, "native": 163}
 
 #: K-163 floors at batch 256: the ECDH exchange (two keygens and one
 #: agreement) over all-binary, τ agreement over binary, comb keygen over
-#: ladder keygen.
+#: ladder keygen, and signing over comb keygen (a signature is a comb
+#: nonce multiply, a nonce hash and its share of one inversion mod n).
 KOBLITZ_BATCH = 256
 EXCHANGE_FLOORS = {"engine": 1.8, "native": 1.2}
 TAU_FLOORS = {"native": 1.2}
 COMB_FLOOR = 2.0
+SIGN_FLOORS = {"native": 0.55}
 TRAJECTORY_CURVES = ("K-233", "K-283", "K-409", "K-571")
 
 #: Served over offline ECDH on B-163, engine, by concurrent clients (the
@@ -309,12 +312,13 @@ def ladder_step(run, backend_name, pairs):
 
 # ------------------------------------------------- scalar mul and protocol op
 def koblitz(run, curve_name, backend_name):
-    """Generator multiplies per route, ``ecdh_batch`` per route, and the exchange."""
+    """Generator multiplies per route, ``ecdh_batch`` per route, signing, and the exchange."""
     curve = curve_by_name(curve_name)
     backend = get_backend(backend_name, curve.field)
     rng = random.Random(2018)
     privates = [rng.randrange(1, curve.order) for _ in range(KOBLITZ_BATCH)]
     peer_privates = [rng.randrange(1, curve.order) for _ in range(KOBLITZ_BATCH)]
+    digests = [rng.getrandbits(256) for _ in range(KOBLITZ_BATCH)]
     generators = [curve.generator] * KOBLITZ_BATCH
 
     def keygen(**route):
@@ -332,6 +336,7 @@ def koblitz(run, curve_name, backend_name):
         ecdh_batch(curve, privates[:2], peers[:2], backend=backend, scalar_rep=scalar_rep)
     publics = [curve.multiply(curve.generator, d) for d in privates[:2]]
     shared = [curve.multiply(peer, d) for peer, d in zip(peers[:2], privates[:2])]
+    signatures = [ecdsa_sign(curve, d, z) for d, z in zip(privates[:2], digests[:2])]
     # Every result must match the first round's, whose routes must agree
     # with each other and, on a prefix, with the scalar ladder.
     reference = {}
@@ -348,6 +353,8 @@ def koblitz(run, curve_name, backend_name):
         "comb": (keygen(fixed_base=True), same_as_first("keygen", publics)),
         "ecdh_binary": (agree("binary"), same_as_first("shared", shared)),
         "ecdh_tau": (agree("tau"), same_as_first("shared", shared)),
+        "sign": (lambda: sign_batch(curve, privates, digests, backend=backend),
+                 same_as_first("signatures", signatures)),
     }, run.rounds(backend_name))
     seconds["exchange_binary"] = [2 * k + a for k, a in zip(seconds["binary"], seconds["ecdh_binary"])]
     seconds["exchange_tau_comb"] = [2 * k + a for k, a in zip(seconds["comb"], seconds["ecdh_tau"])]
@@ -357,6 +364,7 @@ def koblitz(run, curve_name, backend_name):
         ("comb", "scalar_mul", "keys/s"),
         ("ecdh_binary", "protocol", "agreements/s"),
         ("ecdh_tau", "protocol", "agreements/s"),
+        ("sign", "protocol", "signatures/s"),
         ("exchange_binary", "protocol", "exchanges/s"),
         ("exchange_tau_comb", "protocol", "exchanges/s"),
     ):
@@ -371,6 +379,9 @@ def koblitz(run, curve_name, backend_name):
     if backend_name in TAU_FLOORS:
         run.check(f"protocol {where} ecdh τ / binary", rates["ecdh_tau"] / rates["ecdh_binary"],
                   TAU_FLOORS[backend_name])
+    if backend_name in SIGN_FLOORS:
+        run.check(f"protocol {where} sign / comb keygen", rates["sign"] / rates["comb"],
+                  SIGN_FLOORS[backend_name])
     run.check(f"scalar_mul {where} comb / binary ladder", rates["comb"] / rates["binary"], COMB_FLOOR)
 
 

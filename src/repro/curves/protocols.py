@@ -14,7 +14,10 @@ ECDSA here is "ECDSA-style": the digest is taken as an integer reduced
 modulo ``n`` and the default nonce is derived deterministically from the
 key and digest with SHA-256 (reproducible runs; not RFC 6979).  Signing
 needs a curve with a known subgroup order — the Koblitz catalog entries —
-while ECDH works on every catalog curve.
+while ECDH works on every catalog curve.  :func:`sign_batch` batches the
+nonce multiplies like :func:`keygen_batch` and inverts each signing
+round's nonces together mod ``n`` (one ``pow(·, -1, n)`` per round,
+Montgomery's trick), byte-identical to :func:`ecdsa_sign` per pair.
 """
 
 from __future__ import annotations
@@ -75,6 +78,26 @@ def _require_order(curve: BinaryCurve, what: str) -> int:
             f"{curve.name or 'this curve'} does not record one (use a K-curve)"
         )
     return curve.order
+
+
+def _inverses_mod(values: Sequence[int], modulus: int) -> List[int]:
+    """Every ``value⁻¹ mod modulus`` from one ``pow(·, -1, modulus)``.
+
+    Montgomery's simultaneous-inversion trick: prefix products, one
+    inversion of their total, one backward walk; about three products
+    per value.  Every value must be a unit mod ``modulus``.
+    """
+    prefixes = []
+    running = 1
+    for value in values:
+        prefixes.append(running)
+        running = running * value % modulus
+    inverse = pow(running, -1, modulus)
+    inverses = [0] * len(values)
+    for index in range(len(values) - 1, -1, -1):
+        inverses[index] = inverse * prefixes[index] % modulus
+        inverse = inverse * values[index] % modulus
+    return inverses
 
 
 def generate_keypair(curve: BinaryCurve, rng: random.Random) -> KeyPair:
@@ -274,13 +297,16 @@ def sign_batch(
     batches — so each retry round gathers the pending nonce multiplies
     into one :meth:`~repro.curves.point.BinaryCurve.multiply_batch` call
     (comb table by default, ``fixed_base``/``scalar_rep``/``backend`` as
-    in :func:`keygen_batch`).  The deterministic nonce schedule, its
-    retry-counter semantics and the resulting ``(r, s)`` pairs are
-    byte-identical to calling :func:`ecdsa_sign` per pair, on every
-    backend; ``batched=False`` is that scalar reference.  Retries beyond
-    the first round are astronomically rare (``k`` invalid, ``r = 0`` or
-    ``s = 0``), but the loop replicates them faithfully.  A private key
-    outside ``1 <= d < n`` refuses its lane
+    in :func:`keygen_batch`), and inverts the round's nonces together:
+    one ``pow(·, -1, n)`` and about three products mod ``n`` per lane
+    (Montgomery's trick), where :func:`ecdsa_sign` makes one inversion
+    per signature.  The deterministic nonce schedule, its retry-counter
+    semantics and the resulting ``(r, s)`` pairs are byte-identical to
+    calling :func:`ecdsa_sign` per pair, on every backend;
+    ``batched=False`` is that scalar reference.  Retries beyond the first
+    round are astronomically rare (``k`` invalid, ``r = 0`` or ``s = 0``),
+    but the loop replicates them faithfully, one inversion per round.  A
+    private key outside ``1 <= d < n`` refuses its lane
     (:class:`~repro.curves.point.LaneError`).
     """
     order = _require_order(curve, "ECDSA signing")
@@ -304,29 +330,31 @@ def sign_batch(
     generator = curve.generator
     while pending:
         retry: List[int] = []
-        lanes: List[tuple] = []
+        lanes: List[int] = []
+        nonces: List[int] = []
         for index in pending:
             k = _deterministic_nonce(curve, privates[index], digests[index], counters[index])
             counters[index] += 1
-            if not 1 <= k < order:
+            if 1 <= k < order:
+                lanes.append(index)
+                nonces.append(k)
+            else:
                 retry.append(index)
-                continue
-            lanes.append((index, k))
         if lanes:
             points = curve.multiply_batch(
-                [generator] * len(lanes),
-                [k for _, k in lanes],
+                [generator] * len(nonces),
+                nonces,
                 backend=backend,
                 scalar_rep=scalar_rep,
                 fixed_base=fixed_base,
             )
-            for (index, k), point in zip(lanes, points):
+            # Every catalog order is prime, so every valid nonce is a unit.
+            for index, point, k_inverse in zip(lanes, points, _inverses_mod(nonces, order)):
                 r = point.x % order
                 if r == 0:
                     retry.append(index)
                     continue
-                e = digests[index] % order
-                s = (pow(k, -1, order) * (e + privates[index] * r)) % order
+                s = k_inverse * (digests[index] % order + privates[index] * r) % order
                 if s == 0:
                     retry.append(index)
                     continue

@@ -35,7 +35,7 @@ from .bitpack import pack_rows, unpack_planes
 from .compiler import compile_netlist
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..netlist.netlist import Netlist
+    from ..multipliers.base import GeneratedMultiplier
     from .compiler import CompiledNetlist
 
 __all__ = ["Engine", "engine_for"]
@@ -50,11 +50,8 @@ class Engine:
     Parameters
     ----------
     multiplier:
-        A :class:`~repro.multipliers.base.GeneratedMultiplier`.  Mutually
-        exclusive with ``netlist``/``m``.
-    netlist, m:
-        A raw multiplier netlist following the ``a<i>``/``b<j>`` → ``c<k>``
-        I/O convention, and its field degree.
+        A :class:`~repro.multipliers.base.GeneratedMultiplier`, whose
+        netlist follows the ``a<i>``/``b<j>`` → ``c<k>`` I/O convention.
     chunk_size:
         Operand pairs per compiled call.  Larger chunks amortize per-call
         overhead against bigger intermediate words; 4096 is a good default.
@@ -63,33 +60,16 @@ class Engine:
     interpreted simulator's semantics.
     """
 
-    def __init__(
-        self,
-        multiplier=None,
-        *,
-        netlist: Optional[Netlist] = None,
-        m: Optional[int] = None,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-    ) -> None:
-        if multiplier is not None:
-            if netlist is not None or m is not None:
-                raise ValueError("pass either a multiplier or netlist+m, not both")
-            netlist = multiplier.netlist
-            m = multiplier.m
-            self.method: Optional[str] = multiplier.method
-            self.modulus: Optional[int] = multiplier.modulus
-        else:
-            if netlist is None or m is None:
-                raise ValueError("an Engine needs a multiplier or a netlist with its degree m")
-            self.method = netlist.attributes.get("method")
-            self.modulus = netlist.attributes.get("modulus")
+    def __init__(self, multiplier: GeneratedMultiplier, *, chunk_size: int = DEFAULT_CHUNK_SIZE) -> None:
         if chunk_size < 1:
             raise ValueError("chunk_size must be at least 1")
-        self.m = m
+        self.method = multiplier.method
+        self.modulus = multiplier.modulus
+        self.m = multiplier.m
         self.chunk_size = chunk_size
-        self.compiled: CompiledNetlist = compile_netlist(netlist)
-        self._input_sources = self._map_inputs(self.compiled.input_names, m)
-        self._output_order = self._map_outputs(self.compiled.output_names, m)
+        self.compiled: CompiledNetlist = compile_netlist(multiplier.netlist)
+        self._input_sources = self._map_inputs(self.compiled.input_names, self.m)
+        self._output_order = self._map_outputs(self.compiled.output_names, self.m)
 
     # ------------------------------------------------------------- I/O wiring
     @staticmethod
@@ -157,9 +137,8 @@ class Engine:
     def describe(self) -> str:
         """One-line summary used by the CLI."""
         compiled = self.compiled
-        label = self.method or compiled.name or "netlist"
         return (
-            f"engine {label} GF(2^{self.m}): "
+            f"engine {self.method} GF(2^{self.m}): "
             f"{compiled.and_count} AND, {compiled.xor_count} XOR, "
             f"{compiled.level_count} levels, chunk {self.chunk_size}"
         )

@@ -446,12 +446,13 @@ def render_readme_blocks(snapshot: "Dict[str, Any]") -> "Dict[str, str]":
                                  key=lambda pair: (int(pair[0][2:]), pair[1])):
         keys = {route: (layer, backend, curve, route) for layer, route in (
             ("scalar_mul", "binary"), ("scalar_mul", "comb"), ("protocol", "ecdh_binary"),
-            ("protocol", "ecdh_tau"), ("protocol", "exchange_binary"), ("protocol", "exchange_tau_comb"),
+            ("protocol", "ecdh_tau"), ("protocol", "sign"), ("protocol", "exchange_binary"),
+            ("protocol", "exchange_tau_comb"),
         )}
         koblitz.append([
-            curve, backend, *(rate(keys[route]) for route in ("binary", "comb", "ecdh_binary", "ecdh_tau")),
+            curve, backend, *(rate(keys[route]) for route in ("binary", "comb", "ecdh_binary", "ecdh_tau", "sign")),
             ratio(keys["comb"], keys["binary"]), ratio(keys["ecdh_tau"], keys["ecdh_binary"]),
-            ratio(keys["exchange_tau_comb"], keys["exchange_binary"]),
+            ratio(keys["sign"], keys["comb"]), ratio(keys["exchange_tau_comb"], keys["exchange_binary"]),
         ])
 
     serving = []
@@ -472,8 +473,8 @@ def render_readme_blocks(snapshot: "Dict[str, Any]") -> "Dict[str, str]":
             ["field", "backend", "int-list `multiply_batch`", "packed mul", "packed square", "packed inverse",
              "`multiply_batch` vs python"], backends),
         "koblitz": _table(
-            ["curve", "backend", "ladder keygen", "comb keygen", "binary ECDH", "τ ECDH", "comb vs ladder",
-             "τ vs binary", "exchange vs all-binary"], koblitz),
+            ["curve", "backend", "ladder keygen", "comb keygen", "binary ECDH", "τ ECDH", "sign", "comb vs ladder",
+             "τ vs binary", "sign vs comb keygen", "exchange vs all-binary"], koblitz),
         "serving": _table(["backend", "clients", "served", "offline batch", "served vs offline"], serving),
     }
     return {name: "\n".join(lines + ["", source]) for name, lines in tables.items()}

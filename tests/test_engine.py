@@ -1,5 +1,6 @@
 """The batch engine: compiled-vs-interpreted equivalence and the batch API."""
 
+import dataclasses
 import random
 import sys
 import threading
@@ -138,28 +139,16 @@ class TestBatchAPI:
 
 
 class TestEngineConstruction:
-    def test_needs_circuit(self):
-        with pytest.raises(ValueError):
-            Engine()
-
-    def test_multiplier_and_netlist_are_exclusive(self):
-        multiplier = generate_multiplier("thiswork", MODULUS, verify=False)
-        with pytest.raises(ValueError):
-            Engine(multiplier, netlist=multiplier.netlist, m=13)
-
-    def test_raw_netlist_with_degree(self):
-        multiplier = generate_multiplier("thiswork", MODULUS, verify=False)
-        engine = Engine(netlist=multiplier.netlist, m=13)
-        assert engine.multiply(3, 5) == FIELD.multiply(3, 5)
-
     def test_rejects_netlists_outside_the_multiplier_convention(self):
+        multiplier = generate_multiplier("thiswork", MODULUS, verify=False)
         netlist = Netlist(name="odd-io")
         netlist.add_output("c0", netlist.add_input("x0"))
         with pytest.raises(ValueError, match="convention"):
-            Engine(netlist=netlist, m=1)
-        multiplier = generate_multiplier("thiswork", type_ii_pentanomial(8, 2), verify=False)
+            Engine(dataclasses.replace(multiplier, netlist=netlist))
+        gf28 = generate_multiplier("thiswork", type_ii_pentanomial(8, 2), verify=False)
+        gf29 = generate_multiplier("thiswork", type_ii_pentanomial(9, 2), verify=False)
         with pytest.raises(ValueError, match="missing output c8"):
-            Engine(netlist=multiplier.netlist, m=9)
+            Engine(dataclasses.replace(gf29, netlist=gf28.netlist))
 
     def test_engine_for_is_cached(self):
         assert engine_for("thiswork", MODULUS) is engine_for("thiswork", MODULUS)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.curves import (
     LaneError,
@@ -17,6 +19,8 @@ from repro.curves import (
     keygen_batch,
     sign_batch,
 )
+from repro.curves import protocols
+from repro.curves.point import BinaryCurve
 from repro.curves.protocols import Signature
 
 
@@ -28,6 +32,25 @@ def toy():
 @pytest.fixture(scope="module")
 def k163():
     return curve_by_name("K-163")
+
+
+@pytest.fixture
+def inversions(monkeypatch):
+    """The modulus of every ``pow(·, -1, n)`` the protocols module makes."""
+    log = []
+
+    def counting_pow(base, exponent, modulus=None):
+        if exponent == -1:
+            log.append(modulus)
+        return pow(base, exponent, modulus)
+
+    monkeypatch.setattr(protocols, "pow", counting_pow, raising=False)
+    return log
+
+
+def _sign_lanes(curve, count, seed):
+    rng = random.Random(seed)
+    return [rng.randrange(1, curve.order) for _ in range(count)], [rng.getrandbits(256) for _ in range(count)]
 
 
 class TestKeygen:
@@ -327,3 +350,71 @@ class TestSignBatch:
 
     def test_empty_batch(self, toy):
         assert sign_batch(toy, [], []) == []
+
+    @pytest.mark.parametrize("name, count", [("K-163", 8), ("K-283", 4)])
+    def test_nist_koblitz_lanes_equal_scalar_reference(self, name, count):
+        curve = curve_by_name(name)
+        privates, digests = _sign_lanes(curve, count, seed=24)
+        assert sign_batch(curve, privates, digests) == [
+            ecdsa_sign(curve, d, z) for d, z in zip(privates, digests)
+        ]
+
+    def test_one_inversion_per_signing_round(self, k163, inversions, monkeypatch):
+        privates, digests = _sign_lanes(k163, 64, seed=25)
+        reference = [ecdsa_sign(k163, d, z) for d, z in zip(privates, digests)]
+        rounds = []
+        multiply_batch = BinaryCurve.multiply_batch
+
+        def counting_multiply_batch(curve, points, scalars, **kwargs):
+            rounds.append(len(scalars))
+            return multiply_batch(curve, points, scalars, **kwargs)
+
+        monkeypatch.setattr(BinaryCurve, "multiply_batch", counting_multiply_batch)
+        inversions.clear()
+        assert sign_batch(k163, privates, digests) == reference
+        assert rounds == [64]
+        assert inversions == [k163.order]
+
+    def test_forced_retries_equal_scalar_reference(self, toy, inversions, monkeypatch):
+        """An ``s = 0`` lane and invalid-nonce lanes retry exactly as :func:`ecdsa_sign` does."""
+        order = toy.order
+        privates, digests = _sign_lanes(toy, 6, seed=26)
+        nonce = protocols._deterministic_nonce
+        # Lane 0's first nonce is the reference nonce of digest 0, and its
+        # digest makes s = k⁻¹(e + r·d) vanish: e ≡ −r·d (mod n).
+        first = nonce(toy, privates[0], 0, 0)
+        r = toy.multiply(toy.generator, first).x % order
+        digests[0] = -r * privates[0] % order
+        with pytest.raises(ValueError, match="s = 0"):
+            ecdsa_sign(toy, privates[0], digests[0], nonce=first)
+        # Lanes 1 and 2 draw an invalid first nonce (k = 0, k = n).
+        forced = {privates[0]: first, privates[1]: 0, privates[2]: order}
+
+        def forced_nonce(curve, private, digest, counter):
+            if counter == 0 and private in forced:
+                return forced[private]
+            return nonce(curve, private, digest, counter)
+
+        monkeypatch.setattr(protocols, "_deterministic_nonce", forced_nonce)
+        reference = [ecdsa_sign(toy, d, z) for d, z in zip(privates, digests)]
+        inversions.clear()
+        assert sign_batch(toy, privates, digests) == reference
+        # Round one multiplies lanes 0 and 3-5 and signs 3-5; round two signs 0-2.
+        assert inversions == [order, order]
+
+
+ORDERS = [curve_by_name(name).order for name in ("T-13", "K-163", "K-283")]
+
+
+class TestInversesMod:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(ORDERS).flatmap(
+        lambda order: st.tuples(st.just(order), st.lists(st.integers(1, order - 1), max_size=40))
+    ))
+    @example((ORDERS[1], []))
+    @example((ORDERS[1], [ORDERS[1] - 1]))
+    def test_every_value_gets_its_own_inverse(self, case):
+        order, values = case
+        inverses = protocols._inverses_mod(values, order)
+        assert inverses == [pow(value, -1, order) for value in values]
+        assert all(value * inverse % order == 1 for value, inverse in zip(values, inverses))
