@@ -19,8 +19,8 @@ J. L. Imaña builds or depends on:
 * pluggable execution backends for batch field arithmetic — the scalar
   reference, the compiled circuit engine (the paper's netlist, and the
   default without a C compiler) and the native C kernel (the default where
-  it builds) behind one interface, selectable per call, per field, per CLI
-  flag or via ``$GF2M_REPRO_BACKEND`` (:mod:`repro.backends`);
+  it builds) behind one interface, selectable per call or per CLI flag
+  (:mod:`repro.backends`);
 * the parallel sweep pipeline — a process-pool scheduler that runs
   :func:`implement` per (field, method, device, options) job, and a
   persistent content-addressed artifact store (:mod:`repro.pipeline`);
@@ -53,7 +53,7 @@ _EXPORTS = {
     "backends": (
         "EngineBackend", "FieldBackend", "PythonIntBackend",
         "assert_backend_parity", "available_backends", "get_backend",
-        "register_backend", "resolve_backend",
+        "resolve_backend",
     ),
     "curves": (
         "CURVES", "BinaryCurve", "CurveSpec", "KeyPair", "Point", "Signature",

@@ -34,8 +34,7 @@ Every backend's :meth:`FieldBackend.ir_executor` returns an
 every substrate.
 
 Selection: explicit ``backend=`` arguments (a name or an instance)
-anywhere batch APIs are exposed, the ``--backend`` CLI flag, or the
-``GF2M_REPRO_BACKEND`` environment variable for a process-wide default;
+anywhere batch APIs are exposed, or the ``--backend`` CLI flag;
 otherwise :func:`default_backend_name` resolves per field.  Parity of all
 backends against the scalar reference is asserted uniformly by
 :func:`assert_backend_parity`.
@@ -67,12 +66,10 @@ from .ir import (
 )
 from .python_int import PythonIntBackend
 from .registry import (
-    BACKEND_ENV_VAR,
     assert_backend_parity,
     available_backends,
     default_backend_name,
     get_backend,
-    register_backend,
     resolve_backend,
 )
 
@@ -93,12 +90,10 @@ __all__ = [
     "execute_program",
     "schedule_program",
     "PythonIntBackend",
-    "BACKEND_ENV_VAR",
     "assert_backend_parity",
     "available_backends",
     "default_backend_name",
     "get_backend",
-    "register_backend",
     "resolve_backend",
 ]
 

@@ -1,15 +1,12 @@
-"""Backend registry: name → factory, per-field defaults, env override.
+"""Backend registry: one table of the three factories, per-field defaults.
 
-Resolution order for a default backend:
+The default backend of a field, when a caller names none:
 
-1. the ``GF2M_REPRO_BACKEND`` environment variable, when set (must name a
-   registered backend — typos fail loudly rather than silently falling
-   back);
-2. per-field resolution: fields of degree < 2 carry no bit-parallel
-   multiplier circuit, so they default to the scalar ``python`` backend;
-3. the ``native`` C backend when its cffi extension is importable (or
+1. fields of degree < 2 carry no bit-parallel multiplier circuit, so they
+   default to the scalar ``python`` backend;
+2. the ``native`` C backend when its cffi extension is importable (or
    buildable — the first probe compiles it into the artifact cache);
-4. the compiled ``engine`` backend otherwise (no C compiler, no cffi).
+3. the compiled ``engine`` backend otherwise (no C compiler, no cffi).
 
 Backend instances are cached per ``(name, modulus, options)`` in a
 process-wide LRU, so resolving a backend on a hot path costs a dictionary
@@ -28,7 +25,6 @@ and CI all assert parity through this one function.
 
 from __future__ import annotations
 
-import os
 import random
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Union
 
@@ -41,35 +37,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..galois.field import GF2mField
 
 __all__ = [
-    "BACKEND_ENV_VAR",
-    "register_backend",
     "available_backends",
     "default_backend_name",
     "get_backend",
     "resolve_backend",
     "assert_backend_parity",
 ]
-
-#: Environment variable overriding the default backend for the process.
-BACKEND_ENV_VAR = "GF2M_REPRO_BACKEND"
-
-#: Registered factories, keyed by backend name (registration order kept).
-_FACTORIES: Dict[str, Callable[..., FieldBackend]] = {}
-
-#: Resolved backend instances keyed by (name, modulus, sorted options).
-_INSTANCES = LRUCache(maxsize=32, name="backends.instances")
-
-
-def register_backend(name: str, factory: Callable[..., FieldBackend]) -> None:
-    """Register a backend factory under ``name`` (``factory(field, **options)``).
-
-    Re-registering a name replaces the factory — deliberate, so tests and
-    extensions can shadow a builtin — but cached instances of the old
-    factory are dropped with it.
-    """
-    _FACTORIES[name] = factory
-    _INSTANCES.clear()
-
 
 _ENGINE = "engine"
 
@@ -82,26 +55,24 @@ def _engine_backend(field: "GF2mField", **options) -> FieldBackend:
     return EngineBackend(field, **options)
 
 
-register_backend(PythonIntBackend.name, PythonIntBackend)
-register_backend(_ENGINE, _engine_backend)
-register_backend(NativeBackend.name, NativeBackend)
+#: Backend factories (``factory(field, **options)``), keyed by name.
+_FACTORIES: Dict[str, Callable[..., FieldBackend]] = {
+    PythonIntBackend.name: PythonIntBackend,
+    _ENGINE: _engine_backend,
+    NativeBackend.name: NativeBackend,
+}
+
+#: Resolved backend instances keyed by (name, modulus, sorted options).
+_INSTANCES = LRUCache(maxsize=32, name="backends.instances")
 
 
 def available_backends() -> List[str]:
-    """All registered backend names, registration order."""
+    """The backend names: ``python``, ``engine``, ``native``."""
     return list(_FACTORIES)
 
 
 def default_backend_name(field: Optional["GF2mField"] = None) -> str:
     """The backend used when a caller does not choose one explicitly."""
-    override = os.environ.get(BACKEND_ENV_VAR)
-    if override:
-        if override not in _FACTORIES:
-            raise KeyError(
-                f"${BACKEND_ENV_VAR}={override!r} names no registered backend; "
-                f"available: {', '.join(_FACTORIES)}"
-            )
-        return override
     if field is not None and field.m < 2:
         # Bit-parallel multipliers need degree >= 2; only the scalar path works.
         return PythonIntBackend.name
@@ -134,7 +105,7 @@ def resolve_backend(
     """Resolve a caller-supplied backend spec into an instance for ``field``.
 
     ``backend`` may be an instance (must belong to an equal field), a
-    registered name, or ``None`` for the default.  A circuit backend's
+    backend name, or ``None`` for the default.  A circuit backend's
     construction is chosen where it is built:
     ``get_backend("engine", field, method=...)``.
     """

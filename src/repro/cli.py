@@ -16,7 +16,7 @@ Subcommands
                 ``--backend``, interpreted vs compiled)
 ``curves``      list the elliptic-curve catalog (NIST-degree K/B curves)
 ``ecdh``        run the batched ECDH workload on one curve and report ops/s
-``keygen``      run the batched key-generation workload (comb or ladders)
+``keygen``      run the batched key-generation workload (fixed-base comb)
 ``serve``       run the batching crypto service (JSON over HTTP/1.1)
 ``loadgen``     drive a running service with concurrent verifying clients
 ``stats``       print the telemetry registry (counters, timing summaries)
@@ -32,9 +32,12 @@ subcommand that needs another default sets it with ``set_defaults``.
 
 ``batch``, ``bench``, ``ecdh``, ``keygen`` and ``serve`` accept
 ``--backend`` (``python`` | ``engine`` | ``native``, see
-:mod:`repro.backends`); the ``GF2M_REPRO_BACKEND`` environment variable
-sets the process default.  Every subcommand resolves it at a single site,
+:mod:`repro.backends`; without it each field resolves its default).
+Every subcommand resolves it at a single site,
 :func:`_resolve_cli_backend`, so none can drift apart in error behavior.
+The curve alone picks the scalar route of ``ecdh``, ``keygen`` and the
+service: τ-adic on Koblitz curves, the binary ladder otherwise, and the
+fixed-base comb for generator multiplies.
 
 ``--trace-out FILE`` (top level, or after ``sweep`` or any ``--backend``
 subcommand) records a span trace of the run and writes it as Chrome
@@ -47,7 +50,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from contextlib import contextmanager
@@ -55,9 +57,9 @@ from typing import Callable, List, Optional
 
 from .analysis.compare import claims_report, comparison_table, compare_to_paper, run_comparison
 from .analysis.tables import render_table1, render_table2, render_table3, render_table4
-from .backends import BACKEND_ENV_VAR, available_backends, default_backend_name, get_backend
+from .backends import available_backends, default_backend_name, get_backend
 from .backends.steps import LadderSteps, run_steps_python
-from .curves import CURVES, curve_by_name, keygen_batch
+from .curves import CURVES, curve_by_name, is_koblitz, keygen_batch
 from .engine import engine_for
 from .galois.field import GF2mField
 from .galois.gf2poly import poly_to_string
@@ -129,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         default=None,
         choices=available_backends(),
-        help="execution backend (default: $GF2M_REPRO_BACKEND or per-field resolution)",
+        help="execution backend (default: per-field resolution)",
     )
     # The top-level --trace-out, also accepted after the subcommand.
     # SUPPRESS keeps a subcommand that was not given the flag from
@@ -161,19 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--check", type=int, default=0, metavar="N",
         help="cross-check the first N results against the scalar-ladder reference path "
         "(default %(default)s)",
-    )
-    scalar_rep = _option(
-        "--scalar-rep",
-        choices=["auto", "binary", "tau"],
-        default="auto",
-        help="scalar recoding: 'tau' demands the τ-adic Frobenius ladder (Koblitz "
-        "curves only), 'binary' pins the Montgomery ladder, 'auto' (default) picks "
-        "τ exactly when the curve supports it",
-    )
-    start_method = _option(
-        "--start-method", default=None, metavar="METHOD",
-        help="multiprocessing start method of the worker processes (default: fork "
-        "where available, else spawn; results are byte-identical either way)",
     )
     host = _option("--host", default="127.0.0.1", help="service address (default 127.0.0.1)")
     port = _option(
@@ -251,27 +240,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     ecdh = command(
         "ecdh", _run_ecdh, "batched ECDH key agreement workload on one curve",
-        backend, trace, curve, jobs, start_method, seed, check, scalar_rep,
+        backend, trace, curve, jobs, seed, check,
     )
     ecdh.add_argument("--batch", type=int, default=64, help="independent key agreements per side (default 64)")
 
     keygen = command(
-        "keygen", _run_keygen, "batched key generation workload on one curve (fixed-base comb by default)",
-        backend, trace, curve, seed, scalar_rep, check, curve="K-163",
+        "keygen", _run_keygen, "batched key generation workload on one curve (fixed-base comb)",
+        backend, trace, curve, seed, check, curve="K-163",
     )
     keygen.add_argument("--batch", type=int, default=256, help="key pairs to generate (default 256)")
-    keygen.add_argument(
-        "--path",
-        choices=["auto", "comb", "ladder"],
-        default="auto",
-        help="fixed-base route: 'comb' demands the precomputed comb table, 'ladder' "
-        "pins the generic ladders, 'auto' (default) uses the comb when the table "
-        "covers the draw",
-    )
 
     serve = command(
         "serve", _run_serve, "run the batching crypto service (JSON over HTTP/1.1, stdlib asyncio)",
-        backend, trace, host, port, start_method,
+        backend, trace, host, port,
     )
     serve.add_argument(
         "--curves", default="B-163,K-163", metavar="NAMES",
@@ -296,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
         "loadgen", _run_loadgen,
         "drive a running service with many concurrent single-request clients, verifying "
         "every response against a locally batched expectation",
-        host, port, curve, scalar_rep, check, check=4,
+        host, port, curve, check, check=4,
     )
     loadgen.add_argument("--op", choices=["ecdh", "keygen", "sign"], default="ecdh")
     loadgen.add_argument("--clients", type=int, default=64, help="concurrent closed-loop clients (default 64)")
@@ -419,14 +400,13 @@ def _read_operand_pairs(path: str, m: int) -> tuple:
 def _resolve_cli_backend(field: GF2mField, name, method=None, chunk_size=None, verify=True):
     """Resolve a ``--backend``/``--method`` pair, exiting cleanly on errors.
 
-    ``name=None`` resolves through the registry default, so the
-    ``$GF2M_REPRO_BACKEND`` override applies to every subcommand.
-    Registry failures (unknown names, a bad env override), contradictory
-    options (``--method`` with the scalar or native backend) and a missing
-    C toolchain for ``native`` all surface as actionable messages instead
-    of tracebacks.  ``verify=False`` skips formal circuit verification (the
-    large-field fast path of ``repro batch``/``bench``); it does not apply
-    to ``native``, which evaluates no generated circuit.
+    ``name=None`` resolves through the registry's per-field default.
+    Unknown names, contradictory options (``--method`` with the scalar or
+    native backend) and a missing C toolchain for ``native`` all surface
+    as actionable messages instead of tracebacks.  ``verify=False`` skips
+    formal circuit verification (the large-field fast path of ``repro
+    batch``/``bench``); it does not apply to ``native``, which evaluates
+    no generated circuit.
     """
     with _clean_exit((KeyError, ValueError, ImportError)):
         if name is None:
@@ -674,9 +654,7 @@ def _run_bench(args) -> int:
         return _run_bench_describe(args)
     if args.profile:
         return _run_bench_profile(args)
-    if args.backend or os.environ.get(BACKEND_ENV_VAR):
-        # An explicit flag or the process-wide env default selects the
-        # backend-vs-scalar comparison (a bad env value fails loudly there).
+    if args.backend:
         return _run_bench_backend(args)
     modulus = type_ii_pentanomial(args.m, args.n)
     method = args.method or "thiswork"
@@ -847,15 +825,11 @@ def _run_ecdh(args) -> int:
     from .serve.workers import ecdh_sharded
 
     curve, resolved = _workload_curve(args)
-    with _clean_exit():
-        resolved_rep = curve._resolve_scalar_rep(args.scalar_rep)
     print(curve.describe())
 
     with telemetry_metrics.timed("cli.ecdh.keygen") as keygen_timer:
         alice, bob = (
-            keygen_batch(
-                curve, args.batch, seed=args.seed + side, backend=args.backend, scalar_rep=args.scalar_rep,
-            )
+            keygen_batch(curve, args.batch, seed=args.seed + side, backend=args.backend)
             for side in (0, 1)
         )
     with telemetry_metrics.timed("cli.ecdh.agreement") as agree_timer:
@@ -866,8 +840,6 @@ def _run_ecdh(args) -> int:
                 [pair.public for pair in theirs],
                 args.jobs,
                 backend=args.backend,
-                scalar_rep=args.scalar_rep,
-                start_method=args.start_method,
             )
             for mine, theirs in ((alice, bob), (bob, alice))
         )
@@ -881,7 +853,7 @@ def _run_ecdh(args) -> int:
         ])
 
     ladders = 2 * args.batch  # one per side per agreement
-    rep_label = "tau-adic" if resolved_rep == "tau" else "binary"
+    rep_label = "tau-adic" if is_koblitz(curve) else "binary"
     print(
         f"batch {args.batch}, jobs {args.jobs}, backend {resolved.name} "
         f"({resolved.ir_executor().kind} executor, {rep_label} scalars): "
@@ -898,25 +870,16 @@ def _run_ecdh(args) -> int:
 def _run_keygen(args) -> int:
     """``repro keygen``: the batched key-generation workload on one curve."""
     curve, resolved = _workload_curve(args)
-    fixed_base = {"auto": None, "comb": True, "ladder": False}[args.path]
     print(curve.describe())
-    generator = curve.generator  # derive outside the timed region (shared by all paths)
-    with _clean_exit(), telemetry_metrics.timed("cli.keygen") as timer:
-        pairs = keygen_batch(
-            curve,
-            args.batch,
-            seed=args.seed,
-            backend=args.backend,
-            scalar_rep=args.scalar_rep,
-            fixed_base=fixed_base,
-        )
+    generator = curve.generator  # derive outside the timed region
+    with telemetry_metrics.timed("cli.keygen") as timer:
+        pairs = keygen_batch(curve, args.batch, seed=args.seed, backend=args.backend)
     if args.check:
         _check_against_ladder(
             curve, "public key", [(pair.public, generator, pair.private) for pair in pairs[:args.check]]
         )
-    path_label = {"auto": "auto (comb when covered)", "comb": "comb", "ladder": "ladder"}[args.path]
     print(
-        f"batch {args.batch}, backend {resolved.name}, path {path_label}: "
+        f"batch {args.batch}, backend {resolved.name}: "
         f"{args.batch} key pairs in {timer.seconds * 1000:.1f} ms "
         f"({_rate(args.batch, timer.seconds):,.1f} keys/s)"
     )
@@ -943,7 +906,6 @@ def _run_serve(args) -> int:
             curves=curves,
             max_lanes=args.max_lanes,
             workers=args.workers,
-            start_method=args.start_method,
             seed=args.seed,
         )
     print(service.pool.describe(), file=sys.stderr)
@@ -978,14 +940,15 @@ def _run_loadgen(args) -> int:
 
     if args.clients < 1 or args.requests < 1:
         raise SystemExit("--clients and --requests must be at least 1")
+    if args.check < 0:
+        raise SystemExit("--check must be non-negative")
     try:
         with _clean_exit():
             result = generate_load(
                 args.host, args.port,
                 op=args.op, curve=args.curve,
                 clients=args.clients, requests_per_client=args.requests,
-                seed=args.seed, scalar_rep=args.scalar_rep,
-                spot_checks=args.check, connect_timeout_s=args.connect_timeout,
+                seed=args.seed, spot_checks=args.check, connect_timeout_s=args.connect_timeout,
             )
     except OSError as error:
         raise SystemExit(

@@ -739,7 +739,6 @@ def comb_table(
     curve: "BinaryCurve",
     *,
     teeth: int = DEFAULT_COMB_TEETH,
-    store: "Optional[ArtifactStore]" = None,
 ) -> CombTable:
     """The (lazily built, artifact-store-persisted) comb table of ``curve``.
 
@@ -757,9 +756,9 @@ def comb_table(
     key = _comb_fingerprint(curve, teeth, columns)
 
     def load() -> CombTable:
-        backing = store if store is not None else ArtifactStore()
+        store = ArtifactStore()
         registry = _metrics.REGISTRY
-        payload = backing.get_json(key)
+        payload = store.get_json(key)
         if payload is not None:
             if registry.enabled:
                 registry.inc("comb.table.hit")
@@ -771,7 +770,7 @@ def comb_table(
             "comb.table.build", curve=curve.name or "?", teeth=teeth
         ):
             points = _build_comb_points(curve, teeth, columns)
-        backing.put_json(
+        store.put_json(
             key,
             {
                 "version": COMB_TABLE_VERSION,
@@ -792,7 +791,6 @@ def multiply_comb_batch(
     *,
     backend,
     teeth: int = DEFAULT_COMB_TEETH,
-    store: "Optional[ArtifactStore]" = None,
 ) -> "List[Point]":
     """Batched fixed-base multiplication ``scalar · G`` via the comb table.
 
@@ -803,7 +801,7 @@ def multiply_comb_batch(
     (the protocol layer's draws always do; ``BinaryCurve.multiply_batch``
     routes anything else through the generic paths).
     """
-    table = comb_table(curve, teeth=teeth, store=store)
+    table = comb_table(curve, teeth=teeth)
     count = len(scalars)
     columns, width = table.columns, table.teeth
     registry = _metrics.REGISTRY

@@ -9,8 +9,8 @@ General multiplication stays deliberately straightforward (carry-less
 multiply then reduce); its job is correctness — batch operand streams are
 delegated to a pluggable execution *backend* (:mod:`repro.backends`: the
 scalar reference, the compiled circuit engine or the native C kernel;
-see :meth:`GF2mField.multiply_batch` and the ``backend`` constructor
-parameter).  The GF(2)-**linear** operations that dominate elliptic-curve
+see :meth:`GF2mField.multiply_batch` and its per-call ``backend``
+argument).  The GF(2)-**linear** operations that dominate elliptic-curve
 point arithmetic do get native fast paths, because no batching can hide
 their latency inside a scalar-multiplication ladder:
 
@@ -138,17 +138,6 @@ class GF2mField:
         multiplication is well defined for any modulus, so callers that only
         need the ring structure (e.g. experimental pentanomials) may disable
         the check.
-    backend:
-        The default execution backend for the batch operations
-        (:meth:`multiply_batch`, :meth:`square_batch`,
-        :meth:`inverse_batch`): a registered name (``"python"``,
-        ``"engine"``, ``"native"``), a
-        :class:`~repro.backends.base.FieldBackend` instance, or ``None``
-        for the registry default (``$GF2M_REPRO_BACKEND`` override, else
-        per-field resolution).  Resolution is lazy, so constructing a
-        field never compiles a circuit.  Backend choice does not affect
-        equality/hashing — fields with equal moduli are equal and their
-        results are byte-identical by the backend parity contract.
 
     Examples
     --------
@@ -159,7 +148,7 @@ class GF2mField:
     True
     """
 
-    def __init__(self, modulus: int, check_irreducible: bool = True, backend=None) -> None:
+    def __init__(self, modulus: int, check_irreducible: bool = True) -> None:
         m = degree(modulus)
         if m < 1:
             raise ValueError("the field modulus must have degree >= 1")
@@ -172,7 +161,6 @@ class GF2mField:
         self._m = m
         self._irreducible = is_irreducible(modulus) if not check_irreducible else True
         self._square_map: Optional[GF2LinearMap] = None
-        self._backend_spec = backend
         self._backend = None  # resolved lazily (avoids import cost / circuit builds)
 
     # ------------------------------------------------------------------ meta
@@ -225,14 +213,14 @@ class GF2mField:
     def backend(self):
         """The field's default :class:`~repro.backends.base.FieldBackend`.
 
-        Resolved lazily from the ``backend`` constructor argument through
-        the registry (honouring ``$GF2M_REPRO_BACKEND``); every batch
+        Resolved lazily, on first use, to the registry's per-field default
+        (:func:`~repro.backends.registry.default_backend_name`); every batch
         operation without an explicit ``backend=`` argument runs here.
         """
         if self._backend is None:
-            from ..backends.registry import resolve_backend
+            from ..backends.registry import get_backend
 
-            self._backend = resolve_backend(self, self._backend_spec)
+            self._backend = get_backend(None, self)
         return self._backend
 
     def resolve_backend(self, backend=None):

@@ -8,14 +8,15 @@ production inference servers use to amortize kernel launches:
 
 * :mod:`repro.serve.batcher` — a thread-safe :class:`DynamicBatcher`
   that parks each request behind a future and dispatches a group of
-  compatible requests (same curve × op × scalar recoding) as one batch
-  the moment a worker is free, or at the lane target (default 256) while
-  every worker is busy — continuous batching, no timer;
+  compatible requests (same curve × op) as one batch the moment a worker
+  is free, or at the lane target (default 256) while every worker is
+  busy — continuous batching, no timer;
 * :mod:`repro.serve.workers` — a :class:`WorkerPool` of warmed worker
-  processes (start-method-agnostic; also the sharding engine behind
-  ``repro ecdh --jobs``) that execute leased batches through the batched
-  protocol entry points and fold their telemetry snapshots back into the
-  parent registry;
+  processes (forked where the platform can, spawned otherwise; also the
+  sharding engine behind ``repro ecdh --jobs``) that execute leased
+  batches through the batched protocol entry points, each on its curve's
+  scalar route, and fold their telemetry snapshots back into the parent
+  registry;
 * :mod:`repro.serve.server` — :class:`CryptoService`, a stdlib-asyncio
   JSON-over-HTTP/1.1 front-end exposing ``/ecdh``, ``/keygen``,
   ``/sign``, ``/healthz`` and ``/stats``;
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from .batcher import Batch, DynamicBatcher, GroupKey
 from .server import CryptoService
-from .workers import WorkerPool, ecdh_sharded, preferred_start_method
+from .workers import WorkerPool, ecdh_sharded
 
 __all__ = [
     "Batch",
@@ -39,5 +40,4 @@ __all__ = [
     "CryptoService",
     "WorkerPool",
     "ecdh_sharded",
-    "preferred_start_method",
 ]

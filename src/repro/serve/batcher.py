@@ -2,10 +2,10 @@
 
 A :class:`DynamicBatcher` accepts one request at a time (each parked
 behind a :class:`concurrent.futures.Future`), groups compatible requests
-by :data:`GroupKey` — ``(op, curve, scalar_rep)``, the tuple that decides
-whether two requests can share one batched ladder call — and hands a
-group to ``dispatch`` as one :class:`Batch` as soon as a worker can take
-it (continuous batching, as in Yu et al., "Orca", OSDI 2022):
+by :data:`GroupKey` — ``(op, curve)``, the pair that decides whether two
+requests can share one batched protocol call — and hands a group to
+``dispatch`` as one :class:`Batch` as soon as a worker can take it
+(continuous batching, as in Yu et al., "Orca", OSDI 2022):
 
 * **idle flush** — a worker slot is free: inside ``submit``, or when a
   finished batch frees its slot for the group holding the oldest waiting
@@ -47,9 +47,9 @@ from ..telemetry import trace as _trace
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from typing import Any, Callable, Dict, List, Optional
 
-#: (op, curve name, resolved scalar_rep) — requests sharing a key can
-#: ride one batched protocol call.
-GroupKey = Tuple[str, str, str]
+#: (op, curve name) — requests sharing a key ride one batched protocol
+#: call, on the curve's scalar route.
+GroupKey = Tuple[str, str]
 
 __all__ = ["GroupKey", "PendingRequest", "Batch", "DynamicBatcher"]
 

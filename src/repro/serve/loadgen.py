@@ -114,7 +114,6 @@ def build_workload(
     total: int,
     *,
     seed: int = 0,
-    scalar_rep: str = "auto",
 ) -> "Tuple[List[Dict[str, Any]], List[Dict[str, int]]]":
     """``(request bodies, expected result rows)`` for ``total`` requests.
 
@@ -125,7 +124,7 @@ def build_workload(
     rng = random.Random(seed)
     bound = curve.order if curve.order is not None else curve.field.order
     privates = [rng.randrange(1, bound) for _ in range(total)]
-    base = {"curve": curve.name, "scalar_rep": scalar_rep}
+    base = {"curve": curve.name}
     if op == "ecdh":
         peers = [pair.public for pair in keygen_batch(curve, total, seed=seed + 1)]
         requests = [
@@ -133,13 +132,11 @@ def build_workload(
                  peer_x=format(peer.x, "x"), peer_y=format(peer.y, "x"))
             for private, peer in zip(privates, peers)
         ]
-        points = ecdh_batch(curve, privates, peers, scalar_rep=scalar_rep)
+        points = ecdh_batch(curve, privates, peers)
         expected = [{"x": point.x, "y": point.y} for point in points]
     elif op == "keygen":
         requests = [dict(base, private=format(private, "x")) for private in privates]
-        points = curve.multiply_batch(
-            [curve.generator] * total, privates, scalar_rep=scalar_rep
-        )
+        points = curve.multiply_batch([curve.generator] * total, privates, scalar_rep="auto")
         expected = [{"x": point.x, "y": point.y} for point in points]
     elif op == "sign":
         digests = [rng.getrandbits(256) for _ in range(total)]
@@ -147,7 +144,7 @@ def build_workload(
             dict(base, private=format(private, "x"), digest=format(digest, "x"))
             for private, digest in zip(privates, digests)
         ]
-        signatures = sign_batch(curve, privates, digests, scalar_rep=scalar_rep)
+        signatures = sign_batch(curve, privates, digests)
         expected = [{"r": signature.r, "s": signature.s} for signature in signatures]
     else:
         raise ValueError(f"unknown op {op!r}: use ecdh, keygen or sign")
@@ -227,7 +224,6 @@ async def run_load(
     clients: int = 64,
     requests_per_client: int = 4,
     seed: int = 0,
-    scalar_rep: str = "auto",
     spot_checks: int = 4,
     connect_timeout_s: float = 30.0,
     verify: bool = True,
@@ -242,9 +238,7 @@ async def run_load(
     """
     curve_obj = curve_by_name(curve)
     total = clients * requests_per_client
-    requests, expected = build_workload(
-        curve_obj, op, total, seed=seed, scalar_rep=scalar_rep
-    )
+    requests, expected = build_workload(curve_obj, op, total, seed=seed)
     if verify and spot_checks:
         reference = _spot_check(curve_obj, op, total, min(spot_checks, total), seed=seed)
         for index, row in enumerate(reference):

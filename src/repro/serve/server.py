@@ -4,10 +4,11 @@ One asyncio event loop accepts many concurrent keep-alive connections,
 validates each JSON request at ingress, parks it in the
 :class:`~repro.serve.batcher.DynamicBatcher`, and awaits its future.
 A request that finds a worker idle is dispatched at once; compatible
-requests (same curve × op × resolved scalar recoding) arriving while every
-worker is busy ride **one** batched ladder call on the next free worker of
-the :class:`~repro.serve.workers.WorkerPool` — single-request traffic gets
-batch-256 throughput without clients ever knowing.
+requests (same curve × op) arriving while every worker is busy ride
+**one** batched protocol call on the next free worker of the
+:class:`~repro.serve.workers.WorkerPool`, on the curve's scalar route —
+single-request traffic gets batch-256 throughput without clients ever
+knowing.
 
 Endpoints (all bodies JSON; integers accepted as ints or hex strings,
 returned as lowercase hex):
@@ -23,13 +24,11 @@ returned as lowercase hex):
   counts, refused lanes, queue wait and per-op latency p50/p95/p99
   straight from the telemetry registry's bucketed observations.
 
-All three POST bodies take an optional ``"scalar_rep"`` (``"auto"`` /
-``"binary"`` / ``"tau"``) which is resolved at ingress — so ``"auto"``
-and ``"tau"`` requests on a Koblitz curve land in the *same* batch
-group, and ``"tau"`` on a B-curve is rejected with 400 before it can
-poison a batch, as is a low-order ECDH peer (``BinaryCurve.low_order_xs``).
-An off-curve peer is refused by its batch's on-curve residual: that
-request alone gets a 400, and the rest of its batch reruns without it.
+Unknown body fields are ignored.  A low-order ECDH peer
+(``BinaryCurve.low_order_xs``) is rejected with 400 at ingress, before it
+can poison a batch.  An off-curve peer is refused by its batch's on-curve
+residual: that request alone gets a 400, and the rest of its batch reruns
+without it.
 
 The HTTP layer is deliberately minimal (request line + headers via
 ``readline``, body via ``readexactly(Content-Length)``, keep-alive
@@ -121,14 +120,10 @@ class CryptoService:
         curves: "Sequence[str]" = DEFAULT_CURVES,
         max_lanes: int = DEFAULT_MAX_LANES,
         workers: "Optional[int]" = None,
-        start_method: "Optional[str]" = None,
         seed: "Optional[int]" = None,
     ) -> None:
         self.curves = {name: curve_by_name(name) for name in curves}
-        self.pool = WorkerPool(
-            workers=workers, backend=backend,
-            curves=tuple(self.curves), start_method=start_method,
-        )
+        self.pool = WorkerPool(workers=workers, backend=backend, curves=tuple(self.curves))
         self.batcher = DynamicBatcher(
             self._dispatch, max_lanes=max_lanes, slots=max(self.pool.workers, 1)
         )
@@ -155,8 +150,8 @@ class CryptoService:
 
         Everything that could make a request incompatible with (or
         poisonous to) a batch is decided here, at ingress: unknown or
-        unserved curves, malformed integers, out-of-range scalars, invalid
-        scalar recodings and low-order ECDH peers all get 400s before enqueue.
+        unserved curves, malformed integers, out-of-range scalars and
+        low-order ECDH peers all get 400s before enqueue.
         """
         try:
             data = json.loads(body.decode("utf-8") or "{}")
@@ -172,13 +167,6 @@ class CryptoService:
                 f"unknown or unserved curve {curve_name!r}; "
                 f"serving: {', '.join(sorted(self.curves))}",
             )
-        scalar_rep = data.get("scalar_rep", "auto")
-        if not isinstance(scalar_rep, str):
-            raise _HttpError(400, "scalar_rep must be a string")
-        try:
-            resolved_rep = curve._resolve_scalar_rep(scalar_rep)
-        except ValueError as error:
-            raise _HttpError(400, str(error)) from None
         bound = curve.order if curve.order is not None else curve.field.order
         payload: "Dict[str, Any]" = {}
         if op == "keygen":
@@ -213,7 +201,7 @@ class CryptoService:
             raise _HttpError(404, f"unknown operation {op!r}")
         if not 1 <= payload["private"] < bound:
             raise _HttpError(400, f"private must satisfy 1 <= d < {bound:#x}")
-        return (op, curve_name, resolved_rep), payload
+        return (op, curve_name), payload
 
     # -- handlers -----------------------------------------------------
 
@@ -224,7 +212,7 @@ class CryptoService:
         row = await asyncio.wrap_future(future)
         if "error" in row:
             return 400, {"error": row["error"], "curve": key[1], "op": op}
-        response: "Dict[str, Any]" = {"curve": key[1], "scalar_rep": key[2]}
+        response: "Dict[str, Any]" = {"curve": key[1]}
         if op == "keygen":
             response["private"] = _hex(payload["private"])
         for name, value in row.items():

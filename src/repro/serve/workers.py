@@ -14,12 +14,14 @@ Two consumers share this module:
 * ``repro ecdh --jobs``: :func:`ecdh_sharded` splits one large agreement
   batch across the same kind of pool.
 
-Both are **start-method-agnostic**: the pool always builds an explicit
-``multiprocessing.get_context`` (:func:`preferred_start_method` — ``fork``
-when the platform has it, so children inherit the parent's warm caches
-for free; ``spawn`` otherwise, where the per-worker initializer re-warms)
-and every worker entry point is a module-level function fed only
-picklable data (names and integers, never backend instances).
+Both pools start their processes from one explicit multiprocessing
+context (:func:`pool_context`: ``fork`` when the platform has it, so
+children inherit the parent's warm caches for free; ``spawn`` otherwise,
+where the per-worker initializer re-warms), and every worker entry point
+is a module-level function fed only picklable data (names and integers,
+never backend instances).  Every group runs on its curve's scalar route
+(the protocol default ``"auto"``: τ-adic on Koblitz curves, the binary
+ladder otherwise; the comb for generator multiplies).
 
 Telemetry crosses the process boundary the PR 8 way: each worker task
 runs against a fresh local :class:`~repro.telemetry.metrics
@@ -57,7 +59,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "OP_FIELDS",
-    "preferred_start_method",
     "pool_context",
     "warm_curve",
     "execute_group",
@@ -74,56 +75,34 @@ OP_FIELDS: "Dict[str, Tuple[str, ...]]" = {
 }
 
 
-def preferred_start_method(explicit: "Optional[str]" = None) -> str:
-    """The multiprocessing start method the pools use.
+def pool_context():
+    """The pools' multiprocessing context (never the mutable global one).
 
     ``fork`` when the platform offers it — children inherit every warm
     cache (compiled circuits, comb tables, executor lowerings) for free —
-    and ``spawn`` otherwise, where the worker initializer re-warms.  An
-    ``explicit`` method is validated against the platform rather than
-    passed through blindly.
+    and ``spawn`` otherwise, where the worker initializer re-warms.
     """
     methods = multiprocessing.get_all_start_methods()
-    if explicit is not None:
-        if explicit not in methods:
-            raise ValueError(
-                f"start method {explicit!r} is not available on this platform; "
-                f"choose from: {', '.join(methods)}"
-            )
-        return explicit
-    return "fork" if "fork" in methods else "spawn"
-
-
-def pool_context(start_method: "Optional[str]" = None):
-    """An explicit multiprocessing context (never the mutable global one)."""
-    return multiprocessing.get_context(preferred_start_method(start_method))
+    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
 def warm_curve(curve: "BinaryCurve", backend: "Optional[str]" = None) -> "FieldBackend":
     """Resolve one backend for ``curve`` and pre-pay every compile cost.
 
-    Runs tiny batches through each route a service request can take —
-    the binary ladder, the τ-adic ladder on Koblitz curves, and the
-    fixed-base auto route (which builds or loads the comb table) — so the
-    compiled formulas, executor lowerings and comb tables are all hot
-    before the first real request arrives.
+    Runs tiny batches through the two routes a service request can take —
+    the curve's ladder (τ-adic on Koblitz curves, binary otherwise) and
+    the fixed-base route (which builds or loads the comb table; toy
+    curves quietly keep the ladder) — so the compiled formulas, executor
+    lowerings and comb tables are all hot before the first real request
+    arrives.
     """
-    from ..curves import scalarmul
-
     resolved = curve.field.resolve_backend(backend)
     generator = curve.generator
-    bases = [generator, generator]
-    scalars = [2, 3]
-    curve.multiply_batch(
-        bases, scalars, backend=resolved, scalar_rep="binary", fixed_base=False
-    )
-    if scalarmul.is_koblitz(curve):
+    for fixed_base in (False, None):
         curve.multiply_batch(
-            bases, scalars, backend=resolved, scalar_rep="tau", fixed_base=False
+            [generator, generator], [2, 3],
+            backend=resolved, scalar_rep="auto", fixed_base=fixed_base,
         )
-    # fixed_base auto: rides (and therefore builds/loads) the comb table
-    # when the curve supports one; toy curves quietly keep the ladder.
-    curve.multiply_batch(bases, scalars, backend=resolved)
     return resolved
 
 
@@ -134,7 +113,6 @@ def execute_group(
     curve: "BinaryCurve",
     backend: "FieldBackend | str | None",
     op: str,
-    scalar_rep: str,
     columns: "Dict[str, List[int]]",
 ) -> "List[Dict[str, Any]]":
     """Execute one compatible group through the batched protocol entry points.
@@ -156,7 +134,7 @@ def execute_group(
     subset = columns
     while True:
         try:
-            results = _execute_batch(curve, backend, op, scalar_rep, subset)
+            results = _execute_batch(curve, backend, op, subset)
         except LaneError as refused:
             for position, reason in refused.lanes.items():
                 rows[lanes[position]] = {"error": reason}
@@ -180,7 +158,6 @@ def _execute_batch(
     curve: "BinaryCurve",
     backend: "FieldBackend | str | None",
     op: str,
-    scalar_rep: str,
     columns: "Dict[str, List[int]]",
 ) -> "List[Dict[str, Any]]":
     """One batched protocol call over every lane of ``columns``."""
@@ -189,27 +166,16 @@ def _execute_batch(
             curve.point(x, y, check=False)
             for x, y in zip(columns["peer_x"], columns["peer_y"])
         ]
-        points = ecdh_batch(
-            curve, columns["private"], peers, backend=backend, scalar_rep=scalar_rep
-        )
+        points = ecdh_batch(curve, columns["private"], peers, backend=backend)
         return [_row(point) for point in points]
     if op == "keygen":
         privates = columns["private"]
         points = curve.multiply_batch(
-            [curve.generator] * len(privates),
-            privates,
-            backend=backend,
-            scalar_rep=scalar_rep,
+            [curve.generator] * len(privates), privates, backend=backend, scalar_rep="auto"
         )
         return [_row(point) for point in points]
     if op == "sign":
-        signatures = sign_batch(
-            curve,
-            columns["private"],
-            columns["digest"],
-            backend=backend,
-            scalar_rep=scalar_rep,
-        )
+        signatures = sign_batch(curve, columns["private"], columns["digest"], backend=backend)
         return [{"r": signature.r, "s": signature.s} for signature in signatures]
     raise ValueError(f"unknown op {op!r}; known: {', '.join(OP_FIELDS)}")
 
@@ -240,16 +206,16 @@ def _worker_probe(delay_s: float) -> int:
     return os.getpid()
 
 
-def _worker_execute(task: "Tuple[str, str, str, Dict[str, List[int]]]"):
+def _worker_execute(task: "Tuple[str, str, Dict[str, List[int]]]"):
     """One leased batch, executed against a local metrics registry.
 
     Returns ``(rows, snapshot)``; the parent folds the snapshot so the
     registry aggregates match a serial run (a forked child's inherited
     registry contents must never be re-reported).
     """
-    op, curve_name, scalar_rep, columns = task
+    op, curve_name, columns = task
     curve, backend = _WORKER_CURVES[curve_name]
-    return _metrics.run_isolated(execute_group, curve, backend, op, scalar_rep, columns)
+    return _metrics.run_isolated(execute_group, curve, backend, op, columns)
 
 
 class WorkerPool:
@@ -257,8 +223,8 @@ class WorkerPool:
 
     ``workers >= 1`` resolves every listed curve's backend in this process
     (so a cold cache builds the native kernel once, here), then builds a
-    :class:`ProcessPoolExecutor` over an explicit start-method context
-    whose initializer warms every listed curve, and runs a startup barrier
+    :class:`ProcessPoolExecutor` over :func:`pool_context` whose
+    initializer warms every listed curve, and runs a startup barrier
     so no worker (and therefore no request) pays compile latency later.
     ``workers=0`` executes inline on one worker thread in this process
     (best on single-core machines; used by the tests).  ``backend`` is a
@@ -273,7 +239,6 @@ class WorkerPool:
         workers: "Optional[int]" = None,
         backend: "Optional[str]" = None,
         curves: "Sequence[str]" = (),
-        start_method: "Optional[str]" = None,
     ) -> None:
         if backend is not None and not isinstance(backend, str):
             raise TypeError("WorkerPool takes a backend *name*; instances cannot cross processes")
@@ -299,7 +264,7 @@ class WorkerPool:
                 curve_by_name(name).field.resolve_backend(backend)
             self._executor = ProcessPoolExecutor(
                 max_workers=self.workers,
-                mp_context=pool_context(start_method),
+                mp_context=pool_context(),
                 initializer=_worker_init,
                 initargs=(backend, self.curve_names),
             )
@@ -311,16 +276,14 @@ class WorkerPool:
 
     def submit(self, key: "GroupKey", columns: "Dict[str, List[int]]") -> "Future":
         """Lease one group to a worker; the future resolves to result rows."""
-        op, curve_name, scalar_rep = key
+        op, curve_name = key
         outer: "Future" = Future()
         submitted_at = time.perf_counter()
         lanes = len(columns["private"])
         if self.workers == 0:
             inner = self._executor.submit(self._execute_inline, key, columns)
         else:
-            inner = self._executor.submit(
-                _worker_execute, (op, curve_name, scalar_rep, columns)
-            )
+            inner = self._executor.submit(_worker_execute, (op, curve_name, columns))
 
         def _complete(done: "Future") -> None:
             elapsed = time.perf_counter() - submitted_at
@@ -344,9 +307,9 @@ class WorkerPool:
 
     def _execute_inline(self, key: "GroupKey", columns: "Dict[str, List[int]]"):
         """Inline-mode task: same-process execution, no snapshot to fold."""
-        op, curve_name, scalar_rep = key
+        op, curve_name = key
         curve, backend = self._inline_curves[curve_name]
-        return execute_group(curve, backend, op, scalar_rep, columns), None
+        return execute_group(curve, backend, op, columns), None
 
     def close(self) -> None:
         self._executor.shutdown(wait=True)
@@ -363,16 +326,16 @@ class WorkerPool:
 def _ecdh_shard(payload) -> list:
     """One shard of a large agreement batch (module-level: spawn-safe).
 
-    Takes plain picklable data (curve name, backend name, scalar
-    recoding, the shard's first lane, scalars, peer coordinates) and
-    returns coordinate tuples so shards compose deterministically.
-    Refused lanes are named by their index in the whole batch.
+    Takes plain picklable data (curve name, backend name, the shard's
+    first lane, scalars, peer coordinates) and returns coordinate tuples
+    so shards compose deterministically.  Refused lanes are named by
+    their index in the whole batch.
     """
-    curve_name, backend, scalar_rep, start, privates, peer_coords = payload
+    curve_name, backend, start, privates, peer_coords = payload
     curve = curve_by_name(curve_name)
     peers = [curve.point(x, y, check=False) for x, y in peer_coords]
     try:
-        points = ecdh_batch(curve, privates, peers, backend=backend, scalar_rep=scalar_rep)
+        points = ecdh_batch(curve, privates, peers, backend=backend)
     except LaneError as refused:
         raise LaneError({start + lane: reason for lane, reason in refused.lanes.items()}) from None
     return [(point.x, point.y) for point in points]
@@ -385,35 +348,32 @@ def ecdh_sharded(
     jobs: int,
     *,
     backend: "Optional[str]" = None,
-    scalar_rep: str = "auto",
-    start_method: "Optional[str]" = None,
 ) -> "List[Point]":
     """A batch of shared points, sharded across ``jobs`` worker processes.
 
-    Start-method-agnostic: under ``fork`` the children inherit the warm
+    Under ``fork`` (:func:`pool_context`) the children inherit the warm
     caches, under ``spawn`` each shard pays its own warm-up (the shard
     *is* the work, so there is nothing separate to pre-warm).  Results
     are byte-identical to the unsharded :func:`~repro.curves.protocols
-    .ecdh_batch` in every mode, and shard telemetry snapshots fold back
-    into the parent registry.  ``backend`` must be a registry name (or
+    .ecdh_batch`, and shard telemetry snapshots fold back into the
+    parent registry.  ``backend`` must be a registry name (or
     ``None``): instances cannot cross process boundaries.
     """
     if backend is not None and not isinstance(backend, str):
         raise TypeError("ecdh_sharded takes a backend *name*; instances cannot cross processes")
     if jobs <= 1 or len(privates) < 2:
-        return ecdh_batch(curve, privates, peers, backend=backend, scalar_rep=scalar_rep)
+        return ecdh_batch(curve, privates, peers, backend=backend)
     jobs = min(jobs, len(privates))
     chunk = (len(privates) + jobs - 1) // jobs
     payloads = [
         (
             curve.name,
             backend,
-            scalar_rep,
             start,
             list(privates[start:start + chunk]),
             [(point.x, point.y) for point in peers[start:start + chunk]],
         )
         for start in range(0, len(privates), chunk)
     ]
-    shards = _metrics.map_isolated(_ecdh_shard, payloads, jobs, pool_context(start_method))
+    shards = _metrics.map_isolated(_ecdh_shard, payloads, jobs, pool_context())
     return [curve.point(x, y, check=False) for coords in shards for x, y in coords]

@@ -13,9 +13,9 @@ without cycles):
 * :mod:`repro.telemetry.dashboard` — the perf-trajectory dashboard over
   the committed ``BENCH_*.json`` files with advisory regression flags.
 
-:func:`snapshot_all` is the one aggregate view (`repro stats` and a
-future service's ``/stats`` payload): the metrics registry plus the
-hit/miss/eviction stats of every named :class:`~repro.pipeline.store.LRUCache`.
+:func:`snapshot_all` is the one aggregate view behind ``repro stats``:
+the metrics registry plus the hit/miss/eviction stats of every named
+:class:`~repro.pipeline.store.LRUCache`.
 """
 
 from __future__ import annotations

@@ -26,15 +26,13 @@ the serial ones, which is what lets the serving layer report real
 p50/p95/p99 (:func:`summary_quantile`) from worker-process snapshots
 without a third-party sketch dependency.
 
-Telemetry is **on by default** — the per-batch cost is two dict updates,
-invisible next to any field operation — and can be switched off for
-A/B measurements with ``GF2M_REPRO_TELEMETRY=0`` or
-``set_registry(NullRegistry())``.
+Telemetry is **on** — the per-batch cost is two dict updates, invisible
+next to any field operation — and a process switches it off for A/B
+measurements with :func:`disable` (``set_registry(NullRegistry())``).
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from bisect import bisect_left
@@ -179,10 +177,7 @@ class MetricsRegistry:
             for name, value in snapshot.get("gauges", {}).items():
                 self._gauges[name] = value
             for name, summary in snapshot.get("observations", {}).items():
-                # Snapshots from before the histogram change carry no
-                # bucket counts; they merge as all-zero histograms so the
-                # count/total/min/max summary stays exact either way.
-                incoming = summary.get("buckets") or [0] * _BUCKETS
+                incoming = summary["buckets"]
                 entry = self._observations.get(name)
                 if entry is None:
                     self._observations[name] = [
@@ -238,17 +233,10 @@ class NullRegistry:
         pass
 
 
-def _initial_registry() -> "MetricsRegistry | NullRegistry":
-    flag = os.environ.get("GF2M_REPRO_TELEMETRY", "1").strip().lower()
-    if flag in ("0", "off", "false", "no"):
-        return NullRegistry()
-    return MetricsRegistry()
-
-
 #: The process-wide default registry.  Instrumented call sites read this
 #: module attribute at call time (``metrics.REGISTRY``), so swapping it
 #: with :func:`set_registry` redirects all future recording.
-REGISTRY: "MetricsRegistry | NullRegistry" = _initial_registry()
+REGISTRY: "MetricsRegistry | NullRegistry" = MetricsRegistry()
 
 
 def default_registry() -> "MetricsRegistry | NullRegistry":
@@ -334,15 +322,14 @@ def summary_quantile(summary: "Dict[str, Any]", q: float) -> "Optional[float]":
     rank and interpolates geometrically inside it (the buckets are
     log-spaced, so geometric interpolation is the unbiased choice); the
     estimate is clamped into the exact recorded ``[min_s, max_s]`` range.
-    Returns ``None`` for empty summaries or pre-histogram snapshots that
-    carry no bucket counts.
+    Returns ``None`` for an empty summary.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"quantile must be in [0, 1], got {q!r}")
     count = summary.get("count", 0)
-    buckets = summary.get("buckets")
-    if not count or not buckets or not any(buckets):
+    if not count:
         return None
+    buckets = summary["buckets"]
     minimum, maximum = summary["min_s"], summary["max_s"]
     rank = max(1, min(count, int(q * count + 0.5)) if q > 0 else 1)
     if q >= 1.0:

@@ -11,7 +11,6 @@ from repro.cli import _parse_fields, build_parser, main
 from repro.curves import curve_by_name
 
 BACKENDS = ("python", "engine", "native")
-SCALAR_REPS = ("auto", "binary", "tau")
 TABLE5 = "paar,rashidi,reyhani_hasan,imana2012,imana2016,thiswork"
 FIELD = {"m": (("-m",), 8, None), "n": (("-n",), 2, None)}
 CACHE = {
@@ -84,18 +83,14 @@ SURFACE = {
         "curve": (("--curve",), "B-163", None),
         "batch": (("--batch",), 64, None),
         "jobs": (("--jobs",), 1, None),
-        "start_method": (("--start-method",), None, None),
         "seed": (("--seed",), 2018, None),
         "check": (("--check",), 0, None),
-        "scalar_rep": (("--scalar-rep",), "auto", SCALAR_REPS),
     },
     "keygen": {
         **BACKEND, **TRACE,
         "curve": (("--curve",), "K-163", None),
         "batch": (("--batch",), 256, None),
         "seed": (("--seed",), 2018, None),
-        "path": (("--path",), "auto", ("auto", "comb", "ladder")),
-        "scalar_rep": (("--scalar-rep",), "auto", SCALAR_REPS),
         "check": (("--check",), 0, None),
     },
     "serve": {
@@ -105,7 +100,6 @@ SURFACE = {
         "curves": (("--curves",), "B-163,K-163", None),
         "max_lanes": (("--max-lanes",), 256, None),
         "workers": (("--workers",), None, None),
-        "start_method": (("--start-method",), None, None),
         "seed": (("--seed",), None, None),
     },
     "loadgen": {
@@ -116,7 +110,6 @@ SURFACE = {
         "clients": (("--clients",), 64, None),
         "requests": (("--requests",), 4, None),
         "seed": (("--seed",), 0, None),
-        "scalar_rep": (("--scalar-rep",), "auto", SCALAR_REPS),
         "check": (("--check",), 4, None),
         "connect_timeout": (("--connect-timeout",), 30.0, None),
         "stats": (("--stats",), False, None),
@@ -145,13 +138,8 @@ class TestParser:
         assert parser.parse_args(["compare", "--fields", "8:2"]).fields == "8:2"
 
     @pytest.mark.parametrize("command", sorted(SURFACE))
-    def test_subcommand_surface(self, command, capsys, monkeypatch):
+    def test_subcommand_surface(self, command, capsys):
         """Each subcommand keeps its flags, defaults and choices, and its help runs."""
-        from repro.backends import registry
-
-        # Other tests register extra backends process-wide; the --backend
-        # choices are pinned against the built-in four.
-        monkeypatch.setattr(registry, "_FACTORIES", {name: registry._FACTORIES[name] for name in BACKENDS})
         parser = build_parser()
         subparsers = next(
             action.choices for action in parser._actions
@@ -309,17 +297,6 @@ class TestBenchCommand:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bench", "--backend", "no_such_backend"])
 
-    def test_bench_honours_the_env_default(self, monkeypatch, capsys):
-        monkeypatch.setenv("GF2M_REPRO_BACKEND", "python")
-        assert main(["bench", "-m", "16", "-n", "3", "--quick"]) == 0
-        out = capsys.readouterr().out
-        assert "scalar ref" in out and "interpreted" not in out
-
-    def test_bench_env_typo_fails_loudly(self, monkeypatch):
-        monkeypatch.setenv("GF2M_REPRO_BACKEND", "no_such_backend")
-        with pytest.raises(SystemExit, match="no_such_backend"):
-            main(["bench", "-m", "16", "-n", "3", "--quick"])
-
     @pytest.mark.parametrize(
         "extra, pairs",
         [([], "0"), (["--backend", "python"], "0"), (["--backend", "python"], "-4")],
@@ -458,18 +435,6 @@ class TestEcdhCommand:
         out = capsys.readouterr().out
         assert "all 6 shared secrets agree" in out and "byte-identical" in out
 
-    def test_ecdh_jobs_with_explicit_start_method(self, capsys):
-        assert main([
-            "ecdh", "--curve", "T-13", "--batch", "4", "--jobs", "2",
-            "--start-method", "fork", "--check", "4",
-        ]) == 0
-        assert "byte-identical" in capsys.readouterr().out
-
-    def test_ecdh_jobs_rejects_unknown_start_method(self):
-        with pytest.raises(ValueError, match="start method"):
-            main(["ecdh", "--curve", "T-13", "--batch", "4", "--jobs", "2",
-                  "--start-method", "warp"])
-
     def test_serve_rejects_unknown_curve(self):
         with pytest.raises(SystemExit, match="unknown curve"):
             main(["serve", "--curves", "P-256"])
@@ -486,6 +451,25 @@ class TestEcdhCommand:
     def test_loadgen_rejects_bad_counts(self):
         with pytest.raises(SystemExit, match="at least 1"):
             main(["loadgen", "--clients", "0"])
+        with pytest.raises(SystemExit, match="--check must be non-negative"):
+            main(["loadgen", "--check", "-1"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ecdh", "--start-method", "fork"],
+            ["serve", "--start-method", "fork"],
+            ["ecdh", "--scalar-rep", "binary"],
+            ["keygen", "--path", "ladder"],
+            ["loadgen", "--scalar-rep", "tau"],
+        ],
+        ids=" ".join,
+    )
+    def test_route_pins_and_start_methods_are_not_options(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_ecdh_rejects_unknown_curve(self):
         with pytest.raises(SystemExit, match="unknown curve"):
@@ -519,7 +503,7 @@ class TestEcdhCommand:
             ["ecdh", "--curve", "T-13", "--batch", "4", "--check", "4", "--backend", backend]
         ) == 0
         out = capsys.readouterr().out
-        # T-13 is Koblitz, so the auto scalar-rep annotates the label
+        # T-13 is Koblitz, so its agreements ride the τ-adic route
         # ("(native executor, tau-adic scalars)").
         assert f"({label} executor, tau-adic scalars)" in out and "byte-identical" in out
 
@@ -543,21 +527,12 @@ class TestKeygenCommand:
         yield
         metrics.set_registry(previous)
 
-    @pytest.mark.parametrize(
-        "path, label, rides_comb",
-        [
-            ("comb", "path comb:", True),
-            ("ladder", "path ladder:", False),
-            ("auto", "path auto (comb when covered):", True),
-        ],
-    )
-    def test_every_path_matches_the_scalar_ladder(self, path, label, rides_comb, capsys):
-        assert main(["keygen", "--curve", "T-13", "--batch", "8", "--path", path,
-                     "--check", "4"]) == 0
+    def test_keygen_matches_the_scalar_ladder(self, capsys):
+        assert main(["keygen", "--curve", "T-13", "--batch", "8", "--check", "4"]) == 0
         out = capsys.readouterr().out
         assert "checked 4 public keys against the scalar-ladder reference: byte-identical" in out
-        assert label in out and "8 key pairs" in out
-        assert ("comb table: 1 build(s), 0 store hit(s)" in out) == rides_comb
+        assert "8 key pairs" in out
+        assert "comb table: 1 build(s), 0 store hit(s)" in out
 
     @pytest.mark.parametrize(
         "args, message",

@@ -1,11 +1,10 @@
 """Tests for the serving layer: batcher, worker pool, HTTP service, loadgen.
 
-The load-bearing assertions: compatible requests (same curve x op x
-resolved scalar recoding) coalesce into one batch, incompatible ones
-split into separate batches, and every response is byte-identical to the
-scalar reference path (``ecdh_shared`` / ``curve.multiply`` /
-``ecdsa_sign``) — the service layer must never change a result, only
-its throughput.
+The load-bearing assertions: compatible requests (same curve x op)
+coalesce into one batch, incompatible ones split into separate batches,
+and every response is byte-identical to the scalar reference path
+(``ecdh_shared`` / ``curve.multiply`` / ``ecdsa_sign``) — the service
+layer must never change a result, only its throughput.
 """
 
 from __future__ import annotations
@@ -32,12 +31,7 @@ from repro.serve.batcher import DynamicBatcher
 from repro.serve.loadgen import http_get, run_load
 from repro.serve import workers
 from repro.serve.server import CryptoService
-from repro.serve.workers import (
-    WorkerPool,
-    ecdh_sharded,
-    execute_group,
-    preferred_start_method,
-)
+from repro.serve.workers import WorkerPool, ecdh_sharded, execute_group, pool_context
 from repro.telemetry import metrics
 
 
@@ -64,8 +58,8 @@ def _keypairs(curve, count, seed):
     return privates, [curve.multiply(curve.generator, d) for d in privates]
 
 
-KEY = ("ecdh", "T-13", "tau")
-OTHER = ("keygen", "T-13", "tau")
+KEY = ("ecdh", "T-13")
+OTHER = ("keygen", "T-13")
 
 
 class _Leases:
@@ -249,7 +243,7 @@ class TestDynamicBatcher:
             return completer.submit(lambda: rows)
 
         batcher = DynamicBatcher(dispatch, max_lanes=8, slots=2)
-        keys = (KEY, OTHER, ("sign", "T-13", "tau"))
+        keys = (KEY, OTHER, ("sign", "T-13"))
 
         def client(base):
             futures = [
@@ -299,7 +293,7 @@ class TestWorkerPool:
         pool = WorkerPool(workers=0, curves=("T-13",))
         try:
             rows = pool.submit(
-                ("ecdh", "T-13", "tau"),
+                ("ecdh", "T-13"),
                 {
                     "private": other,
                     "peer_x": [point.x for point in peers],
@@ -318,8 +312,7 @@ class TestWorkerPool:
         ys = [point.y for point in peers]
         ys[1] ^= 1  # knock the middle peer off the curve
         rows = execute_group(
-            toy, None, "ecdh", "tau",
-            {"private": privates, "peer_x": xs, "peer_y": ys},
+            toy, None, "ecdh", {"private": privates, "peer_x": xs, "peer_y": ys}
         )
         assert "error" in rows[1]
         for index in (0, 2):
@@ -342,7 +335,7 @@ class TestWorkerPool:
         if name == "B-163":
             monkeypatch.setattr(BinaryCurve, "multiply", _no_scalar_path)
         rows = execute_group(
-            curve, backend, "ecdh", curve._resolve_scalar_rep("auto"),
+            curve, backend, "ecdh",
             {"private": privates, "peer_x": [peer.x for peer in peers], "peer_y": ys},
         )
         assert list(rows[3]) == ["error"] and "not a point of" in rows[3]["error"]
@@ -367,7 +360,7 @@ class TestWorkerPool:
 
         monkeypatch.setattr(workers, "ecdh_batch", counted)
         rows = execute_group(
-            toy, None, "ecdh", "tau",
+            toy, None, "ecdh",
             {"private": privates, "peer_x": [q.x for q in peers], "peer_y": [q.y for q in peers]},
         )
         assert rows[1] == {"error": "the shared point is the point at infinity"}
@@ -379,7 +372,7 @@ class TestWorkerPool:
         privates, publics = _keypairs(toy, 4, seed=4)
         digests = [97, 0xDEADBEEF, 1, 2 ** 40 + 5]
         rows = execute_group(
-            toy, None, "sign", "tau", {"private": privates, "digest": digests}
+            toy, None, "sign", {"private": privates, "digest": digests}
         )
         for private, public, digest, row in zip(privates, publics, digests, rows):
             reference = ecdsa_sign(toy, private, digest)
@@ -396,7 +389,7 @@ class TestWorkerPool:
         }
         pool = WorkerPool(workers=1, curves=("T-13",))
         try:
-            rows = pool.submit(("ecdh", "T-13", "tau"), columns).result(timeout=60)
+            rows = pool.submit(("ecdh", "T-13"), columns).result(timeout=60)
         finally:
             pool.close()
         for private, peer, row in zip(other, peers, rows):
@@ -437,8 +430,8 @@ class TestWorkerPool:
         pool = WorkerPool(workers=workers, curves=("T-13",))
         try:
             with pytest.raises(KeyError):
-                pool.submit(("ecdh", "K-163", "tau"), columns).result(timeout=60)
-            rows = pool.submit(("ecdh", "T-13", "tau"), columns).result(timeout=60)
+                pool.submit(("ecdh", "K-163"), columns).result(timeout=60)
+            rows = pool.submit(("ecdh", "T-13"), columns).result(timeout=60)
         finally:
             pool.close()
         for private, peer, row in zip(privates, peers, rows):
@@ -476,7 +469,7 @@ class TestWorkerPool:
             "        log.write(f'{os.getpid()}\\n')\n"
             "    build(target)\n"
             "_build._compile_into_cache = recorded\n"
-            "pool = WorkerPool(workers=2, curves=('T-13',), start_method='fork')\n"
+            "pool = WorkerPool(workers=2, curves=('T-13',))\n"
             "pool.close()\n"
             "print(os.getpid())\n"
         )
@@ -487,7 +480,6 @@ class TestWorkerPool:
             "GF2M_REPRO_CACHE_DIR": str(tmp_path / "cache"),
             "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])),
         }
-        env.pop("GF2M_REPRO_BACKEND", None)
         result = subprocess.run(
             [sys.executable, "-c", script, str(log)],
             capture_output=True, text=True, env=env, timeout=300,
@@ -500,10 +492,12 @@ class TestWorkerPool:
         with pytest.raises(TypeError):
             WorkerPool(workers=0, backend=object(), curves=())
 
-    def test_preferred_start_method_validates(self):
-        assert preferred_start_method() in ("fork", "spawn")
-        with pytest.raises(ValueError):
-            preferred_start_method("not-a-start-method")
+    def test_pool_context_prefers_fork(self, monkeypatch):
+        assert pool_context().get_start_method() == (
+            "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+        )
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert pool_context().get_start_method() == "spawn"
 
 
 def _no_scalar_path(*args, **kwargs):
@@ -572,7 +566,7 @@ def _hold_the_slot(service, queued, hold_s=0.0):
 
     service.pool.submit = lambda key, columns: lease
     try:
-        service.batcher.submit(("keygen", "T-13", "tau"), {"private": 1})
+        service.batcher.submit(("keygen", "T-13"), {"private": 1})
     finally:
         del service.pool.submit
     thread = threading.Thread(target=release, name="test-slot-release", daemon=True)
@@ -625,8 +619,10 @@ class TestCryptoService:
         assert recorded == []
 
     def test_mixed_ops_and_reps_split_into_compatible_batches(self, toy, fresh_registry):
-        """Requests queued behind a busy worker coalesce per group, and every
-        response is byte-identical to the scalar reference."""
+        """Requests queued behind a busy worker coalesce per (op, curve): a
+        body's ``scalar_rep`` is ignored like any unknown field, so ECDH
+        bodies with and without one share a group, and every response is
+        byte-identical to the scalar reference."""
         privates, peers = _keypairs(toy, 4, seed=7)
         other, _ = _keypairs(toy, 4, seed=8)
         digests = [11, 22, 33, 44]
@@ -634,15 +630,9 @@ class TestCryptoService:
         async def scenario(service, port):
             requests = []
             for index in range(4):
-                requests.append(("/ecdh", _ecdh_body(
-                    toy, other[index], peers[index], scalar_rep="binary"
-                )))
-                # "tau" and "auto" resolve identically on a Koblitz curve, so
-                # these two land in the SAME group.
-                rep = "tau" if index % 2 else "auto"
-                requests.append(("/ecdh", _ecdh_body(
-                    toy, other[index], peers[index], scalar_rep=rep
-                )))
+                body = _ecdh_body(toy, other[index], peers[index])
+                requests.append(("/ecdh", dict(body, scalar_rep="binary")))
+                requests.append(("/ecdh", body))
                 requests.append(("/keygen", {"curve": "T-13", "private": format(privates[index], "x")}))
                 requests.append(("/sign", {
                     "curve": "T-13",
@@ -658,11 +648,12 @@ class TestCryptoService:
         responses, stats = _with_service(scenario, max_lanes=64)
         assert all(status == 200 for status, _ in responses)
         for index in range(4):
-            ecdh_bin, ecdh_tau, keygen, sign = responses[4 * index: 4 * index + 4]
+            ecdh_binary, ecdh_plain, keygen, sign = responses[4 * index: 4 * index + 4]
             reference = ecdh_shared(toy, other[index], peers[index])
-            for _, payload in (ecdh_bin, ecdh_tau):
-                assert int(payload["x"], 16) == reference.x
-                assert int(payload["y"], 16) == reference.y
+            for _, payload in (ecdh_binary, ecdh_plain):
+                assert payload == {
+                    "curve": "T-13", "x": format(reference.x, "x"), "y": format(reference.y, "x"),
+                }
             public = toy.multiply(toy.generator, privates[index])
             assert int(keygen[1]["x"], 16) == public.x
             assert int(keygen[1]["y"], 16) == public.y
@@ -671,14 +662,14 @@ class TestCryptoService:
             assert int(sign[1]["s"], 16) == signature.s
         counters = fresh_registry.snapshot()["counters"]
         assert counters["service.requests"] == 16 + 1  # + the blocker
-        # 4 distinct groups: ecdh-binary, ecdh-tau (tau + auto merged),
-        # keygen-tau, sign-tau; each was dispatched whole, from the
-        # completion of the lease before it.
-        assert counters["service.batches"] == 4 + 1
-        assert counters["service.flush.idle"] == 4 + 1
+        # 3 groups: ecdh (bodies with and without scalar_rep merged),
+        # keygen and sign; each was dispatched whole, from the completion
+        # of the lease before it.
+        assert counters["service.batches"] == 3 + 1
+        assert counters["service.flush.idle"] == 3 + 1
         # batch_fill is counted in lanes per flushed batch.
-        assert stats["batch_fill"]["count"] == 4 + 1
-        assert stats["batch_fill"]["max"] == 4
+        assert stats["batch_fill"]["count"] == 3 + 1
+        assert stats["batch_fill"]["max"] == 8
         assert stats["batch_fill"]["min"] == 1
 
     def test_mixed_curves_split_into_separate_batches(self, fresh_registry):
@@ -757,9 +748,6 @@ class TestCryptoService:
             cases["missing"] = await http_get("127.0.0.1", port, "/nope")
             cases["wrong_method"] = await _post_json(port, "/healthz", {})
             cases["unknown_curve"] = await _post_json(port, "/ecdh", {"curve": "B-571"})
-            cases["bad_rep"] = await _post_json(
-                port, "/keygen", {"curve": "T-13", "scalar_rep": "ternary"}
-            )
             cases["bad_hex"] = await _post_json(
                 port, "/keygen", {"curve": "T-13", "private": "xyz"}
             )
@@ -778,7 +766,6 @@ class TestCryptoService:
         assert cases["wrong_method"][0] == 405
         assert cases["unknown_curve"][0] == 400
         assert "serving" in cases["unknown_curve"][1]["error"]
-        assert cases["bad_rep"][0] == 400
         assert cases["bad_hex"][0] == 400
         assert cases["zero_private"][0] == 400
         assert cases["missing_field"][0] == 400
